@@ -5,9 +5,10 @@
 use std::time::Instant;
 
 use towerlens_city::zone::RegionKind;
-use towerlens_cluster::agglomerative::{agglomerative_points, Engine, Linkage};
+use towerlens_cluster::agglomerative::{agglomerative, Linkage};
 use towerlens_cluster::compare::{adjusted_rand_index, purity};
 use towerlens_cluster::dendrogram::{Clustering, Dendrogram};
+use towerlens_cluster::distance::DistanceMatrix;
 use towerlens_cluster::validity::{calinski_harabasz, davies_bouldin, silhouette};
 use towerlens_core::freq::features_of;
 use towerlens_core::{CoreError, StudyReport};
@@ -102,7 +103,7 @@ pub fn linkage(report: &StudyReport) -> Result<String, CoreError> {
         ("ward", Linkage::Ward),
     ] {
         let start = Instant::now();
-        let dendro = agglomerative_points(&report.vectors, linkage, Engine::NnChain, 0)?;
+        let dendro = agglomerative(DistanceMatrix::build(&report.vectors, 0)?, linkage)?;
         let elapsed = start.elapsed().as_secs_f64();
         let (ari, pur) = score_cut(&dendro, &report.vectors, &truth, 5)?;
         let sweep = towerlens_cluster::validity::dbi_sweep(&report.vectors, &dendro, 2, 12)?;
@@ -275,7 +276,7 @@ pub fn feature_space(report: &StudyReport) -> Result<String, CoreError> {
     ]);
     for (name, pts) in [("raw time-domain", &report.vectors), ("spectral f3", &f3)] {
         let start = Instant::now();
-        let dendro = agglomerative_points(pts, Linkage::Average, Engine::NnChain, 0)?;
+        let dendro = agglomerative(DistanceMatrix::build(pts, 0)?, Linkage::Average)?;
         let elapsed = start.elapsed().as_secs_f64();
         let cut = dendro.cut_k(5.min(pts.len()))?;
         let ari = adjusted_rand_index(&cut, &truth)?;
@@ -295,10 +296,10 @@ pub fn feature_space(report: &StudyReport) -> Result<String, CoreError> {
          features' claim, quantified)\n",
     );
     // Cross-agreement between the two partitions.
-    let raw_cut = agglomerative_points(&report.vectors, Linkage::Average, Engine::NnChain, 0)?
+    let raw_cut = agglomerative(DistanceMatrix::build(&report.vectors, 0)?, Linkage::Average)?
         .cut_k(5.min(report.vectors.len()))?;
     let f3_cut =
-        agglomerative_points(&f3, Linkage::Average, Engine::NnChain, 0)?.cut_k(5.min(f3.len()))?;
+        agglomerative(DistanceMatrix::build(&f3, 0)?, Linkage::Average)?.cut_k(5.min(f3.len()))?;
     out.push_str(&format!(
         "cross-agreement ARI(raw, f3) = {}\n",
         num(adjusted_rand_index(&raw_cut, &f3_cut)?)

@@ -1,8 +1,9 @@
 //! # towerlens-bench
 //!
 //! The reproduction harness: regenerates every table and figure of the
-//! paper's evaluation as text artefacts, plus the Criterion benchmark
-//! suite for the performance ablations listed in DESIGN.md.
+//! paper's evaluation as text artefacts, runs the design-choice
+//! ablations listed in DESIGN.md, and times the staged pipeline
+//! ([`perf`], behind the `bench` binary).
 //!
 //! The `repro` binary (`cargo run -p towerlens-bench --bin repro --release`)
 //! drives [`experiments`]; each experiment is a pure function from a

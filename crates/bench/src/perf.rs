@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use towerlens_cluster::{agglomerative_points_indexed, Engine, Linkage};
+use towerlens_cluster::{agglomerative, IndexedMetric, Linkage};
 use towerlens_core::{CoreError, RunReport, Study, StudyConfig};
 use towerlens_trace::time::TraceWindow;
 
@@ -489,17 +489,19 @@ pub fn run_cluster_bench(params: &ClusterBenchParams) -> Result<ClusterIndexResu
     let points = mixture_points(params.points, params.seed);
     towerlens_obs::global().reset();
     let started = std::time::Instant::now();
-    let tree = agglomerative_points_indexed(&points, Linkage::Average, Engine::NnChain)
+    let tree = IndexedMetric::new(&points, Linkage::Average)
+        .and_then(|metric| agglomerative(metric, Linkage::Average))
         .map_err(|e| format!("cluster bench failed: {e:?}"))?;
     let wall_ms = ms(started.elapsed());
-    debug_assert_eq!(tree.merges().len(), params.points.saturating_sub(1));
     let counters = towerlens_obs::global().snapshot().counters;
     let read = |name: &str| counters.get(name).copied().unwrap_or(0);
     Ok(ClusterIndexResult {
         points: params.points,
         dims: 6,
         wall_ms,
-        merges: read("cluster.agglomerative.merges"),
+        // From the tree itself, not the process-global merge counter,
+        // which any other clustering in the process also feeds.
+        merges: tree.merges().len() as u64,
         leaf_evaluations: read("cluster.index.leaf_evaluations"),
         nodes_visited: read("cluster.index.nodes_visited"),
         pruned_subtrees: read("cluster.index.pruned_subtrees"),
@@ -869,11 +871,10 @@ pub const MEDIAN_EPSILON_MS: f64 = 0.5;
 /// values do not depend on thread count or timing, so a candidate
 /// whose total exceeds the baseline's at a matching workload size has
 /// genuinely regressed the pruning or caching structure — the gate
-/// compares the *sum* so that moving work between the materialised,
-/// on-demand, and indexed paths cannot hide a regression.
-pub const EVAL_COUNTERS: [&str; 3] = [
+/// compares the *sum* so that moving work between the materialised
+/// and indexed paths cannot hide a regression.
+pub const EVAL_COUNTERS: [&str; 2] = [
     "cluster.distance.evaluations",
-    "cluster.distance.on_demand_evaluations",
     "cluster.index.leaf_evaluations",
 ];
 
@@ -1530,11 +1531,10 @@ mod tests {
 
         // Same workload forced into the spectral space: the cluster
         // stage goes matrix-free over the exact-pruning spatial index,
-        // so the dump must report the index's kernel-evaluation count
-        // — and none of the unindexed on-demand fallback's — letting a
-        // bench quantify distance work per feature space. (Sequential
-        // with the run above on purpose — both passes reset the
-        // process-global registry.)
+        // so the dump must report the index's kernel-evaluation count,
+        // letting a bench quantify distance work per feature space.
+        // (Sequential with the run above on purpose — both passes
+        // reset the process-global registry.)
         towerlens_obs::global().reset();
         let mut config = workload_config(12, 7).with_threads(2);
         config.identifier.feature_space = towerlens_pipeline::FeatureSpace::Spectral;
@@ -1548,14 +1548,6 @@ mod tests {
                 > 0,
             "spectral run reported no indexed evaluations: {:?}",
             counters.keys().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            counters
-                .get("cluster.distance.on_demand_evaluations")
-                .copied()
-                .unwrap_or(0),
-            0,
-            "the indexed spectral path must not fall back to the on-demand metric"
         );
     }
 }

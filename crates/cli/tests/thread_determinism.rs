@@ -150,8 +150,8 @@ fn analyze_artifacts_are_byte_identical_across_thread_counts() {
 fn spectral_study_artifacts_are_byte_identical_across_thread_counts() {
     // The matrix-free path: `--feature-space spectral` projects every
     // tower onto its six principal components (parallel, sharded
-    // Goertzel tallies) before clustering through the on-demand
-    // metric. Both the projection and the serial clustering must be
+    // Goertzel tallies) before clustering through the exact-pruning
+    // spatial index. Both the projection and the serial clustering must be
     // exactly thread-invariant — stdout and every checkpoint byte.
     let dir = temp("spectral-study");
     struct Run {
@@ -193,84 +193,6 @@ fn spectral_study_artifacts_are_byte_identical_across_thread_counts() {
             let a = std::fs::read(runs[0].ckpt.join(name)).expect("read t1 checkpoint");
             let b = std::fs::read(other.ckpt.join(name)).expect("read checkpoint");
             assert_eq!(a, b, "checkpoint `{name}` differs across thread counts");
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn spectral_index_toggle_is_byte_invisible() {
-    // The exact-pruning spatial index behind the spectral cluster
-    // stage is a pure accelerator: with `TOWERLENS_CLUSTER_INDEX=off`
-    // the stage falls back to the unindexed on-demand metric, and
-    // stdout plus every checkpoint byte must be identical to the
-    // indexed run — at every thread count, in every combination.
-    let dir = temp("index-toggle");
-    struct Run {
-        tag: String,
-        stdout: Vec<u8>,
-        ckpt: PathBuf,
-    }
-    let mut runs: Vec<Run> = Vec::new();
-    for index in ["on", "off"] {
-        for threads in ["1", "2", "8"] {
-            let tag = format!("index-{index}-t{threads}");
-            let ckpt = dir.join(format!("ckpt-{tag}"));
-            let mut cmd = Command::new(BIN);
-            cmd.args([
-                "study",
-                "--scale",
-                "tiny",
-                "--seed",
-                "42",
-                "--feature-space",
-                "spectral",
-                "--threads",
-                threads,
-                "--resume",
-                ckpt.to_str().unwrap(),
-            ]);
-            if index == "off" {
-                cmd.env("TOWERLENS_CLUSTER_INDEX", "off");
-            }
-            let out = cmd.output().expect("spawn CLI");
-            assert!(
-                out.status.success(),
-                "study ({tag}) failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            runs.push(Run {
-                tag,
-                stdout: out.stdout,
-                ckpt,
-            });
-        }
-    }
-    let names = ckpt_files(&runs[0].ckpt);
-    assert!(!names.is_empty(), "expected checkpoint files");
-    for other in &runs[1..] {
-        assert_eq!(
-            String::from_utf8_lossy(&runs[0].stdout),
-            String::from_utf8_lossy(&other.stdout),
-            "stdout differs between {} and {}",
-            runs[0].tag,
-            other.tag
-        );
-        assert_eq!(
-            names,
-            ckpt_files(&other.ckpt),
-            "checkpoint inventories differ between {} and {}",
-            runs[0].tag,
-            other.tag
-        );
-        for name in &names {
-            let a = std::fs::read(runs[0].ckpt.join(name)).expect("read reference checkpoint");
-            let b = std::fs::read(other.ckpt.join(name)).expect("read checkpoint");
-            assert_eq!(
-                a, b,
-                "checkpoint `{name}` differs between {} and {}",
-                runs[0].tag, other.tag
-            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,32 +3,25 @@
 //! The paper's pattern identifier "first considers each input point as
 //! a cluster and then bottom-up iteratively merges the nearest two
 //! clusters", with Euclidean distance and **average linkage**. We
-//! provide that plus the other classic linkages, via two engines:
+//! provide that plus the other classic linkages through one engine,
+//! [`agglomerative`]: the nearest-neighbour chain, O(n²) time, which
+//! produces the same dendrogram as the textbook O(n³) closest-pair
+//! scan for every reducible linkage (all four offered here are
+//! reducible). A property test pins it against that scan, kept as a
+//! test-only oracle.
 //!
-//! * [`Engine::Naive`] — textbook O(n³): repeatedly scan the distance
-//!   matrix for the closest pair. Kept as the reference implementation.
-//! * [`Engine::NnChain`] — nearest-neighbour chain, O(n²) time, which
-//!   produces the *same dendrogram* for every reducible linkage (all
-//!   four offered here are reducible). This is what the benchmarks run
-//!   at scale.
-//!
-//! Both engines share the Lance–Williams cluster-distance update, so
-//! agreement between them is a real cross-check of the bookkeeping,
-//! not of a shared code path for neighbour selection.
-//!
-//! Neither engine knows where distances live: both are generic over
+//! The engine does not know where distances live: it is generic over
 //! [`DistanceSource`], so the same code runs against the materialised
-//! [`DistanceMatrix`] and the matrix-free
-//! [`OnDemandMetric`](crate::source::OnDemandMetric) — and a golden
-//! test pins the two sources to bit-identical dendrograms.
+//! [`DistanceMatrix`](crate::DistanceMatrix) (the raw 4,032-dim
+//! vectors) and the indexed [`IndexedMetric`](crate::IndexedMetric)
+//! (the 6-dim spectral features) — and a golden test pins the two
+//! sources to bit-identical dendrograms.
 
 use towerlens_obs::LazyCounter;
 
 use crate::dendrogram::{Dendrogram, Merge};
-use crate::distance::DistanceMatrix;
-use crate::error::{validate_points, ClusterError};
-use crate::index::IndexedMetric;
-use crate::source::{DistanceSource, OnDemandMetric};
+use crate::error::ClusterError;
+use crate::source::DistanceSource;
 
 /// Merge steps performed, across all clustering runs (n−1 per run).
 static MERGES: LazyCounter = LazyCounter::new("cluster.agglomerative.merges");
@@ -71,42 +64,32 @@ impl Linkage {
     }
 }
 
-/// Which agglomeration algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// O(n³) closest-pair scan (reference).
-    Naive,
-    /// O(n²) nearest-neighbour chain.
-    NnChain,
-}
-
-/// Runs agglomerative clustering over a precomputed distance matrix.
+/// Runs agglomerative clustering over a [`DistanceSource`] with the
+/// nearest-neighbour-chain engine.
 ///
-/// Consumes the matrix (both engines update it in place as clusters
-/// merge). Returns the full merge history as a [`Dendrogram`]; cut it
-/// with [`Dendrogram::cut_at`] / [`Dendrogram::cut_k`].
+/// Consumes the source (the engine overwrites cluster distances in
+/// place as clusters merge). Returns the full merge history as a
+/// [`Dendrogram`]; cut it with [`Dendrogram::cut_at`] /
+/// [`Dendrogram::cut_k`]. The engine performs the same `get`/`set`
+/// sequence on any source, so two sources that agree on leaf
+/// distances produce bit-identical dendrograms.
 ///
-/// # Errors
-/// [`ClusterError::EmptyInput`] for a zero-point matrix.
-pub fn agglomerative(
-    dist: DistanceMatrix,
-    linkage: Linkage,
-    engine: Engine,
-) -> Result<Dendrogram, ClusterError> {
-    agglomerative_source(dist, linkage, engine)
-}
-
-/// Runs agglomerative clustering over any [`DistanceSource`] — the
-/// materialised matrix or a matrix-free metric. The engines perform
-/// the same `get`/`set` sequence either way, so two sources that agree
-/// on leaf distances produce bit-identical dendrograms.
+/// ```
+/// use towerlens_cluster::{agglomerative, DistanceMatrix, Linkage};
+///
+/// let points = vec![vec![0.0], vec![0.1], vec![9.0], vec![9.1]];
+/// let tree = agglomerative(DistanceMatrix::build(&points, 1)?, Linkage::Average)?;
+/// let two = tree.cut_k(2)?;
+/// assert_eq!(two.labels[0], two.labels[1]);
+/// assert_ne!(two.labels[0], two.labels[2]);
+/// # Ok::<(), towerlens_cluster::ClusterError>(())
+/// ```
 ///
 /// # Errors
 /// [`ClusterError::EmptyInput`] for a zero-point source.
-pub fn agglomerative_source<S: DistanceSource>(
+pub fn agglomerative<S: DistanceSource>(
     mut source: S,
     linkage: Linkage,
-    engine: Engine,
 ) -> Result<Dendrogram, ClusterError> {
     let n = source.len();
     if n == 0 {
@@ -115,74 +98,12 @@ pub fn agglomerative_source<S: DistanceSource>(
     if n == 1 {
         return Dendrogram::new(1, Vec::new());
     }
-    let merges = match engine {
-        Engine::Naive => naive(&mut source, linkage),
-        Engine::NnChain => nn_chain(&mut source, linkage),
-    };
+    let merges = nn_chain(&mut source, linkage);
     MERGES.add(merges.len() as u64);
     Dendrogram::new(n, merges)
 }
 
-/// Matrix-free counterpart of [`agglomerative_points`]: clusters a
-/// point set through an [`OnDemandMetric`], recomputing leaf distances
-/// from the rows instead of materialising the O(n²) condensed matrix.
-/// Bit-identical to the materialised path on the same points. Right
-/// when leaf distances are cheap relative to memory — the 6-dim
-/// spectral feature space at paper scale and beyond.
-///
-/// # Errors
-/// Propagates point-set validation failures; see [`ClusterError`].
-pub fn agglomerative_points_on_demand(
-    points: &[Vec<f64>],
-    linkage: Linkage,
-    engine: Engine,
-) -> Result<Dendrogram, ClusterError> {
-    validate_points(points)?;
-    agglomerative_source(OnDemandMetric::new(points), linkage, engine)
-}
-
-/// Indexed counterpart of [`agglomerative_points_on_demand`]: the same
-/// matrix-free engines over an [`IndexedMetric`], whose exact-pruning
-/// spatial index answers the nn-chain's nearest-neighbour queries by
-/// branch-and-bound instead of a linear scan. Bit-identical
-/// dendrograms (a golden test pins it); at paper scale and beyond the
-/// scan evaluations collapse by orders of magnitude.
-///
-/// # Errors
-/// Propagates point-set validation failures; see [`ClusterError`].
-pub fn agglomerative_points_indexed(
-    points: &[Vec<f64>],
-    linkage: Linkage,
-    engine: Engine,
-) -> Result<Dendrogram, ClusterError> {
-    validate_points(points)?;
-    agglomerative_source(IndexedMetric::new(points, linkage), linkage, engine)
-}
-
-/// Convenience: build the distance matrix (with `threads` workers) and
-/// cluster in one call.
-///
-/// ```
-/// use towerlens_cluster::{agglomerative::agglomerative_points, Engine, Linkage};
-///
-/// let points = vec![vec![0.0], vec![0.1], vec![9.0], vec![9.1]];
-/// let tree = agglomerative_points(&points, Linkage::Average, Engine::NnChain, 1)?;
-/// let two = tree.cut_k(2)?;
-/// assert_eq!(two.labels[0], two.labels[1]);
-/// assert_ne!(two.labels[0], two.labels[2]);
-/// # Ok::<(), towerlens_cluster::ClusterError>(())
-/// ```
-pub fn agglomerative_points(
-    points: &[Vec<f64>],
-    linkage: Linkage,
-    engine: Engine,
-    threads: usize,
-) -> Result<Dendrogram, ClusterError> {
-    let dist = DistanceMatrix::build(points, threads)?;
-    agglomerative(dist, linkage, engine)
-}
-
-/// Shared merge bookkeeping: active-cluster set, sizes, and the
+/// Merge bookkeeping: active-cluster set, sizes, and the
 /// creation-order cluster ids the dendrogram expects.
 struct MergeState {
     /// `active[slot]` is true while the cluster seated at `slot`
@@ -245,39 +166,13 @@ impl MergeState {
     }
 }
 
-/// O(n³) reference: scan all active pairs for the minimum each round.
-fn naive<S: DistanceSource>(dist: &mut S, linkage: Linkage) -> Vec<Merge> {
-    let n = dist.len();
-    let mut st = MergeState::new(n);
-    for _ in 0..n - 1 {
-        let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
-        for i in 0..n {
-            if !st.active[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if !st.active[j] {
-                    continue;
-                }
-                let d = dist.get(i, j);
-                if d < best.2 {
-                    best = (i, j, d);
-                }
-            }
-        }
-        let (i, j, d) = best;
-        st.merge(dist, linkage, i, j, d);
-    }
-    st.merges
-}
-
 /// O(n²) nearest-neighbour chain.
 ///
 /// Grows a chain `c₁ → c₂ → …` where each element is a nearest
 /// neighbour of its predecessor; when two consecutive elements are
 /// mutual nearest neighbours they are merged immediately. Valid for
 /// reducible linkages (all four here), producing the same tree as the
-/// naive engine up to tie order.
+/// closest-pair scan up to tie order.
 fn nn_chain<S: DistanceSource>(dist: &mut S, linkage: Linkage) -> Vec<Merge> {
     let n = dist.len();
     let mut st = MergeState::new(n);
@@ -322,8 +217,79 @@ fn nn_chain<S: DistanceSource>(dist: &mut S, linkage: Linkage) -> Vec<Merge> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::distance::euclidean;
+    use crate::distance::{euclidean, DistanceMatrix};
+    use crate::index::IndexedMetric;
+
+    const LINKAGES: [Linkage; 4] = [
+        Linkage::Single,
+        Linkage::Complete,
+        Linkage::Average,
+        Linkage::Ward,
+    ];
+
+    /// Test oracle: the textbook O(n³) closest-pair scan over all
+    /// active pairs each round, sharing only the Lance–Williams
+    /// bookkeeping with the engine — so agreement is a real
+    /// cross-check of the nn-chain's neighbour selection.
+    fn naive<S: DistanceSource>(dist: &mut S, linkage: Linkage) -> Vec<Merge> {
+        let n = dist.len();
+        let mut st = MergeState::new(n);
+        for _ in 0..n - 1 {
+            let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
+            for i in 0..n {
+                if !st.active[i] {
+                    continue;
+                }
+                for j in (i + 1)..n {
+                    if !st.active[j] {
+                        continue;
+                    }
+                    let d = dist.get(i, j);
+                    if d < best.2 {
+                        best = (i, j, d);
+                    }
+                }
+            }
+            let (i, j, d) = best;
+            st.merge(dist, linkage, i, j, d);
+        }
+        st.merges
+    }
+
+    fn oracle(mut dist: DistanceMatrix, linkage: Linkage) -> Dendrogram {
+        let n = dist.len();
+        Dendrogram::new(n, naive(&mut dist, linkage)).unwrap()
+    }
+
+    fn matrix(points: &[Vec<f64>]) -> DistanceMatrix {
+        DistanceMatrix::build(points, 1).unwrap()
+    }
+
+    fn tree(points: &[Vec<f64>], linkage: Linkage) -> Dendrogram {
+        agglomerative(matrix(points), linkage).unwrap()
+    }
+
+    /// Merge-for-merge equality, heights compared at the bit level.
+    fn assert_same_merges(a: &Dendrogram, b: &Dendrogram, what: &str) {
+        assert_eq!(a.merges().len(), b.merges().len(), "{what}");
+        for (step, (x, y)) in a.merges().iter().zip(b.merges()).enumerate() {
+            assert_eq!(
+                (x.a, x.b, x.size),
+                (y.a, y.b, y.size),
+                "{what} merge {step}"
+            );
+            assert_eq!(
+                x.distance.to_bits(),
+                y.distance.to_bits(),
+                "{what} merge {step}: {} vs {}",
+                x.distance,
+                y.distance
+            );
+        }
+    }
 
     /// Three tight groups on a line: {0,1} near 0, {2,3} near 10,
     /// {4,5} near 30.
@@ -338,47 +304,30 @@ mod tests {
         ]
     }
 
-    fn tree(points: &[Vec<f64>], linkage: Linkage, engine: Engine) -> Dendrogram {
-        agglomerative_points(points, linkage, engine, 1).unwrap()
-    }
-
     #[test]
     fn recovers_obvious_groups_all_linkages() {
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            for engine in [Engine::Naive, Engine::NnChain] {
-                let d = tree(&grouped_points(), linkage, engine);
-                let c = d.cut_k(3).unwrap();
-                assert_eq!(c.labels[0], c.labels[1], "{linkage:?}/{engine:?}");
-                assert_eq!(c.labels[2], c.labels[3], "{linkage:?}/{engine:?}");
-                assert_eq!(c.labels[4], c.labels[5], "{linkage:?}/{engine:?}");
-                assert_eq!(c.k, 3);
-            }
+        for linkage in LINKAGES {
+            let c = tree(&grouped_points(), linkage).cut_k(3).unwrap();
+            assert_eq!(c.labels[0], c.labels[1], "{linkage:?}");
+            assert_eq!(c.labels[2], c.labels[3], "{linkage:?}");
+            assert_eq!(c.labels[4], c.labels[5], "{linkage:?}");
+            assert_eq!(c.k, 3);
         }
     }
 
     #[test]
-    fn engines_agree_on_merge_heights() {
-        // Random-ish points without ties: the two engines must produce
-        // identical sorted height sequences.
+    fn nn_chain_agrees_with_the_oracle_on_merge_heights() {
+        // Random-ish points without ties: the engine and the oracle
+        // must produce identical sorted height sequences.
         let points: Vec<Vec<f64>> = (0..40)
             .map(|i| {
                 let t = i as f64;
                 vec![(t * 0.7).sin() * 10.0, (t * 1.3).cos() * 7.0, t % 5.0]
             })
             .collect();
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            let a = tree(&points, linkage, Engine::Naive);
-            let b = tree(&points, linkage, Engine::NnChain);
+        for linkage in LINKAGES {
+            let a = oracle(matrix(&points), linkage);
+            let b = tree(&points, linkage);
             for (x, y) in a.merges().iter().zip(b.merges()) {
                 assert!(
                     (x.distance - y.distance).abs() < 1e-9,
@@ -391,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_flat_cut() {
+    fn nn_chain_agrees_with_the_oracle_on_a_flat_cut() {
         let points: Vec<Vec<f64>> = (0..60)
             .map(|i| {
                 let t = i as f64;
@@ -401,12 +350,8 @@ mod tests {
                 ]
             })
             .collect();
-        let a = tree(&points, Linkage::Average, Engine::Naive)
-            .cut_k(3)
-            .unwrap();
-        let b = tree(&points, Linkage::Average, Engine::NnChain)
-            .cut_k(3)
-            .unwrap();
+        let a = oracle(matrix(&points), Linkage::Average).cut_k(3).unwrap();
+        let b = tree(&points, Linkage::Average).cut_k(3).unwrap();
         // Same partition (labels may permute): compare co-membership.
         for i in 0..points.len() {
             for j in 0..points.len() {
@@ -422,7 +367,7 @@ mod tests {
     #[test]
     fn single_linkage_first_merge_is_global_min_pair() {
         let points = grouped_points();
-        let d = tree(&points, Linkage::Single, Engine::NnChain);
+        let d = tree(&points, Linkage::Single);
         let mut min_pair = f64::INFINITY;
         for i in 0..points.len() {
             for j in (i + 1)..points.len() {
@@ -437,7 +382,7 @@ mod tests {
         let points: Vec<Vec<f64>> = (0..50)
             .map(|i| vec![(i as f64 * 2.17).sin() * 5.0, (i as f64 * 0.33).cos() * 5.0])
             .collect();
-        let d = tree(&points, Linkage::Average, Engine::NnChain);
+        let d = tree(&points, Linkage::Average);
         let mut prev = 0.0;
         for m in d.merges() {
             assert!(m.distance >= prev - 1e-12);
@@ -450,16 +395,14 @@ mod tests {
         // Two pairs with equal gaps but different cluster spreads: Ward
         // prefers merging points before absorbing into bigger clusters.
         let points = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
-        let d = tree(&points, Linkage::Ward, Engine::Naive);
-        let c = d.cut_k(2).unwrap();
+        let c = tree(&points, Linkage::Ward).cut_k(2).unwrap();
         assert_eq!(c.labels[0], c.labels[1]);
         assert_eq!(c.labels[2], c.labels[3]);
     }
 
     #[test]
     fn singleton_input() {
-        let d =
-            agglomerative_points(&[vec![1.0, 2.0]], Linkage::Average, Engine::NnChain, 1).unwrap();
+        let d = tree(&[vec![1.0, 2.0]], Linkage::Average);
         assert_eq!(d.len(), 1);
         assert!(d.merges().is_empty());
         assert_eq!(d.cut_at(1.0).k, 1);
@@ -467,72 +410,28 @@ mod tests {
 
     #[test]
     fn empty_input_errors() {
-        assert!(matches!(
-            agglomerative_points(&[], Linkage::Average, Engine::Naive, 1),
-            Err(ClusterError::EmptyInput)
-        ));
+        let empty = DistanceMatrix::from_condensed(0, Vec::new()).unwrap();
+        assert_eq!(
+            agglomerative(empty, Linkage::Average).unwrap_err(),
+            ClusterError::EmptyInput
+        );
     }
 
     #[test]
     fn duplicate_points_merge_at_zero() {
         let points = vec![vec![1.0, 1.0], vec![1.0, 1.0], vec![5.0, 5.0]];
-        for engine in [Engine::Naive, Engine::NnChain] {
-            let d = tree(&points, Linkage::Average, engine);
-            assert_eq!(d.merges()[0].distance, 0.0);
-        }
+        assert_eq!(tree(&points, Linkage::Average).merges()[0].distance, 0.0);
     }
 
     #[test]
-    fn matrix_free_engines_are_bit_identical_to_the_materialised_path() {
-        // The golden test the refactor hangs on: both engines, all four
-        // linkages, merge-for-merge equality with distances compared at
-        // the bit level. The on-demand source recomputes every leaf
-        // distance from the rows; any drift from the materialised
-        // matrix (kernel mismatch, stale Lance–Williams row, wrong
-        // fallthrough) shows up here.
-        let points: Vec<Vec<f64>> = (0..48)
-            .map(|i| {
-                let t = i as f64;
-                vec![
-                    (t * 0.7).sin() * 10.0,
-                    (t * 1.3).cos() * 7.0,
-                    (t * 0.29).sin() * 3.0 + (i % 4) as f64,
-                ]
-            })
-            .collect();
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            for engine in [Engine::Naive, Engine::NnChain] {
-                let built = agglomerative_points(&points, linkage, engine, 1).unwrap();
-                let lazy = agglomerative_points_on_demand(&points, linkage, engine).unwrap();
-                assert_eq!(built.merges().len(), lazy.merges().len());
-                for (step, (x, y)) in built.merges().iter().zip(lazy.merges()).enumerate() {
-                    assert_eq!(x.a, y.a, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.b, y.b, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.size, y.size, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(
-                        x.distance.to_bits(),
-                        y.distance.to_bits(),
-                        "{linkage:?}/{engine:?} merge {step}: {} vs {}",
-                        x.distance,
-                        y.distance
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_engines_are_bit_identical_to_the_on_demand_path() {
-        // The tentpole's golden test: the exact-pruning index must
-        // change *nothing* about the output — merge partners, sizes,
-        // and heights compared at the bit level against the on-demand
-        // scan, for both engines and all four linkages (Ward exercises
-        // the no-merged-prune fallback, average the deflated bound).
+    fn indexed_source_is_bit_identical_to_the_materialised_matrix() {
+        // The golden test the spectral path hangs on: the exact-pruning
+        // index must change *nothing* about the output — merge
+        // partners, sizes, and heights compared at the bit level
+        // against the materialised matrix, for all four linkages (Ward
+        // exercises the no-merged-prune fallback, average the deflated
+        // bound). Any drift (kernel mismatch, stale Lance–Williams row,
+        // wrong tie-break) shows up here.
         let points: Vec<Vec<f64>> = (0..120)
             .map(|i| {
                 let t = i as f64;
@@ -543,39 +442,21 @@ mod tests {
                     .collect()
             })
             .collect();
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            for engine in [Engine::Naive, Engine::NnChain] {
-                let lazy = agglomerative_points_on_demand(&points, linkage, engine).unwrap();
-                let fast = agglomerative_points_indexed(&points, linkage, engine).unwrap();
-                assert_eq!(lazy.merges().len(), fast.merges().len());
-                for (step, (x, y)) in lazy.merges().iter().zip(fast.merges()).enumerate() {
-                    assert_eq!(x.a, y.a, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.b, y.b, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.size, y.size, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(
-                        x.distance.to_bits(),
-                        y.distance.to_bits(),
-                        "{linkage:?}/{engine:?} merge {step}: {} vs {}",
-                        x.distance,
-                        y.distance
-                    );
-                }
-            }
+        for linkage in LINKAGES {
+            let built = tree(&points, linkage);
+            let fast = agglomerative(IndexedMetric::new(&points, linkage).unwrap(), linkage);
+            assert_same_merges(&built, &fast.unwrap(), &format!("{linkage:?}"));
         }
     }
 
     #[test]
     fn indexed_nn_chain_prunes_scan_evaluations() {
-        // The point of the index: at even modest n the nn-chain's scan
-        // evaluations through the indexed source must undercut the
-        // on-demand source's by a wide margin (the Lance–Williams loop
-        // evaluates the same C(n,2) leaf pairs either way; the scans
-        // are where the index wins).
+        // The point of the index: the Lance–Williams loop evaluates
+        // each of the C(n,2) leaf pairs about once whatever the source,
+        // so that is the floor for any exact engine; a linear-scan
+        // source doubles it at this size with nearest-neighbour
+        // rescans. The indexed source must stay within 5% of the floor
+        // and must actually prune.
         let points: Vec<Vec<f64>> = (0..400)
             .map(|i| {
                 (0..6)
@@ -583,31 +464,25 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut lazy = OnDemandMetric::new(&points[..]);
-        let a = nn_chain(&mut lazy, Linkage::Average);
-        let mut fast = IndexedMetric::new(&points, Linkage::Average);
-        let b = nn_chain(&mut fast, Linkage::Average);
-        assert_eq!(a.len(), b.len());
-        // Both counters include the C(n,2) Lance–Williams floor (the
-        // recurrence reads each leaf pair once regardless of source);
-        // the index can only win back the scan share, so assert a
-        // strict-but-modest drop here and leave the order-of-magnitude
-        // claims to the measured bench workloads.
+        let n = points.len() as u64;
+        let floor = n * (n - 1) / 2;
+        let mut fast = IndexedMetric::new(&points, Linkage::Average).unwrap();
+        let merges = nn_chain(&mut fast, Linkage::Average);
+        assert_eq!(merges.len() as u64, n - 1);
         assert!(
-            fast.evaluations() < lazy.evaluations(),
-            "index evals {} not under scan evals {}",
-            fast.evaluations(),
-            lazy.evaluations()
+            fast.evaluations() * 20 <= floor * 21,
+            "index evals {} exceed 1.05x the C(n,2) floor {floor}",
+            fast.evaluations()
         );
         assert!(fast.stats().pruned_subtrees > 0);
     }
 
     #[test]
-    fn on_demand_rows_are_freed_as_clusters_retire() {
+    fn indexed_rows_are_freed_as_clusters_retire() {
         // Memory contract: after the final merge a single root cluster
         // survives, so at most one Lance–Williams row may remain live.
         let points: Vec<Vec<f64>> = (0..32).map(|i| vec![(i as f64 * 1.37).sin()]).collect();
-        let mut metric = OnDemandMetric::new(&points[..]);
+        let mut metric = IndexedMetric::new(&points, Linkage::Average).unwrap();
         let merges = nn_chain(&mut metric, Linkage::Average);
         assert_eq!(merges.len(), points.len() - 1);
         assert!(
@@ -620,8 +495,46 @@ mod tests {
     #[test]
     fn total_merge_count_is_n_minus_1() {
         let points: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 * 1.1]).collect();
-        let d = tree(&points, Linkage::Complete, Engine::NnChain);
+        let d = tree(&points, Linkage::Complete);
         assert_eq!(d.merges().len(), 22);
         assert_eq!(d.cut_k(1).unwrap().k, 1);
+    }
+
+    /// Largest point count the property below exercises; the condensed
+    /// pool is sized for it (n·(n−1)/2 = 66 at n = 12).
+    const MAX_N: usize = 12;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn nn_chain_cuts_like_the_oracle_for_all_linkages(
+            vals in prop::collection::vec(0.01f64..100.0, MAX_N * (MAX_N - 1) / 2),
+            n in 2usize..=MAX_N,
+        ) {
+            // Random strictly positive distances: ties have probability
+            // zero, so the merge order is unique and the engine must
+            // agree with the oracle exactly, not just up to reordering.
+            let condensed: Vec<f64> = vals[..n * (n - 1) / 2].to_vec();
+            let source = || DistanceMatrix::from_condensed(n, condensed.clone()).unwrap();
+            for linkage in LINKAGES {
+                let want = oracle(source(), linkage);
+                let got = agglomerative(source(), linkage).unwrap();
+                for k in 1..=n {
+                    let a = want.cut_k(k).unwrap();
+                    let b = got.cut_k(k).unwrap();
+                    prop_assert_eq!(
+                        &a.labels,
+                        &b.labels,
+                        "n={} k={} {:?}: oracle {:?} vs nn-chain {:?}",
+                        n,
+                        k,
+                        linkage,
+                        a.labels,
+                        b.labels
+                    );
+                }
+            }
+        }
     }
 }

@@ -38,8 +38,8 @@ impl Dendrogram {
     /// cluster ids to match the sorted order.
     ///
     /// The NN-chain engine emits merges out of height order; stable
-    /// sorting plus an id rewrite yields the canonical form both
-    /// engines share. The rewrite replays the sorted merges over a
+    /// sorting plus an id rewrite yields the canonical form the
+    /// closest-pair scan would emit. The rewrite replays the sorted merges over a
     /// per-point cluster map, addressing each merge by one
     /// *representative point* of each side (recorded before sorting).
     /// The `(rep_a, rep_b)` edges of a merge history always form a

@@ -22,10 +22,11 @@
 //!
 //! [`IndexedMetric`] wires the tree into the nn-chain engine as a
 //! [`DistanceSource`]: leaf-level nearest-neighbour queries become
-//! pruned descents, while Lance–Williams rows for merged clusters are
-//! maintained exactly as [`OnDemandMetric`](crate::source::OnDemandMetric)
-//! does (same writes, same reads), so dendrograms are bit-identical.
-//! Merged clusters are tracked with axis-aligned bounding boxes (the
+//! pruned descents, leaf distances come from the same kernel as the
+//! materialised [`DistanceMatrix`](crate::DistanceMatrix), and
+//! Lance–Williams rows are stored only for merged clusters — so
+//! dendrograms are bit-identical to the matrix's. Merged clusters are
+//! tracked with axis-aligned bounding boxes (the
 //! O(1) union of their members' boxes); for the linkages whose
 //! cluster distance provably dominates the box gap (single, complete,
 //! average — not Ward, whose recurrence subtracts), queries *from* a
@@ -45,7 +46,8 @@ use towerlens_obs::LazyCounter;
 
 use crate::agglomerative::Linkage;
 use crate::distance::{sq_euclidean, sq_euclidean6_batch, BATCH6};
-use crate::source::{DistanceSource, LwRows, TopK};
+use crate::error::{validate_points, ClusterError};
+use crate::source::{DistanceSource, TopK};
 
 /// Tree nodes touched by index queries, across all runs.
 static INDEX_NODES_VISITED: LazyCounter = LazyCounter::new("cluster.index.nodes_visited");
@@ -53,7 +55,7 @@ static INDEX_NODES_VISITED: LazyCounter = LazyCounter::new("cluster.index.nodes_
 /// candidate, across all runs.
 static INDEX_PRUNED: LazyCounter = LazyCounter::new("cluster.index.pruned_subtrees");
 /// Leaf-distance evaluations performed by [`IndexedMetric`] (the
-/// indexed counterpart of `cluster.distance.on_demand_evaluations`).
+/// matrix-free counterpart of `cluster.distance.evaluations`).
 static INDEX_LEAF_EVALS: LazyCounter = LazyCounter::new("cluster.index.leaf_evaluations");
 
 /// Points per k-d tree leaf bucket: small enough that a bucket scan is
@@ -506,12 +508,90 @@ fn sq_box_gap(qlo: &[f64], qhi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
         + tail
 }
 
+/// The Lance–Williams row store of [`IndexedMetric`]: rows are
+/// allocated lazily at a merged slot's first `set` and freed
+/// by `retire`; `NaN` marks entries whose value lives on the *other*
+/// endpoint's row, or — for leaf pairs — is recomputed from the
+/// metric. Peak memory is `(live internal clusters) × n` entries; an
+/// agglomeration that pairs every point first peaks at n²/4 — half the
+/// condensed matrix — while typical incremental merge orders stay far
+/// below. Either way the O(n²) *leaf* triangle, which dominates at raw
+/// dimensionality, is never stored.
+#[derive(Debug)]
+struct LwRows {
+    rows: Vec<Option<Box<[f64]>>>,
+}
+
+impl LwRows {
+    /// An empty store over `n` slots; no rows are allocated yet.
+    fn new(n: usize) -> LwRows {
+        LwRows {
+            rows: vec![None; n],
+        }
+    }
+
+    /// The stored cluster distance of the pair, if either endpoint's
+    /// row holds one. A stored value wins over any leaf metric: once a
+    /// slot holds a merged cluster, its distances are defined by the
+    /// linkage recurrence, not the underlying points.
+    #[inline]
+    fn read(&self, i: usize, j: usize) -> Option<f64> {
+        if let Some(row) = self.rows[i].as_deref() {
+            let v = row[j];
+            if !v.is_nan() {
+                return Some(v);
+            }
+        }
+        if let Some(row) = self.rows[j].as_deref() {
+            let v = row[i];
+            if !v.is_nan() {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Stores a pair's distance, keeping every live copy coherent and
+    /// allocating on the first index (the surviving merge slot) only
+    /// when no row exists yet.
+    fn set(&mut self, i: usize, j: usize, v: f64) {
+        if i == j {
+            return;
+        }
+        debug_assert!(!v.is_nan(), "cluster distances must be numbers");
+        let mut stored = false;
+        if let Some(row) = self.rows[i].as_deref_mut() {
+            row[j] = v;
+            stored = true;
+        }
+        if let Some(row) = self.rows[j].as_deref_mut() {
+            row[i] = v;
+            stored = true;
+        }
+        if !stored {
+            let mut row = vec![f64::NAN; self.rows.len()].into_boxed_slice();
+            row[j] = v;
+            self.rows[i] = Some(row);
+        }
+    }
+
+    /// Frees a retired slot's row.
+    fn retire(&mut self, slot: usize) {
+        self.rows[slot] = None;
+    }
+
+    /// Rows currently allocated (live merged clusters).
+    fn live(&self) -> usize {
+        self.rows.iter().filter(|r| r.is_some()).count()
+    }
+}
+
 /// The indexed matrix-free distance source: leaf distances on demand
-/// through the kernel, Lance–Williams rows for merged clusters exactly
-/// as [`OnDemandMetric`](crate::source::OnDemandMetric) keeps them,
-/// and nearest-neighbour queries answered through the [`SpatialIndex`]
-/// instead of a linear scan. Bit-identical dendrograms; orders of
-/// magnitude fewer scan evaluations.
+/// through the kernel, Lance–Williams rows (`LwRows`) stored only for
+/// merged clusters, and nearest-neighbour queries answered through the
+/// [`SpatialIndex`] instead of a linear scan. Dendrograms are
+/// bit-identical to the materialised matrix's, with leaf evaluations
+/// within a few percent of the C(n,2) floor.
 #[derive(Debug)]
 pub struct IndexedMetric<'a> {
     points: &'a [Vec<f64>],
@@ -534,9 +614,18 @@ pub struct IndexedMetric<'a> {
 impl<'a> IndexedMetric<'a> {
     /// Builds the index over the point set. `linkage` gates whether
     /// queries from merged clusters may prune (see module docs).
-    pub fn new(points: &'a [Vec<f64>], linkage: Linkage) -> IndexedMetric<'a> {
+    ///
+    /// # Errors
+    /// Point-set validation failures: [`ClusterError::EmptyInput`],
+    /// [`ClusterError::DimensionMismatch`] for ragged rows and
+    /// [`ClusterError::NonFinite`] for NaN/∞ coordinates.
+    pub fn new(
+        points: &'a [Vec<f64>],
+        linkage: Linkage,
+    ) -> Result<IndexedMetric<'a>, ClusterError> {
+        validate_points(points)?;
         let n = points.len();
-        IndexedMetric {
+        Ok(IndexedMetric {
             points,
             rows: LwRows::new(n),
             tree: SpatialIndex::build(points),
@@ -545,7 +634,7 @@ impl<'a> IndexedMetric<'a> {
             merged_prunable: !matches!(linkage, Linkage::Ward),
             evaluations: 0,
             stats: SearchStats::default(),
-        }
+        })
     }
 
     /// Leaf-distance evaluations performed so far.
@@ -737,7 +826,8 @@ impl Drop for IndexedMetric<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{top_k_nearest, FeatureView};
+    use crate::distance::{euclidean, DistanceMatrix};
+    use crate::source::top_k_nearest;
 
     fn mixture(n: usize, blobs: usize, dim: usize) -> Vec<Vec<f64>> {
         let mut s = 0x243F_6A88_85A3_08D3u64;
@@ -788,17 +878,16 @@ mod tests {
             tree.deactivate(i);
             dead[i] = true;
         }
-        let view = &points[..];
         let mut stats = SearchStats::default();
         for (q, point) in points.iter().enumerate() {
-            let mut value = |k: usize| view.distance(q, k);
+            let mut value = |k: usize| euclidean(point, &points[k]);
             let got = tree.nearest(point, point, 1.0, q, &mut stats, &mut value);
             let mut best = (f64::INFINITY, usize::MAX);
             for (k, &gone) in dead.iter().enumerate() {
                 if k == q || gone {
                     continue;
                 }
-                let d = view.distance(q, k);
+                let d = euclidean(point, &points[k]);
                 if d < best.0 {
                     best = (d, k);
                 }
@@ -816,10 +905,9 @@ mod tests {
         let mut points = vec![vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; 5];
         points.push(vec![50.0; 6]);
         let tree = SpatialIndex::build(&points[..]);
-        let view = &points[..];
         let mut stats = SearchStats::default();
         for (q, point) in points.iter().enumerate().take(5) {
-            let mut value = |k: usize| view.distance(q, k);
+            let mut value = |k: usize| euclidean(point, &points[k]);
             let (k, v) = tree
                 .nearest(point, point, 1.0, q, &mut stats, &mut value)
                 .unwrap();
@@ -866,5 +954,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn indexed_metric_rejects_an_empty_point_set() {
+        let none: Vec<Vec<f64>> = Vec::new();
+        assert_eq!(
+            IndexedMetric::new(&none, Linkage::Average).unwrap_err(),
+            ClusterError::EmptyInput
+        );
+    }
+
+    #[test]
+    fn indexed_metric_rejects_ragged_rows() {
+        let ragged = vec![vec![0.0; 6], vec![1.0; 6], vec![2.0; 5]];
+        assert_eq!(
+            IndexedMetric::new(&ragged, Linkage::Average).unwrap_err(),
+            ClusterError::DimensionMismatch {
+                expected: 6,
+                actual: 5,
+                index: 2
+            }
+        );
+    }
+
+    #[test]
+    fn indexed_metric_rejects_non_finite_coordinates() {
+        let mut points = mixture(12, 3, 6);
+        points[7][4] = f64::NAN;
+        assert_eq!(
+            IndexedMetric::new(&points, Linkage::Average).unwrap_err(),
+            ClusterError::NonFinite { index: 7 }
+        );
+    }
+
+    #[test]
+    fn leaf_reads_match_the_materialised_matrix_bit_for_bit() {
+        let points = mixture(24, 3, 6);
+        let mut built = DistanceMatrix::build(&points, 1).unwrap();
+        let mut indexed = IndexedMetric::new(&points, Linkage::Average).unwrap();
+        for i in 0..points.len() {
+            for j in 0..points.len() {
+                assert_eq!(
+                    indexed.get(i, j).to_bits(),
+                    DistanceSource::get(&mut built, i, j).to_bits(),
+                    "pair ({i},{j})"
+                );
+            }
+        }
+        // Every off-diagonal read reached the kernel, repeats included.
+        assert_eq!(indexed.evaluations(), 24 * 23);
+    }
+
+    #[test]
+    fn stored_rows_win_over_the_kernel_and_retire_frees_them() {
+        let points = vec![vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]];
+        let mut metric = IndexedMetric::new(&points, Linkage::Average).unwrap();
+        metric.set(0, 2, 42.0);
+        assert_eq!(metric.live_rows(), 1);
+        assert_eq!((metric.get(0, 2), metric.get(2, 0)), (42.0, 42.0));
+        // An unset pair on the same row still falls back to the kernel.
+        assert_eq!(metric.get(0, 1), 5.0);
+        // Updates through the other endpoint stay coherent.
+        metric.set(2, 0, 7.0);
+        assert_eq!(metric.live_rows(), 1, "no second row for the same pair");
+        assert_eq!(metric.get(0, 2), 7.0);
+        metric.retire(0);
+        assert_eq!(metric.live_rows(), 0);
+        // With the row gone the pair is a leaf pair again.
+        assert_eq!(metric.get(0, 2), 10.0);
     }
 }

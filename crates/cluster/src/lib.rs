@@ -4,17 +4,15 @@
 //! *pattern identifier* and *metric tuner* (§3.2).
 //!
 //! * [`mod@agglomerative`] — bottom-up hierarchical clustering with
-//!   single/complete/average/Ward linkage. Two engines produce
-//!   identical dendrograms: a naive O(n³) reference and an O(n²)
-//!   nearest-neighbour-chain implementation (the one the benchmarks
-//!   ablate).
+//!   single/complete/average/Ward linkage: one O(n²)
+//!   nearest-neighbour-chain engine, [`agglomerative()`], generic over
+//!   a [`DistanceSource`].
 //! * [`dendrogram`] — the merge tree; cut it at a distance threshold
 //!   (the paper stops "when the distance between two clusters is above
 //!   the threshold value", 16.33 in their data) or at a target cluster
 //!   count.
 //! * [`validity`] — Davies–Bouldin index (the paper's stop-condition
 //!   tuner) and silhouette score as a second opinion.
-//! * [`kmeans`] — a k-means(++) baseline for comparison benches.
 //! * [`distance`] — Euclidean metrics (runtime-dispatched AVX kernel,
 //!   bit-identical to its scalar reference) and a cache-tiled parallel
 //!   pairwise-distance matrix builder (std scoped threads; no runtime
@@ -23,10 +21,13 @@
 //!   feature spaces: a static bounding-box k-d tree whose
 //!   nearest-neighbour and top-k answers are bit-identical to the
 //!   linear scan, plus [`IndexedMetric`], the indexed
-//!   [`DistanceSource`] the nn-chain engine runs over at scale.
+//!   [`DistanceSource`] the engine runs over at scale.
+//! * [`source`] — the [`DistanceSource`] seam: the materialised
+//!   [`DistanceMatrix`] for the raw space and [`IndexedMetric`] for the
+//!   spectral space.
 //!
 //! All APIs are fallible ([`ClusterError`]) rather than panicking, and
-//! deterministic given their inputs (k-means takes an explicit seed).
+//! deterministic given their inputs.
 
 // `deny`, not `forbid`: the one sanctioned exception is the AVX
 // distance kernel in [`distance`], a leaf function pinned bit-for-bit
@@ -40,17 +41,13 @@ pub mod dendrogram;
 pub mod distance;
 pub mod error;
 pub mod index;
-pub mod kmeans;
 pub mod source;
 pub mod validity;
 
-pub use agglomerative::{
-    agglomerative, agglomerative_points_indexed, agglomerative_points_on_demand,
-    agglomerative_source, Engine, Linkage,
-};
+pub use agglomerative::{agglomerative, Linkage};
 pub use compare::{adjusted_rand_index, purity, rand_index};
 pub use dendrogram::{Clustering, Dendrogram, Merge};
 pub use distance::DistanceMatrix;
 pub use error::ClusterError;
 pub use index::{IndexedMetric, PointSet, SearchStats, SpatialIndex};
-pub use source::{top_k_nearest, DistanceSource, FeatureView, OnDemandMetric, TopK};
+pub use source::{top_k_nearest, DistanceSource, TopK};

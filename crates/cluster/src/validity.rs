@@ -161,7 +161,8 @@ pub fn best_by_dbi(sweep: &[DbiPoint]) -> Option<DbiPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agglomerative::{agglomerative_points, Engine, Linkage};
+    use crate::agglomerative::{agglomerative, Linkage};
+    use crate::distance::DistanceMatrix;
 
     /// Three well-separated blobs of 5 points each on a line.
     fn blobs() -> Vec<Vec<f64>> {
@@ -174,15 +175,19 @@ mod tests {
         pts
     }
 
+    fn average_tree(points: &[Vec<f64>]) -> Dendrogram {
+        agglomerative(DistanceMatrix::build(points, 1).unwrap(), Linkage::Average).unwrap()
+    }
+
     fn labels_for_k(k: usize) -> Clustering {
-        let d = agglomerative_points(&blobs(), Linkage::Average, Engine::NnChain, 1).unwrap();
+        let d = average_tree(&blobs());
         d.cut_k(k).unwrap()
     }
 
     #[test]
     fn dbi_minimal_at_true_k() {
         let pts = blobs();
-        let d = agglomerative_points(&pts, Linkage::Average, Engine::NnChain, 1).unwrap();
+        let d = average_tree(&pts);
         let sweep = dbi_sweep(&pts, &d, 2, 8).unwrap();
         let best = best_by_dbi(&sweep).unwrap();
         assert_eq!(best.k, 3, "sweep: {sweep:?}");
@@ -241,7 +246,7 @@ mod tests {
     #[test]
     fn sweep_validates_range() {
         let pts = blobs();
-        let d = agglomerative_points(&pts, Linkage::Average, Engine::NnChain, 1).unwrap();
+        let d = average_tree(&pts);
         assert!(dbi_sweep(&pts, &d, 1, 5).is_err());
         assert!(dbi_sweep(&pts, &d, 2, 99).is_err());
         assert!(dbi_sweep(&pts, &d, 5, 3).is_err());
@@ -250,7 +255,7 @@ mod tests {
     #[test]
     fn sweep_thresholds_decrease_with_k() {
         let pts = blobs();
-        let d = agglomerative_points(&pts, Linkage::Average, Engine::NnChain, 1).unwrap();
+        let d = average_tree(&pts);
         let sweep = dbi_sweep(&pts, &d, 2, 10).unwrap();
         for w in sweep.windows(2) {
             assert!(w[0].threshold >= w[1].threshold);
@@ -321,7 +326,8 @@ pub fn calinski_harabasz(
 #[cfg(test)]
 mod ch_tests {
     use super::*;
-    use crate::agglomerative::{agglomerative_points, Engine, Linkage};
+    use crate::agglomerative::{agglomerative, Linkage};
+    use crate::distance::DistanceMatrix;
 
     /// Three irregular 2-D blobs (pseudo-random scatter, so
     /// sub-splitting a blob doesn't keep shrinking the within-variance
@@ -341,7 +347,7 @@ mod ch_tests {
     #[test]
     fn ch_maximal_at_true_k() {
         let pts = blobs();
-        let d = agglomerative_points(&pts, Linkage::Average, Engine::NnChain, 1).unwrap();
+        let d = agglomerative(DistanceMatrix::build(&pts, 1).unwrap(), Linkage::Average).unwrap();
         let mut best = (0usize, f64::NEG_INFINITY);
         for k in 2..=7 {
             let c = d.cut_k(k).unwrap();

@@ -8,13 +8,14 @@
 //! inputs: random clouds, duplicate-heavy clouds (every distance tied
 //! many ways), `k ≥ n`, all-equal point sets, and random deactivation
 //! orders. A final property pins the indexed nn-chain dendrogram to
-//! the on-demand path bit for bit across all four linkages.
+//! the materialised distance matrix's bit for bit across all four
+//! linkages, over both random and tie-heavy clouds.
 
 use proptest::prelude::*;
 use towerlens_cluster::distance::euclidean;
 use towerlens_cluster::{
-    agglomerative_points_indexed, agglomerative_points_on_demand, top_k_nearest, Engine, Linkage,
-    SearchStats, SpatialIndex, TopK,
+    agglomerative, top_k_nearest, DistanceMatrix, IndexedMetric, Linkage, SearchStats,
+    SpatialIndex, TopK,
 };
 
 const LINKAGES: [Linkage; 4] = [
@@ -149,23 +150,32 @@ proptest! {
     }
 
     #[test]
-    fn indexed_dendrogram_is_bit_identical_to_on_demand(
+    fn indexed_dendrogram_is_bit_identical_to_the_matrix(
         points in prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 6), 2..28),
+        palette in prop::collection::vec(-8.0f64..8.0, 1..4),
+        picks in prop::collection::vec(prop::collection::vec(0usize..4, 6), 1..28),
     ) {
-        for linkage in LINKAGES {
-            let lazy = agglomerative_points_on_demand(&points, linkage, Engine::NnChain).unwrap();
-            let fast = agglomerative_points_indexed(&points, linkage, Engine::NnChain).unwrap();
-            prop_assert_eq!(lazy.merges().len(), fast.merges().len());
-            for (a, b) in lazy.merges().iter().zip(fast.merges()) {
-                prop_assert_eq!(a.a, b.a, "{:?}", linkage);
-                prop_assert_eq!(a.b, b.b, "{:?}", linkage);
-                prop_assert_eq!(a.size, b.size, "{:?}", linkage);
-                prop_assert_eq!(
-                    a.distance.to_bits(),
-                    b.distance.to_bits(),
-                    "{:?}: merge height bits diverged",
-                    linkage
-                );
+        // Random clouds exercise the pruning; palette clouds make exact
+        // distance ties (and zero-distance duplicates) the common case,
+        // so the tie-breaks must match too.
+        for cloud in [points, tied_cloud(&palette, picks)] {
+            for linkage in LINKAGES {
+                let built =
+                    agglomerative(DistanceMatrix::build(&cloud, 1).unwrap(), linkage).unwrap();
+                let fast =
+                    agglomerative(IndexedMetric::new(&cloud, linkage).unwrap(), linkage).unwrap();
+                prop_assert_eq!(built.merges().len(), fast.merges().len());
+                for (a, b) in built.merges().iter().zip(fast.merges()) {
+                    prop_assert_eq!(a.a, b.a, "{:?}", linkage);
+                    prop_assert_eq!(a.b, b.b, "{:?}", linkage);
+                    prop_assert_eq!(a.size, b.size, "{:?}", linkage);
+                    prop_assert_eq!(
+                        a.distance.to_bits(),
+                        b.distance.to_bits(),
+                        "{:?}: merge height bits diverged",
+                        linkage
+                    );
+                }
             }
         }
     }

@@ -10,18 +10,17 @@
 //! The representation the clustering sees is a [`FeatureSpace`]
 //! choice: the raw 4,032-dim traffic vector (the paper's setting,
 //! materialised distance matrix) or the 6-dim spectral projection at
-//! the window's principal bins (matrix-free on-demand distances — the
-//! path that carries the paper's 9,600 towers and beyond). `Auto`, the
-//! default, keeps small studies on the raw reference path and switches
-//! large ones to spectral. A golden test below pins the two spaces to
-//! agreement by Adjusted Rand Index on separable data.
+//! the window's principal bins (matrix-free distances through the
+//! exact-pruning spatial index — the path that carries the paper's
+//! 9,600 towers and beyond). `Auto`, the default, keeps small studies
+//! on the raw reference path and switches large ones to spectral. A
+//! golden test below pins the two spaces to agreement by Adjusted Rand
+//! Index on separable data.
 
-use towerlens_cluster::agglomerative::{
-    agglomerative_points, agglomerative_points_indexed, agglomerative_points_on_demand, Engine,
-    Linkage,
-};
+use towerlens_cluster::agglomerative::{agglomerative, Linkage};
 use towerlens_cluster::dendrogram::{Clustering, Dendrogram};
 use towerlens_cluster::validity::{best_by_dbi, dbi_sweep, DbiPoint};
+use towerlens_cluster::{DistanceMatrix, IndexedMetric};
 use towerlens_pipeline::feature::{spectral_project, FeatureSpace};
 use towerlens_trace::time::TraceWindow;
 
@@ -32,8 +31,6 @@ use crate::error::CoreError;
 pub struct IdentifierConfig {
     /// Linkage criterion (the paper uses average linkage).
     pub linkage: Linkage,
-    /// Clustering engine.
-    pub engine: Engine,
     /// Smallest cluster count the metric tuner considers.
     pub k_min: usize,
     /// Largest cluster count the metric tuner considers.
@@ -52,7 +49,6 @@ impl Default for IdentifierConfig {
     fn default() -> Self {
         IdentifierConfig {
             linkage: Linkage::Average,
-            engine: Engine::NnChain,
             k_min: 2,
             k_max: 12,
             threads: 0,
@@ -166,17 +162,15 @@ impl PatternIdentifier {
         let dendrogram = match &projected {
             // Raw: expensive high-dim leaf distances, computed once
             // into the materialised matrix.
-            None => agglomerative_points(vectors, cfg.linkage, cfg.engine, cfg.threads)?,
+            None => agglomerative(DistanceMatrix::build(vectors, cfg.threads)?, cfg.linkage)?,
             // Spectral: 6-dim leaf distances, recomputed on demand
             // through the exact-pruning spatial index — no O(n²)
             // buffer, and nearest-neighbour scans collapse to pruned
-            // descents. Bit-identical to the plain on-demand path
-            // (`TOWERLENS_CLUSTER_INDEX=off` forces it, as an escape
-            // hatch and for the A/B smoke in scripts/check.sh).
-            Some(features) if cluster_index_enabled() => {
-                agglomerative_points_indexed(features, cfg.linkage, cfg.engine)?
+            // descents. Bit-identical to the materialised matrix over
+            // the same features (a golden test below pins it).
+            Some(features) => {
+                agglomerative(IndexedMetric::new(features, cfg.linkage)?, cfg.linkage)?
             }
-            Some(features) => agglomerative_points_on_demand(features, cfg.linkage, cfg.engine)?,
         };
         let space: &[Vec<f64>] = projected.as_deref().unwrap_or(vectors);
         let k_max = cfg.k_max.min(vectors.len());
@@ -199,15 +193,6 @@ impl PatternIdentifier {
             dendrogram,
         })
     }
-}
-
-/// Whether the spectral clustering stage routes nearest-neighbour
-/// queries through the exact-pruning spatial index (the default).
-/// `TOWERLENS_CLUSTER_INDEX=off` selects the plain on-demand scan;
-/// both paths produce bit-identical dendrograms, so this is purely a
-/// diagnostics/escape hatch.
-fn cluster_index_enabled() -> bool {
-    std::env::var("TOWERLENS_CLUSTER_INDEX").map_or(true, |v| v != "off")
 }
 
 #[cfg(test)]
@@ -366,27 +351,45 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_nnchain_agree() {
-        let window = TraceWindow::days(3);
-        let (vectors, _) = pure_kind_vectors(6, &window);
-        let a = PatternIdentifier::new(IdentifierConfig {
-            engine: Engine::Naive,
-            ..IdentifierConfig::default()
-        })
-        .identify(&vectors)
-        .unwrap();
-        let b = PatternIdentifier::new(IdentifierConfig {
-            engine: Engine::NnChain,
-            ..IdentifierConfig::default()
-        })
-        .identify(&vectors)
-        .unwrap();
-        assert_eq!(a.k, b.k);
-        for i in 0..vectors.len() {
-            for j in 0..vectors.len() {
+    fn spectral_dendrogram_is_bit_identical_to_the_materialised_matrix() {
+        // The spectral space clusters through the spatial index; the
+        // materialised matrix over the same projections is the
+        // reference. For every linkage the identifier's dendrogram
+        // must match it merge for merge, heights compared by bits.
+        let window = TraceWindow::days(7);
+        let (vectors, _) = pure_kind_vectors(12, &window);
+        let bins = towerlens_pipeline::principal_bins(&window).unwrap();
+        let features = spectral_project(&vectors, bins, 1).unwrap();
+        for linkage in [
+            Linkage::Single,
+            Linkage::Complete,
+            Linkage::Average,
+            Linkage::Ward,
+        ] {
+            let found = PatternIdentifier::new(IdentifierConfig {
+                linkage,
+                k_max: 8,
+                feature_space: FeatureSpace::Spectral,
+                ..IdentifierConfig::default()
+            })
+            .identify_in(&vectors, Some(&window))
+            .unwrap();
+            let reference =
+                agglomerative(DistanceMatrix::build(&features, 1).unwrap(), linkage).unwrap();
+            let (got, want) = (found.dendrogram.merges(), reference.merges());
+            assert_eq!(got.len(), want.len(), "{linkage:?}");
+            for (step, (x, y)) in got.iter().zip(want).enumerate() {
                 assert_eq!(
-                    a.clustering.labels[i] == a.clustering.labels[j],
-                    b.clustering.labels[i] == b.clustering.labels[j]
+                    (x.a, x.b, x.size),
+                    (y.a, y.b, y.size),
+                    "{linkage:?} merge {step}"
+                );
+                assert_eq!(
+                    x.distance.to_bits(),
+                    y.distance.to_bits(),
+                    "{linkage:?} merge {step}: {} vs {}",
+                    x.distance,
+                    y.distance
                 );
             }
         }

@@ -43,20 +43,6 @@ impl NormalizedMatrix {
     pub fn imputed_bins(&self) -> usize {
         self.imputed.iter().map(Vec::len).sum()
     }
-
-    /// Packs the kept vectors into chunked f32 storage
-    /// ([`crate::matrix::TowerMatrix`]) — the memory-bounded form of
-    /// the raw feature space for studies too large to hold as
-    /// `Vec<Vec<f64>>` (100k towers × 4,032 bins is 1.6 GB packed vs
-    /// 3.2 GB plus per-row allocations unpacked).
-    ///
-    /// # Errors
-    /// [`towerlens_cluster::ClusterError::EmptyInput`] when no tower
-    /// survived normalisation; ragged rows cannot occur here (the
-    /// vectorizer produces equal-length rows).
-    pub fn compact(&self) -> Result<crate::matrix::TowerMatrix, towerlens_cluster::ClusterError> {
-        crate::matrix::TowerMatrix::from_rows(&self.vectors)
-    }
 }
 
 /// Z-scores every row of a raw traffic matrix.

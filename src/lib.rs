@@ -19,8 +19,8 @@
 //! * [`pipeline`] — the parallel traffic vectorizer (the paper's
 //!   Hadoop element).
 //! * [`dsp`] — mixed-radix FFT, spectra, normalisation, statistics.
-//! * [`cluster`] — agglomerative clustering, validity indices,
-//!   k-means baseline.
+//! * [`cluster`] — agglomerative clustering, validity indices, and
+//!   the exact-pruning spatial index.
 //! * [`opt`] — simplex-constrained least squares and TF-IDF.
 //!
 //! ## Quickstart

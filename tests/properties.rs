@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use towerlens::cluster::agglomerative::{agglomerative_points, Engine, Linkage};
+use towerlens::cluster::agglomerative::{agglomerative, Linkage};
+use towerlens::cluster::distance::DistanceMatrix;
 use towerlens::dsp::fft::{fft, fft_real, ifft};
 use towerlens::dsp::normalize::{by_max, minmax, zscore};
 use towerlens::dsp::spectrum::Spectrum;
@@ -152,7 +153,7 @@ proptest! {
             2..40
         )
     ) {
-        let d = agglomerative_points(&points, Linkage::Average, Engine::NnChain, 1).unwrap();
+        let d = agglomerative(DistanceMatrix::build(&points, 1).unwrap(), Linkage::Average).unwrap();
         // Higher thresholds never increase the cluster count.
         let mut prev = usize::MAX;
         for t in [0.0, 1.0, 10.0, 50.0, 1e3, 1e9] {
@@ -163,21 +164,6 @@ proptest! {
         // cut_k is exact for every feasible k.
         for k in 1..=points.len() {
             prop_assert_eq!(d.cut_k(k).unwrap().k, k);
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_random_point_sets(
-        points in prop::collection::vec(
-            prop::collection::vec(-50.0f64..50.0, 3),
-            3..24
-        )
-    ) {
-        let a = agglomerative_points(&points, Linkage::Average, Engine::Naive, 1).unwrap();
-        let b = agglomerative_points(&points, Linkage::Average, Engine::NnChain, 1).unwrap();
-        for (x, y) in a.merges().iter().zip(b.merges()) {
-            prop_assert!((x.distance - y.distance).abs() < 1e-6,
-                "heights diverge: {} vs {}", x.distance, y.distance);
         }
     }
 
