@@ -31,7 +31,6 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Leading file magic.
@@ -912,25 +911,20 @@ fn section_payload<'a>(bytes: &'a [u8], entry: &TableEntry) -> Result<&'a [u8], 
 
 // ------------------------------------------------------------- file I/O
 
-/// Writes a snapshot atomically: encode, write to a sibling temp
-/// file, fsync, rename over the target.
+/// Writes a snapshot atomically through [`crate::replace_durably`]
+/// (failpoints `artifact.tmp` / `artifact`): encode, write to a
+/// sibling temp file, fsync, rename over the target.
 ///
 /// # Errors
 /// [`ArtifactError::Io`] on any filesystem failure.
 pub fn write_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), ArtifactError> {
-    let bytes = snapshot.encode();
-    let tmp = path.with_extension("artifact.tmp");
-    let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    file.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
-    file.sync_all().map_err(|e| io_err(&tmp, e))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    crate::replace_durably(
+        path,
+        &snapshot.encode(),
+        "artifact",
+        towerlens_obs::failpoints(),
+        io_err,
+    )
 }
 
 /// Reads and fully verifies a snapshot file.
@@ -1131,6 +1125,30 @@ pub fn sample_snapshot() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sibling targets that share a stem (`x.a`, `x.b`) get their own
+    /// temp files: two writers racing on them must each land exactly
+    /// their own bytes.
+    #[test]
+    fn concurrent_writes_to_sibling_targets_keep_their_own_bytes() {
+        let dir = std::env::temp_dir().join(format!("towerlens-siblings-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, fingerprint: u64| {
+            let mut snap = sample_snapshot();
+            snap.meta.fingerprint = fingerprint;
+            let path = dir.join(name);
+            for _ in 0..50 {
+                write_snapshot(&path, &snap).unwrap();
+                assert_eq!(read_snapshot(&path).unwrap().meta.fingerprint, fingerprint);
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| write("x.a", 1));
+            scope.spawn(|| write("x.b", 2));
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn roundtrip_is_identity() {

@@ -22,6 +22,10 @@
 //!   that fans requests over `towerlens-par` workers and renders
 //!   input-order, thread-count-invariant output plus exact `query.*`
 //!   counters.
+//! * [`durable`] — [`replace_durably`], the one temp + fsync + rename
+//!   protocol every durable file replace in the workspace goes through
+//!   (checkpoints, snapshots, artifacts, generations, the WAL repair),
+//!   with its failpoints at the same two positions for every writer.
 //! * [`store`] — the generation store behind hot reload: `serve`
 //!   publishes immutable `gen-N.artifact` files plus an atomic
 //!   `CURRENT` pointer, and `query --watch` follows the pointer with
@@ -35,9 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 pub mod format;
 pub mod query;
 pub mod store;
+
+pub use durable::{replace_durably, temp_path};
 
 pub use format::{
     fnv1a64, fsck_artifact, read_snapshot, sniff_magic, write_snapshot, ArtifactError,
@@ -51,5 +58,5 @@ pub use query::{
 };
 pub use store::{
     generation_name, list_generations, parse_generation_name, read_current, resolve_latest,
-    PublishKill, PublishStage, Publisher, Resolved, Watcher, CURRENT_POINTER,
+    Publisher, Resolved, Watcher, CURRENT_POINTER,
 };

@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use towerlens_cluster::index::{SearchStats, SpatialIndex};
 use towerlens_cluster::source::TopK;
-use towerlens_obs::LazyCounter;
+use towerlens_obs::{Action, Failpoints, LazyCounter};
 use towerlens_opt::{simplex_least_squares, SimplexLsOptions, Solver};
 use towerlens_par::{par_map_indexed_scratch, resolve_threads};
 
@@ -184,19 +184,19 @@ pub fn request_cost(index: &QueryIndex, request: &Request) -> u64 {
     }
 }
 
-/// A seeded fault plan for the query path, parsed from the
-/// [`QueryFault::ENV`] environment variable. Grammar:
-/// `cost*<k>` multiplies every request's *consumed* cost (driving the
-/// deadline clock without changing the admission estimate);
-/// `transient:<n>` makes the first `n` requests of every worker chunk
-/// fail transiently once, to be retried under the caller's
-/// [`QueryPolicy::retries`]. Parts combine with `;`.
+/// A seeded fault plan for the query path, resolved once per batch
+/// from the failpoint registry ([`QueryFault::from_failpoints`]):
+/// `query.cost=mul(<k>)` multiplies every request's *consumed* cost
+/// (driving the deadline clock without changing the admission
+/// estimate); `query.chunk=err*<n>` makes the first `n` requests of
+/// every worker chunk fail transiently once, to be retried under the
+/// caller's [`QueryPolicy::retries`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryFault {
-    /// Consumed-cost multiplier (`cost*<k>`, `1` = off).
+    /// Consumed-cost multiplier (`query.cost=mul(<k>)`, `1` = off).
     pub cost_multiplier: u64,
     /// Injected transient failures at the head of every worker chunk
-    /// (`transient:<n>`, `0` = off).
+    /// (`query.chunk=err*<n>`, `0` = off).
     pub transient_per_chunk: u64,
 }
 
@@ -210,44 +210,22 @@ impl Default for QueryFault {
 }
 
 impl QueryFault {
-    /// The environment variable the CLI reads the fault spec from.
-    pub const ENV: &'static str = "TOWERLENS_FAULT_QUERY";
-
-    /// Parses a fault spec such as `cost*20`, `transient:2`, or
-    /// `cost*20;transient:2`.
-    ///
-    /// # Errors
-    /// A message naming [`QueryFault::ENV`] and the malformed part.
-    pub fn parse(spec: &str) -> Result<QueryFault, String> {
-        let mut fault = QueryFault::default();
-        for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
-            if let Some(k) = part.strip_prefix("cost*") {
-                fault.cost_multiplier = k.parse().ok().filter(|&m| m >= 1).ok_or_else(|| {
-                    format!("{}: bad cost multiplier `{k}` in `{spec}`", Self::ENV)
-                })?;
-            } else if let Some(n) = part.strip_prefix("transient:") {
-                fault.transient_per_chunk = n
-                    .parse()
-                    .map_err(|_| format!("{}: bad transient count `{n}` in `{spec}`", Self::ENV))?;
-            } else {
-                return Err(format!(
-                    "{}: unknown fault `{part}` in `{spec}` \
-                     (expected `cost*<k>` or `transient:<n>`, `;`-separated)",
-                    Self::ENV
-                ));
-            }
-        }
-        Ok(fault)
-    }
-
-    /// Reads and parses [`QueryFault::ENV`]; `Ok(None)` when unset.
-    ///
-    /// # Errors
-    /// The parse error for a set-but-malformed spec.
-    pub fn from_env() -> Result<Option<QueryFault>, String> {
-        match std::env::var(Self::ENV) {
-            Ok(spec) => QueryFault::parse(&spec).map(Some),
-            Err(_) => Ok(None),
+    /// The plan `fp` configures at `query.cost` and `query.chunk`;
+    /// `None` when it configures neither.
+    #[must_use]
+    pub fn from_failpoints(fp: &Failpoints) -> Option<QueryFault> {
+        match (fp.action(&["query.cost"]), fp.action(&["query.chunk"])) {
+            (None, None) => None,
+            (cost, chunk) => Some(QueryFault {
+                cost_multiplier: match cost {
+                    Some(Action::Mul(k)) => k,
+                    _ => 1,
+                },
+                transient_per_chunk: match chunk {
+                    Some(Action::Err(n)) => n,
+                    _ => 0,
+                },
+            }),
         }
     }
 }
@@ -273,7 +251,7 @@ pub struct QueryPolicy {
     pub deadline_units: Option<u64>,
     /// Transient-fault retries per request before giving up.
     pub retries: u32,
-    /// Seeded fault plan (normally [`QueryFault::from_env`]).
+    /// Seeded fault plan (normally [`QueryFault::from_failpoints`]).
     pub fault: Option<QueryFault>,
     /// Backoff between fault retries — the CLI wires the engine
     /// `RetryPolicy` delay schedule here; `None` retries immediately.
@@ -1079,7 +1057,7 @@ mod tests {
         let policy = QueryPolicy {
             request_budget: Some(10),
             deadline_units: Some(100),
-            fault: Some(QueryFault::parse("cost*20").unwrap()),
+            fault: plan("query.cost=mul(20)"),
             ..QueryPolicy::default()
         };
         let err = run_one_with(&index, "topk 0 2", &policy).unwrap_err();
@@ -1100,7 +1078,7 @@ mod tests {
         let faulted = QueryPolicy {
             threads: 2,
             retries: 2,
-            fault: Some(QueryFault::parse("transient:2").unwrap()),
+            fault: plan("query.chunk=err*2"),
             ..QueryPolicy::default()
         };
         let (got, tally) = run_batch_with(&index, &lines, &faulted);
@@ -1110,29 +1088,26 @@ mod tests {
         // Without retries the injected fault surfaces as a typed error.
         let hopeless = QueryPolicy {
             retries: 0,
-            fault: Some(QueryFault::parse("transient:1").unwrap()),
+            fault: plan("query.chunk=err*1"),
             ..QueryPolicy::default()
         };
         let err = run_one_with(&index, "pattern 0", &hopeless).unwrap_err();
         assert!(err.contains("transient query fault injected"));
     }
 
+    /// The query fault plan a failpoint spec resolves to.
+    fn plan(spec: &str) -> Option<QueryFault> {
+        QueryFault::from_failpoints(&Failpoints::parse(spec).unwrap())
+    }
+
     #[test]
-    fn fault_spec_grammar_parses_and_rejects() {
-        assert_eq!(
-            QueryFault::parse("cost*20;transient:3").unwrap(),
-            QueryFault {
-                cost_multiplier: 20,
-                transient_per_chunk: 3
-            }
-        );
-        assert_eq!(QueryFault::parse("").unwrap(), QueryFault::default());
-        assert!(QueryFault::parse("cost*0")
-            .unwrap_err()
-            .contains("TOWERLENS_FAULT_QUERY"));
-        assert!(QueryFault::parse("latency:5")
-            .unwrap_err()
-            .contains("unknown fault"));
+    fn fault_plan_resolves_from_the_query_failpoints() {
+        let both = QueryFault {
+            cost_multiplier: 20,
+            transient_per_chunk: 3,
+        };
+        assert_eq!(plan("query.cost=mul(20);query.chunk=err*3"), Some(both));
+        assert_eq!(plan("checkpoint=abort@1"), None);
     }
 
     #[test]

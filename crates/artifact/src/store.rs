@@ -19,6 +19,11 @@
 //! 3. write `CURRENT.tmp` naming `gen-N.artifact`, fsync;
 //! 4. rename to `CURRENT`, fsync the directory.
 //!
+//! Steps 1–2 and 3–4 are each one [`crate::replace_durably`] call,
+//! whose failpoints are `publish.gen.tmp` / `publish.gen` and
+//! `publish.cur.tmp` / `publish.cur`: the chaos suite aborts `serve`
+//! at each of them on its `n`-th actual publish (`abort@<n>`).
+//!
 //! A reader that finds `CURRENT` naming a missing or corrupt file
 //! (possible only under byte corruption, not under crashes) falls
 //! back to the newest generation that fully decodes. Publishing is
@@ -26,16 +31,12 @@
 //! equal the would-be snapshot, [`Publisher::publish`] is a no-op, so
 //! a crashed-and-restarted publisher converges instead of minting
 //! duplicate generations forever.
-//!
-//! `TOWERLENS_FAULT_PUBLISH=<tmp|gen|cur>:<n>` aborts the process at
-//! the matching point of the `n`-th actual publish, for the chaos
-//! suite that kills `serve` at every point inside a publish.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use towerlens_obs::LazyCounter;
+use towerlens_obs::{Failpoints, LazyCounter};
 
+use crate::durable::replace_durably;
 use crate::format::{ArtifactError, Snapshot};
 use crate::query::QueryIndex;
 
@@ -94,94 +95,28 @@ pub fn read_current(dir: &Path) -> Result<Option<String>, ArtifactError> {
 
 // ------------------------------------------------------------ publisher
 
-/// Where inside a publish the seeded kill fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PublishStage {
-    /// After the generation temp file is written and fsynced, before
-    /// its rename — a torn publish leaving only `gen-N.artifact.tmp`.
-    AfterTmp,
-    /// After the generation file is renamed into place, before the
-    /// `CURRENT` pointer moves — a published-but-unreferenced
-    /// generation.
-    AfterGen,
-    /// After `CURRENT.tmp` is written, before its rename — the
-    /// pointer still names the previous generation.
-    AfterCurrentTmp,
-}
-
-/// A seeded publish kill: abort the process at `stage` of the `n`-th
-/// actual publish (1-based; idempotent no-op publishes don't count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublishKill {
-    /// Where inside the publish to abort.
-    pub stage: PublishStage,
-    /// Which publish of this process to abort on.
-    pub nth: u64,
-}
-
-impl PublishKill {
-    /// The environment variable the spec is read from.
-    pub const ENV: &'static str = "TOWERLENS_FAULT_PUBLISH";
-
-    /// Parses a spec such as `tmp:1`, `gen:2`, or `cur:1`.
-    ///
-    /// # Errors
-    /// A message naming [`PublishKill::ENV`] and the malformed part.
-    pub fn parse(spec: &str) -> Result<PublishKill, String> {
-        let (word, nth) = spec
-            .split_once(':')
-            .ok_or_else(|| format!("{}: expected `<tmp|gen|cur>:<n>`, got `{spec}`", Self::ENV))?;
-        let stage = match word {
-            "tmp" => PublishStage::AfterTmp,
-            "gen" => PublishStage::AfterGen,
-            "cur" => PublishStage::AfterCurrentTmp,
-            other => {
-                return Err(format!(
-                    "{}: unknown publish stage `{other}` in `{spec}` (expected tmp, gen, or cur)",
-                    Self::ENV
-                ))
-            }
-        };
-        let nth: u64 = nth
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("{}: bad publish ordinal `{nth}` in `{spec}`", Self::ENV))?;
-        Ok(PublishKill { stage, nth })
-    }
-
-    /// Reads and parses [`PublishKill::ENV`]; `Ok(None)` when unset.
-    ///
-    /// # Errors
-    /// The parse error for a set-but-malformed spec.
-    pub fn from_env() -> Result<Option<PublishKill>, String> {
-        match std::env::var(Self::ENV) {
-            Ok(spec) => PublishKill::parse(&spec).map(Some),
-            Err(_) => Ok(None),
-        }
-    }
-}
-
 /// The producer half of the generation store. One per publishing
-/// process; tracks how many real publishes it has performed so the
-/// seeded kill can target the `n`-th.
+/// process; counts the real publishes it has performed.
 #[derive(Debug)]
 pub struct Publisher {
     dir: PathBuf,
-    kill: Option<PublishKill>,
+    failpoints: Option<Failpoints>,
     published: u64,
 }
 
 impl Publisher {
     /// Opens (creating if needed) the generation store at `dir`.
+    /// `failpoints` overrides the process registry
+    /// ([`towerlens_obs::failpoints`]) for this publisher's `publish.*`
+    /// points; `None` uses the process registry.
     ///
     /// # Errors
     /// [`ArtifactError::Io`] when the directory cannot be created.
-    pub fn open(dir: &Path, kill: Option<PublishKill>) -> Result<Publisher, ArtifactError> {
+    pub fn open(dir: &Path, failpoints: Option<Failpoints>) -> Result<Publisher, ArtifactError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         Ok(Publisher {
             dir: dir.to_path_buf(),
-            kill,
+            failpoints,
             published: 0,
         })
     }
@@ -196,18 +131,6 @@ impl Publisher {
     #[must_use]
     pub fn published(&self) -> u64 {
         self.published
-    }
-
-    fn maybe_abort(&self, stage: PublishStage) {
-        if let Some(kill) = self.kill {
-            if kill.stage == stage && kill.nth == self.published {
-                eprintln!(
-                    "publish: seeded kill at {stage:?} of publish {} — aborting",
-                    self.published
-                );
-                std::process::abort();
-            }
-        }
     }
 
     /// Publishes a snapshot as the next generation and moves
@@ -232,35 +155,21 @@ impl Publisher {
             }
         }
         self.published += 1;
+        let fp = match &self.failpoints {
+            Some(fp) => fp,
+            None => towerlens_obs::failpoints(),
+        };
         let generation = list_generations(&self.dir)?.last().copied().unwrap_or(0) + 1;
         let name = generation_name(generation);
-        let target = self.dir.join(&name);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        write_fsynced(&tmp, &bytes)?;
-        self.maybe_abort(PublishStage::AfterTmp);
-        std::fs::rename(&tmp, &target).map_err(|e| io_err(&target, e))?;
-        sync_dir(&self.dir);
-        self.maybe_abort(PublishStage::AfterGen);
-        let cur_tmp = self.dir.join(format!("{CURRENT_POINTER}.tmp"));
-        write_fsynced(&cur_tmp, format!("{name}\n").as_bytes())?;
-        self.maybe_abort(PublishStage::AfterCurrentTmp);
-        let current = self.dir.join(CURRENT_POINTER);
-        std::fs::rename(&cur_tmp, &current).map_err(|e| io_err(&current, e))?;
-        sync_dir(&self.dir);
+        replace_durably(&self.dir.join(&name), &bytes, "publish.gen", fp, io_err)?;
+        replace_durably(
+            &self.dir.join(CURRENT_POINTER),
+            format!("{name}\n").as_bytes(),
+            "publish.cur",
+            fp,
+            io_err,
+        )?;
         Ok(generation)
-    }
-}
-
-fn write_fsynced(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
-    let mut file = std::fs::File::create(path).map_err(|e| io_err(path, e))?;
-    file.write_all(bytes).map_err(|e| io_err(path, e))?;
-    file.sync_all().map_err(|e| io_err(path, e))?;
-    Ok(())
-}
-
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
     }
 }
 
@@ -493,28 +402,6 @@ mod tests {
         assert_eq!(parse_generation_name("gen-.artifact"), None);
         assert_eq!(parse_generation_name("gen-x3.artifact"), None);
         assert_eq!(parse_generation_name("study.artifact"), None);
-    }
-
-    #[test]
-    fn kill_spec_grammar_parses_and_rejects() {
-        assert_eq!(
-            PublishKill::parse("tmp:1").unwrap(),
-            PublishKill {
-                stage: PublishStage::AfterTmp,
-                nth: 1
-            }
-        );
-        assert_eq!(
-            PublishKill::parse("cur:3").unwrap().stage,
-            PublishStage::AfterCurrentTmp
-        );
-        assert!(PublishKill::parse("gen:0")
-            .unwrap_err()
-            .contains("TOWERLENS_FAULT_PUBLISH"));
-        assert!(PublishKill::parse("fsync:1")
-            .unwrap_err()
-            .contains("unknown publish stage"));
-        assert!(PublishKill::parse("tmp").unwrap_err().contains("expected"));
     }
 
     #[test]

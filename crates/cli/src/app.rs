@@ -284,6 +284,11 @@ pub fn run(argv: &[String]) -> i32 {
     // registry so `--metrics` is a per-run dump (and deterministic for
     // identical seeded runs), while registrations and handles survive.
     towerlens_obs::global().reset();
+    // A malformed failpoint spec fails every command before any work:
+    // a chaos run that injects nothing must not pass.
+    if let Err(e) = towerlens_obs::check_failpoints() {
+        return usage_error(&e.to_string());
+    }
     let rest = &argv[1..];
     match command.as_str() {
         "gen" => {
@@ -573,13 +578,8 @@ pub fn run(argv: &[String]) -> i32 {
                 Ok(r) => r as u32,
                 Err(e) => return usage_error(&e),
             };
-            let fault = match towerlens_artifact::QueryFault::from_env() {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("query failed: {e}");
-                    return 1;
-                }
-            };
+            let fault =
+                towerlens_artifact::QueryFault::from_failpoints(towerlens_obs::failpoints());
             let retry_policy = towerlens_core::engine::RetryPolicy::new(retries);
             let policy = towerlens_artifact::QueryPolicy {
                 threads,

@@ -4,103 +4,29 @@
 //! routine, each injected via a seeded failpoint and asserted against
 //! the recovery contract:
 //!
-//! * **Process death mid-run** (`TOWERLENS_FAULT_KILL=k`): the process
+//! * **Process death mid-run** (`checkpoint=abort@k`): the process
 //!   aborts right after the k-th checkpoint save. A `--resume` rerun
 //!   must produce byte-identical final artifacts and stdout, reload
 //!   exactly k stages from disk, and leave every recompute counter of
 //!   the cached stages at zero — proving only unfinished work was
 //!   redone.
-//! * **Transient checkpoint I/O faults** (`TOWERLENS_FAULT_IO`): a
-//!   bounded burst of injected save failures rides through under a
-//!   `--retries` budget with bit-identical output and a nonzero
-//!   retry counter; over budget, the run fails with a typed
-//!   checkpoint error instead of corrupting anything.
-//! * **Stragglers** (`TOWERLENS_FAULT_SLEEP`): an optional stage that
+//! * **Transient checkpoint I/O faults**
+//!   (`checkpoint.save.<stage>=err*n`): a bounded burst of injected
+//!   save failures rides through under a `--retries` budget with
+//!   bit-identical output and a nonzero retry counter; over budget,
+//!   the run fails with a typed checkpoint error instead of
+//!   corrupting anything.
+//! * **Stragglers** (`stage.<stage>=sleep(ms)`): an optional stage that
 //!   blows its `--stage-timeout-ms` budget is declared lost by the
 //!   watchdog and degrades the run (exit 1) instead of hanging it.
 //!
-//! Subprocesses, not library calls: the kill failpoint aborts the
-//! whole process, and the metrics registry is process-global.
+//! Every failpoint is an entry of `TOWERLENS_FAILPOINTS`. Subprocesses,
+//! not library calls: the kill failpoint aborts the whole process, and
+//! the metrics and failpoint registries are process-global.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-const BIN: &str = env!("CARGO_BIN_EXE_towerlens-cli");
-
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("towerlens-chaos-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Runs the CLI with extra environment variables, returning the raw
-/// output (the caller judges the exit status).
-fn run_env(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(BIN);
-    cmd.args(args);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn CLI")
-}
-
-fn run_ok(args: &[&str]) -> Output {
-    let out = run_env(args, &[]);
-    assert!(
-        out.status.success(),
-        "`towerlens-cli {}` failed:\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    out
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Checkpoint file names in a store directory, sorted.
-fn ckpt_files(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("read dir {}: {e}", dir.display()))
-        .filter_map(|entry| {
-            let path = entry.ok()?.path();
-            (path.extension().and_then(|e| e.to_str()) == Some("ckpt"))
-                .then(|| path.file_name().unwrap().to_string_lossy().into_owned())
-        })
-        .collect();
-    names.sort();
-    names
-}
-
-/// A counter's value in a `--metrics` dump; 0 when never registered.
-fn counter_value(metrics: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    match metrics.find(&needle) {
-        None => 0,
-        Some(at) => metrics[at + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap_or_else(|_| panic!("unparseable value for `{name}`")),
-    }
-}
-
-/// The `status` of the span named `name` in a `--trace-events` dump.
-fn span_status(log: &str, name: &str) -> String {
-    let needle = format!("\"name\":\"{name}\"");
-    let at = log
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no span `{name}` in {log}"));
-    let rest = &log[at..];
-    rest.find("\"status\":\"")
-        .map(|i| &rest[i + 10..])
-        .and_then(|s| s.split('"').next())
-        .unwrap_or_else(|| panic!("span `{name}` has no status in {log}"))
-        .to_string()
-}
+use common::{ckpt_files, counter_value, read, run_env, run_ok, span_status, temp};
 
 fn study_args<'a>(ckpt: &'a str, metrics: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
     let mut args = vec![
@@ -149,11 +75,18 @@ fn crash_after_every_kill_point_resumes_bit_identically() {
         // The doomed run: aborts right after the k-th save completes.
         let killed = run_env(
             &study_args(&ckpt_s, &metrics_s, &[]),
-            &[("TOWERLENS_FAULT_KILL", &k.to_string())],
+            &[("TOWERLENS_FAILPOINTS", &format!("checkpoint=abort@{k}"))],
         );
         assert!(
             !killed.status.success(),
             "kill-point {k}: the process should have died"
+        );
+        let stderr = String::from_utf8_lossy(&killed.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "failpoint `checkpoint=abort@{k}` fired at hit {k}"
+            )),
+            "kill-point {k}: died for the wrong reason:\n{stderr}"
         );
         let survivors = ckpt_files(&ckpt);
         assert_eq!(
@@ -233,7 +166,7 @@ fn transient_io_faults_ride_through_under_the_retry_budget() {
             ok_metrics.to_str().unwrap(),
             &["--retries", "3"],
         ),
-        &[("TOWERLENS_FAULT_IO", "save:vectorize:2")],
+        &[("TOWERLENS_FAILPOINTS", "checkpoint.save.vectorize=err*2")],
     );
     assert!(
         survived.status.success(),
@@ -267,12 +200,13 @@ fn transient_io_faults_ride_through_under_the_retry_budget() {
             bad_metrics.to_str().unwrap(),
             &["--retries", "1"],
         ),
-        &[("TOWERLENS_FAULT_IO", "save:vectorize:2")],
+        &[("TOWERLENS_FAILPOINTS", "checkpoint.save.vectorize=err*2")],
     );
     assert!(!failed.status.success(), "over-budget faults must fail");
     let stderr = String::from_utf8_lossy(&failed.stderr);
     assert!(
-        stderr.contains("checkpoint") && stderr.contains("injected transient I/O fault"),
+        stderr.contains("checkpoint")
+            && stderr.contains("failpoint `checkpoint.save.vectorize=err*2` fired at hit 2"),
         "missing typed checkpoint error, got: {stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -300,7 +234,7 @@ fn watchdog_deadline_degrades_an_overrunning_optional_stage() {
             "--trace-events",
             events.to_str().unwrap(),
         ],
-        &[("TOWERLENS_FAULT_SLEEP", "label:6000")],
+        &[("TOWERLENS_FAILPOINTS", "stage.label=sleep(6000)")],
     );
     assert_eq!(
         out.status.code(),

@@ -12,60 +12,11 @@
 //! `cached` in the `--trace-events` span log while every recompute
 //! counter stays at zero.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-const BIN: &str = env!("CARGO_BIN_EXE_towerlens-cli");
+use std::path::Path;
 
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("towerlens-obs-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn run_ok(args: &[&str]) {
-    let out = Command::new(BIN).args(args).output().expect("spawn CLI");
-    assert!(
-        out.status.success(),
-        "`towerlens-cli {}` failed:\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// The `status` of the span named `name` in a `--trace-events` dump.
-fn span_status(log: &str, name: &str) -> String {
-    let needle = format!("\"name\":\"{name}\"");
-    let at = log
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no span `{name}` in {log}"));
-    let rest = &log[at..];
-    let status = rest
-        .find("\"status\":\"")
-        .map(|i| &rest[i + 10..])
-        .and_then(|s| s.split('"').next())
-        .unwrap_or_else(|| panic!("span `{name}` has no status in {log}"));
-    status.to_string()
-}
-
-/// A counter's value in a `--metrics` dump; 0 when never registered.
-fn counter_value(metrics: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    match metrics.find(&needle) {
-        None => 0,
-        Some(at) => metrics[at + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap_or_else(|_| panic!("unparseable value for `{name}`")),
-    }
-}
+use common::{counter_value, read, run_ok, span_status, temp};
 
 #[test]
 fn metrics_dump_is_byte_identical_across_identical_seeded_runs() {

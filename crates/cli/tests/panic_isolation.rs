@@ -3,16 +3,17 @@
 //! run report names the casualty, and the CLI exits non-zero with the
 //! status table.
 //!
-//! The failpoint is the `TOWERLENS_FAULT_PANIC` environment variable,
-//! which is process-global — so this integration-test binary holds
-//! exactly one test and nothing else may share the process.
+//! The failpoint is `stage.label=panic` in the `TOWERLENS_FAILPOINTS`
+//! environment variable, which the process registry reads once — so
+//! this integration-test binary holds exactly one test and nothing
+//! else may share the process.
 
 use towerlens_cli::{run_study, study_config};
 use towerlens_core::StageStatus;
 
 #[test]
 fn injected_panic_degrades_the_study_instead_of_aborting() {
-    std::env::set_var("TOWERLENS_FAULT_PANIC", "label");
+    std::env::set_var("TOWERLENS_FAILPOINTS", "stage.label=panic");
 
     // Library surface: the panic is contained to the `label` stage.
     let config = study_config("tiny", 42).expect("scale");
@@ -26,7 +27,7 @@ fn injected_panic_degrades_the_study_instead_of_aborting() {
         .as_deref()
         .expect("failure rendered");
     assert!(
-        error.contains("panicked") && error.contains("TOWERLENS_FAULT_PANIC"),
+        error.contains("panicked") && error.contains("failpoint `stage.label=panic` fired at hit"),
         "unexpected error: {error}"
     );
     // The spine's numbers still came out; only the enrichment is gone.
@@ -42,5 +43,5 @@ fn injected_panic_degrades_the_study_instead_of_aborting() {
         .collect();
     assert_eq!(towerlens_cli::app::run(&argv), 1);
 
-    std::env::remove_var("TOWERLENS_FAULT_PANIC");
+    std::env::remove_var("TOWERLENS_FAILPOINTS");
 }

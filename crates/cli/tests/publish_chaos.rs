@@ -2,73 +2,22 @@
 //! at every point inside a generation publish, and `query --watch`
 //! refusing to serve bytes from a generation that fails fsck.
 //!
-//! The kill matrix sweeps all three abort points of the publish
-//! protocol (after the temp write, after the generation rename, after
-//! the `CURRENT.tmp` write) with an escalating ordinal: attempt `k`
-//! lets `k - 1` publishes complete and aborts the `k`-th, so every
-//! rerun makes progress and every publish point gets hit. The
-//! converged store must end with `CURRENT` naming a generation whose
-//! bytes — and whose query answers — are identical to an uninterrupted
-//! run.
+//! The kill matrix sweeps three abort points of the publish protocol
+//! (`publish.gen.tmp` after the temp write, `publish.gen` after the
+//! generation rename, `publish.cur.tmp` after the `CURRENT.tmp` write,
+//! each `abort@<k>` in `TOWERLENS_FAILPOINTS`) with an escalating
+//! ordinal: attempt `k` lets `k - 1` publishes complete and aborts the
+//! `k`-th, so every rerun makes progress and every publish point gets
+//! hit. The converged store must end with `CURRENT` naming a
+//! generation whose bytes — and whose query answers — are identical to
+//! an uninterrupted run.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+mod common;
 
-const BIN: &str = env!("CARGO_BIN_EXE_towerlens-cli");
+use std::path::Path;
+use std::process::{Command, Stdio};
 
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("towerlens-chaos-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn run_env(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(BIN);
-    cmd.args(args);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn CLI")
-}
-
-fn run_ok(args: &[&str]) -> Output {
-    let out = run_env(args, &[]);
-    assert!(
-        out.status.success(),
-        "`towerlens-cli {}` failed:\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    out
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Generates a small dataset and returns the path of its log file.
-fn gen_logs(dir: &Path, lines: usize) -> PathBuf {
-    let ds = dir.join("ds");
-    run_ok(&[
-        "gen",
-        "--out",
-        ds.to_str().unwrap(),
-        "--seed",
-        "11",
-        "--towers",
-        "24",
-        "--agents",
-        "90",
-        "--days",
-        "7",
-    ]);
-    let full = read(&ds.join("logs.tsv"));
-    let trimmed: String = full.lines().take(lines).map(|l| format!("{l}\n")).collect();
-    let path = dir.join("logs.tsv");
-    std::fs::write(&path, trimmed).unwrap();
-    path
-}
+use common::{gen_logs, read, run_env, run_ok, temp, BIN};
 
 fn serve_args<'a>(source: &'a str, data: &'a str, publish: &'a str) -> Vec<&'a str> {
     vec![
@@ -165,22 +114,22 @@ fn kill_at_every_publish_point_converges_byte_identically() {
         "clean store must answer pattern probes:\n{clean_answers}"
     );
 
-    for stage in ["tmp", "gen", "cur"] {
+    for stage in ["publish.gen.tmp", "publish.gen", "publish.cur.tmp"] {
         let data = dir.join(format!("{stage}-data"));
         let store = dir.join(format!("{stage}-store"));
         let args = serve_args(source, data.to_str().unwrap(), store.to_str().unwrap());
         let mut aborted = 0usize;
         let mut converged = false;
         for nth in 1..=12 {
-            let spec = format!("{stage}:{nth}");
-            let out = run_env(&args, &[("TOWERLENS_FAULT_PUBLISH", &spec)]);
+            let spec = format!("{stage}=abort@{nth}");
+            let out = run_env(&args, &[("TOWERLENS_FAILPOINTS", &spec)]);
             if out.status.success() {
                 converged = true;
                 break;
             }
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(
-                stderr.contains("seeded kill"),
+                stderr.contains(&format!("failpoint `{spec}` fired at hit {nth}")),
                 "{spec}: run died for the wrong reason:\n{stderr}"
             );
             aborted += 1;
@@ -335,24 +284,5 @@ fn corrupt_current_generation_falls_back_and_is_flagged() {
         text.contains("fails fsck"),
         "doctor must explain the pointer degradation:\n{text}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A malformed publish kill spec is a startup config error naming the
-/// variable, before any ingestion starts.
-#[test]
-fn malformed_publish_fault_spec_is_a_config_error() {
-    let dir = temp("badspec");
-    let logs = gen_logs(&dir, 600);
-    let data = dir.join("data");
-    let store = dir.join("store");
-    let args = serve_args(
-        logs.to_str().unwrap(),
-        data.to_str().unwrap(),
-        store.to_str().unwrap(),
-    );
-    let out = run_env(&args, &[("TOWERLENS_FAULT_PUBLISH", "fsync:everything")]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("TOWERLENS_FAULT_PUBLISH"));
     let _ = std::fs::remove_dir_all(&dir);
 }

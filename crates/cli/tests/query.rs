@@ -13,8 +13,9 @@
 //! artifact one byte at a time and check the degraded-vs-corrupt
 //! exit-code split end to end.
 
+mod common;
+
 use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 use towerlens_artifact::{
@@ -24,14 +25,7 @@ use towerlens_cli::commands::{run_study, study_config};
 use towerlens_core::{PartialStudyReport, Study};
 use towerlens_pipeline::feature::FeatureSpace;
 
-const BIN: &str = env!("CARGO_BIN_EXE_towerlens-cli");
-
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("towerlens-query-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
+use common::{counter_value, read, temp, BIN};
 
 fn run_ok(args: &[&str]) -> String {
     let out = Command::new(BIN).args(args).output().expect("spawn CLI");
@@ -59,24 +53,6 @@ fn run_stdin(args: &[&str], input: &str) -> Output {
         .write_all(input.as_bytes())
         .expect("write stdin");
     child.wait_with_output().expect("wait CLI")
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// A counter's value in a `--metrics` dump; 0 when never registered.
-fn counter_value(metrics: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    match metrics.find(&needle) {
-        None => 0,
-        Some(at) => metrics[at + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap_or_else(|_| panic!("unparseable value for `{name}`")),
-    }
 }
 
 /// The tiny study, its checkpoint fingerprint, and its snapshot —

@@ -6,9 +6,11 @@
 //! decided per request from the virtual-cost model alone, so a batch
 //! run at `--threads 1` and `--threads 8` must produce byte-identical
 //! stdout and exactly equal `query.*` counters — including the shed
-//! and deadline tallies. Faults injected via `TOWERLENS_FAULT_QUERY`
-//! must ride through transparently inside the retry budget and fail
-//! with a typed error line past it.
+//! and deadline tallies. Faults injected via the `query.chunk`
+//! failpoint (`TOWERLENS_FAILPOINTS`) must ride through transparently
+//! inside the retry budget and fail with a typed error line past it.
+
+mod common;
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -19,33 +21,7 @@ use towerlens_cli::commands::{run_study, study_config};
 use towerlens_core::Study;
 use towerlens_pipeline::feature::FeatureSpace;
 
-const BIN: &str = env!("CARGO_BIN_EXE_towerlens-cli");
-
-fn temp(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("towerlens-pressure-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// A counter's value in a `--metrics` dump; 0 when never registered.
-fn counter_value(metrics: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    match metrics.find(&needle) {
-        None => 0,
-        Some(at) => metrics[at + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap_or_else(|_| panic!("unparseable value for `{name}`")),
-    }
-}
+use common::{counter_value, read, temp, BIN};
 
 fn run_stdin_env(args: &[&str], input: &str, env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(BIN);
@@ -383,7 +359,7 @@ fn transient_faults_ride_through_on_retry_and_surface_past_budget() {
             metrics.to_str().unwrap(),
         ],
         &input,
-        &[("TOWERLENS_FAULT_QUERY", "transient:2")],
+        &[("TOWERLENS_FAILPOINTS", "query.chunk=err*2")],
     );
     assert!(out.status.success());
     assert_eq!(
@@ -400,7 +376,7 @@ fn transient_faults_ride_through_on_retry_and_surface_past_budget() {
     let out = run_stdin_env(
         &["query", "--snapshot", snapshot, "--stdin"],
         &input,
-        &[("TOWERLENS_FAULT_QUERY", "transient:1")],
+        &[("TOWERLENS_FAILPOINTS", "query.chunk=err*1")],
     );
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
@@ -409,14 +385,5 @@ fn transient_faults_ride_through_on_retry_and_surface_past_budget() {
         "fault must surface typed: {stdout}"
     );
     assert!(stdout.lines().any(|l| l.starts_with("pattern ")));
-
-    // A malformed spec is a startup config error naming the variable.
-    let out = run_stdin_env(
-        &["query", "--snapshot", snapshot, "--stdin"],
-        &input,
-        &[("TOWERLENS_FAULT_QUERY", "nonsense")],
-    );
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("TOWERLENS_FAULT_QUERY"));
     let _ = std::fs::remove_dir_all(&dir);
 }

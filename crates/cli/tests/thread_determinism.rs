@@ -10,17 +10,12 @@
 //! Subprocesses, not library calls: the metrics registry is
 //! process-global and each invocation must see a fresh process.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::PathBuf;
 use std::process::Command;
 
-const BIN: &str = env!("CARGO_BIN_EXE_towerlens-cli");
-
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("towerlens-thr-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
+use common::{ckpt_files, temp, BIN};
 
 fn run_ok(args: &[&str]) -> Vec<u8> {
     let out = Command::new(BIN).args(args).output().expect("spawn CLI");
@@ -52,20 +47,6 @@ fn scrub_timings(report: &[u8]) -> String {
         }
     }
     out
-}
-
-/// Checkpoint file names in a store directory, sorted.
-fn ckpt_files(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("read dir {}: {e}", dir.display()))
-        .filter_map(|entry| {
-            let path = entry.ok()?.path();
-            (path.extension().and_then(|e| e.to_str()) == Some("ckpt"))
-                .then(|| path.file_name().unwrap().to_string_lossy().into_owned())
-        })
-        .collect();
-    names.sort();
-    names
 }
 
 #[test]

@@ -26,12 +26,13 @@
 //! bit patterns ([`encode_f64`]/[`decode_f64`]) so reloads are
 //! bit-identical.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use towerlens_artifact::replace_durably;
+use towerlens_obs::Failpoints;
+
 use super::stage::{Card, StageCodec};
-use super::supervisor::{FaultOp, IoFaultInjector};
 
 /// Magic first line of every checkpoint file.
 const MAGIC: &str = "towerlens-checkpoint v2";
@@ -344,59 +345,54 @@ fn verify_body(
 pub struct CheckpointStore {
     dir: PathBuf,
     fingerprint: u64,
-    /// Transient-I/O failpoint (`TOWERLENS_FAULT_IO`); fires before
-    /// the real filesystem operation so a faulted save leaves no
-    /// partial state behind.
-    injector: Option<Arc<IoFaultInjector>>,
+    /// Overrides the process failpoint registry for this store's
+    /// `checkpoint.*` points.
+    failpoints: Option<Arc<Failpoints>>,
 }
 
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory for runs of
-    /// the configuration hashed into `fingerprint`. The
-    /// `TOWERLENS_FAULT_IO` failpoint, when set, arms a transient
-    /// fault injector over this store's saves and loads.
+    /// the configuration hashed into `fingerprint`. Its failpoints are
+    /// the process registry's ([`towerlens_obs::failpoints`]).
     ///
     /// # Errors
-    /// * [`CheckpointError::Io`] when the directory cannot be created,
-    /// * [`CheckpointError::Corrupt`] when `TOWERLENS_FAULT_IO` is set
-    ///   but malformed — a typo'd failpoint is a permanent
-    ///   configuration error, not something to retry or ignore.
+    /// [`CheckpointError::Io`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>, fingerprint: u64) -> Result<Self, CheckpointError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        let injector = IoFaultInjector::from_env()
-            .map_err(|e| CheckpointError::Corrupt {
-                stage: "TOWERLENS_FAULT_IO".to_string(),
-                line: 0,
-                reason: e.to_string(),
-            })?
-            .map(Arc::new);
         Ok(CheckpointStore {
             dir,
             fingerprint,
-            injector,
+            failpoints: None,
         })
     }
 
-    /// Replaces the store's fault injector (builder style) — the
-    /// in-process hook tests use instead of the environment variable.
-    pub fn with_injector(mut self, injector: IoFaultInjector) -> Self {
-        self.injector = Some(Arc::new(injector));
+    /// Gives the store its own failpoint registry (builder style), so
+    /// a test's hit counters are isolated from the process registry.
+    pub fn with_failpoints(mut self, failpoints: Failpoints) -> Self {
+        self.failpoints = Some(Arc::new(failpoints));
         self
     }
 
-    /// Raises an injected transient fault for `op` on `stage`, when
-    /// the injector says so.
-    fn injected_fault(&self, op: FaultOp, stage: &str) -> Result<(), CheckpointError> {
-        if let Some(inj) = &self.injector {
-            if inj.should_fail(op, stage) {
-                return Err(CheckpointError::Io {
-                    path: self.path_of(stage).display().to_string(),
-                    message: "injected transient I/O fault (TOWERLENS_FAULT_IO)".to_string(),
-                });
-            }
+    /// The failpoint registry this store's `checkpoint.*` points fire
+    /// on.
+    pub fn failpoints(&self) -> &Failpoints {
+        match &self.failpoints {
+            Some(fp) => fp,
+            None => towerlens_obs::failpoints(),
         }
-        Ok(())
+    }
+
+    /// Hits `checkpoint.<op>.<stage>`: an injected transient I/O
+    /// fault before the real filesystem operation, so a faulted save
+    /// leaves no partial state behind.
+    fn injected_fault(&self, op: &str, stage: &str) -> Result<(), CheckpointError> {
+        self.failpoints()
+            .hit(&["checkpoint", op, stage])
+            .map_err(|fired| CheckpointError::Io {
+                path: self.path_of(stage).display().to_string(),
+                message: format!("injected transient I/O fault: {fired}"),
+            })
     }
 
     /// The configuration fingerprint this store validates against.
@@ -409,10 +405,11 @@ impl CheckpointStore {
         self.dir.join(format!("{stage}.ckpt"))
     }
 
-    /// Persists a stage artifact (atomically: temp file + rename,
-    /// with the temp file fsynced before the rename and the parent
-    /// directory fsynced best-effort after it, so a power loss cannot
-    /// leave a complete-looking-but-unsynced checkpoint behind).
+    /// Persists a stage artifact through [`replace_durably`] (temp
+    /// file fsynced before the rename, directory fsynced best-effort
+    /// after it, failpoints `checkpoint.tmp` / `checkpoint`), so a
+    /// power loss cannot leave a complete-looking-but-unsynced
+    /// checkpoint behind.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] on filesystem failure,
@@ -426,7 +423,7 @@ impl CheckpointStore {
         codec: &dyn StageCodec<A>,
         artifact: &A,
     ) -> Result<(), CheckpointError> {
-        self.injected_fault(FaultOp::Save, stage)?;
+        self.injected_fault("save", stage)?;
         let mut body = String::new();
         codec
             .encode(artifact, &mut body)
@@ -454,23 +451,13 @@ impl CheckpointStore {
         text.push_str(&body);
         text.push_str("end\n");
 
-        let path = self.path_of(stage);
-        let tmp = self.dir.join(format!("{stage}.ckpt.tmp"));
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(text.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-        f.flush().map_err(|e| io_err(&tmp, e))?;
-        // Durability, not just atomicity: the rename must not land
-        // before the data — otherwise a power loss can leave a
-        // complete-looking file full of holes.
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
-        drop(f);
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-        // Best-effort: persist the rename itself. Not all platforms
-        // support fsync on directories, so failures are ignored.
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        replace_durably(
+            &self.path_of(stage),
+            text.as_bytes(),
+            "checkpoint",
+            self.failpoints(),
+            io_err,
+        )
     }
 
     /// Loads a stage artifact, if a valid checkpoint with a matching
@@ -491,7 +478,7 @@ impl CheckpointStore {
         stage: &str,
         codec: &dyn StageCodec<A>,
     ) -> Result<Option<(A, Vec<Card>)>, CheckpointError> {
-        self.injected_fault(FaultOp::Load, stage)?;
+        self.injected_fault("load", stage)?;
         let path = self.path_of(stage);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,

@@ -44,10 +44,7 @@ pub use study_stages::{
     decode_normalized, decode_patterns, encode_normalized, encode_patterns, study_fingerprint,
     study_graph, StudyArtifact,
 };
-pub use supervisor::{
-    backoff_delay, BreakerPolicy, FaultOp, FaultSpecError, IoFaultInjector, RetryPolicy,
-    Supervisor, TRANSIENT_PREFIX,
-};
+pub use supervisor::{backoff_delay, BreakerPolicy, RetryPolicy, Supervisor, TRANSIENT_PREFIX};
 
 /// Errors surfaced by graph validation and execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,6 +99,8 @@ pub enum EngineError {
     },
     /// A checkpoint could not be read or written.
     Checkpoint(CheckpointError),
+    /// A failpoint names a stage the graph does not have.
+    Failpoint(towerlens_obs::FailpointError),
 }
 
 impl std::fmt::Display for EngineError {
@@ -135,6 +134,7 @@ impl std::fmt::Display for EngineError {
                 )
             }
             EngineError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            EngineError::Failpoint(e) => write!(f, "{e}"),
         }
     }
 }

@@ -2,7 +2,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -21,49 +20,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Fault-injection failpoint: panics inside the named stage when the
-/// `TOWERLENS_FAULT_PANIC` environment variable names it. Lets
-/// integration tests (and operators) exercise the panic-containment
-/// path against the real study graph without a purpose-built broken
-/// stage.
-fn fault_panic(stage: &str) {
-    if std::env::var("TOWERLENS_FAULT_PANIC").as_deref() == Ok(stage) {
-        panic!("injected fault: TOWERLENS_FAULT_PANIC={stage}");
-    }
-}
-
-/// Straggler failpoint: sleeps inside the named stage when
-/// `TOWERLENS_FAULT_SLEEP=<stage>:<ms>` names it, so the watchdog's
-/// deadline path can be exercised against the real graph.
-fn fault_sleep(stage: &str) {
-    if let Ok(spec) = std::env::var("TOWERLENS_FAULT_SLEEP") {
-        if let Some((name, ms)) = spec.split_once(':') {
-            if name == stage {
-                if let Ok(ms) = ms.parse::<u64>() {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-            }
-        }
-    }
-}
-
-/// Crash failpoint: aborts the process immediately after the k-th
-/// successful checkpoint save when `TOWERLENS_FAULT_KILL=<k>` is set.
-/// This is the chaos harness's kill switch — the abort happens *after*
-/// the save (and its fsync) completed, so exactly k durable
-/// checkpoints survive the crash.
-fn fault_kill_tick() {
-    static SAVES: AtomicUsize = AtomicUsize::new(0);
-    if let Ok(spec) = std::env::var("TOWERLENS_FAULT_KILL") {
-        if let Ok(k) = spec.parse::<usize>() {
-            if SAVES.fetch_add(1, Ordering::SeqCst) + 1 == k {
-                eprintln!("injected crash: TOWERLENS_FAULT_KILL={k} (aborting after {k} checkpoint saves)");
-                std::process::abort();
-            }
-        }
     }
 }
 
@@ -258,9 +214,16 @@ impl<A: Send + Sync> Graph<A> {
     /// unsound); process-level supervision is the chaos harness's
     /// job.
     ///
+    /// Before the first stage starts, the failpoints the run fires on
+    /// (the process registry's `stage.<stage>`, and the store's
+    /// `checkpoint.{save,load}.<stage>`) must name stages of this
+    /// graph: a misspelt stage would otherwise inject nothing.
+    ///
     /// # Errors
     /// As [`Graph::run`], plus [`EngineError::StageTimedOut`] for a
-    /// required stage that blew its budget.
+    /// required stage that blew its budget and
+    /// [`EngineError::Failpoint`] for a failpoint naming an unknown
+    /// stage.
     pub fn run_with(
         &self,
         store: Option<&CheckpointStore>,
@@ -268,6 +231,11 @@ impl<A: Send + Sync> Graph<A> {
     ) -> Result<RunOutcome<A>, EngineError> {
         let started = Instant::now();
         let waves = self.waves()?;
+        let names: Vec<&str> = self.stages.iter().map(|s| s.name()).collect();
+        towerlens_obs::failpoints()
+            .check_stages(&names)
+            .and_then(|()| store.map_or(Ok(()), |s| s.failpoints().check_stages(&names)))
+            .map_err(EngineError::Failpoint)?;
         let index: HashMap<&'static str, usize> = self
             .stages
             .iter()
@@ -430,8 +398,12 @@ impl<A: Send + Sync> Graph<A> {
                     // Contain panics so one sick stage cannot take
                     // down its wave siblings (or the process).
                     let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        fault_sleep(name);
-                        fault_panic(name);
+                        towerlens_obs::failpoints()
+                            .hit(&["stage", name])
+                            .map_err(|message| EngineError::Stage {
+                                stage: name.to_string(),
+                                message,
+                            })?;
                         stage.run(&StageContext::new(name, artifacts))
                     }))
                     .unwrap_or_else(|payload| {
@@ -616,7 +588,6 @@ impl<A: Send + Sync> Graph<A> {
                             Err(e) => return Err(e.into()),
                         }
                     }
-                    fault_kill_tick();
                     wall += save_started.elapsed();
                 }
                 reports.insert(
@@ -1048,7 +1019,7 @@ mod tests {
         assert_eq!(counts[1].load(Ordering::SeqCst), 2);
     }
 
-    use super::super::supervisor::IoFaultInjector;
+    use towerlens_obs::Failpoints;
 
     /// A supervisor whose backoff unit is tiny, so retry tests spend
     /// microseconds sleeping instead of the production 25 ms base.
@@ -1199,8 +1170,8 @@ mod tests {
 
     #[test]
     fn injected_save_faults_retry_within_budget() {
-        let store =
-            temp_store("io-retry").with_injector(IoFaultInjector::parse("save:b:2").unwrap());
+        let store = temp_store("io-retry")
+            .with_failpoints(Failpoints::parse("checkpoint.save.b=err*2").unwrap());
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         let mut outcome = counted_chain(&counts)
             .run_with(Some(&store), &fast_supervisor(2, None))
@@ -1216,8 +1187,8 @@ mod tests {
 
     #[test]
     fn injected_save_faults_beyond_budget_abort() {
-        let store =
-            temp_store("io-abort").with_injector(IoFaultInjector::parse("save:b:3").unwrap());
+        let store = temp_store("io-abort")
+            .with_failpoints(Failpoints::parse("checkpoint.save.b=err*3").unwrap());
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         let err = counted_chain(&counts)
             .run_with(Some(&store), &fast_supervisor(2, None))
@@ -1233,7 +1204,7 @@ mod tests {
         let store = temp_store("probe-retry");
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         counted_chain(&counts).run(Some(&store)).unwrap();
-        let store = store.with_injector(IoFaultInjector::parse("load:b:1").unwrap());
+        let store = store.with_failpoints(Failpoints::parse("checkpoint.load.b=err*1").unwrap());
         let mut again = counted_chain(&counts)
             .run_with(Some(&store), &fast_supervisor(2, None))
             .unwrap();

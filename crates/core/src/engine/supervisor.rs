@@ -1,6 +1,6 @@
 //! Supervised stage execution: retry policies with deterministic
-//! backoff, watchdog deadlines, a circuit breaker for flapping
-//! optional stages, and seeded transient-I/O fault injection.
+//! backoff, watchdog deadlines, and a circuit breaker for flapping
+//! optional stages.
 //!
 //! The paper's pipeline ran for a month on a Hadoop cluster (§2),
 //! where stragglers, transient I/O failures, and task restarts are
@@ -21,13 +21,11 @@
 //!   retrying after N consecutive failures (the breaker *opens*) and
 //!   degrades immediately instead of burning its whole retry budget.
 //!
-//! The [`IoFaultInjector`] sits behind the checkpoint store and makes
-//! saves/loads fail transiently on demand (`TOWERLENS_FAULT_IO`,
-//! mirroring `TOWERLENS_FAULT_PANIC`), so the retry path is exercised
-//! end-to-end by tests rather than asserted in prose.
+//! The `checkpoint.save.<stage>` / `checkpoint.load.<stage>`
+//! failpoints (`towerlens_obs::failpoint`) make checkpoint I/O fail
+//! transiently on demand, so the retry path is exercised end-to-end
+//! by tests rather than asserted in prose.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use towerlens_trace::faults::SplitMix64;
@@ -182,198 +180,6 @@ impl Supervisor {
     }
 }
 
-/// Which checkpoint-store operation an injected fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOp {
-    /// Checkpoint writes.
-    Save,
-    /// Checkpoint reads.
-    Load,
-    /// Both.
-    Any,
-}
-
-#[derive(Debug)]
-enum FaultMode {
-    /// Fail the next `remaining` matching operations, then recover —
-    /// the deterministic "transient burst" used by the chaos tests.
-    Burst(AtomicU64),
-    /// Fail each matching operation with probability `fraction`,
-    /// drawn from a seeded stream.
-    Random(Mutex<SplitMix64>, f64),
-}
-
-/// Typed rejection of a malformed failpoint spec
-/// (`TOWERLENS_FAULT_IO`). A typo'd failpoint used to be warned about
-/// and silently ignored; a chaos run with a misspelt spec would then
-/// *pass* while injecting nothing. Every variant names the field that
-/// was wrong so the spec can be fixed from the error alone.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultSpecError {
-    /// The operation field is not `save`, `load`, or `any`.
-    BadOp {
-        /// What was found instead.
-        found: String,
-    },
-    /// The stage field is absent or empty.
-    MissingStage,
-    /// The third field (burst count or `p<fraction>`) is absent.
-    MissingMode,
-    /// The burst count is not an unsigned integer.
-    BadCount {
-        /// What was found instead.
-        found: String,
-    },
-    /// The `p<fraction>` field does not parse as a float.
-    BadFraction {
-        /// What was found instead.
-        found: String,
-    },
-    /// The fraction parses but lies outside `[0, 1]`.
-    FractionOutOfRange {
-        /// The out-of-range value.
-        value: f64,
-    },
-    /// Probabilistic mode without its seed field.
-    MissingSeed,
-    /// The seed field is not an unsigned integer.
-    BadSeed {
-        /// What was found instead.
-        found: String,
-    },
-    /// Extra `:`-separated fields after a complete spec.
-    TrailingFields,
-}
-
-impl std::fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultSpecError::BadOp { found } => {
-                write!(f, "bad op `{found}` (want save|load|any)")
-            }
-            FaultSpecError::MissingStage => write!(f, "missing stage (use `*` for all)"),
-            FaultSpecError::MissingMode => write!(f, "missing count or p<fraction>"),
-            FaultSpecError::BadCount { found } => write!(f, "bad count `{found}`"),
-            FaultSpecError::BadFraction { found } => write!(f, "bad fraction `{found}`"),
-            FaultSpecError::FractionOutOfRange { value } => {
-                write!(f, "fraction {value} outside [0, 1]")
-            }
-            FaultSpecError::MissingSeed => {
-                write!(
-                    f,
-                    "probabilistic mode needs a seed: <op>:<stage>:p<f>:<seed>"
-                )
-            }
-            FaultSpecError::BadSeed { found } => write!(f, "bad seed `{found}`"),
-            FaultSpecError::TrailingFields => write!(f, "trailing fields in spec"),
-        }
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
-
-/// Seeded transient-I/O fault injection behind the checkpoint store.
-///
-/// Spec grammar (the `TOWERLENS_FAULT_IO` environment variable):
-///
-/// ```text
-/// <op>:<stage>:<n>           fail the next n matching ops (burst)
-/// <op>:<stage>:p<f>:<seed>   fail each matching op with prob. f
-/// ```
-///
-/// where `<op>` is `save`, `load`, or `any`, and `<stage>` is a stage
-/// name or `*`. Example: `save:vectorize:2` fails the next two saves
-/// of the `vectorize` checkpoint, then recovers — a retry budget of 2
-/// rides through it bit-identically.
-#[derive(Debug)]
-pub struct IoFaultInjector {
-    op: FaultOp,
-    stage: String,
-    mode: FaultMode,
-}
-
-impl IoFaultInjector {
-    /// Parses a failpoint spec (see the type docs for the grammar).
-    ///
-    /// # Errors
-    /// A [`FaultSpecError`] naming the malformed field.
-    pub fn parse(spec: &str) -> Result<Self, FaultSpecError> {
-        let mut parts = spec.split(':');
-        let op = match parts.next() {
-            Some("save") => FaultOp::Save,
-            Some("load") => FaultOp::Load,
-            Some("any") => FaultOp::Any,
-            other => {
-                return Err(FaultSpecError::BadOp {
-                    found: other.unwrap_or("").to_string(),
-                })
-            }
-        };
-        let stage = parts
-            .next()
-            .filter(|s| !s.is_empty())
-            .ok_or(FaultSpecError::MissingStage)?
-            .to_string();
-        let third = parts.next().ok_or(FaultSpecError::MissingMode)?;
-        let mode = if let Some(frac) = third.strip_prefix('p') {
-            let fraction: f64 = frac.parse().map_err(|_| FaultSpecError::BadFraction {
-                found: frac.to_string(),
-            })?;
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err(FaultSpecError::FractionOutOfRange { value: fraction });
-            }
-            let seed_field = parts.next().ok_or(FaultSpecError::MissingSeed)?;
-            let seed: u64 = seed_field.parse().map_err(|_| FaultSpecError::BadSeed {
-                found: seed_field.to_string(),
-            })?;
-            FaultMode::Random(Mutex::new(SplitMix64::new(seed)), fraction)
-        } else {
-            let n: u64 = third.parse().map_err(|_| FaultSpecError::BadCount {
-                found: third.to_string(),
-            })?;
-            FaultMode::Burst(AtomicU64::new(n))
-        };
-        if parts.next().is_some() {
-            return Err(FaultSpecError::TrailingFields);
-        }
-        Ok(IoFaultInjector { op, stage, mode })
-    }
-
-    /// Builds an injector from the `TOWERLENS_FAULT_IO` environment
-    /// variable. `Ok(None)` when unset; a malformed spec is a hard
-    /// [`FaultSpecError`] — a typo'd failpoint must fail the run
-    /// loudly rather than silently injecting nothing (a chaos pass
-    /// that tested nothing is worse than no chaos pass).
-    ///
-    /// # Errors
-    /// The [`FaultSpecError`] for a set-but-malformed spec.
-    pub fn from_env() -> Result<Option<Self>, FaultSpecError> {
-        match std::env::var("TOWERLENS_FAULT_IO") {
-            Err(_) => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-        }
-    }
-
-    /// Whether this operation should fail now. Burst counters tick
-    /// down only on matching operations, so the burst length is exact
-    /// per target.
-    pub fn should_fail(&self, op: FaultOp, stage: &str) -> bool {
-        let op_matches = matches!(self.op, FaultOp::Any) || self.op == op;
-        if !op_matches || (self.stage != "*" && self.stage != stage) {
-            return false;
-        }
-        match &self.mode {
-            FaultMode::Burst(remaining) => remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok(),
-            FaultMode::Random(rng, fraction) => rng
-                .lock()
-                .map(|mut r| r.next_f64() < *fraction)
-                .unwrap_or(false),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,99 +246,5 @@ mod tests {
             budget_ms: 10,
         };
         assert!(!timed_out.is_transient());
-    }
-
-    #[test]
-    fn burst_injector_fails_exactly_n_matching_ops() {
-        let inj = IoFaultInjector::parse("save:vectorize:2").unwrap();
-        // Non-matching ops neither fail nor consume the burst.
-        assert!(!inj.should_fail(FaultOp::Load, "vectorize"));
-        assert!(!inj.should_fail(FaultOp::Save, "cluster"));
-        assert!(inj.should_fail(FaultOp::Save, "vectorize"));
-        assert!(inj.should_fail(FaultOp::Save, "vectorize"));
-        assert!(!inj.should_fail(FaultOp::Save, "vectorize"), "burst over");
-    }
-
-    #[test]
-    fn wildcard_and_any_match_everything() {
-        let inj = IoFaultInjector::parse("any:*:3").unwrap();
-        assert!(inj.should_fail(FaultOp::Save, "a"));
-        assert!(inj.should_fail(FaultOp::Load, "b"));
-        assert!(inj.should_fail(FaultOp::Save, "c"));
-        assert!(!inj.should_fail(FaultOp::Load, "d"));
-    }
-
-    #[test]
-    fn random_injector_is_seed_deterministic() {
-        let fire = |seed: u64| -> Vec<bool> {
-            let inj = IoFaultInjector::parse(&format!("load:*:p0.5:{seed}")).unwrap();
-            (0..32)
-                .map(|_| inj.should_fail(FaultOp::Load, "x"))
-                .collect()
-        };
-        assert_eq!(fire(7), fire(7));
-        assert_ne!(fire(7), fire(8));
-    }
-
-    #[test]
-    fn malformed_specs_are_rejected() {
-        for (bad, want) in [
-            (
-                "",
-                FaultSpecError::BadOp {
-                    found: String::new(),
-                },
-            ),
-            ("save", FaultSpecError::MissingStage),
-            ("save:", FaultSpecError::MissingStage),
-            ("save:vectorize", FaultSpecError::MissingMode),
-            (
-                "write:vectorize:1",
-                FaultSpecError::BadOp {
-                    found: "write".to_string(),
-                },
-            ),
-            (
-                "save:vectorize:x",
-                FaultSpecError::BadCount {
-                    found: "x".to_string(),
-                },
-            ),
-            (
-                "save:vectorize:p2.0:1",
-                FaultSpecError::FractionOutOfRange { value: 2.0 },
-            ),
-            (
-                "save:vectorize:pz:1",
-                FaultSpecError::BadFraction {
-                    found: "z".to_string(),
-                },
-            ),
-            ("save:vectorize:p0.5", FaultSpecError::MissingSeed),
-            (
-                "save:vectorize:p0.5:nope",
-                FaultSpecError::BadSeed {
-                    found: "nope".to_string(),
-                },
-            ),
-            ("save:vectorize:1:extra", FaultSpecError::TrailingFields),
-        ] {
-            assert_eq!(
-                IoFaultInjector::parse(bad).unwrap_err(),
-                want,
-                "spec `{bad}`"
-            );
-        }
-    }
-
-    #[test]
-    fn fault_spec_errors_render_the_offending_field() {
-        let rendered = FaultSpecError::BadOp {
-            found: "write".to_string(),
-        }
-        .to_string();
-        assert!(rendered.contains("write"), "{rendered}");
-        let rendered = FaultSpecError::FractionOutOfRange { value: 2.0 }.to_string();
-        assert!(rendered.contains('2'), "{rendered}");
     }
 }

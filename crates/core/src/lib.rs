@@ -50,8 +50,8 @@ pub mod study;
 pub mod timedomain;
 
 pub use engine::{
-    CheckpointError, CheckpointStore, EngineError, FaultSpecError, IoFaultInjector, RetryPolicy,
-    RunReport, StageReport, StageStatus, Supervisor,
+    CheckpointError, CheckpointStore, EngineError, RetryPolicy, RunReport, StageReport,
+    StageStatus, Supervisor,
 };
 pub use error::CoreError;
 pub use identifier::{IdentifiedPatterns, IdentifierConfig, PatternIdentifier};

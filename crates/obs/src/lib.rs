@@ -1,8 +1,9 @@
 //! # towerlens-obs
 //!
 //! Dependency-free observability for the towerlens workspace: a
-//! thread-safe [`Registry`] of named metrics plus a structured
-//! [`SpanEvent`] record for per-stage execution traces.
+//! thread-safe [`Registry`] of named metrics, a structured
+//! [`SpanEvent`] record for per-stage execution traces, and the
+//! [`failpoint`] registry the chaos suites inject faults through.
 //!
 //! The registry holds four metric kinds, all lock-free on the hot
 //! path (handles are `Arc`s over atomics; the registry lock is taken
@@ -42,9 +43,11 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod failpoint;
 pub mod registry;
 
 pub use events::{spans_to_json, SpanEvent};
+pub use failpoint::{check_failpoints, failpoints, Action, FailpointError, Failpoints};
 pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, LazyCounter, LazyHistogram, Registry,
     Snapshot, Timer, TimerSnapshot,

@@ -42,10 +42,12 @@
 //! blocks the stream), and [`BreakerPolicy::threshold`] consecutive
 //! sheds quarantine the shard — subsequent records for it are shed
 //! deterministically instead of crashing the daemon. The
-//! `TOWERLENS_FAULT_SHARD=<shard|*>:<n>` failpoint injects `n`
-//! transient apply failures for chaos drills. Injected faults are a
-//! live-process phenomenon: WAL replay during recovery applies records
-//! directly (the ledger has already vouched for them).
+//! `shard.<i|*>=err*<n>` failpoint injects `n` transient apply
+//! failures into one shard (or each) for chaos drills; `wal.seal` and
+//! `checkpoint` (`abort@<n>`) kill the daemon after the n-th segment
+//! seal and the n-th snapshot. Injected faults are a live-process
+//! phenomenon: WAL replay during recovery applies records directly
+//! (the ledger has already vouched for them).
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -53,14 +55,14 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use towerlens_artifact::{fnv1a64, PublishKill, Publisher};
+use towerlens_artifact::{fnv1a64, Publisher};
 use towerlens_core::engine::{BreakerPolicy, CheckpointError, CheckpointStore, RetryPolicy};
 use towerlens_core::error::CoreError;
 use towerlens_core::freq::features_of_goertzel;
 use towerlens_core::identifier::PatternIdentifier;
 use towerlens_core::study::snapshot_from_parts;
 use towerlens_dsp::goertzel;
-use towerlens_obs::LazyCounter;
+use towerlens_obs::{Action, LazyCounter};
 use towerlens_pipeline::vectorizer::{Vectorizer, VectorizerOptions};
 use towerlens_pipeline::{principal_bins, FeatureSpace};
 use towerlens_trace::clean::clean_records;
@@ -276,63 +278,6 @@ impl ServeReport {
         }
         out
     }
-}
-
-/// Where the kill-plan failpoint (`TOWERLENS_SERVE_KILL`) aborts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KillPoint {
-    None,
-    /// Abort right after sealing the n-th WAL segment of this
-    /// process, before the snapshot (`pre:<n>`).
-    AfterSeal(u64),
-    /// Abort right after saving the n-th snapshot of this process
-    /// (`<n>`).
-    AfterSnapshot(u64),
-}
-
-fn kill_plan() -> Result<KillPoint, ServeError> {
-    let Ok(spec) = std::env::var("TOWERLENS_SERVE_KILL") else {
-        return Ok(KillPoint::None);
-    };
-    let parse = |s: &str| -> Result<u64, ServeError> {
-        s.parse::<u64>().map_err(|_| {
-            ServeError::Config(format!(
-                "TOWERLENS_SERVE_KILL: bad count `{s}` (want `<n>` or `pre:<n>`)"
-            ))
-        })
-    };
-    if let Some(n) = spec.strip_prefix("pre:") {
-        Ok(KillPoint::AfterSeal(parse(n)?))
-    } else {
-        Ok(KillPoint::AfterSnapshot(parse(&spec)?))
-    }
-}
-
-/// The shard-fault failpoint: `TOWERLENS_FAULT_SHARD=<shard|*>:<n>`
-/// injects `n` transient apply failures into one shard (or each).
-#[derive(Debug, Clone, Copy)]
-struct ShardFault {
-    shard: Option<usize>,
-    budget: u64,
-}
-
-fn shard_fault() -> Result<Option<ShardFault>, ServeError> {
-    let Ok(spec) = std::env::var("TOWERLENS_FAULT_SHARD") else {
-        return Ok(None);
-    };
-    let bad = || {
-        ServeError::Config(format!(
-            "TOWERLENS_FAULT_SHARD: bad spec `{spec}` (want `<shard|*>:<n>`)"
-        ))
-    };
-    let (shard, budget) = spec.split_once(':').ok_or_else(bad)?;
-    let shard = if shard == "*" {
-        None
-    } else {
-        Some(shard.parse::<usize>().map_err(|_| bad())?)
-    };
-    let budget = budget.parse::<u64>().map_err(|_| bad())?;
-    Ok(Some(ShardFault { shard, budget }))
 }
 
 /// Messages into a shard worker.
@@ -555,7 +500,8 @@ fn recover(
 }
 
 /// Saves a snapshot with bounded retries over transient I/O failures
-/// (the `TOWERLENS_FAULT_IO` failpoint injects these in drills).
+/// (the `checkpoint.save.serve-state` failpoint injects these in
+/// drills).
 fn save_snapshot(
     store: &CheckpointStore,
     snap: &ServeSnapshot,
@@ -583,12 +529,13 @@ fn save_snapshot(
 /// never truncated, snapshots are written atomically).
 pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     config.validate()?;
-    let kill = kill_plan()?;
-    let fault = shard_fault()?;
-    let publish_kill = PublishKill::from_env().map_err(ServeError::Config)?;
+    let failpoints = towerlens_obs::failpoints();
+    failpoints
+        .check_stages(&[SNAPSHOT_STAGE])
+        .map_err(|e| ServeError::Config(e.to_string()))?;
     let mut publisher = match &config.publish {
         Some(dir) => Some(
-            Publisher::open(dir, publish_kill)
+            Publisher::open(dir, None)
                 .map_err(|e| ServeError::Analysis(format!("artifact publish: {e}")))?,
         ),
         None => None,
@@ -613,8 +560,11 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     let mut handles = Vec::with_capacity(config.shards);
     for (i, map) in recovered.shard_maps.into_iter().enumerate() {
         let (tx, rx) = mpsc::sync_channel::<ShardMsg>(config.queue_cap);
-        let budget = match fault {
-            Some(f) if f.shard.is_none() || f.shard == Some(i) => f.budget,
+        // An exact `shard.<i>` entry wins over `shard.*`; either way
+        // the shard counts its own burst.
+        let exact = failpoints.action(&["shard", &i.to_string()]);
+        let budget = match exact.or(failpoints.action(&["shard", "*"])) {
+            Some(Action::Err(n)) => n,
             _ => 0,
         };
         let (w, g, r, b) = (window, gbins.clone(), retry.clone(), basis.clone());
@@ -665,8 +615,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     let reader = std::io::BufReader::new(file);
     let mut skipped = 0u64;
     let mut unflushed = 0u64;
-    let mut seals = 0u64;
-    let mut snaps = 0u64;
     for line in reader.lines() {
         let line = line.map_err(|e| io_err(&config.source, e))?;
         if line.is_empty() {
@@ -720,23 +668,13 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
             unflushed = 0;
             if wal.rotate()? {
                 WAL_SEGMENTS.inc();
-                seals += 1;
-                if kill == KillPoint::AfterSeal(seals) {
-                    eprintln!("serve: TOWERLENS_SERVE_KILL pre:{seals} — aborting before snapshot");
-                    std::process::abort();
-                }
             }
             let views = barrier(&senders)?;
             let snap = assemble(&views, &counts);
             save_snapshot(&store, &snap, &retry)?;
             SNAPSHOTS.inc();
-            snaps += 1;
             publish_generation(publisher.as_mut(), &snap, &window, fingerprint)?;
             progress_line(&snap, &views);
-            if kill == KillPoint::AfterSnapshot(snaps) {
-                eprintln!("serve: TOWERLENS_SERVE_KILL {snaps} — aborting after snapshot");
-                std::process::abort();
-            }
         }
     }
 
@@ -745,22 +683,12 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     wal.sync()?;
     if wal.rotate()? {
         WAL_SEGMENTS.inc();
-        seals += 1;
-        if kill == KillPoint::AfterSeal(seals) {
-            eprintln!("serve: TOWERLENS_SERVE_KILL pre:{seals} — aborting before snapshot");
-            std::process::abort();
-        }
     }
     let views = barrier(&senders)?;
     let snap = assemble(&views, &counts);
     if recovered.snapshotted_seq != Some(counts.next_seq) {
         save_snapshot(&store, &snap, &retry)?;
         SNAPSHOTS.inc();
-        snaps += 1;
-        if kill == KillPoint::AfterSnapshot(snaps) {
-            eprintln!("serve: TOWERLENS_SERVE_KILL {snaps} — aborting after snapshot");
-            std::process::abort();
-        }
     }
     // Publish unconditionally at end of stream: even when a resumed
     // run had nothing new to snapshot, the generation store must
@@ -1064,13 +992,6 @@ pub fn batch_reference(config: &ServeConfig) -> Result<ServeReport, ServeError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kill_plan_parses_both_forms() {
-        // Parsed directly rather than via the env var to keep tests
-        // process-parallel safe.
-        assert_eq!(kill_plan().unwrap(), KillPoint::None);
-    }
 
     #[test]
     fn config_validation_rejects_zeros() {

@@ -33,7 +33,7 @@
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use towerlens_artifact::fnv1a64;
+use towerlens_artifact::{fnv1a64, replace_durably};
 
 use crate::error::{io_err, ServeError};
 
@@ -111,8 +111,8 @@ fn line_is_wellformed(raw: &str) -> bool {
 /// file torn before its header ever landed is removed outright so the
 /// index is reused. Damage this cannot explain — a bad line that is
 /// not the final one, a seal-hash mismatch — is left untouched for
-/// replay to report. The rewrite goes through the temp + fsync +
-/// rename discipline.
+/// replay to report. The rewrite goes through [`replace_durably`]
+/// (failpoints `wal.repair.tmp` / `wal.repair`).
 fn repair_torn_tail(wal_dir: &Path, index: u64) -> Result<(), ServeError> {
     let path = segment_path(wal_dir, index);
     let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
@@ -138,16 +138,13 @@ fn repair_torn_tail(wal_dir: &Path, index: u64) -> Result<(), ServeError> {
     }
     let mut kept = lines[..lines.len() - 1].join("\n");
     kept.push('\n');
-    let tmp = wal_dir.join(format!("seg-{index:08}.repair"));
-    std::fs::write(&tmp, &kept).map_err(|e| io_err(&tmp, e))?;
-    std::fs::File::open(&tmp)
-        .and_then(|f| f.sync_all())
-        .map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-    if let Ok(d) = std::fs::File::open(wal_dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    replace_durably(
+        &path,
+        kept.as_bytes(),
+        "wal.repair",
+        towerlens_obs::failpoints(),
+        io_err,
+    )
 }
 
 /// The appending side of the WAL.
@@ -246,7 +243,8 @@ impl WalWriter {
     /// Seals the current segment (writes the footer, fsyncs, closes)
     /// and advances to the next segment index. A no-op segment (zero
     /// entries, no file) is skipped without consuming an index.
-    /// Returns `true` when a segment was actually sealed.
+    /// Returns `true` when a segment was actually sealed, after
+    /// hitting the `wal.seal` failpoint.
     ///
     /// # Errors
     /// [`ServeError::Io`] on write/fsync failure.
@@ -269,6 +267,9 @@ impl WalWriter {
         self.segment_index += 1;
         self.entries_in_segment = 0;
         self.seal_input.clear();
+        towerlens_obs::failpoints()
+            .hit(&["wal", "seal"])
+            .map_err(|fired| io_err(&path, std::io::Error::other(fired)))?;
         Ok(true)
     }
 }
@@ -645,6 +646,23 @@ mod tests {
         w.rotate().unwrap();
         let w2 = WalWriter::open(&dir).unwrap();
         assert_eq!(w2.segment_index(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The torn-tail repair writes `seg-N.wal.tmp` before its rename;
+    /// a crash can leave that file behind, and the segment lister must
+    /// not mistake it for a segment.
+    #[test]
+    fn repair_temp_files_are_not_segments() {
+        let dir = temp_dir("repair-temp");
+        let mut w = write_entries(&dir, &["a", "b"], 10);
+        w.rotate().unwrap();
+        let stale = towerlens_artifact::temp_path(&segment_path(&dir, 0));
+        assert_eq!(stale.file_name().unwrap(), "seg-00000000.wal.tmp");
+        std::fs::write(&stale, "towerlens-wal v1 segment 0\nr 0 0000 torn").unwrap();
+        assert_eq!(segment_indices(&dir).unwrap(), vec![0]);
+        assert_eq!(replay(&dir).unwrap().next_seq, 2);
+        assert_eq!(WalWriter::open(&dir).unwrap().segment_index(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

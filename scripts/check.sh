@@ -3,6 +3,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== one failpoint registry: no bespoke environment switches =="
+# Fault injection is configured only through TOWERLENS_FAILPOINTS,
+# read in one place (crates/obs/src/failpoint.rs). A second
+# environment read under crates/ is a new bespoke switch with its own
+# grammar and its own silent-typo failure mode.
+if grep -rn --include='*.rs' 'env::var' crates/ | grep -v '^crates/obs/src/failpoint.rs:'; then
+    echo "env::var outside the failpoint registry (crates/obs/src/failpoint.rs)"; exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
@@ -66,7 +75,7 @@ serve_flags=(--source "$serve_tmp/stream.tsv" --days 7 --segment-records 500 --s
 # Kill at every segment boundary (abort before each snapshot), then
 # restart, until a run reaches the drain.
 for attempt in $(seq 1 12); do
-    if TOWERLENS_SERVE_KILL=pre:1 ./target/release/towerlens-cli serve \
+    if TOWERLENS_FAILPOINTS='wal.seal=abort@1' ./target/release/towerlens-cli serve \
         "${serve_flags[@]}" --data "$serve_tmp/chaos" \
         > "$serve_tmp/serve-chaos.out" 2> /dev/null; then
         break
@@ -134,10 +143,10 @@ press_flags=(--source "$serve_tmp/stream.tsv" --days 7 --segment-records 500 --s
 ./target/release/towerlens-cli serve "${press_flags[@]}" \
     --data "$press_tmp/clean" --publish "$press_tmp/clean-store" > /dev/null 2>&1
 clean_gen="$press_tmp/clean-store/$(cat "$press_tmp/clean-store/CURRENT")"
-for stage in tmp gen cur; do
+for stage in publish.gen.tmp publish.gen publish.cur.tmp; do
     converged=0
     for nth in $(seq 1 12); do
-        if TOWERLENS_FAULT_PUBLISH="$stage:$nth" ./target/release/towerlens-cli serve \
+        if TOWERLENS_FAILPOINTS="$stage=abort@$nth" ./target/release/towerlens-cli serve \
             "${press_flags[@]}" --data "$press_tmp/$stage" \
             --publish "$press_tmp/$stage-store" > /dev/null 2>&1; then
             converged=1; break
