@@ -106,7 +106,7 @@ pub fn linkage(report: &StudyReport) -> Result<String, CoreError> {
         let dendro = agglomerative(DistanceMatrix::build(&report.vectors, 0)?, linkage)?;
         let elapsed = start.elapsed().as_secs_f64();
         let (ari, pur) = score_cut(&dendro, &report.vectors, &truth, 5)?;
-        let sweep = towerlens_cluster::validity::dbi_sweep(&report.vectors, &dendro, 2, 12)?;
+        let sweep = towerlens_cluster::validity::dbi_sweep(&report.vectors, &dendro, 2, 12, 0)?;
         let chosen = towerlens_cluster::validity::best_by_dbi(&sweep)
             .map(|p| p.k)
             .unwrap_or(0);

@@ -2,14 +2,18 @@
 //!
 //! The paper clusters 9,600 towers described by 4,032-dimensional
 //! vectors with Euclidean distance. Building the pairwise matrix is the
-//! dominant cost (O(n²·d)) and is memory-bound when iterated row by
-//! row (every row streams the whole point set through cache), so
-//! [`DistanceMatrix::build`] works in row-tiles: within a tile of
-//! [`TILE_ROWS`] rows the column loop is outermost, so each point is
-//! streamed once per tile instead of once per row. Tiles parallelise
-//! via [`towerlens_par::par_map_indexed`] — no extra dependency, and
-//! the result is bit-identical regardless of thread count because
-//! every cell is a pure function of its pair, assembled in tile order.
+//! dominant cost (O(n²·d)), so [`DistanceMatrix::build`] evaluates
+//! pairs in blocks of [`BLOCK`] rows × [`BLOCK`] columns: one pass over
+//! the dimensions loads each row and column chunk once and feeds it to
+//! every pair of the block, with one accumulator per pair. Every pair
+//! keeps [`sq_euclidean`]'s lane structure and fold, so every cell is
+//! bit-identical to [`euclidean`] of its pair. Blocks are grouped into
+//! row-tiles of [`TILE_ROWS`] rows with the column loop outermost, so
+//! each streamed column stays cached across the tile's rows. Tiles are
+//! written in place into the one condensed buffer through
+//! [`towerlens_par::par_slices_mut`], in an order that gives every
+//! worker a similar number of pairs; the result is bit-identical for
+//! any thread count because every cell is a pure function of its pair.
 
 use towerlens_obs::LazyCounter;
 
@@ -200,10 +204,233 @@ unsafe fn sq_euclidean6_batch_avx(
     out
 }
 
+/// Rows and columns per pair block: each loaded chunk feeds four
+/// pairs, and the AVX-512 block's 16 accumulators (one 8-lane register
+/// per pair) plus its loaded chunks fit in the 32 vector registers.
+const BLOCK: usize = 4;
+
+/// Squared Euclidean distances of the `BLOCK × BLOCK` pairs
+/// `(rows[r], cols[c])`: `out[r][c]` is bit-identical to
+/// `sq_euclidean(rows[r], cols[c])`. Dispatches at run time to the
+/// widest compiled kernel the CPU supports.
+///
+/// # Panics
+/// If the slices differ in length: the SIMD kernels read that many
+/// elements from every one of them.
+fn sq_euclidean_block(rows: [&[f64]; BLOCK], cols: [&[f64]; BLOCK]) -> [[f64; BLOCK]; BLOCK] {
+    let d = rows[0].len();
+    assert!(
+        rows.iter().chain(&cols).all(|v| v.len() == d),
+        "block vectors must share one length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F availability was just checked, and all
+            // eight slices were just checked to share one length.
+            #[allow(unsafe_code)]
+            return unsafe { sq_euclidean_block_avx512(rows, cols) };
+        }
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: AVX availability was just checked, and all eight
+            // slices were just checked to share one length.
+            #[allow(unsafe_code)]
+            return unsafe { sq_euclidean_block_avx(rows, cols) };
+        }
+    }
+    sq_euclidean_block_portable(rows, cols)
+}
+
+/// [`sq_euclidean`]'s fold of the eight lanes and the sequential tail.
+fn fold_lanes(lanes: &[f64; 8], tail: f64) -> f64 {
+    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+        + tail
+}
+
+/// [`sq_euclidean`]'s sequential tail: dimensions `from..` summed left
+/// to right.
+fn sq_tail(a: &[f64], b: &[f64], from: usize) -> f64 {
+    let mut tail = 0.0f64;
+    for (x, y) in a[from..].iter().zip(&b[from..]) {
+        let d = x - y;
+        tail += d * d;
+    }
+    tail
+}
+
+/// Portable blocked reference: the block's pairs advance together one
+/// eight-dimension chunk at a time, each on its own eight lanes, in
+/// exactly the order [`sq_euclidean_scalar`] sums a single pair.
+fn sq_euclidean_block_portable(
+    rows: [&[f64]; BLOCK],
+    cols: [&[f64]; BLOCK],
+) -> [[f64; BLOCK]; BLOCK] {
+    let d = rows[0].len();
+    let m = d - d % 8;
+    let mut lanes = [[[0.0f64; 8]; BLOCK]; BLOCK];
+    for k in (0..m).step_by(8) {
+        for (row, acc) in rows.iter().zip(&mut lanes) {
+            let x = &row[k..k + 8];
+            for (col, acc) in cols.iter().zip(acc.iter_mut()) {
+                let y = &col[k..k + 8];
+                for l in 0..8 {
+                    let diff = x[l] - y[l];
+                    acc[l] += diff * diff;
+                }
+            }
+        }
+    }
+    std::array::from_fn(|r| {
+        std::array::from_fn(|c| fold_lanes(&lanes[r][c], sq_tail(rows[r], cols[c], m)))
+    })
+}
+
+/// Four rows against one column at a time on 256-bit vectors: each
+/// pair holds its eight lanes in two accumulators, as
+/// [`sq_euclidean_avx`] does (no FMA: fusing would change the
+/// rounding).
+///
+/// # Safety
+/// Requires AVX; callers must check `is_x86_feature_detected!("avx")`
+/// and that all eight slices have the same length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(unsafe_code)]
+unsafe fn sq_euclidean_block_avx(
+    rows: [&[f64]; BLOCK],
+    cols: [&[f64]; BLOCK],
+) -> [[f64; BLOCK]; BLOCK] {
+    use std::arch::x86_64::*;
+    let d = rows[0].len();
+    let m = d - d % 8;
+    let mut out = [[0.0f64; BLOCK]; BLOCK];
+    for (c, col) in cols.iter().enumerate() {
+        let mut acc = [[_mm256_setzero_pd(); 2]; BLOCK];
+        let mut k = 0;
+        while k < m {
+            let y0 = _mm256_loadu_pd(col.as_ptr().add(k));
+            let y1 = _mm256_loadu_pd(col.as_ptr().add(k + 4));
+            for (row, acc) in rows.iter().zip(&mut acc) {
+                let d0 = _mm256_sub_pd(_mm256_loadu_pd(row.as_ptr().add(k)), y0);
+                let d1 = _mm256_sub_pd(_mm256_loadu_pd(row.as_ptr().add(k + 4)), y1);
+                acc[0] = _mm256_add_pd(acc[0], _mm256_mul_pd(d0, d0));
+                acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(d1, d1));
+            }
+            k += 8;
+        }
+        for (r, row) in rows.iter().enumerate() {
+            let mut lanes = [0.0f64; 8];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), acc[r][0]);
+            _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc[r][1]);
+            out[r][c] = fold_lanes(&lanes, sq_tail(row, col, m));
+        }
+    }
+    out
+}
+
+/// The whole block in one pass on 512-bit vectors: one 8-lane
+/// accumulator per pair, so lane `l` of pair `(r, c)` sums dimensions
+/// `l, l + 8, …` in order exactly as [`sq_euclidean_scalar`] does (no
+/// FMA).
+///
+/// # Safety
+/// Requires AVX-512F; callers must check
+/// `is_x86_feature_detected!("avx512f")` and that all eight slices have
+/// the same length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(unsafe_code)]
+unsafe fn sq_euclidean_block_avx512(
+    rows: [&[f64]; BLOCK],
+    cols: [&[f64]; BLOCK],
+) -> [[f64; BLOCK]; BLOCK] {
+    use std::arch::x86_64::*;
+    let d = rows[0].len();
+    let m = d - d % 8;
+    let mut acc = [[_mm512_setzero_pd(); BLOCK]; BLOCK];
+    let mut k = 0;
+    while k < m {
+        let y: [__m512d; BLOCK] = std::array::from_fn(|c| _mm512_loadu_pd(cols[c].as_ptr().add(k)));
+        for (row, acc) in rows.iter().zip(&mut acc) {
+            let x = _mm512_loadu_pd(row.as_ptr().add(k));
+            for (y, acc) in y.iter().zip(acc.iter_mut()) {
+                let diff = _mm512_sub_pd(x, *y);
+                *acc = _mm512_add_pd(*acc, _mm512_mul_pd(diff, diff));
+            }
+        }
+        k += 8;
+    }
+    let mut out = [[0.0f64; BLOCK]; BLOCK];
+    for (r, row) in rows.iter().enumerate() {
+        for (c, col) in cols.iter().enumerate() {
+            let mut lanes = [0.0f64; 8];
+            _mm512_storeu_pd(lanes.as_mut_ptr(), acc[r][c]);
+            out[r][c] = fold_lanes(&lanes, sq_tail(row, col, m));
+        }
+    }
+    out
+}
+
 /// Rows per build tile. 16 rows × 4,032 dims × 8 bytes ≈ 512 KiB of
-/// resident tile data — small enough for L2, large enough that the
-/// streamed column vector amortises over many rows.
+/// resident tile data — small enough for L2, large enough that each
+/// streamed column block amortises over four row blocks.
 const TILE_ROWS: usize = 16;
+
+/// Condensed cells of tile `t`: rows `t·TILE_ROWS ..` hold `n − 1 − i`
+/// pairs each.
+fn tile_cells(n: usize, t: usize) -> usize {
+    let i0 = t * TILE_ROWS;
+    (i0..(i0 + TILE_ROWS).min(n)).map(|i| n - 1 - i).sum()
+}
+
+/// The order tiles are handed to workers: tile `t` next to tile
+/// `T − 1 − t`. Row `i` holds `n − 1 − i` pairs, so each such couple
+/// holds about `TILE_ROWS · (n − 1)` pairs, and the equal-length runs
+/// [`towerlens_par::par_slices_mut`] gives its workers carry nearly
+/// equal pair counts — where a contiguous split of `0..T` gives the
+/// first worker of two three quarters of the matrix.
+fn tile_order(tiles: usize) -> Vec<usize> {
+    (0..tiles.div_ceil(2))
+        .flat_map(|t| [t, tiles - 1 - t])
+        .take(tiles)
+        .collect()
+}
+
+/// Fills one row-tile's condensed cells: rows `i0 ..` of `points`
+/// against every later point, in [`BLOCK`]-square pair blocks with the
+/// column blocks outermost. Ragged blocks at the tile's last rows and
+/// the matrix's last columns repeat their final vector; cells outside
+/// the strict upper triangle are computed and dropped.
+fn fill_tile(points: &[Vec<f64>], i0: usize, out: &mut [f64]) {
+    let n = points.len();
+    let i1 = (i0 + TILE_ROWS).min(n);
+    // Offset of each tile row's first cell within `out`.
+    let mut base = [0usize; TILE_ROWS];
+    for i in i0 + 1..i1 {
+        base[i - i0] = base[i - 1 - i0] + (n - i);
+    }
+    for j0 in (i0 + 1..n).step_by(BLOCK) {
+        let j_last = (j0 + BLOCK).min(n) - 1;
+        let cols: [&[f64]; BLOCK] =
+            std::array::from_fn(|c| points[(j0 + c).min(j_last)].as_slice());
+        // Row blocks at or past this column block's last column hold
+        // no pair j > i.
+        for r0 in (i0..i1.min(j_last)).step_by(BLOCK) {
+            let r_last = (r0 + BLOCK).min(i1) - 1;
+            let rows: [&[f64]; BLOCK] =
+                std::array::from_fn(|r| points[(r0 + r).min(r_last)].as_slice());
+            let block = sq_euclidean_block(rows, cols);
+            for (i, cells) in (r0..=r_last).zip(&block) {
+                for (j, &sq) in (j0..=j_last).zip(cells) {
+                    if j > i {
+                        out[base[i - i0] + (j - i - 1)] = sq.sqrt();
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// A symmetric pairwise distance matrix stored as the strict upper
 /// triangle (condensed form), halving memory for large n.
@@ -218,6 +445,7 @@ pub struct DistanceMatrix {
 impl DistanceMatrix {
     /// Builds the Euclidean distance matrix of a point set, using up to
     /// `threads` worker threads (`0` means "use available parallelism").
+    /// Every cell is bit-identical to [`euclidean`] of its pair.
     ///
     /// # Errors
     /// Propagates point-set validation failures; see
@@ -228,38 +456,16 @@ impl DistanceMatrix {
         let len = n * (n - 1) / 2;
 
         // A tile owns rows i0..i1, whose condensed entries are one
-        // contiguous run. The column loop is outermost so points[j]
-        // stays hot across the tile's rows — at the paper's 4,032
-        // dimensions this cuts memory traffic by ~TILE_ROWS× and is
-        // worth ~1.7× wall time over the row-major sweep.
-        let tiles: Vec<usize> = (0..n.saturating_sub(1)).step_by(TILE_ROWS).collect();
+        // contiguous run of the buffer.
+        let tiles = (n - 1).div_ceil(TILE_ROWS);
+        let cells: Vec<usize> = (0..tiles).map(|t| tile_cells(n, t)).collect();
         // Below the threshold the spawn overhead dominates; force the
         // serial path (one worker runs inline).
         let workers = if n < 64 { 1 } else { threads };
-        let parts = towerlens_par::par_map_indexed(&tiles, workers, |_, &i0| {
-            let i1 = (i0 + TILE_ROWS).min(n);
-            // Offset of each tile row's first cell within the part.
-            let base: Vec<usize> = (i0..i1)
-                .scan(0usize, |acc, i| {
-                    let start = *acc;
-                    *acc += n - 1 - i;
-                    Some(start)
-                })
-                .collect();
-            let cells: usize = (i0..i1).map(|i| n - 1 - i).sum();
-            let mut part = vec![0.0f64; cells];
-            for j in (i0 + 1)..n {
-                for i in i0..i1.min(j) {
-                    part[base[i - i0] + (j - i - 1)] = euclidean(&points[i], &points[j]);
-                }
-            }
-            part
+        let mut data = vec![0.0f64; len];
+        towerlens_par::par_slices_mut(&mut data, &cells, &tile_order(tiles), workers, |t, out| {
+            fill_tile(points, t * TILE_ROWS, out)
         });
-        let mut data = Vec::with_capacity(len);
-        for part in &parts {
-            data.extend_from_slice(part);
-        }
-        debug_assert_eq!(data.len(), len);
 
         EVALUATIONS.add(len as u64);
         Ok(DistanceMatrix { n, data })
@@ -406,38 +612,126 @@ mod tests {
         assert_eq!(m.get(2, 2), 0.0);
     }
 
-    #[test]
-    fn parallel_build_matches_serial() {
-        // Enough points to cross the parallel threshold.
-        let points: Vec<Vec<f64>> = (0..100)
-            .map(|i| {
-                vec![
-                    (i as f64 * 0.37).sin(),
-                    (i as f64 * 0.11).cos(),
-                    i as f64 / 100.0,
-                ]
+    /// Deterministic vectors whose magnitudes span six decades, so a
+    /// changed summation order or a fused multiply-add moves low bits.
+    fn spread_vectors(count: usize, dims: usize, salt: f64) -> Vec<Vec<f64>> {
+        (0..count)
+            .map(|p| {
+                (0..dims)
+                    .map(|k| {
+                        let x = ((p * dims + k) as f64 * 0.618 + salt).sin();
+                        x * 10f64.powi((k % 7) as i32 - 3)
+                    })
+                    .collect()
             })
-            .collect();
-        let serial = DistanceMatrix::build(&points, 1).unwrap();
-        let parallel = DistanceMatrix::build(&points, 4).unwrap();
-        for i in 0..100 {
-            for j in 0..100 {
-                assert_eq!(serial.get(i, j), parallel.get(i, j));
+            .collect()
+    }
+
+    #[test]
+    fn every_block_kernel_is_bit_identical_to_the_scalar_reference() {
+        type Kernel = fn([&[f64]; BLOCK], [&[f64]; BLOCK]) -> [[f64; BLOCK]; BLOCK];
+        let mut kernels: Vec<(&str, Kernel)> = vec![("portable", sq_euclidean_block_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx") {
+                // SAFETY: AVX was just detected; every call below passes
+                // eight slices of one length.
+                #[allow(unsafe_code)]
+                kernels.push(("avx", |r, c| unsafe { sq_euclidean_block_avx(r, c) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was just detected; every call below
+                // passes eight slices of one length.
+                #[allow(unsafe_code)]
+                kernels.push(("avx512", |r, c| unsafe { sq_euclidean_block_avx512(r, c) }));
+            }
+        }
+        let mut ran = Vec::new();
+        for (name, kernel) in &kernels {
+            for len in [0usize, 1, 7, 8, 9, 15, 1_008, 2_016, 4_031, 4_032] {
+                let rows = spread_vectors(BLOCK, len, 0.1);
+                let cols = spread_vectors(BLOCK, len, 0.7);
+                let got = kernel(
+                    std::array::from_fn(|r| rows[r].as_slice()),
+                    std::array::from_fn(|c| cols[c].as_slice()),
+                );
+                for r in 0..BLOCK {
+                    for c in 0..BLOCK {
+                        assert_eq!(
+                            got[r][c].to_bits(),
+                            sq_euclidean_scalar(&rows[r], &cols[c]).to_bits(),
+                            "{name} len={len} pair=({r}, {c})"
+                        );
+                    }
+                }
+            }
+            ran.push(*name);
+        }
+        // The widest path this CPU has must have been checked, not
+        // skipped.
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                assert!(
+                    ran.contains(&"avx512"),
+                    "AVX-512 kernel not checked: {ran:?}"
+                );
+            }
+            if std::arch::is_x86_feature_detected!("avx") {
+                assert!(ran.contains(&"avx"), "AVX kernel not checked: {ran:?}");
+            }
+        }
+        assert!(ran.contains(&"portable"));
+    }
+
+    #[test]
+    fn build_matches_the_per_pair_reference_bit_for_bit() {
+        // Point counts straddle the parallel threshold (64), the block
+        // (4) and the tile (16); dimensions reach the eight-lane body,
+        // a ragged tail, or only the tail; thread counts include odd
+        // and oversubscribed ones.
+        for dims in [3usize, 8, 13, 1_008] {
+            for n in [2usize, 3, 5, 63, 64, 65, 130, 257] {
+                let points = spread_vectors(n, dims, 0.3);
+                let mut reference = Vec::with_capacity(n * (n - 1) / 2);
+                for i in 0..n {
+                    for j in i + 1..n {
+                        reference.push(euclidean(&points[i], &points[j]).to_bits());
+                    }
+                }
+                for threads in [1usize, 2, 3, 8] {
+                    let m = DistanceMatrix::build(&points, threads).unwrap();
+                    let got: Vec<u64> = m.data.iter().map(|v| v.to_bits()).collect();
+                    assert!(got == reference, "n={n} dims={dims} threads={threads}");
+                }
             }
         }
     }
 
     #[test]
-    fn build_is_bit_identical_for_any_thread_count() {
-        // Awkward thread counts make block boundaries land mid-row,
-        // exercising the flat-index → (i, j) locator.
-        let points: Vec<Vec<f64>> = (0..71)
-            .map(|i| vec![(i as f64 * 0.53).sin(), (i as f64 * 0.21).tan(), i as f64])
-            .collect();
-        let reference = DistanceMatrix::build(&points, 1).unwrap();
-        for threads in [2usize, 3, 5, 8, 13, 64] {
-            let m = DistanceMatrix::build(&points, threads).unwrap();
-            assert_eq!(reference.data, m.data, "threads={threads}");
+    fn tile_schedule_balances_pairs_across_workers() {
+        // Worker w runs the w-th `chunk_len` run of the tile order, so
+        // the assignment is a pure function of (n, threads). A
+        // contiguous split of 0..T would give the first worker 1.50×
+        // the mean at 2 threads and 1.88–1.90× at 8.
+        for n in [2_400usize, 9_600] {
+            let tiles = (n - 1).div_ceil(TILE_ROWS);
+            let order = tile_order(tiles);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..tiles).collect::<Vec<_>>(), "n={n}");
+            let total: usize = (0..tiles).map(|t| tile_cells(n, t)).sum();
+            assert_eq!(total, n * (n - 1) / 2);
+            for threads in [2usize, 3, 8] {
+                let loads: Vec<usize> = order
+                    .chunks(towerlens_par::chunk_len(tiles, threads))
+                    .map(|run| run.iter().map(|&t| tile_cells(n, t)).sum())
+                    .collect();
+                assert_eq!(loads.len(), threads, "n={n}");
+                let mean = total as f64 / threads as f64;
+                let worst = *loads.iter().max().unwrap() as f64 / mean;
+                assert!(worst <= 1.10, "n={n} threads={threads}: {worst:.3} × mean");
+            }
         }
     }
 

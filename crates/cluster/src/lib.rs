@@ -14,8 +14,10 @@
 //! * [`validity`] — Davies–Bouldin index (the paper's stop-condition
 //!   tuner) and silhouette score as a second opinion.
 //! * [`distance`] — Euclidean metrics (runtime-dispatched AVX kernel,
-//!   bit-identical to its scalar reference) and a cache-tiled parallel
-//!   pairwise-distance matrix builder (std scoped threads; no runtime
+//!   bit-identical to its scalar reference) and a parallel
+//!   pairwise-distance matrix builder: register-blocked AVX-512/AVX
+//!   pair kernels, bit-identical to the same reference, on a
+//!   pair-balanced tile schedule (std scoped threads; no runtime
 //!   dependency).
 //! * [`index`] — an exact-pruning spatial index over low-dimensional
 //!   feature spaces: a static bounding-box k-d tree whose
@@ -29,9 +31,10 @@
 //! All APIs are fallible ([`ClusterError`]) rather than panicking, and
 //! deterministic given their inputs.
 
-// `deny`, not `forbid`: the one sanctioned exception is the AVX
-// distance kernel in [`distance`], a leaf function pinned bit-for-bit
-// to its safe scalar reference by test. Everything else stays safe.
+// `deny`, not `forbid`: the one sanctioned exception is the SIMD
+// distance kernels in [`distance`], leaf functions each pinned
+// bit-for-bit to the safe scalar reference by test. Everything else
+// stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -120,15 +120,20 @@ pub struct DbiPoint {
 
 /// Sweeps dendrogram cuts `k = k_min ..= k_max` and evaluates DBI at
 /// each — the data behind Fig 6(a). Returns points in ascending `k`.
+/// The cuts are independent, so they fan out over up to `threads`
+/// workers (`0` = available parallelism); each point is a pure
+/// function of its `k`, so the curve is identical at any thread count.
 ///
 /// # Errors
 /// Invalid range (`k_min < 2` or `k_max > n` or `k_min > k_max`) maps
-/// to the corresponding [`ClusterError`]; evaluation errors propagate.
+/// to the corresponding [`ClusterError`]; evaluation errors propagate,
+/// the one at the smallest `k` first.
 pub fn dbi_sweep(
     points: &[Vec<f64>],
     dendrogram: &Dendrogram,
     k_min: usize,
     k_max: usize,
+    threads: usize,
 ) -> Result<Vec<DbiPoint>, ClusterError> {
     if k_min < 2 {
         return Err(ClusterError::ZeroClusters);
@@ -139,14 +144,15 @@ pub fn dbi_sweep(
             available: dendrogram.len(),
         });
     }
-    let mut out = Vec::with_capacity(k_max - k_min + 1);
-    for k in k_min..=k_max {
+    let ks: Vec<usize> = (k_min..=k_max).collect();
+    towerlens_par::par_map_indexed(&ks, threads, |_, &k| {
         let clustering = dendrogram.cut_k(k)?;
         let dbi = davies_bouldin(points, &clustering)?;
         let threshold = dendrogram.threshold_for_k(k)?;
-        out.push(DbiPoint { k, threshold, dbi });
-    }
-    Ok(out)
+        Ok(DbiPoint { k, threshold, dbi })
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The sweep point with minimal DBI (ties: smallest `k`).
@@ -188,7 +194,7 @@ mod tests {
     fn dbi_minimal_at_true_k() {
         let pts = blobs();
         let d = average_tree(&pts);
-        let sweep = dbi_sweep(&pts, &d, 2, 8).unwrap();
+        let sweep = dbi_sweep(&pts, &d, 2, 8, 1).unwrap();
         let best = best_by_dbi(&sweep).unwrap();
         assert_eq!(best.k, 3, "sweep: {sweep:?}");
     }
@@ -247,16 +253,34 @@ mod tests {
     fn sweep_validates_range() {
         let pts = blobs();
         let d = average_tree(&pts);
-        assert!(dbi_sweep(&pts, &d, 1, 5).is_err());
-        assert!(dbi_sweep(&pts, &d, 2, 99).is_err());
-        assert!(dbi_sweep(&pts, &d, 5, 3).is_err());
+        assert!(dbi_sweep(&pts, &d, 1, 5, 1).is_err());
+        assert!(dbi_sweep(&pts, &d, 2, 99, 1).is_err());
+        assert!(dbi_sweep(&pts, &d, 5, 3, 1).is_err());
+    }
+
+    #[test]
+    fn sweep_is_bit_identical_at_any_thread_count() {
+        let pts = blobs();
+        let d = average_tree(&pts);
+        let bits = |threads| {
+            dbi_sweep(&pts, &d, 2, 12, threads)
+                .unwrap()
+                .iter()
+                .map(|p| (p.k, p.threshold.to_bits(), p.dbi.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let serial = bits(1);
+        assert_eq!(serial.len(), 11);
+        for threads in [0, 2, 3, 8, 16] {
+            assert_eq!(bits(threads), serial, "threads={threads}");
+        }
     }
 
     #[test]
     fn sweep_thresholds_decrease_with_k() {
         let pts = blobs();
         let d = average_tree(&pts);
-        let sweep = dbi_sweep(&pts, &d, 2, 10).unwrap();
+        let sweep = dbi_sweep(&pts, &d, 2, 10, 1).unwrap();
         for w in sweep.windows(2) {
             assert!(w[0].threshold >= w[1].threshold);
         }

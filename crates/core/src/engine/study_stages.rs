@@ -362,10 +362,10 @@ impl Stage<StudyArtifact> for TimeDomainStage {
         let raw = raw_of(ctx, "synthesize")?;
         let normalized = vectors_of(ctx, "vectorize")?;
         let patterns = patterns_of(ctx, "cluster")?;
-        let kept_raw: Vec<Vec<f64>> = normalized
+        let kept_raw: Vec<&[f64]> = normalized
             .kept_ids
             .iter()
-            .map(|&id| raw[id].clone())
+            .map(|&id| raw[id].as_slice())
             .collect();
         let series = cluster_series(&kept_raw, &patterns.clustering).map_err(|e| ctx.fail(e))?;
         let stats: Vec<ClusterTimeStats> = series

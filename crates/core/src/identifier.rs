@@ -174,7 +174,7 @@ impl PatternIdentifier {
         };
         let space: &[Vec<f64>] = projected.as_deref().unwrap_or(vectors);
         let k_max = cfg.k_max.min(vectors.len());
-        let dbi_curve = dbi_sweep(space, &dendrogram, cfg.k_min, k_max)?;
+        let dbi_curve = dbi_sweep(space, &dendrogram, cfg.k_min, k_max, cfg.threads)?;
         let best = best_by_dbi(&dbi_curve).ok_or(CoreError::NotEnoughData {
             what: "DBI sweep points",
             needed: 1,

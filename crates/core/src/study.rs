@@ -512,7 +512,7 @@ impl Study {
         // 5. Geographic labels.
         let geo = label_clusters(&city, &patterns.clustering, &kept_ids, 1)?;
         // 6. Time-domain statistics over the kept towers' raw rows.
-        let kept_raw: Vec<Vec<f64>> = kept_ids.iter().map(|&id| raw[id].clone()).collect();
+        let kept_raw: Vec<&[f64]> = kept_ids.iter().map(|&id| raw[id].as_slice()).collect();
         let series = cluster_series(&kept_raw, &patterns.clustering)?;
         let time_stats: Vec<ClusterTimeStats> = series
             .iter()

@@ -112,9 +112,10 @@ pub fn peak_valley(profile: &[f64], window: &TraceWindow) -> Result<PeakValley, 
 }
 
 /// Computes per-cluster aggregate series: `out[c][bin]` is the sum of
-/// the raw traffic of the cluster's towers.
-pub fn cluster_series(
-    raw: &[Vec<f64>],
+/// the raw traffic of the cluster's towers. Rows are borrowed, so
+/// callers can pass the kept towers' rows without copying them.
+pub fn cluster_series<R: AsRef<[f64]>>(
+    raw: &[R],
     clustering: &Clustering,
 ) -> Result<Vec<Vec<f64>>, CoreError> {
     if raw.len() != clustering.labels.len() {
@@ -124,10 +125,10 @@ pub fn cluster_series(
             got: raw.len(),
         });
     }
-    let n_bins = raw.first().map(|r| r.len()).unwrap_or(0);
+    let n_bins = raw.first().map(|r| r.as_ref().len()).unwrap_or(0);
     let mut out = vec![vec![0.0; n_bins]; clustering.k];
     for (row, &label) in raw.iter().zip(&clustering.labels) {
-        for (acc, v) in out[label].iter_mut().zip(row) {
+        for (acc, v) in out[label].iter_mut().zip(row.as_ref()) {
             *acc += v;
         }
     }

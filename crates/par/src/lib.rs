@@ -30,6 +30,14 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Items per worker when `items` items are split into contiguous runs
+/// over at most `threads` workers (0 = available parallelism): every
+/// run but the last is this long. `0` when there are no items.
+#[must_use]
+pub fn chunk_len(items: usize, threads: usize) -> usize {
+    items.div_ceil(resolve_threads(threads).min(items.max(1)))
+}
+
 /// Maps `f(index, &item)` over a slice in parallel, returning results
 /// in item order. Byte-identical to the serial map for any `threads`
 /// (0 = available parallelism): each worker owns a contiguous chunk of
@@ -89,9 +97,9 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T, &mut [u64]) -> R + Sync,
 {
-    let workers = resolve_threads(threads).min(items.len().max(1));
+    let chunk = chunk_len(items.len(), threads);
     let mut tally = vec![0u64; tallies];
-    if workers <= 1 {
+    if chunk >= items.len() {
         let mut scratch = init();
         let out = items
             .iter()
@@ -101,7 +109,6 @@ where
         return (out, tally);
     }
 
-    let chunk = items.len().div_ceil(workers);
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let shards = thread::scope(|scope| {
         let handles: Vec<_> = slots
@@ -142,40 +149,58 @@ where
     (out, tally)
 }
 
-/// Fills a pre-sized buffer in parallel: the buffer is split into
-/// contiguous chunks of `chunk` elements and `f(start, slice)` runs
-/// once per chunk, where `start` is the absolute index of the chunk's
-/// first element. Deterministic for any `threads` because chunk
-/// boundaries depend only on `chunk`, never on scheduling.
+/// Hands the disjoint slices of `out` to `f(s, slice)` on at most
+/// `threads` workers: slice `s` is the next `lens[s]` elements after
+/// slice `s − 1`. `order` lists every slice once; worker `w` runs the
+/// `w`-th contiguous run of [`chunk_len`] entries of `order`, in that
+/// order — the split [`par_map_indexed`] makes of its items. Where a
+/// slice lands in `out` depends only on `lens`, so the buffer is
+/// byte-identical for any `threads` and any `order` as long as `f`
+/// writes a pure function of `(s, slice)`. The order is the caller's
+/// load-balancing lever: with unequal slices, listing them so that
+/// every contiguous run carries a similar amount of work keeps one
+/// worker from finishing long after the others.
 ///
-/// `chunk = 0` is treated as "one chunk per worker"
-/// (`out.len().div_ceil(workers)`).
-pub fn par_fill<R, F>(out: &mut [R], threads: usize, chunk: usize, f: F)
+/// # Panics
+/// If `lens` does not sum to `out.len()`, or `order` is not a
+/// permutation of `0..lens.len()`.
+pub fn par_slices_mut<R, F>(out: &mut [R], lens: &[usize], order: &[usize], threads: usize, f: F)
 where
     R: Send,
     F: Fn(usize, &mut [R]) + Sync,
 {
-    if out.is_empty() {
-        return;
+    assert_eq!(
+        lens.iter().sum::<usize>(),
+        out.len(),
+        "slice lengths must cover the buffer"
+    );
+    assert_eq!(order.len(), lens.len(), "order must list every slice once");
+    let mut slices: Vec<Option<&mut [R]>> = Vec::with_capacity(lens.len());
+    let mut rest = out;
+    for &len in lens {
+        let (head, tail) = rest.split_at_mut(len);
+        slices.push(Some(head));
+        rest = tail;
     }
-    let workers = resolve_threads(threads).min(out.len());
-    let chunk = if chunk == 0 {
-        out.len().div_ceil(workers)
-    } else {
-        chunk
-    };
-    if workers <= 1 {
-        for (c, slice) in out.chunks_mut(chunk).enumerate() {
-            f(c * chunk, slice);
+    let mut jobs: Vec<(usize, &mut [R])> = order
+        .iter()
+        .map(|&s| (s, slices[s].take().expect("order lists a slice twice")))
+        .collect();
+    let chunk = chunk_len(jobs.len(), threads);
+    if chunk >= jobs.len() {
+        for (s, slice) in jobs {
+            f(s, slice);
         }
         return;
     }
     thread::scope(|scope| {
-        // More chunks than workers is fine: spawned tasks are cheap
-        // scoped threads, and small chunk counts dominate in practice.
-        for (c, slice) in out.chunks_mut(chunk).enumerate() {
+        for run in jobs.chunks_mut(chunk) {
             let f = &f;
-            scope.spawn(move || f(c * chunk, slice));
+            scope.spawn(move || {
+                for (s, slice) in run {
+                    f(*s, slice);
+                }
+            });
         }
     });
 }
@@ -251,26 +276,51 @@ mod tests {
 
     #[test]
     fn fill_writes_every_slot_identically() {
-        let serial = {
-            let mut buf = vec![0u64; 1023];
-            par_fill(&mut buf, 1, 0, |start, slice| {
-                for (off, v) in slice.iter_mut().enumerate() {
-                    *v = (start + off) as u64 * 7;
-                }
-            });
-            buf
+        // Uneven slices handed out in forward, reversed and interleaved
+        // orders: the buffer never depends on which worker ran a slice.
+        let lens = [0usize, 7, 1, 100, 3, 0, 512, 9, 391];
+        let total: usize = lens.iter().sum();
+        let starts: Vec<usize> = lens
+            .iter()
+            .scan(0, |acc, &len| {
+                let start = *acc;
+                *acc += len;
+                Some(start)
+            })
+            .collect();
+        let fill = |s: usize, slice: &mut [u64]| {
+            assert_eq!(slice.len(), lens[s]);
+            for (off, v) in slice.iter_mut().enumerate() {
+                *v = (starts[s] + off) as u64 * 7;
+            }
         };
-        for threads in [2, 3, 8, 17] {
-            for chunk in [0, 1, 10, 100, 5000] {
-                let mut buf = vec![0u64; 1023];
-                par_fill(&mut buf, threads, chunk, |start, slice| {
-                    for (off, v) in slice.iter_mut().enumerate() {
-                        *v = (start + off) as u64 * 7;
-                    }
-                });
-                assert_eq!(buf, serial, "threads={threads} chunk={chunk}");
+        let serial: Vec<u64> = (0..total as u64).map(|v| v * 7).collect();
+        let forward: Vec<usize> = (0..lens.len()).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+        let interleaved = [0usize, 8, 1, 7, 2, 6, 3, 5, 4];
+        for order in [&forward[..], &reversed, &interleaved] {
+            for threads in [1, 2, 3, 8, 17] {
+                let mut buf = vec![0u64; total];
+                par_slices_mut(&mut buf, &lens, order, threads, fill);
+                assert_eq!(buf, serial, "threads={threads} order={order:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "order lists a slice twice")]
+    fn slices_reject_an_order_that_repeats_a_slice() {
+        let mut buf = vec![0u8; 4];
+        par_slices_mut(&mut buf, &[2, 2], &[1, 1], 2, |_, _| {});
+    }
+
+    #[test]
+    fn chunk_len_matches_the_worker_split() {
+        assert_eq!(chunk_len(0, 4), 0);
+        assert_eq!(chunk_len(150, 2), 75);
+        assert_eq!(chunk_len(150, 8), 19);
+        assert_eq!(chunk_len(3, 8), 1);
+        assert_eq!(chunk_len(10, 1), 10);
     }
 
     #[test]
@@ -278,6 +328,6 @@ mod tests {
         let out: Vec<u32> = par_map_indexed(&[] as &[u32], 4, |_, v| *v);
         assert!(out.is_empty());
         let mut buf: Vec<u32> = Vec::new();
-        par_fill(&mut buf, 4, 0, |_, _| panic!("no chunks expected"));
+        par_slices_mut(&mut buf, &[], &[], 4, |_, _| panic!("no slices expected"));
     }
 }

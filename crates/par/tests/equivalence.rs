@@ -5,7 +5,7 @@
 //! chaos-resume tests lean on when `--threads` varies.
 
 use proptest::prelude::*;
-use towerlens_par::{par_fill, par_map_indexed, par_map_indexed_tally};
+use towerlens_par::{par_map_indexed, par_map_indexed_tally, par_slices_mut};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -48,20 +48,32 @@ proptest! {
     }
 
     #[test]
-    fn par_fill_matches_serial_for_any_chunking(
+    fn par_slices_match_serial_for_any_chunking(
         len in 0usize..300,
         threads in 1usize..=16,
-        chunk in 0usize..64,
+        chunk in 1usize..64,
+        rotate in 0usize..64,
     ) {
-        let fill = |start: usize, slice: &mut [u64]| {
+        // Cut the buffer into `chunk`-long slices and hand them out in a
+        // rotated order, a stand-in for any caller-chosen schedule.
+        let lens: Vec<usize> = (0..len.div_ceil(chunk))
+            .map(|c| chunk.min(len - c * chunk))
+            .collect();
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        if !order.is_empty() {
+            let by = rotate % order.len();
+            order.rotate_left(by);
+        }
+        let fill = |s: usize, slice: &mut [u64]| {
             for (off, v) in slice.iter_mut().enumerate() {
-                *v = ((start + off) as u64).wrapping_mul(2_654_435_761);
+                *v = ((s * chunk + off) as u64).wrapping_mul(2_654_435_761);
             }
         };
-        let mut serial = vec![0u64; len];
-        par_fill(&mut serial, 1, chunk, fill);
+        let serial: Vec<u64> = (0..len as u64)
+            .map(|v| v.wrapping_mul(2_654_435_761))
+            .collect();
         let mut par = vec![0u64; len];
-        par_fill(&mut par, threads, chunk, fill);
+        par_slices_mut(&mut par, &lens, &order, threads, fill);
         prop_assert_eq!(par, serial);
     }
 }

@@ -43,6 +43,16 @@ trap 'rm -rf "$thr_tmp"' EXIT
 cmp "$thr_tmp/study-t1.out" "$thr_tmp/study-t4.out" \
     || { echo "study output differs between --threads 1 and --threads 4"; exit 1; }
 echo "bit-identical study output at --threads 1 and --threads 4"
+# The tiny study never fills a full block of the blocked distance
+# kernel; the raw medium study (2,400 x 4,032) does, and an odd worker
+# count splits its tile schedule unevenly.
+./target/release/towerlens-cli study --scale medium --feature-space raw --seed 42 \
+    --threads 1 > "$thr_tmp/raw-t1.out"
+./target/release/towerlens-cli study --scale medium --feature-space raw --seed 42 \
+    --threads 3 > "$thr_tmp/raw-t3.out"
+cmp "$thr_tmp/raw-t1.out" "$thr_tmp/raw-t3.out" \
+    || { echo "raw medium study differs between --threads 1 and --threads 3"; exit 1; }
+echo "bit-identical raw medium study at --threads 1 and --threads 3"
 
 echo "== paper-scale smoke: 9,600 towers in the spectral feature space =="
 # The scale contract: the full Shanghai-size study must complete within
