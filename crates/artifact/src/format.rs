@@ -937,14 +937,6 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, ArtifactError> {
     Snapshot::decode(&bytes)
 }
 
-/// Returns true when the bytes begin with the artifact magic — used
-/// by loaders that accept either an artifact or a legacy text
-/// checkpoint.
-#[must_use]
-pub fn sniff_magic(bytes: &[u8]) -> bool {
-    bytes.len() >= 8 && bytes[0..8] == MAGIC
-}
-
 // ----------------------------------------------------------------- fsck
 
 /// Per-section verdict from [`fsck_artifact`].

@@ -47,14 +47,14 @@ pub mod store;
 pub use durable::{replace_durably, temp_path};
 
 pub use format::{
-    fnv1a64, fsck_artifact, read_snapshot, sniff_magic, write_snapshot, ArtifactError,
-    ArtifactFsck, BasisSection, DayProfile, DecompRow, Meta, SectionFsck, SectionStatus, Snapshot,
-    MAGIC, VERSION,
+    fnv1a64, fsck_artifact, read_snapshot, write_snapshot, ArtifactError, ArtifactFsck,
+    BasisSection, DayProfile, DecompRow, Meta, SectionFsck, SectionStatus, Snapshot, MAGIC,
+    VERSION,
 };
 pub use query::{
     parse_request, read_day_file, render_decompose, render_pattern, render_screen, render_topk,
-    request_cost, run_batch, run_batch_with, run_one, run_one_with, BatchTally, QueryFault,
-    QueryIndex, QueryPolicy, Request, ScreenVerdict, DECOMPOSE_SOLVE_UNITS,
+    request_cost, run_batch_with, run_one, run_one_with, BatchTally, QueryFault, QueryIndex,
+    QueryPolicy, Request, ScreenVerdict, DECOMPOSE_SOLVE_UNITS,
 };
 pub use store::{
     generation_name, list_generations, parse_generation_name, read_current, resolve_latest,

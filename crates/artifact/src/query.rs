@@ -17,7 +17,7 @@
 //!   fresh day of traffic against the tower's stored expected
 //!   profile.
 //!
-//! [`run_batch`] fans request lines across `towerlens-par` workers in
+//! [`run_batch_with`] fans request lines across `towerlens-par` workers in
 //! contiguous index chunks, so output order equals input order and
 //! the bytes are identical for any `--threads`. Per-worker tallies
 //! are merged in worker order and published to the `query.*` counters
@@ -550,7 +550,7 @@ pub fn render_screen(id: u64, verdict: &ScreenVerdict) -> String {
 
 // --------------------------------------------------------- batch engine
 
-/// Exact per-kind request counts from one [`run_batch`] call, merged
+/// Exact per-kind request counts from one [`run_batch_with`] call, merged
 /// across workers in worker order (thread-count invariant).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchTally {
@@ -765,33 +765,15 @@ fn tally_of(slots: &[u64]) -> BatchTally {
     }
 }
 
-/// Answers a batch of request lines across `threads` workers with the
-/// default (fair-weather) policy (`0` = all available cores). Output
-/// `lines[i]` answers input `lines[i]` — failed requests yield
-/// `error: <message>` lines in place — and the bytes are identical
-/// for any thread count. The merged tally is published to the
-/// `query.*` counters exactly once.
-#[must_use]
-pub fn run_batch(
-    index: &QueryIndex,
-    lines: &[String],
-    threads: usize,
-) -> (Vec<String>, BatchTally) {
-    run_batch_with(
-        index,
-        lines,
-        &QueryPolicy {
-            threads,
-            ..QueryPolicy::default()
-        },
-    )
-}
-
-/// [`run_batch`] under an explicit [`QueryPolicy`]: admission budget,
-/// virtual-cost deadline, and the seeded fault plan. Shed and
-/// deadline decisions depend only on each request's cost against the
-/// snapshot — never on chunking — so stdout and every tally except
-/// `fault_retries` are byte-identical at any thread count.
+/// Answers a batch of request lines across `policy.threads` workers
+/// (`0` = all available cores) under the policy's admission budget,
+/// virtual-cost deadline, and seeded fault plan. Output `lines[i]`
+/// answers input `lines[i]` — failed requests yield
+/// `error: <message>` lines in place. Shed and deadline decisions
+/// depend only on each request's cost against the snapshot — never on
+/// chunking — so stdout and every tally except `fault_retries` are
+/// byte-identical at any thread count. The merged tally is published
+/// to the `query.*` counters exactly once.
 #[must_use]
 pub fn run_batch_with(
     index: &QueryIndex,
@@ -944,9 +926,13 @@ mod tests {
                 _ => format!("decompose {}", (i % 8) * 10),
             })
             .collect();
-        let (seq, seq_tally) = run_batch(&index, &lines, 1);
+        let policy = |threads| QueryPolicy {
+            threads,
+            ..QueryPolicy::default()
+        };
+        let (seq, seq_tally) = run_batch_with(&index, &lines, &policy(1));
         for threads in [2, 3, 8] {
-            let (par, par_tally) = run_batch(&index, &lines, threads);
+            let (par, par_tally) = run_batch_with(&index, &lines, &policy(threads));
             assert_eq!(seq, par, "threads={threads}");
             assert_eq!(seq_tally, par_tally, "threads={threads}");
         }
@@ -958,7 +944,11 @@ mod tests {
     fn batch_turns_failures_into_error_lines_in_place() {
         let index = QueryIndex::new(snapshot(3));
         let lines = vec!["pattern 0".to_string(), "pattern 999".to_string()];
-        let (out, tally) = run_batch(&index, &lines, 1);
+        let single = QueryPolicy {
+            threads: 1,
+            ..QueryPolicy::default()
+        };
+        let (out, tally) = run_batch_with(&index, &lines, &single);
         assert!(out[0].starts_with("pattern 0 "));
         assert!(out[1].starts_with("error: unknown tower 999"));
         assert_eq!(tally.errors, 1);
@@ -1074,7 +1064,11 @@ mod tests {
         let lines: Vec<String> = (0..32)
             .map(|i| format!("pattern {}", (i % 8) * 10))
             .collect();
-        let (clean, _) = run_batch(&index, &lines, 2);
+        let fair = QueryPolicy {
+            threads: 2,
+            ..QueryPolicy::default()
+        };
+        let (clean, _) = run_batch_with(&index, &lines, &fair);
         let faulted = QueryPolicy {
             threads: 2,
             retries: 2,

@@ -1,9 +1,10 @@
 //! # towerlens-bench
 //!
 //! The reproduction harness: regenerates every table and figure of the
-//! paper's evaluation as text artefacts, runs the design-choice
-//! ablations listed in DESIGN.md, and times the staged pipeline
-//! ([`perf`], behind the `bench` binary).
+//! paper's evaluation as text artefacts and runs the design-choice
+//! ablations listed in DESIGN.md. Performance is measured by the
+//! separate `perfbench` package (`BENCHMARK.json`), which runs the real
+//! `StudyConfig` presets.
 //!
 //! The `repro` binary (`cargo run -p towerlens-bench --bin repro --release`)
 //! drives [`experiments`]; each experiment is a pure function from a
@@ -14,10 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod alloc;
 pub mod experiments;
-pub mod json;
-pub mod perf;
 pub mod table;
 
 use std::path::Path;

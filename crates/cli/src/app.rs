@@ -88,7 +88,7 @@ usage:
 
   towerlens-cli serve   --source FILE --data DIR [--days N] [--shards N]
                         [--segment-records N] [--queue-cap N] [--retries N]
-                        [--basis CKPT] [--flush-every N] [--progress-every N]
+                        [--basis PATH] [--flush-every N] [--progress-every N]
                         [--publish DIR] [--metrics PATH]
       crash-safe streaming ingestion: append every source line to a
       checksummed WAL under DIR/wal before acknowledging it, maintain
@@ -96,8 +96,8 @@ usage:
       at every segment boundary (DIR/snap), and print the batch-identical
       drain report; killed runs resume from snapshot + WAL tail with
       byte-identical final output. --basis classifies live towers against
-      a frozen batch basis: either a versioned query artifact (from
-      `--snapshot`) or a legacy cluster.ckpt checkpoint. --publish
+      a frozen batch basis: the versioned query artifact written by
+      `analyze --snapshot` / `study --snapshot`. --publish
       additionally publishes a query artifact at every snapshot
       boundary as DIR/gen-N.artifact plus an atomic CURRENT pointer,
       for `query --watch` hot reload

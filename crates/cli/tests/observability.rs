@@ -58,47 +58,69 @@ fn metrics_dump_is_byte_identical_across_identical_seeded_runs() {
 #[test]
 fn hot_path_counters_are_exactly_equal_across_thread_counts() {
     let dir = temp("thread-counters");
-    let dumps: Vec<String> = ["1", "2", "8"]
-        .iter()
-        .map(|threads| {
-            let path = dir.join(format!("metrics-t{threads}.json"));
-            run_ok(&[
-                "study",
-                "--scale",
-                "tiny",
-                "--seed",
-                "42",
-                "--threads",
-                threads,
-                "--metrics",
-                path.to_str().unwrap(),
-            ]);
-            read(&path)
-        })
-        .collect();
+    // The tiny preset clusters in the raw space (`auto` below 2,048
+    // towers); forced into the spectral space, the cluster stage runs
+    // over the k-d index, whose counters must be published and
+    // split-invariant too.
+    for space in ["auto", "spectral"] {
+        let dumps: Vec<String> = ["1", "2", "8"]
+            .iter()
+            .map(|threads| {
+                let path = dir.join(format!("metrics-{space}-t{threads}.json"));
+                run_ok(&[
+                    "study",
+                    "--scale",
+                    "tiny",
+                    "--seed",
+                    "42",
+                    "--feature-space",
+                    space,
+                    "--threads",
+                    threads,
+                    "--metrics",
+                    path.to_str().unwrap(),
+                ]);
+                read(&path)
+            })
+            .collect();
 
-    // Tallies are accumulated in per-worker shards and merged in worker
-    // order, so every counter — not just the stage outputs — must land
-    // on exactly the same value no matter how the work was split.
-    for name in [
-        "cluster.distance.evaluations",
-        "cluster.agglomerative.merges",
-        "dsp.goertzel.evaluations",
-        "dsp.fft.transforms",
-        "pipeline.normalize.towers_kept",
-    ] {
-        let reference = counter_value(&dumps[0], name);
-        for (dump, threads) in dumps.iter().zip(["1", "2", "8"]) {
-            assert_eq!(
-                counter_value(dump, name),
-                reference,
-                "counter `{name}` differs at --threads {threads}"
+        // Tallies are accumulated in per-worker shards and merged in
+        // worker order, so every counter — not just the stage outputs
+        // — must land on exactly the same value no matter how the
+        // work was split.
+        for name in [
+            "cluster.distance.evaluations",
+            "cluster.index.leaf_evaluations",
+            "cluster.agglomerative.merges",
+            "dsp.goertzel.evaluations",
+            "dsp.fft.transforms",
+            "pipeline.normalize.towers_kept",
+        ] {
+            let reference = counter_value(&dumps[0], name);
+            for (dump, threads) in dumps.iter().zip(["1", "2", "8"]) {
+                assert_eq!(
+                    counter_value(dump, name),
+                    reference,
+                    "{space}: counter `{name}` differs at --threads {threads}"
+                );
+            }
+        }
+        if space == "spectral" {
+            assert!(
+                counter_value(&dumps[0], "cluster.index.leaf_evaluations") > 0,
+                "spectral study published no k-d index evaluations"
             );
         }
+        // Stronger still: the whole dump is byte-identical.
+        assert_eq!(
+            dumps[0], dumps[1],
+            "{space}: metrics differ between 1 and 2 threads"
+        );
+        assert_eq!(
+            dumps[0], dumps[2],
+            "{space}: metrics differ between 1 and 8 threads"
+        );
     }
-    // Stronger still: the whole dump is byte-identical.
-    assert_eq!(dumps[0], dumps[1], "metrics differ between 1 and 2 threads");
-    assert_eq!(dumps[0], dumps[2], "metrics differ between 1 and 8 threads");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -211,7 +211,10 @@ fn serve_classifies_against_a_frozen_batch_basis() {
         "--days",
         "7",
     ]);
-    // Batch study over the same dataset writes the frozen basis.
+    // Batch study over the same dataset writes the frozen basis as a
+    // query artifact; `--resume` also leaves the analyze graph's
+    // `cluster.ckpt` checkpoint behind.
+    let basis = dir.join("study.artifact");
     let ckpt = dir.join("ckpt");
     run_ok(&[
         "analyze",
@@ -221,11 +224,11 @@ fn serve_classifies_against_a_frozen_batch_basis() {
         "7",
         "--feature-space",
         "raw",
+        "--snapshot",
+        basis.to_str().unwrap(),
         "--resume",
         ckpt.to_str().unwrap(),
     ]);
-    let basis = ckpt.join("cluster.ckpt");
-    assert!(basis.exists(), "analyze should leave cluster.ckpt behind");
 
     let logs = ds.join("logs.tsv");
     let data = dir.join("data");
@@ -238,9 +241,29 @@ fn serve_classifies_against_a_frozen_batch_basis() {
         .find(|l| l.starts_with("basis"))
         .unwrap_or_else(|| panic!("no basis line in report: {report}"));
     assert!(
-        basis_line.contains("stage=cluster"),
+        basis_line.contains("stage=artifact"),
         "basis line: {basis_line}"
     );
     assert!(basis_line.contains("classes"), "basis line: {basis_line}");
+
+    // A checkpoint is not a basis: serve refuses it, naming the file,
+    // before it writes any durable state.
+    let cluster_ckpt = ckpt.join("cluster.ckpt");
+    assert!(cluster_ckpt.exists(), "analyze should leave cluster.ckpt");
+    let refused = dir.join("refused");
+    let mut args = serve_args(logs.to_str().unwrap(), refused.to_str().unwrap());
+    args.extend(["--basis", cluster_ckpt.to_str().unwrap()]);
+    let out = run_env(&args, &[]);
+    assert!(!out.status.success(), "serve accepted a checkpoint basis");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let expected = format!(
+        "configuration: basis {}: not a towerlens artifact",
+        cluster_ckpt.display()
+    );
+    assert!(stderr.contains(&expected), "stderr: {stderr}");
+    assert!(
+        !refused.exists(),
+        "serve wrote state before rejecting the basis"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -620,7 +620,7 @@ impl<A: Send + Sync> Graph<A> {
             warnings,
         };
         // Every run instruments the process-wide registry, so
-        // `--metrics` and the bench harness see engine activity
+        // `--metrics` and the benchmark see engine activity
         // without any caller-side plumbing.
         report.feed_registry(towerlens_obs::global());
         Ok(RunOutcome { artifacts, report })

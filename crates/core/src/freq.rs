@@ -14,6 +14,7 @@ use towerlens_dsp::circular::{circular_mean, circular_stddev};
 use towerlens_dsp::fft::FftPlan;
 use towerlens_dsp::spectrum::{amplitude_variance_across, Spectrum};
 use towerlens_dsp::stats::{mean, stddev};
+use towerlens_pipeline::feature::spectral_feature;
 use towerlens_trace::time::TraceWindow;
 
 use crate::error::CoreError;
@@ -603,19 +604,16 @@ pub fn features_of_goertzel_par(
     window: &TraceWindow,
     threads: usize,
 ) -> Result<Vec<TowerFeatures>, CoreError> {
-    let [kw, kd, kh] = principal_bins(window)?;
+    let bins = principal_bins(window)?;
     let (out, tallies) =
         towerlens_par::par_map_indexed_tally(vectors, threads, 1, |_, v, shard| {
-            let n = v.len() as f64;
-            let (aw, pw) = towerlens_dsp::goertzel::goertzel_feature_sharded(v, kw, &mut shard[0])?;
-            let (ad, pd) = towerlens_dsp::goertzel::goertzel_feature_sharded(v, kd, &mut shard[0])?;
-            let (ah, ph) = towerlens_dsp::goertzel::goertzel_feature_sharded(v, kh, &mut shard[0])?;
+            let [aw, pw, ad, pd, ah, ph] = spectral_feature(v, bins, &mut shard[0])?;
             Ok::<TowerFeatures, CoreError>(TowerFeatures {
-                amp_week: aw / n,
+                amp_week: aw,
                 phase_week: pw,
-                amp_day: ad / n,
+                amp_day: ad,
                 phase_day: pd,
-                amp_half: ah / n,
+                amp_half: ah,
                 phase_half: ph,
             })
         });

@@ -30,8 +30,8 @@
 //! observation *count* only — wall-clock nanoseconds never enter the
 //! metrics JSON. Two runs over identical seeded inputs therefore
 //! produce byte-identical metrics dumps; wall times travel separately
-//! in the span log ([`spans_to_json`]) and the bench harness output,
-//! where nondeterminism is expected.
+//! in the span log ([`spans_to_json`]) and the benchmark's own
+//! timings, where nondeterminism is expected.
 //!
 //! Hot paths instrument themselves against the process-wide
 //! [`global`] registry through [`LazyCounter`] handles (one

@@ -201,7 +201,7 @@ impl HistogramSnapshot {
 ///
 /// Only the count is serialized into metrics JSON (see the crate-level
 /// determinism contract); the nanosecond total is for programmatic
-/// consumers (`--timings`, the bench harness).
+/// consumers.
 #[derive(Debug, Default)]
 pub struct Timer {
     count: AtomicU64,

@@ -3,7 +3,7 @@
 //!
 //! The paper clusters raw 4,032-bin traffic vectors — fine at city
 //! scale on a Hadoop deployment, but the O(n²) distance work over
-//! 4,032 dimensions is what pinned our committed bench at 240 towers.
+//! 4,032 dimensions dominates a study at the paper's 9,600 towers.
 //! The paper's own §4 observation (the three principal frequency
 //! components retain >94% of signal energy) licenses a 6-dim
 //! alternative: each tower's `(amplitude, phase)` pair at the weekly,
@@ -103,34 +103,54 @@ pub fn principal_bins(window: &TraceWindow) -> Option<[usize; 3]> {
     Some([w, 7 * w, 14 * w])
 }
 
-/// Projects every tower vector onto the 6-dim spectral feature space
-/// `(A_w, P_w, A_d, P_d, A_h, P_h)` at the given principal bins.
+/// One tower's spectral feature `(A_w, P_w, A_d, P_d, A_h, P_h)`: a
+/// Goertzel evaluation at each of the three principal bins, in bin
+/// order, counted into the caller's `tally` shard (credit it with
+/// [`record_evaluations`]).
 ///
 /// Amplitudes are normalised by the vector length so they are
-/// comparable across window lengths — the same convention as the
-/// feature extraction in `towerlens-core`. Fanned out over towers via
-/// `towerlens_par` (`threads == 0` means available parallelism); every
-/// tower lands in its own output slot and Goertzel evaluations are
-/// tallied in worker-private shards merged once at the end, so both
-/// the projection and the `dsp.goertzel.evaluations` counter are
-/// bit-identical for every thread count.
+/// comparable across window lengths. This is the one extractor behind
+/// both [`spectral_project`] and the frequency stage's feature table
+/// in `towerlens-core`, so the two agree bit for bit.
 ///
 /// # Errors
-/// [`DspError::BinOutOfRange`] if a bin is not below a vector's
+/// [`DspError::BinOutOfRange`] if a bin is not below the vector's
 /// length, [`DspError::EmptyInput`] for an empty vector.
+pub fn spectral_feature(
+    v: &[f64],
+    bins: [usize; 3],
+    tally: &mut u64,
+) -> Result<[f64; 6], DspError> {
+    let n = v.len() as f64;
+    let mut feature = [0.0; 6];
+    for (pair, k) in feature.chunks_exact_mut(2).zip(bins) {
+        let (amp, phase) = goertzel_feature_sharded(v, k, tally)?;
+        pair[0] = amp / n;
+        pair[1] = phase;
+    }
+    Ok(feature)
+}
+
+/// Projects every tower vector onto the 6-dim spectral feature space
+/// with [`spectral_feature`] at the given principal bins.
+///
+/// Fanned out over towers via `towerlens_par` (`threads == 0` means
+/// available parallelism); every tower lands in its own output slot
+/// and Goertzel evaluations are tallied in worker-private shards
+/// merged once at the end, so both the projection and the
+/// `dsp.goertzel.evaluations` counter are bit-identical for every
+/// thread count.
+///
+/// # Errors
+/// As for [`spectral_feature`].
 pub fn spectral_project(
     vectors: &[Vec<f64>],
     bins: [usize; 3],
     threads: usize,
 ) -> Result<Vec<Vec<f64>>, DspError> {
-    let [kw, kd, kh] = bins;
     let (out, tallies) =
         towerlens_par::par_map_indexed_tally(vectors, threads, 1, |_, v, shard| {
-            let n = v.len() as f64;
-            let (aw, pw) = goertzel_feature_sharded(v, kw, &mut shard[0])?;
-            let (ad, pd) = goertzel_feature_sharded(v, kd, &mut shard[0])?;
-            let (ah, ph) = goertzel_feature_sharded(v, kh, &mut shard[0])?;
-            Ok::<Vec<f64>, DspError>(vec![aw / n, pw, ad / n, pd, ah / n, ph])
+            spectral_feature(v, bins, &mut shard[0]).map(Vec::from)
         });
     record_evaluations(tallies[0]);
     out.into_iter().collect()

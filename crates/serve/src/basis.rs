@@ -4,21 +4,16 @@
 //! (or `towerlens-cli analyze`) discovers the city's traffic patterns
 //! once, and `serve` classifies live towers against those **frozen
 //! centroids** by nearest-centroid assignment in z-scored feature
-//! space. Two basis formats are accepted, sniffed by magic bytes:
-//! the versioned query artifact (`analyze --snapshot` /
-//! `study --snapshot` — the preferred, checksummed form) and the
-//! legacy `cluster.ckpt` checkpoint the analyze graph writes, so a
-//! batch run and a streaming run literally share the artifact.
+//! space. The basis is the versioned query artifact the batch run
+//! writes with `--snapshot`, so a batch run and a streaming run
+//! literally share the artifact.
 
 use std::path::Path;
-
-use towerlens_core::engine::checkpoint::BodyReader;
-use towerlens_core::engine::{decode_patterns, fsck_file};
 
 use crate::error::{io_err, ServeError};
 
 /// A frozen classification basis: the batch centroids plus the
-/// provenance `doctor` and the report print.
+/// provenance the report prints.
 #[derive(Debug, Clone)]
 pub struct Basis {
     /// The frozen batch centroids (in z-scored space).
@@ -27,9 +22,6 @@ pub struct Basis {
     pub k: usize,
     /// The dendrogram cut threshold the batch run used.
     pub threshold: f64,
-    /// Provenance: the checkpoint's stage name, or `artifact` for a
-    /// versioned query artifact.
-    pub stage: String,
     /// The configuration fingerprint the basis was written under.
     pub fingerprint: u64,
 }
@@ -41,56 +33,30 @@ impl Basis {
     }
 }
 
-/// Loads a basis file, sniffing the format from its magic bytes: a
-/// versioned query artifact decodes through the checksummed section
-/// codec; anything else takes the legacy checkpoint path (structural
-/// fsck, then the patterns decode).
+/// Loads a basis from a versioned query artifact through the
+/// checksummed section codec.
 ///
 /// # Errors
-/// [`ServeError::Snapshot`] when a checkpoint fails fsck,
-/// [`ServeError::Config`] when the body does not decode or carries no
-/// centroids.
+/// [`ServeError::Io`] when the file cannot be read;
+/// [`ServeError::Config`], naming the file, when it is not an intact
+/// artifact (a `cluster.ckpt` checkpoint included) or carries
+/// no centroids.
 pub fn load_basis(path: &Path) -> Result<Basis, ServeError> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    let basis = if towerlens_artifact::sniff_magic(&bytes) {
-        let snap = towerlens_artifact::Snapshot::decode(&bytes)
-            .map_err(|e| ServeError::Config(format!("basis {}: {e}", path.display())))?;
-        Basis {
-            centroids: snap.centroids,
-            k: snap.meta.k,
-            threshold: snap.meta.threshold,
-            stage: "artifact".to_string(),
-            fingerprint: snap.meta.fingerprint,
-        }
-    } else {
-        let info = fsck_file(path, None)?;
-        let text = String::from_utf8(bytes)
-            .map_err(|e| ServeError::Config(format!("basis {}: {e}", path.display())))?;
-        let mut reader = BodyReader::new(&text, 0);
-        // Skip the verified header: magic, stage, fingerprint, card
-        // count, the card lines, data marker, checksum.
-        for _ in 0..6 + info.cards.len() {
-            reader
-                .line()
-                .map_err(|e| ServeError::Config(format!("basis header: {e}")))?;
-        }
-        let patterns = decode_patterns(&mut reader)
-            .map_err(|e| ServeError::Config(format!("basis {}: {e}", path.display())))?;
-        Basis {
-            centroids: patterns.centroids,
-            k: patterns.k,
-            threshold: patterns.threshold,
-            stage: info.stage,
-            fingerprint: info.fingerprint,
-        }
-    };
-    if basis.centroids.is_empty() {
+    let snap = towerlens_artifact::Snapshot::decode(&bytes)
+        .map_err(|e| ServeError::Config(format!("basis {}: {e}", path.display())))?;
+    if snap.centroids.is_empty() {
         return Err(ServeError::Config(format!(
             "basis {}: no centroids",
             path.display()
         )));
     }
-    Ok(basis)
+    Ok(Basis {
+        centroids: snap.centroids,
+        k: snap.meta.k,
+        threshold: snap.meta.threshold,
+        fingerprint: snap.meta.fingerprint,
+    })
 }
 
 /// Assigns each z-scored vector to its nearest centroid (squared
@@ -135,7 +101,6 @@ mod tests {
             k: centroids.len(),
             centroids,
             threshold: 0.0,
-            stage: "cluster".into(),
             fingerprint: 0,
         }
     }
@@ -163,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn load_basis_sniffs_the_artifact_format() {
+    fn load_basis_decodes_an_artifact_and_rejects_a_corrupt_one() {
         let dir = std::env::temp_dir().join("towerlens-basis-artifact");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -171,7 +136,6 @@ mod tests {
         let path = dir.join("study.artifact");
         towerlens_artifact::write_snapshot(&path, &snap).unwrap();
         let basis = load_basis(&path).unwrap();
-        assert_eq!(basis.stage, "artifact");
         assert_eq!(basis.fingerprint, snap.meta.fingerprint);
         assert_eq!(basis.k, snap.meta.k);
         assert_eq!(basis.centroids, snap.centroids);

@@ -106,7 +106,8 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Retries per failing shard apply / snapshot save.
     pub retries: u32,
-    /// Frozen batch basis checkpoint to classify against, if any.
+    /// Frozen batch basis (a versioned query artifact) to classify
+    /// against, if any.
     pub basis: Option<PathBuf>,
     /// WAL flush+fsync cadence in records (1 = every record).
     pub flush_every: u64,
@@ -227,9 +228,9 @@ pub struct ServeReport {
     pub patterns: Option<(usize, Vec<usize>)>,
     /// Why patterns are absent (deterministic), when they are.
     pub pattern_note: Option<String>,
-    /// Frozen-basis provenance and per-class tower counts, when a
-    /// basis was given: `(stage, fingerprint, counts)`.
-    pub basis_classes: Option<(String, u64, Vec<usize>)>,
+    /// Frozen-basis fingerprint and per-class tower counts, when a
+    /// basis was given: `(fingerprint, counts)`.
+    pub basis_classes: Option<(u64, Vec<usize>)>,
 }
 
 impl ServeReport {
@@ -271,9 +272,9 @@ impl ServeReport {
             (None, Some(note)) => out.push_str(&format!("patterns       none ({note})\n")),
             (None, None) => out.push_str("patterns       none\n"),
         }
-        if let Some((stage, fp, classes)) = &self.basis_classes {
+        if let Some((fp, classes)) = &self.basis_classes {
             out.push_str(&format!(
-                "basis          stage={stage} fp={fp:016x} classes {classes:?}\n"
+                "basis          stage=artifact fp={fp:016x} classes {classes:?}\n"
             ));
         }
         out
@@ -533,6 +534,10 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     failpoints
         .check_stages(&[SNAPSHOT_STAGE])
         .map_err(|e| ServeError::Config(e.to_string()))?;
+    let basis = match &config.basis {
+        Some(path) => Some(Arc::new(load_basis(path)?)),
+        None => None,
+    };
     let mut publisher = match &config.publish {
         Some(dir) => Some(
             Publisher::open(dir, None)
@@ -543,10 +548,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     let fingerprint = config.fingerprint();
     let window = config.window();
     let gbins = config.goertzel_bins();
-    let basis = match &config.basis {
-        Some(path) => Some(Arc::new(load_basis(path)?)),
-        None => None,
-    };
 
     let store = CheckpointStore::open(config.data_dir.join(SNAP_DIR), config.fingerprint())?;
     let recovered = recover(config, &store, &window, &gbins)?;
@@ -900,8 +901,7 @@ fn analyze(
     if records.is_empty() {
         report.pattern_note = Some("no records".to_string());
         if let Some(b) = basis {
-            report.basis_classes =
-                Some((b.stage.clone(), b.fingerprint, vec![0; b.centroids.len()]));
+            report.basis_classes = Some((b.fingerprint, vec![0; b.centroids.len()]));
         }
         return Ok(report);
     }
@@ -946,7 +946,7 @@ fn analyze(
         for l in labels {
             classes[l] += 1;
         }
-        report.basis_classes = Some((b.stage.clone(), b.fingerprint, classes));
+        report.basis_classes = Some((b.fingerprint, classes));
     }
     Ok(report)
 }
@@ -1054,12 +1054,12 @@ mod tests {
             line_amplitudes: vec![1.5, 0.25, 0.125],
             patterns: None,
             pattern_note: Some("not enough data".to_string()),
-            basis_classes: Some(("cluster".to_string(), 0xabc, vec![2, 1])),
+            basis_classes: Some((0xabc, vec![2, 1])),
         };
         let text = report.render();
         assert_eq!(text, report.render());
         assert!(text.contains("line amps      [1.500000000e0, 2.500000000e-1, 1.250000000e-1]"));
         assert!(text.contains("patterns       none (not enough data)"));
-        assert!(text.contains("fp=0000000000000abc"));
+        assert!(text.contains("basis          stage=artifact fp=0000000000000abc classes [2, 1]"));
     }
 }

@@ -61,11 +61,57 @@ echo "== paper-scale smoke: 9,600 towers in the spectral feature space =="
 # regression back onto the O(n²·4032) materialised raw path).
 timeout 180 ./target/release/towerlens-cli study \
     --scale paper --seed 42 --feature-space spectral \
+    --metrics "$thr_tmp/paper-metrics.json" --snapshot "$thr_tmp/paper.artifact" \
     > "$thr_tmp/study-paper.out" \
     || { echo "paper-scale spectral study failed or blew the 180s bound"; exit 1; }
 grep -q "9600 towers" "$thr_tmp/study-paper.out" \
     || { echo "paper-scale study output missing its tower count"; exit 1; }
 echo "paper-scale spectral study completed within bound"
+
+# A counter's value in a --metrics dump; 0 when never registered.
+counter() {
+    local v
+    v=$(grep -o "\"$2\":[0-9]*" "$1" | head -1 | cut -d: -f2 || true)
+    echo "${v:-0}"
+}
+# Clustering work is deterministic, so the budget is exact. The two
+# clustering paths are summed, so work cannot hide by moving from the
+# k-d index to the materialised matrix. Measured with the study above:
+#   towerlens-cli study --scale paper --seed 42 --feature-space spectral --metrics M
+cluster_budget=46264198
+cluster_evals=$(( $(counter "$thr_tmp/paper-metrics.json" cluster.index.leaf_evaluations) \
+    + $(counter "$thr_tmp/paper-metrics.json" cluster.distance.evaluations) ))
+[ "$cluster_evals" -le "$cluster_budget" ] \
+    || { echo "paper study: $cluster_evals distance evaluations exceed $cluster_budget"; exit 1; }
+echo "paper study clustered with $cluster_evals distance evaluations (budget $cluster_budget)"
+
+echo "== paper-scale query batch: 40,000 requests, pruned topk =="
+# The query contract at the paper's scale: a 40,000-line batch (6/8
+# pattern lookups, 2/8 topk descents) against the paper snapshot must
+# answer every line without an error, and the k-d index must prune at
+# least as many subtrees as when the gate was set.
+awk 'BEGIN {
+    for (i = 0; i < 40000; i++) {
+        id = i % 9600;
+        if (i % 8 >= 6) print "topk", id, 8;
+        else            print "pattern", id;
+    }
+}' > "$thr_tmp/paper-requests.txt"
+./target/release/towerlens-cli query --snapshot "$thr_tmp/paper.artifact" --stdin \
+    --metrics "$thr_tmp/query-metrics.json" \
+    < "$thr_tmp/paper-requests.txt" > "$thr_tmp/paper-answers.out"
+[ "$(wc -l < "$thr_tmp/paper-answers.out")" -eq 40000 ] \
+    || { echo "paper query batch did not answer all 40,000 requests"; exit 1; }
+if grep -q "error:" "$thr_tmp/paper-answers.out"; then
+    echo "paper query batch answered with an error"; exit 1
+fi
+# Measured with the batch above:
+#   towerlens-cli query --snapshot paper.artifact --stdin --metrics M < paper-requests.txt
+pruned_floor=278787
+pruned=$(counter "$thr_tmp/query-metrics.json" query.topk_pruned_total)
+[ "$pruned" -ge "$pruned_floor" ] \
+    || { echo "paper query batch pruned $pruned topk subtrees, fewer than $pruned_floor"; exit 1; }
+echo "paper query batch answered 40,000 requests; $pruned topk subtrees pruned (floor $pruned_floor)"
 
 echo "== serve smoke: streaming replay vs batch, kill-and-restart chaos =="
 # The streaming contract, end to end through the real binary: a
@@ -202,37 +248,17 @@ grep -q "error: overloaded:" "$press_tmp/shed-t1.out" \
     || { echo "budget 5 shed nothing — admission control inert"; exit 1; }
 echo "publish kill matrix converged byte-identically; corrupt generation quarantined; shedding deterministic"
 
-echo "== bench smoke + schema validation + baseline comparison =="
-# One tiny workload through the real bench harness at both thread
-# settings, the schema gate over both smoke outputs and the committed
-# baseline, then the regression gate: neither smoke run may introduce
-# a stage the committed baseline has never seen (medians compare only
-# at matching sizes, so the 20-tower smoke checks the stage set).
-bench_tmp="$(mktemp -d)"
-trap 'rm -rf "$bench_tmp" "$press_tmp" "$query_tmp" "$serve_tmp" "$thr_tmp"' EXIT
-for threads in 1 4; do
-    cargo run --release -q -p towerlens-bench --bin bench -- \
-        --sizes 20 --repeats 1 --seed 42 --threads "$threads" \
-        --out "$bench_tmp/BENCH_smoke_t$threads.json"
-    cargo run --release -q -p towerlens-bench --bin bench -- \
-        --validate "$bench_tmp/BENCH_smoke_t$threads.json" --baseline BENCH_pipeline.json
-done
-cargo run --release -q -p towerlens-bench --bin bench -- --validate BENCH_pipeline.json
-
-echo "== indexed bench workloads: 100k cluster + pruned topk, baseline-gated =="
-# The two spatial-index workloads through the real harness at their
-# baseline shapes, so the exact (deterministic-counter) gates engage:
-# the 100,000-point cluster-index build may not evaluate more leaf
-# distances than the committed baseline, and the 9,600-tower query
-# workload may not prune fewer topk subtrees. The wall-clock bound
-# covers the snapshot-building study plus both workloads; blowing it
-# means the index regressed to scan-like behaviour.
-timeout 540 cargo run --release -q -p towerlens-bench --bin bench -- \
-    --sizes 20 --repeats 1 --seed 42 --threads 1 --query --cluster-100k \
-    --out "$bench_tmp/BENCH_index_smoke.json" \
-    || { echo "indexed bench workloads failed or blew the 540s bound"; exit 1; }
-cargo run --release -q -p towerlens-bench --bin bench -- \
-    --validate "$bench_tmp/BENCH_index_smoke.json" --baseline BENCH_pipeline.json
+echo "== 100,000-point spatial index: leaf-evaluation budget =="
+# The k-d index at ten times the paper's tower count: a complete
+# average-linkage dendrogram over 100,000 synthetic 6-dim points may
+# not evaluate more leaf distances than its pinned budget,
+# 5,007,007,814, measured with
+#   cargo test --release -p towerlens-cluster --test index_100k -- --ignored
+# (see the test's module docs). The wall-clock bound catches an index
+# that regressed to scan-like behaviour.
+cargo test --release -q -p towerlens-cluster --test index_100k --no-run
+timeout 540 cargo test --release -q -p towerlens-cluster --test index_100k -- --ignored \
+    || { echo "100k-point index build failed, blew its budget or the 540s bound"; exit 1; }
 
 echo "== cargo clippy =="
 cargo clippy -q --workspace --all-targets -- -D warnings
