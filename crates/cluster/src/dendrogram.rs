@@ -324,11 +324,23 @@ impl Clustering {
 
     /// For each cluster, the Euclidean distances of its members to the
     /// cluster centroid — the sample behind Fig 6(b)'s CDFs.
+    /// `centroids` are this clustering's [`Clustering::centroids`] over
+    /// the same points.
+    ///
+    /// # Errors
+    /// [`ClusterError::Internal`] if `points` doesn't match the label
+    /// count or `centroids` the cluster count.
     pub fn member_centroid_distances(
         &self,
         points: &[Vec<f64>],
+        centroids: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, ClusterError> {
-        let centroids = self.centroids(points)?;
+        if points.len() != self.labels.len() {
+            return Err(ClusterError::Internal("points/labels length mismatch"));
+        }
+        if centroids.len() != self.k {
+            return Err(ClusterError::Internal("centroids/clusters count mismatch"));
+        }
         let mut out = vec![Vec::new(); self.k];
         for (p, &l) in points.iter().zip(&self.labels) {
             out[l].push(euclidean(p, &centroids[l]));
@@ -530,7 +542,7 @@ mod tests {
         let cents = c.centroids(&pts).unwrap();
         assert_eq!(cents[0], vec![1.0, 0.0]);
         assert_eq!(cents[1], vec![10.0, 10.0]);
-        let d = c.member_centroid_distances(&pts).unwrap();
+        let d = c.member_centroid_distances(&pts, &cents).unwrap();
         assert_eq!(d[0], vec![1.0, 1.0]);
         assert_eq!(d[1], vec![0.0]);
     }

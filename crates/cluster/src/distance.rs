@@ -47,7 +47,8 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Portable eight-lane reference; the canonical reduction order.
-fn sq_euclidean_scalar(a: &[f64], b: &[f64]) -> f64 {
+#[inline]
+pub(crate) fn sq_euclidean_scalar(a: &[f64], b: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 8];
     let mut ac = a.chunks_exact(8);
     let mut bc = b.chunks_exact(8);

@@ -22,10 +22,12 @@
 //!
 //! [`IndexedMetric`] wires the tree into the nn-chain engine as a
 //! [`DistanceSource`]: leaf-level nearest-neighbour queries become
-//! pruned descents, leaf distances come from the same kernel as the
-//! materialised [`DistanceMatrix`](crate::DistanceMatrix), and
-//! Lance–Williams rows are stored only for merged clusters — so
-//! dendrograms are bit-identical to the matrix's. Merged clusters are
+//! pruned descents, leaf distances come from the same kernel lane
+//! structure as the materialised
+//! [`DistanceMatrix`](crate::DistanceMatrix), and every merged cluster
+//! owns one Lance–Williams row, which a merge rewrites column by
+//! column over the live leaves and merged clusters — so dendrograms
+//! are bit-identical to the matrix's. Merged clusters are
 //! tracked with axis-aligned bounding boxes (the
 //! O(1) union of their members' boxes); for the linkages whose
 //! cluster distance provably dominates the box gap (single, complete,
@@ -45,7 +47,7 @@
 use towerlens_obs::LazyCounter;
 
 use crate::agglomerative::Linkage;
-use crate::distance::{sq_euclidean, sq_euclidean6_batch, BATCH6};
+use crate::distance::{sq_euclidean, sq_euclidean6_batch, sq_euclidean_scalar, BATCH6};
 use crate::error::{validate_points, ClusterError};
 use crate::source::{DistanceSource, TopK};
 
@@ -158,7 +160,8 @@ pub struct SpatialIndex {
     /// kernel: for a bucket at `order[s..e]`, `coords[s*dim..e*dim]`
     /// holds dimension-major lanes (`d*width + lane`).
     coords: Vec<f64>,
-    /// Untransposed point rows by id (generic-dimension query path).
+    /// Untransposed point rows by id, contiguous: the generic-dimension
+    /// query path and [`IndexedMetric`]'s leaf distances read them.
     flat: Vec<f64>,
     /// Leaf node id holding each point.
     leaf_of: Vec<u32>,
@@ -470,9 +473,8 @@ impl SpatialIndex {
         }
     }
 
-    /// A point's coordinates (untransposed copy kept for the generic
-    /// non-6-dim query path; 6 × 8 bytes per point, negligible next to
-    /// the tree itself).
+    /// A point's coordinates (the untransposed copy; `dim` × 8 bytes
+    /// per point, negligible next to the tree itself).
     fn row_of(&self, p: usize) -> &[f64] {
         &self.flat[p * self.dim..(p + 1) * self.dim]
     }
@@ -508,101 +510,54 @@ fn sq_box_gap(qlo: &[f64], qhi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
         + tail
 }
 
-/// The Lance–Williams row store of [`IndexedMetric`]: rows are
-/// allocated lazily at a merged slot's first `set` and freed
-/// by `retire`; `NaN` marks entries whose value lives on the *other*
-/// endpoint's row, or — for leaf pairs — is recomputed from the
-/// metric. Peak memory is `(live internal clusters) × n` entries; an
+/// One leaf distance: the canonical [`sq_euclidean`] lane structure
+/// through its portable reference, inlined into the caller's loop with
+/// no CPU-feature dispatch per pair. Bit-identical to [`sq_euclidean`]
+/// and so to every cell of the materialised
+/// [`DistanceMatrix`](crate::DistanceMatrix).
+#[inline]
+fn leaf_distance(a: &[f64], b: &[f64]) -> f64 {
+    sq_euclidean_scalar(a, b).sqrt()
+}
+
+/// What [`IndexedMetric`] stores for a slot that seats a merged
+/// cluster.
+#[derive(Debug)]
+struct Merged {
+    /// Lance–Williams row: the cluster's distance to every active slot.
+    /// Written in full when the cluster forms or grows, and kept equal
+    /// to the other merged clusters' entries for it (`row_a[b] ==
+    /// row_b[a]`), so any pair involving a merged cluster is one load.
+    row: Box<[f64]>,
+    /// Axis-aligned bounding box of the members, `lo ++ hi`.
+    bounds: Box<[f64]>,
+}
+
+/// The indexed matrix-free distance source: leaf distances on demand
+/// from the tree's contiguous point copy, one Lance–Williams row per
+/// merged cluster, and nearest-neighbour queries answered through the
+/// [`SpatialIndex`] instead of a linear scan. Dendrograms are
+/// bit-identical to the materialised matrix's, with leaf evaluations
+/// within a few percent of the C(n,2) floor.
+///
+/// Peak memory is `(live merged clusters) × n` row entries; an
 /// agglomeration that pairs every point first peaks at n²/4 — half the
 /// condensed matrix — while typical incremental merge orders stay far
 /// below. Either way the O(n²) *leaf* triangle, which dominates at raw
 /// dimensionality, is never stored.
 #[derive(Debug)]
-struct LwRows {
-    rows: Vec<Option<Box<[f64]>>>,
-}
-
-impl LwRows {
-    /// An empty store over `n` slots; no rows are allocated yet.
-    fn new(n: usize) -> LwRows {
-        LwRows {
-            rows: vec![None; n],
-        }
-    }
-
-    /// The stored cluster distance of the pair, if either endpoint's
-    /// row holds one. A stored value wins over any leaf metric: once a
-    /// slot holds a merged cluster, its distances are defined by the
-    /// linkage recurrence, not the underlying points.
-    #[inline]
-    fn read(&self, i: usize, j: usize) -> Option<f64> {
-        if let Some(row) = self.rows[i].as_deref() {
-            let v = row[j];
-            if !v.is_nan() {
-                return Some(v);
-            }
-        }
-        if let Some(row) = self.rows[j].as_deref() {
-            let v = row[i];
-            if !v.is_nan() {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Stores a pair's distance, keeping every live copy coherent and
-    /// allocating on the first index (the surviving merge slot) only
-    /// when no row exists yet.
-    fn set(&mut self, i: usize, j: usize, v: f64) {
-        if i == j {
-            return;
-        }
-        debug_assert!(!v.is_nan(), "cluster distances must be numbers");
-        let mut stored = false;
-        if let Some(row) = self.rows[i].as_deref_mut() {
-            row[j] = v;
-            stored = true;
-        }
-        if let Some(row) = self.rows[j].as_deref_mut() {
-            row[i] = v;
-            stored = true;
-        }
-        if !stored {
-            let mut row = vec![f64::NAN; self.rows.len()].into_boxed_slice();
-            row[j] = v;
-            self.rows[i] = Some(row);
-        }
-    }
-
-    /// Frees a retired slot's row.
-    fn retire(&mut self, slot: usize) {
-        self.rows[slot] = None;
-    }
-
-    /// Rows currently allocated (live merged clusters).
-    fn live(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
-    }
-}
-
-/// The indexed matrix-free distance source: leaf distances on demand
-/// through the kernel, Lance–Williams rows (`LwRows`) stored only for
-/// merged clusters, and nearest-neighbour queries answered through the
-/// [`SpatialIndex`] instead of a linear scan. Dendrograms are
-/// bit-identical to the materialised matrix's, with leaf evaluations
-/// within a few percent of the C(n,2) floor.
-#[derive(Debug)]
-pub struct IndexedMetric<'a> {
-    points: &'a [Vec<f64>],
-    rows: LwRows,
+pub struct IndexedMetric {
     tree: SpatialIndex,
+    /// Per slot: the merged cluster seated there, `None` while the slot
+    /// holds its single point (and after it is absorbed).
+    clusters: Vec<Option<Merged>>,
+    /// Active single-point slots, ascending — the columns a merge walks
+    /// besides `merged`.
+    leaves: Vec<u32>,
     /// Active merged slots, ascending. These are scanned linearly per
     /// query (they are few — live Lance–Williams rows) with their own
     /// box pre-check when the linkage allows it.
     merged: Vec<usize>,
-    /// Bounding box per merged slot (`lo ++ hi`, `2·dim` values).
-    boxes: Vec<Option<Box<[f64]>>>,
     /// Whether merged-cluster values provably dominate the box gap
     /// (true for single/complete/average; false for Ward, whose
     /// recurrence subtracts and can cancel below any a-priori bound).
@@ -611,7 +566,7 @@ pub struct IndexedMetric<'a> {
     stats: SearchStats,
 }
 
-impl<'a> IndexedMetric<'a> {
+impl IndexedMetric {
     /// Builds the index over the point set. `linkage` gates whether
     /// queries from merged clusters may prune (see module docs).
     ///
@@ -619,18 +574,14 @@ impl<'a> IndexedMetric<'a> {
     /// Point-set validation failures: [`ClusterError::EmptyInput`],
     /// [`ClusterError::DimensionMismatch`] for ragged rows and
     /// [`ClusterError::NonFinite`] for NaN/∞ coordinates.
-    pub fn new(
-        points: &'a [Vec<f64>],
-        linkage: Linkage,
-    ) -> Result<IndexedMetric<'a>, ClusterError> {
+    pub fn new(points: &[Vec<f64>], linkage: Linkage) -> Result<IndexedMetric, ClusterError> {
         validate_points(points)?;
         let n = points.len();
         Ok(IndexedMetric {
-            points,
-            rows: LwRows::new(n),
             tree: SpatialIndex::build(points),
+            clusters: (0..n).map(|_| None).collect(),
+            leaves: (0..n as u32).collect(),
             merged: Vec::new(),
-            boxes: vec![None; n],
             merged_prunable: !matches!(linkage, Linkage::Ward),
             evaluations: 0,
             stats: SearchStats::default(),
@@ -649,74 +600,158 @@ impl<'a> IndexedMetric<'a> {
 
     /// Lance–Williams rows currently allocated (live merged clusters).
     pub fn live_rows(&self) -> usize {
-        self.rows.live()
+        self.clusters.iter().filter(|c| c.is_some()).count()
+    }
+
+    /// The current distance between two distinct active slots: a row
+    /// read when either seats a merged cluster, otherwise one counted
+    /// kernel evaluation.
+    fn distance(&mut self, a: usize, b: usize) -> f64 {
+        match (&self.clusters[a], &self.clusters[b]) {
+            (Some(c), _) => c.row[b],
+            (None, Some(c)) => c.row[a],
+            (None, None) => {
+                self.evaluations += 1;
+                leaf_distance(self.tree.row_of(a), self.tree.row_of(b))
+            }
+        }
     }
 }
 
-impl DistanceSource for IndexedMetric<'_> {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn get(&mut self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        if let Some(v) = self.rows.read(i, j) {
-            return v;
-        }
-        self.evaluations += 1;
-        sq_euclidean(&self.points[i], &self.points[j]).sqrt()
-    }
-
-    fn set(&mut self, i: usize, j: usize, v: f64) {
-        self.rows.set(i, j, v);
-    }
-
-    fn retire(&mut self, slot: usize) {
-        self.rows.retire(slot);
-        if self.boxes[slot].take().is_some() {
-            if let Ok(at) = self.merged.binary_search(&slot) {
-                self.merged.remove(at);
-            }
+/// The Lance–Williams update of `row_i` at every live leaf `k`, for one
+/// of the four leaf-or-merged cases of the merging slots `i` and `j`,
+/// fixed at compile time: a single-point slot contributes a kernel
+/// distance, a merged one its row (`row_i` read before it is
+/// overwritten, `row_j`). Every `k` reads and writes only column `k`,
+/// so the walk order changes no value. Returns the kernel evaluations
+/// performed.
+fn update_leaf_columns<const I_LEAF: bool, const J_LEAF: bool>(
+    tree: &SpatialIndex,
+    leaves: &[u32],
+    (i, j): (usize, usize),
+    row_i: &mut [f64],
+    row_j: &[f64],
+    update: impl Fn(f64, f64) -> f64,
+) -> u64 {
+    let (pi, pj) = (tree.row_of(i), tree.row_of(j));
+    for &k in leaves {
+        let k = k as usize;
+        let dik = if I_LEAF {
+            leaf_distance(pi, tree.row_of(k))
         } else {
-            self.tree.deactivate(slot);
-        }
+            row_i[k]
+        };
+        let djk = if J_LEAF {
+            leaf_distance(pj, tree.row_of(k))
+        } else {
+            row_j[k]
+        };
+        row_i[k] = update(dik, djk);
+    }
+    (u64::from(I_LEAF) + u64::from(J_LEAF)) * leaves.len() as u64
+}
+
+/// Removes `x` from an ascending list, if present.
+fn remove_sorted<T: Ord>(list: &mut Vec<T>, x: T) {
+    if let Ok(at) = list.binary_search(&x) {
+        list.remove(at);
+    }
+}
+
+impl DistanceSource for IndexedMetric {
+    fn len(&self) -> usize {
+        self.tree.len()
     }
 
-    fn promote(&mut self, survivor: usize, absorbed: usize) {
-        let dim = self.points.first().map_or(0, Vec::len);
-        let mut joined = match self.boxes[survivor].take() {
-            Some(b) => b,
-            None => {
-                // A leaf becomes an internal cluster: leave the tree,
-                // seed the box from the point.
-                self.tree.deactivate(survivor);
-                if let Err(at) = self.merged.binary_search(&survivor) {
-                    self.merged.insert(at, survivor);
-                }
-                let row = &self.points[survivor];
-                let mut b = vec![0.0; 2 * dim].into_boxed_slice();
-                b[..dim].copy_from_slice(row);
-                b[dim..].copy_from_slice(row);
-                b
+    /// The columnar Lance–Williams update: slot `i`'s row is rewritten
+    /// over the live leaves (one case-specialised loop) and the merged
+    /// clusters (which also receive the symmetric entry), then slot `j`
+    /// and its row are dropped. Every value is the recurrence over the
+    /// same three distances the matrix's per-pair loop reads, so the
+    /// result is bit-identical to it; leaf pairs are the only kernel
+    /// evaluations, one per pair read.
+    fn merge(
+        &mut self,
+        i: usize,
+        j: usize,
+        d: f64,
+        _active: &[bool],
+        size: &[usize],
+        linkage: Linkage,
+    ) {
+        let n = self.len();
+        let dim = self.tree.dim;
+        let (ni, nj) = (size[i] as f64, size[j] as f64);
+        let survivor = self.clusters[i].take();
+        let absorbed = self.clusters[j].take();
+        // Both slots leave the candidate sets before the walk.
+        for (slot, cluster) in [(i, &survivor), (j, &absorbed)] {
+            if cluster.is_none() {
+                self.tree.deactivate(slot);
+                remove_sorted(&mut self.leaves, slot as u32);
+            }
+        }
+        if absorbed.is_some() {
+            remove_sorted(&mut self.merged, j);
+        }
+        let i_leaf = survivor.is_none();
+        let Merged {
+            mut row,
+            mut bounds,
+        } = survivor.unwrap_or_else(|| {
+            // A single point becomes a cluster: it gets its row (every
+            // entry is written below) and a box seeded at the point.
+            let at = self
+                .merged
+                .binary_search(&i)
+                .expect_err("a single-point slot is not in the merged list");
+            self.merged.insert(at, i);
+            Merged {
+                row: vec![f64::NAN; n].into_boxed_slice(),
+                bounds: self.tree.row_of(i).repeat(2).into_boxed_slice(),
+            }
+        });
+
+        // A leaf's size is 1.
+        let update = |dik: f64, djk: f64| linkage.update(dik, djk, d, ni, nj, 1.0);
+        let (tree, leaves) = (&self.tree, &self.leaves[..]);
+        self.evaluations += match &absorbed {
+            None if i_leaf => {
+                update_leaf_columns::<true, true>(tree, leaves, (i, j), &mut row, &[], update)
+            }
+            None => update_leaf_columns::<false, true>(tree, leaves, (i, j), &mut row, &[], update),
+            Some(a) if i_leaf => {
+                update_leaf_columns::<true, false>(tree, leaves, (i, j), &mut row, &a.row, update)
+            }
+            Some(a) => {
+                update_leaf_columns::<false, false>(tree, leaves, (i, j), &mut row, &a.row, update)
             }
         };
-        match &self.boxes[absorbed] {
-            Some(other) => {
-                for d in 0..dim {
-                    joined[d] = joined[d].min(other[d]);
-                    joined[dim + d] = joined[dim + d].max(other[dim + d]);
-                }
+        // Merged columns: their rows hold both old distances and take
+        // the symmetric write. `i` itself is still listed when it was
+        // merged before.
+        for &k in &self.merged {
+            if k == i {
+                continue;
             }
-            None => {
-                for (d, &c) in self.points[absorbed].iter().enumerate() {
-                    joined[d] = joined[d].min(c);
-                    joined[dim + d] = joined[dim + d].max(c);
-                }
-            }
+            let other = self.clusters[k]
+                .as_mut()
+                .expect("merged slots seat a cluster");
+            let v = linkage.update(other.row[i], other.row[j], d, ni, nj, size[k] as f64);
+            row[k] = v;
+            other.row[i] = v;
         }
-        self.boxes[survivor] = Some(joined);
+
+        let (lo, hi) = bounds.split_at_mut(dim);
+        let (alo, ahi) = match &absorbed {
+            Some(a) => a.bounds.split_at(dim),
+            None => (self.tree.row_of(j), self.tree.row_of(j)),
+        };
+        for axis in 0..dim {
+            lo[axis] = lo[axis].min(alo[axis]);
+            hi[axis] = hi[axis].max(ahi[axis]);
+        }
+        self.clusters[i] = Some(Merged { row, bounds });
     }
 
     fn nearest_active(
@@ -725,40 +760,39 @@ impl DistanceSource for IndexedMetric<'_> {
         active: &[bool],
         prev: Option<usize>,
     ) -> Option<(usize, f64)> {
-        let dim = self.points.first().map_or(0, Vec::len);
+        let dim = self.tree.dim;
         let IndexedMetric {
-            points,
-            rows,
             tree,
+            clusters,
             merged,
-            boxes,
             merged_prunable,
             evaluations,
             stats,
+            ..
         } = self;
-        let top_box = boxes[top].as_deref();
-        let (qlo, qhi, deflate) = match top_box {
-            Some(b) => (
-                &b[..dim],
-                &b[dim..],
+        let top_cluster = clusters[top].as_ref();
+        let (qlo, qhi, deflate) = match top_cluster {
+            Some(c) => (
+                &c.bounds[..dim],
+                &c.bounds[dim..],
                 if *merged_prunable {
                     MERGED_DEFLATE
                 } else {
                     0.0
                 },
             ),
-            None => (&points[top][..], &points[top][..], 1.0),
+            None => (tree.row_of(top), tree.row_of(top), 1.0),
         };
         // Leaf candidates, pruned through the tree. Values: kernel
         // evaluations from a leaf query; Lance–Williams row reads from
         // a merged query (the row covers every active slot).
         let mut leaf_value = |k: usize| -> f64 {
-            if top_box.is_some() {
-                rows.read(top, k)
-                    .expect("merged cluster has a row entry for every active slot")
-            } else {
-                *evaluations += 1;
-                sq_euclidean(&points[top], &points[k]).sqrt()
+            match top_cluster {
+                Some(c) => c.row[k],
+                None => {
+                    *evaluations += 1;
+                    leaf_distance(tree.row_of(top), tree.row_of(k))
+                }
             }
         };
         let mut best = tree
@@ -772,18 +806,19 @@ impl DistanceSource for IndexedMetric<'_> {
                 continue;
             }
             debug_assert!(active[k], "merged list only holds active slots");
+            let cluster = clusters[k].as_ref().expect("merged slots seat a cluster");
             if *merged_prunable {
-                if let Some(b) = boxes[k].as_deref() {
-                    let lb = sq_box_gap(qlo, qhi, &b[..dim], &b[dim..]).sqrt() * MERGED_DEFLATE;
-                    if lb > best.0 {
-                        stats.pruned_subtrees += 1;
-                        continue;
-                    }
+                let (lo, hi) = cluster.bounds.split_at(dim);
+                let lb = sq_box_gap(qlo, qhi, lo, hi).sqrt() * MERGED_DEFLATE;
+                if lb > best.0 {
+                    stats.pruned_subtrees += 1;
+                    continue;
                 }
             }
-            let v = rows
-                .read(top, k)
-                .expect("merged cluster has a row entry for every active slot");
+            let v = match top_cluster {
+                Some(c) => c.row[k],
+                None => cluster.row[top],
+            };
             if v < best.0 || (v == best.0 && k < best.1) {
                 best = (v, k);
             }
@@ -794,13 +829,7 @@ impl DistanceSource for IndexedMetric<'_> {
         // The linear scan prefers the previous chain element on exact
         // ties; reproduce that with one direct comparison.
         if let Some(p) = prev {
-            let vp = match rows.read(top, p) {
-                Some(v) => v,
-                None => {
-                    *evaluations += 1;
-                    sq_euclidean(&points[top], &points[p]).sqrt()
-                }
-            };
+            let vp = self.distance(top, p);
             if vp == best.0 {
                 return Some((p, vp));
             }
@@ -809,7 +838,7 @@ impl DistanceSource for IndexedMetric<'_> {
     }
 }
 
-impl Drop for IndexedMetric<'_> {
+impl Drop for IndexedMetric {
     fn drop(&mut self) {
         if self.evaluations > 0 {
             INDEX_LEAF_EVALS.add(self.evaluations);
@@ -990,38 +1019,59 @@ mod tests {
 
     #[test]
     fn leaf_reads_match_the_materialised_matrix_bit_for_bit() {
-        let points = mixture(24, 3, 6);
-        let mut built = DistanceMatrix::build(&points, 1).unwrap();
-        let mut indexed = IndexedMetric::new(&points, Linkage::Average).unwrap();
-        for i in 0..points.len() {
-            for j in 0..points.len() {
-                assert_eq!(
-                    indexed.get(i, j).to_bits(),
-                    DistanceSource::get(&mut built, i, j).to_bits(),
-                    "pair ({i},{j})"
-                );
+        // 9 dimensions fill one 8-lane chunk of the kernel plus a tail.
+        for dim in [1, 3, 6, 7, 9] {
+            let points = mixture(24, 3, dim);
+            let built = DistanceMatrix::build(&points, 1).unwrap();
+            let mut indexed = IndexedMetric::new(&points, Linkage::Average).unwrap();
+            for i in 0..points.len() {
+                for j in (0..points.len()).filter(|&j| j != i) {
+                    assert_eq!(
+                        indexed.distance(i, j).to_bits(),
+                        built.get(i, j).to_bits(),
+                        "dim {dim} pair ({i},{j})"
+                    );
+                }
             }
+            // Every off-diagonal read reached the kernel, repeats included.
+            assert_eq!(indexed.evaluations(), 24 * 23, "dim {dim}");
         }
-        // Every off-diagonal read reached the kernel, repeats included.
-        assert_eq!(indexed.evaluations(), 24 * 23);
     }
 
     #[test]
-    fn stored_rows_win_over_the_kernel_and_retire_frees_them() {
-        let points = vec![vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]];
+    fn merged_rows_win_over_the_kernel_and_absorbed_rows_are_freed() {
+        // Collinear points: d01 = 5, d02 = 10, d03 = 20, d13 = 15,
+        // d23 = 10.
+        let points = vec![
+            vec![0.0, 0.0],
+            vec![3.0, 4.0],
+            vec![6.0, 8.0],
+            vec![12.0, 16.0],
+        ];
         let mut metric = IndexedMetric::new(&points, Linkage::Average).unwrap();
-        metric.set(0, 2, 42.0);
+        let mut active = [true; 4];
+        let mut size = [1usize; 4];
+        metric.merge(0, 1, 5.0, &active, &size, Linkage::Average);
+        (active[1], size[0]) = (false, 2);
         assert_eq!(metric.live_rows(), 1);
-        assert_eq!((metric.get(0, 2), metric.get(2, 0)), (42.0, 42.0));
-        // An unset pair on the same row still falls back to the kernel.
-        assert_eq!(metric.get(0, 1), 5.0);
-        // Updates through the other endpoint stay coherent.
-        metric.set(2, 0, 7.0);
-        assert_eq!(metric.live_rows(), 1, "no second row for the same pair");
-        assert_eq!(metric.get(0, 2), 7.0);
-        metric.retire(0);
-        assert_eq!(metric.live_rows(), 0);
-        // With the row gone the pair is a leaf pair again.
-        assert_eq!(metric.get(0, 2), 10.0);
+        // Both leaf columns read the kernel twice, once per endpoint.
+        assert_eq!(metric.evaluations(), 4);
+        // The stored average wins over the kernel's d02 = 10, read from
+        // either endpoint, without another evaluation.
+        assert_eq!((metric.distance(0, 2), metric.distance(2, 0)), (7.5, 7.5));
+        assert_eq!(metric.evaluations(), 4);
+        // A pair of single points still reaches the kernel.
+        assert_eq!(metric.distance(2, 3), 10.0);
+        assert_eq!(metric.evaluations(), 5);
+        // Merging the two leaves gives slot 2 its own row; the merged
+        // column takes the symmetric write: (7.5 + 17.5) / 2.
+        metric.merge(2, 3, 10.0, &active, &size, Linkage::Average);
+        (active[3], size[2]) = (false, 2);
+        assert_eq!(metric.live_rows(), 2);
+        assert_eq!((metric.distance(0, 2), metric.distance(2, 0)), (12.5, 12.5));
+        assert_eq!(metric.evaluations(), 5);
+        // The absorbed cluster's row is freed.
+        metric.merge(0, 2, 12.5, &active, &size, Linkage::Average);
+        assert_eq!(metric.live_rows(), 1);
     }
 }

@@ -24,9 +24,11 @@
 //!   nearest-neighbour and top-k answers are bit-identical to the
 //!   linear scan, plus [`IndexedMetric`], the indexed
 //!   [`DistanceSource`] the engine runs over at scale.
-//! * [`source`] — the [`DistanceSource`] seam: the materialised
-//!   [`DistanceMatrix`] for the raw space and [`IndexedMetric`] for the
-//!   spectral space.
+//! * [`source`] — the [`DistanceSource`] seam, two steps per merge
+//!   (`nearest_active` and the Lance–Williams `merge`): the
+//!   materialised [`DistanceMatrix`] for the raw space and
+//!   [`IndexedMetric`], with its columnar merge, for the spectral
+//!   space.
 //!
 //! All APIs are fallible ([`ClusterError`]) rather than panicking, and
 //! deterministic given their inputs.

@@ -1,38 +1,43 @@
 //! Distance sources: where the agglomerative engine reads cluster
 //! distances from.
 //!
-//! The nn-chain engine in [`crate::agglomerative`] touches distances
-//! through `len`, `get`, `set` and `nearest_active`, plus `promote` /
-//! `retire` notifications when clusters merge. [`DistanceSource`]
-//! names that seam, with two implementations:
+//! The nn-chain engine in [`agglomerative`](mod@crate::agglomerative)
+//! asks a source two things: the nearest active neighbour of the chain
+//! top (`nearest_active`), and to apply the Lance–Williams update when
+//! two clusters merge (`merge`). [`DistanceSource`] names that seam,
+//! with two implementations:
 //!
 //! * [`DistanceMatrix`] — the materialised condensed matrix: every
 //!   pair precomputed, O(n²) memory. Right when leaf distances are
 //!   expensive (the raw 4,032-dim traffic vectors) and will be read
-//!   repeatedly.
+//!   repeatedly. Its `merge` is the per-pair update over the condensed
+//!   cells and its `nearest_active` the reference linear scan.
 //! * [`IndexedMetric`](crate::IndexedMetric) — matrix-free: leaf
-//!   distances are recomputed from the point rows, only the
-//!   Lance–Williams rows of *merged* clusters are stored, and
+//!   distances are recomputed from the point rows, every merged
+//!   cluster owns one Lance–Williams row, `merge` updates that row
+//!   column by column over the live leaves and merged clusters, and
 //!   nearest-neighbour queries prune through a k-d tree. The enabler
-//!   for clustering the paper's 9,600 towers (and beyond) in the 6-dim
-//!   spectral feature space, where a leaf distance costs six
-//!   subtract-square-adds.
+//!   for clustering the paper's 9,600 towers (and beyond) in the
+//!   low-dimensional spectral feature space, where a leaf distance
+//!   costs a handful of subtract-square-adds.
 //!
 //! The two sources are *bit-identical* under the engine: leaf reads
-//! call the same kernel the matrix builder uses (symmetric at the bit
-//! level — the squared differences erase operand order), and
-//! merged-cluster reads return the exact values the engine stored. A
-//! golden test in [`crate::agglomerative`] pins this.
+//! use the same lane structure as the kernel the matrix builder uses
+//! (symmetric at the bit level — the squared differences erase operand
+//! order), both apply the same recurrence to the same three distances
+//! per pair, and merged-cluster reads return the exact values stored.
+//! Golden tests in [`agglomerative`](mod@crate::agglomerative) and
+//! `tests/index_prop.rs` pin this.
 
+use crate::agglomerative::Linkage;
 use crate::distance::{euclidean, DistanceMatrix};
 use crate::index::PointSet;
 
 /// What the agglomerative engine needs from distance storage.
 ///
-/// `get`/`set` address unordered pairs of *slots* (initially one point
-/// per slot); the engine guarantees `i ≠ j` slots are only read while
-/// both are active. `set` is only ever called by the Lance–Williams
-/// update with the surviving merge slot as its first index.
+/// Slots start as one point each; a merge seats the new cluster in the
+/// lower slot and retires the other. The engine only ever asks about
+/// active slots.
 pub trait DistanceSource {
     /// Number of slots (points) the source was built over.
     fn len(&self) -> usize;
@@ -42,38 +47,62 @@ pub trait DistanceSource {
         self.len() == 0
     }
 
-    /// Current distance between the clusters seated at `i` and `j`
-    /// (0 when `i == j`).
-    fn get(&mut self, i: usize, j: usize) -> f64;
-
-    /// Overwrites the distance of a pair (Lance–Williams update; `i`
-    /// is the surviving merge slot).
-    fn set(&mut self, i: usize, j: usize, v: f64);
-
-    /// The cluster seated at `slot` has been merged away; its
-    /// distances will never be read again. Storage may reclaim.
-    fn retire(&mut self, slot: usize) {
-        let _ = slot;
-    }
-
-    /// Notification that `survivor` absorbed `absorbed` in a merge:
-    /// `survivor` now seats an internal cluster. Called after the
-    /// Lance–Williams updates and before `retire(absorbed)`. Sources
-    /// with spatial acceleration structures use this to maintain
-    /// cluster extents; the default does nothing.
-    fn promote(&mut self, survivor: usize, absorbed: usize) {
-        let _ = (survivor, absorbed);
-    }
+    /// Merges the cluster seated at slot `j` into slot `i` (`i < j`) at
+    /// cluster distance `d`: the distance from `i` to every other
+    /// active slot `k` becomes the Lance–Williams update of `d(i, k)`,
+    /// `d(j, k)` and `d`, and slot `j` is never read again. `active`
+    /// and `size` are the engine's state before the merge (both slots
+    /// still active, `size` their member counts).
+    fn merge(
+        &mut self,
+        i: usize,
+        j: usize,
+        d: f64,
+        active: &[bool],
+        size: &[usize],
+        linkage: Linkage,
+    );
 
     /// The nearest active neighbour of `top` as `(slot, distance)`,
     /// or `None` when no other slot is active. On exact distance ties
     /// the result must prefer `prev` if it participates in the tie,
     /// and the lowest slot index otherwise — the contract the nn-chain
     /// engine's termination proof and deterministic output rest on.
-    ///
-    /// The default is the reference linear scan; indexed sources
-    /// override it with a pruned search that returns the identical
-    /// answer.
+    fn nearest_active(
+        &mut self,
+        top: usize,
+        active: &[bool],
+        prev: Option<usize>,
+    ) -> Option<(usize, f64)>;
+}
+
+impl DistanceSource for DistanceMatrix {
+    fn len(&self) -> usize {
+        DistanceMatrix::len(self)
+    }
+
+    fn merge(
+        &mut self,
+        i: usize,
+        j: usize,
+        d: f64,
+        active: &[bool],
+        size: &[usize],
+        linkage: Linkage,
+    ) {
+        let (ni, nj) = (size[i] as f64, size[j] as f64);
+        for k in 0..self.len() {
+            if k == i || k == j || !active[k] {
+                continue;
+            }
+            let dik = self.get(i, k);
+            let djk = self.get(j, k);
+            self.set(i, k, linkage.update(dik, djk, d, ni, nj, size[k] as f64));
+        }
+    }
+
+    /// The reference linear scan; [`IndexedMetric`](crate::IndexedMetric)
+    /// answers identically through a pruned descent.
     fn nearest_active(
         &mut self,
         top: usize,
@@ -93,18 +122,6 @@ pub trait DistanceSource {
             }
         }
         (nearest != usize::MAX).then_some((nearest, best))
-    }
-}
-
-impl DistanceSource for DistanceMatrix {
-    fn len(&self) -> usize {
-        DistanceMatrix::len(self)
-    }
-    fn get(&mut self, i: usize, j: usize) -> f64 {
-        DistanceMatrix::get(self, i, j)
-    }
-    fn set(&mut self, i: usize, j: usize, v: f64) {
-        DistanceMatrix::set(self, i, j, v);
     }
 }
 

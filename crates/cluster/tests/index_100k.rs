@@ -6,8 +6,8 @@
 //! `cluster.index.leaf_evaluations` is deterministic for a fixed seed,
 //! so the budget is the count measured when the gate was set: an
 //! index change that evaluates one more leaf distance fails it. The
-//! build takes about four minutes in a release build, so the test is
-//! `#[ignore]`d and `scripts/check.sh` runs it on its own:
+//! build takes about 85 s in a release build on a 2-vCPU VM, so the
+//! test is `#[ignore]`d and `scripts/check.sh` runs it on its own:
 //!
 //! ```text
 //! cargo test --release -p towerlens-cluster --test index_100k -- --ignored
@@ -47,7 +47,7 @@ fn mixture_points(n: usize, seed: u64) -> Vec<Vec<f64>> {
 }
 
 #[test]
-#[ignore = "about four minutes in release; run by scripts/check.sh"]
+#[ignore = "about 85 s in release; run by scripts/check.sh"]
 fn average_linkage_over_100k_points_stays_within_its_leaf_budget() {
     let points = mixture_points(POINTS, 42);
     towerlens_obs::global().reset();

@@ -9,7 +9,8 @@
 //! many ways), `k ≥ n`, all-equal point sets, and random deactivation
 //! orders. A final property pins the indexed nn-chain dendrogram to
 //! the materialised distance matrix's bit for bit across all four
-//! linkages, over both random and tie-heavy clouds.
+//! linkages, over both random and tie-heavy clouds in 1 to 9
+//! dimensions.
 
 use proptest::prelude::*;
 use towerlens_cluster::distance::euclidean;
@@ -24,6 +25,11 @@ const LINKAGES: [Linkage; 4] = [
     Linkage::Average,
     Linkage::Ward,
 ];
+
+/// Dimensions the dendrogram property draws from: 6 is today's
+/// spectral space, 7 the Parseval space with its residual coordinate,
+/// and 9 fills one 8-lane chunk of the distance kernel plus a tail.
+const DIMS: [usize; 5] = [1, 3, 6, 7, 9];
 
 /// A point cloud with deliberate tie mass: every coordinate is drawn
 /// from a small `palette` of values (via `picks` indices), so equal
@@ -151,14 +157,20 @@ proptest! {
 
     #[test]
     fn indexed_dendrogram_is_bit_identical_to_the_matrix(
-        points in prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 6), 2..28),
+        dim_pick in 0usize..DIMS.len(),
+        points in prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 9), 2..28),
         palette in prop::collection::vec(-8.0f64..8.0, 1..4),
-        picks in prop::collection::vec(prop::collection::vec(0usize..4, 6), 1..28),
+        picks in prop::collection::vec(prop::collection::vec(0usize..4, 9), 1..28),
     ) {
         // Random clouds exercise the pruning; palette clouds make exact
         // distance ties (and zero-distance duplicates) the common case,
-        // so the tie-breaks must match too.
-        for cloud in [points, tied_cloud(&palette, picks)] {
+        // so the tie-breaks must match too. Rows are drawn 9 wide and
+        // cut to the drawn dimension.
+        let dim = DIMS[dim_pick];
+        let cut = |rows: Vec<Vec<f64>>| -> Vec<Vec<f64>> {
+            rows.into_iter().map(|mut row| { row.truncate(dim); row }).collect()
+        };
+        for cloud in [cut(points), cut(tied_cloud(&palette, picks))] {
             for linkage in LINKAGES {
                 let built =
                     agglomerative(DistanceMatrix::build(&cloud, 1).unwrap(), linkage).unwrap();

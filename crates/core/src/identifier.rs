@@ -182,7 +182,7 @@ impl PatternIdentifier {
         })?;
         let clustering = dendrogram.cut_k(best.k)?;
         let centroids = clustering.centroids(vectors)?;
-        let member_distances = clustering.member_centroid_distances(vectors)?;
+        let member_distances = clustering.member_centroid_distances(vectors, &centroids)?;
         Ok(IdentifiedPatterns {
             k: best.k,
             threshold: best.threshold,

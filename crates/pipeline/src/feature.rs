@@ -15,7 +15,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use towerlens_dsp::goertzel::{goertzel_feature_sharded, record_evaluations};
+use towerlens_dsp::goertzel::{goertzel_bins_sharded, record_evaluations};
 use towerlens_dsp::DspError;
 use towerlens_trace::time::TraceWindow;
 
@@ -103,10 +103,10 @@ pub fn principal_bins(window: &TraceWindow) -> Option<[usize; 3]> {
     Some([w, 7 * w, 14 * w])
 }
 
-/// One tower's spectral feature `(A_w, P_w, A_d, P_d, A_h, P_h)`: a
-/// Goertzel evaluation at each of the three principal bins, in bin
-/// order, counted into the caller's `tally` shard (credit it with
-/// [`record_evaluations`]).
+/// One tower's spectral feature `(A_w, P_w, A_d, P_d, A_h, P_h)`: the
+/// three principal bins evaluated in one Goertzel pass over the vector,
+/// in bin order, counted into the caller's `tally` shard (credit it
+/// with [`record_evaluations`]).
 ///
 /// Amplitudes are normalised by the vector length so they are
 /// comparable across window lengths. This is the one extractor behind
@@ -115,7 +115,8 @@ pub fn principal_bins(window: &TraceWindow) -> Option<[usize; 3]> {
 ///
 /// # Errors
 /// [`DspError::BinOutOfRange`] if a bin is not below the vector's
-/// length, [`DspError::EmptyInput`] for an empty vector.
+/// length, [`DspError::EmptyInput`] for an empty vector,
+/// [`DspError::NonFinite`] for a NaN/∞ sample.
 pub fn spectral_feature(
     v: &[f64],
     bins: [usize; 3],
@@ -123,10 +124,12 @@ pub fn spectral_feature(
 ) -> Result<[f64; 6], DspError> {
     let n = v.len() as f64;
     let mut feature = [0.0; 6];
-    for (pair, k) in feature.chunks_exact_mut(2).zip(bins) {
-        let (amp, phase) = goertzel_feature_sharded(v, k, tally)?;
-        pair[0] = amp / n;
-        pair[1] = phase;
+    for (pair, c) in feature
+        .chunks_exact_mut(2)
+        .zip(goertzel_bins_sharded(v, bins, tally)?)
+    {
+        pair[0] = c.abs() / n;
+        pair[1] = c.arg();
     }
     Ok(feature)
 }

@@ -18,6 +18,12 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench: build and test the benchmark =="
+# perfbench is a workspace of its own, so the workspace build and test
+# above never compile it; it calls the crates' public API, which a
+# change to a public type or trait can break.
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fault injection (pinned seeds) =="
 # The robustness contract, end to end: seeded fault classes through
 # the full pipeline, plus panic containment in its own process.
@@ -57,7 +63,7 @@ echo "bit-identical raw medium study at --threads 1 and --threads 3"
 echo "== paper-scale smoke: 9,600 towers in the spectral feature space =="
 # The scale contract: the full Shanghai-size study must complete within
 # a bounded wall-clock when clustering in the 6-dim spectral space
-# (about 6 s on a 2-vCPU VM; the bound mostly exists to catch a
+# (about 3.3 s on a 2-vCPU VM; the bound mostly exists to catch a
 # regression back onto the O(n²·4032) materialised raw path).
 timeout 180 ./target/release/towerlens-cli study \
     --scale paper --seed 42 --feature-space spectral \
