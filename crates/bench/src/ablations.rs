@@ -224,7 +224,7 @@ pub fn noise(report: &StudyReport) -> Result<String, CoreError> {
             ..SynthConfig::default()
         };
         let raw = synthesize_city(&report.city, &report.window, &synth);
-        let normalized = normalize_matrix(&raw)?;
+        let normalized = normalize_matrix(&raw, synth.threads)?;
         let identifier = towerlens_core::PatternIdentifier::default();
         let found = identifier.identify(&normalized.vectors)?;
         // Truth over this run's kept ids.

@@ -959,12 +959,7 @@ pub fn fig17(report: &StudyReport) -> Result<String, CoreError> {
         report.features[reps[2]],
         report.features[reps[3]],
     ];
-    let decomposer = Decomposer::new(
-        &rep_features,
-        &report.city,
-        &report.kept_ids,
-        Solver::ActiveSet,
-    )?;
+    let decomposer = Decomposer::new(&rep_features, &report.geo.tower_poi, Solver::ActiveSet)?;
     let step = (report.features.len() / 300).max(1);
     let indices: Vec<usize> = (0..report.features.len()).step_by(step).collect();
     let rows = decomposer.decompose_all(&indices, &report.features)?;

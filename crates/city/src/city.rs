@@ -109,21 +109,6 @@ impl City {
         })
     }
 
-    /// POI counts of the four kinds within `radius_m` of a tower
-    /// (canonical [`crate::zone::PoiKind`] order). The paper uses
-    /// 200 m.
-    ///
-    /// # Errors
-    /// [`CityError::UnknownTower`].
-    pub fn poi_counts_near_tower(
-        &self,
-        tower_id: usize,
-        radius_m: f64,
-    ) -> Result<[usize; 4], CityError> {
-        let t = self.tower(tower_id)?;
-        Ok(self.poi_index.counts_within(&t.position, radius_m))
-    }
-
     /// The ground-truth *function mixture* at a point: the share of
     /// each of the four pure urban functions in the neighbourhood,
     /// derived from surrounding zones with a distance kernel.

@@ -339,7 +339,9 @@ mod tests {
             let native = kind.native_poi().unwrap().index();
             let mut totals = [0usize; 4];
             for id in city.towers_of_kind(kind) {
-                let c = city.poi_counts_near_tower(id, 200.0).unwrap();
+                let c = city
+                    .pois()
+                    .counts_within(&city.towers()[id].position, 200.0);
                 for (t, v) in totals.iter_mut().zip(&c) {
                     *t += v;
                 }

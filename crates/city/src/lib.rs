@@ -42,5 +42,5 @@ pub use config::CityConfig;
 pub use density::DensityGrid;
 pub use error::CityError;
 pub use geo::{BoundingBox, GeoPoint};
-pub use poi::{Poi, PoiIndex};
+pub use poi::{Poi, PoiIndex, QueryWork};
 pub use zone::{PoiKind, RegionKind, Zone};

@@ -95,6 +95,9 @@ fn hot_path_counters_are_exactly_equal_across_thread_counts() {
             "dsp.goertzel.evaluations",
             "dsp.fft.transforms",
             "pipeline.normalize.towers_kept",
+            "core.label.rows_probed",
+            "core.label.poi_candidates",
+            "core.label.haversine_calls",
         ] {
             let reference = counter_value(&dumps[0], name);
             for (dump, threads) in dumps.iter().zip(["1", "2", "8"]) {
@@ -111,6 +114,10 @@ fn hot_path_counters_are_exactly_equal_across_thread_counts() {
                 "spectral study published no k-d index evaluations"
             );
         }
+        assert!(
+            counter_value(&dumps[0], "core.label.poi_candidates") > 0,
+            "{space}: the label stage published no POI candidates"
+        );
         // Stronger still: the whole dump is byte-identical.
         assert_eq!(
             dumps[0], dumps[1],

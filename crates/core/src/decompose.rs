@@ -7,13 +7,11 @@
 //! NTF-IDF of the tower's neighbourhood (Table 6); the combination is
 //! also rendered in the time domain (Fig 19).
 
-use towerlens_city::city::City;
 use towerlens_opt::simplex::{simplex_least_squares, SimplexLsOptions, Solver};
 use towerlens_opt::tfidf::TfIdfModel;
 
 use crate::error::CoreError;
 use crate::freq::TowerFeatures;
-use crate::labeling::POI_RADIUS_M;
 
 /// One decomposed tower (a row of Table 6).
 #[derive(Debug, Clone)]
@@ -49,26 +47,21 @@ impl Decomposer {
     ///
     /// * `representatives` — features of the four representative
     ///   towers in pure-pattern order,
-    /// * `city` / `kept_ids` — to fetch POI counts for NTF-IDF
-    ///   validation (`kept_ids[i]` is the tower id of vector `i`).
+    /// * `tower_poi` — each analysed tower's POI counts for the NTF-IDF
+    ///   validation, in vector order: the labelling's
+    ///   [`GeoLabels::tower_poi`](crate::labeling::GeoLabels::tower_poi).
     ///
     /// # Errors
     /// Wrapped TF-IDF fitting failures.
     pub fn new(
         representatives: &[TowerFeatures; 4],
-        city: &City,
-        kept_ids: &[usize],
+        tower_poi: &[[usize; 4]],
         solver: Solver,
     ) -> Result<Self, CoreError> {
         let vertices = representatives.iter().map(|f| f.f3().to_vec()).collect();
-        let poi_counts: Vec<[f64; 4]> = kept_ids
+        let poi_counts: Vec<[f64; 4]> = tower_poi
             .iter()
-            .map(|&id| {
-                let c = city
-                    .poi_counts_near_tower(id, POI_RADIUS_M)
-                    .unwrap_or([0; 4]);
-                [c[0] as f64, c[1] as f64, c[2] as f64, c[3] as f64]
-            })
+            .map(|c| [c[0] as f64, c[1] as f64, c[2] as f64, c[3] as f64])
             .collect();
         let corpus: Vec<Vec<f64>> = poi_counts.iter().map(|c| c.to_vec()).collect();
         let tfidf = TfIdfModel::fit(&corpus)?;

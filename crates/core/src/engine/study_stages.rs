@@ -6,7 +6,7 @@
 //! wave 2   vectorize             (synthesize)
 //! wave 3   cluster               (vectorize)
 //! wave 4   label | timedomain | frequency      — concurrent
-//! wave 5   decompose             (city, vectorize, cluster, label, frequency)
+//! wave 5   decompose             (cluster, label, frequency)
 //! ```
 //!
 //! Artifact keys are the stage names. The first four stages carry a
@@ -103,7 +103,9 @@ pub fn study_graph(config: &StudyConfig) -> Graph<StudyArtifact> {
             window: config.window,
             synth: config.synth,
         })
-        .add_stage(VectorizeStage)
+        .add_stage(VectorizeStage {
+            threads: config.threads,
+        })
         .add_stage(ClusterStage {
             config: config.identifier,
             window: config.window,
@@ -241,7 +243,9 @@ impl Stage<StudyArtifact> for SynthesizeStage {
     }
 }
 
-struct VectorizeStage;
+struct VectorizeStage {
+    threads: usize,
+}
 
 impl Stage<StudyArtifact> for VectorizeStage {
     fn name(&self) -> &'static str {
@@ -255,7 +259,7 @@ impl Stage<StudyArtifact> for VectorizeStage {
         ctx: &StageContext<'_, StudyArtifact>,
     ) -> Result<StageOutput<StudyArtifact>, EngineError> {
         let raw = raw_of(ctx, "synthesize")?;
-        let normalized = normalize_matrix(raw).map_err(|e| ctx.fail(e))?;
+        let normalized = normalize_matrix(raw, self.threads).map_err(|e| ctx.fail(e))?;
         let (kept, dropped) = (
             normalized.kept_ids.len() as u64,
             normalized.dropped.len() as u64,
@@ -428,14 +432,12 @@ impl Stage<StudyArtifact> for DecomposeStage {
         "decompose"
     }
     fn deps(&self) -> &'static [&'static str] {
-        &["city", "vectorize", "cluster", "label", "frequency"]
+        &["cluster", "label", "frequency"]
     }
     fn run(
         &self,
         ctx: &StageContext<'_, StudyArtifact>,
     ) -> Result<StageOutput<StudyArtifact>, EngineError> {
-        let city = city_of(ctx, "city")?;
-        let normalized = vectors_of(ctx, "vectorize")?;
         let patterns = patterns_of(ctx, "cluster")?;
         let geo = geo_of(ctx, "label")?;
         let features = features_of_artifact(ctx, "frequency")?;
@@ -455,9 +457,8 @@ impl Stage<StudyArtifact> for DecomposeStage {
                     features[reps4[2]],
                     features[reps4[3]],
                 ];
-                let decomposer =
-                    Decomposer::new(&rep_features, city, &normalized.kept_ids, Solver::ActiveSet)
-                        .map_err(|e| ctx.fail(e))?;
+                let decomposer = Decomposer::new(&rep_features, &geo.tower_poi, Solver::ActiveSet)
+                    .map_err(|e| ctx.fail(e))?;
                 // Rows F1..F4: the representatives themselves.
                 let mut targets: Vec<usize> = reps4.to_vec();
                 // Rows P1..Pn: sampled comprehensive towers.

@@ -330,7 +330,7 @@ mod tests {
             ..SynthConfig::default()
         };
         let v = tower_vector(&pure_mix(kind), &window(), &cfg, id);
-        normalize_matrix(&[v]).unwrap().vectors.remove(0)
+        normalize_matrix(&[v], 1).unwrap().vectors.remove(0)
     }
 
     #[test]
@@ -558,7 +558,7 @@ mod calib {
                 ..SynthConfig::default()
             };
             let v = tower_vector(&pure_mix(kind), &w, &cfg, 0);
-            let z = normalize_matrix(&[v]).unwrap().vectors.remove(0);
+            let z = normalize_matrix(&[v], 1).unwrap().vectors.remove(0);
             let f = features_of(&[z], &w).unwrap()[0];
             let ph = |p: f64| (-p / std::f64::consts::TAU * 24.0).rem_euclid(24.0);
             println!(

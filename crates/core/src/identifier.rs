@@ -222,7 +222,7 @@ mod tests {
                 truth.push(g);
             }
         }
-        let normalized = normalize_matrix(&raw).unwrap();
+        let normalized = normalize_matrix(&raw, 1).unwrap();
         assert_eq!(normalized.len(), raw.len());
         (normalized.vectors, truth)
     }

@@ -17,14 +17,29 @@
 use towerlens_city::city::City;
 use towerlens_city::density::DensityGrid;
 use towerlens_city::geo::GeoPoint;
+use towerlens_city::poi::{PoiIndex, QueryWork};
 use towerlens_city::zone::{PoiKind, RegionKind};
 use towerlens_cluster::dendrogram::Clustering;
 use towerlens_dsp::normalize::minmax;
+use towerlens_obs::LazyCounter;
 
 use crate::error::CoreError;
 
 /// POI query radius the paper uses (metres).
 pub const POI_RADIUS_M: f64 = 200.0;
+
+/// Latitude rows the labelling's POI queries searched.
+static ROWS_PROBED: LazyCounter = LazyCounter::new("core.label.rows_probed");
+/// POIs those rows' longitude runs yielded, each decided once.
+static POI_CANDIDATES: LazyCounter = LazyCounter::new("core.label.poi_candidates");
+/// Candidates the planar pre-test left to the haversine.
+static HAVERSINE_CALLS: LazyCounter = LazyCounter::new("core.label.haversine_calls");
+
+fn record(work: &QueryWork) {
+    ROWS_PROBED.add(work.rows_probed);
+    POI_CANDIDATES.add(work.candidates);
+    HAVERSINE_CALLS.add(work.haversine_calls);
+}
 
 /// The labelling result.
 #[derive(Debug, Clone)]
@@ -38,6 +53,9 @@ pub struct GeoLabels {
     pub hotspots: Vec<GeoPoint>,
     /// POI counts within 200 m of each hotspot (Table 2).
     pub hotspot_poi: Vec<[usize; 4]>,
+    /// POI counts within 200 m of each analysed tower, in kept-vector
+    /// order: the corpus the §5.3 NTF-IDF validation is fitted on.
+    pub tower_poi: Vec<[usize; 4]>,
     /// Fraction of towers whose assigned cluster label matches the
     /// ground-truth kind of their zone (the synthetic Fig 8 check).
     pub ground_truth_agreement: f64,
@@ -46,9 +64,9 @@ pub struct GeoLabels {
 /// Labels clusters with urban functional regions.
 ///
 /// `kept_ids[i]` maps vector `i` (and `clustering.labels[i]`) back to
-/// a tower id in `city`. The per-tower POI scans fan out over up to
-/// `threads` workers (`0` = available parallelism); the result is
-/// bit-identical for every thread count.
+/// a tower id in `city`. The per-tower POI queries fan out over up to
+/// `threads` workers (`0` = available parallelism); the result and the
+/// `core.label.*` work counters are identical for every thread count.
 ///
 /// # Errors
 /// [`CoreError::NotEnoughData`] if the clustering is empty or ids are
@@ -89,7 +107,7 @@ pub fn label_clusters(
 pub fn label_clusters_parts(
     positions: &[GeoPoint],
     bounds: &towerlens_city::geo::BoundingBox,
-    pois: &towerlens_city::poi::PoiIndex,
+    pois: &PoiIndex,
     clustering: &Clustering,
     kept_ids: &[usize],
     threads: usize,
@@ -105,19 +123,29 @@ pub fn label_clusters_parts(
 
     // --- Table 3: min-max normalised POI averaged per cluster -----
     // The dominant cost here: one radius query per kept tower. Each
-    // query is independent and lands in its own slot, so fanning out
-    // is bit-identical to the serial scan.
-    let raw_counts: Vec<[f64; 4]> = towerlens_par::par_map_indexed(kept_ids, threads, |_, &id| {
-        let c = positions
-            .get(id)
-            .map(|p| pois.counts_within(p, POI_RADIUS_M))
-            .unwrap_or([0; 4]);
-        [c[0] as f64, c[1] as f64, c[2] as f64, c[3] as f64]
+    // query is independent and lands in its own slot, and each worker
+    // tallies its queries' work in a private shard, so fanning out is
+    // identical to the serial scan.
+    let (tower_poi, tally) =
+        towerlens_par::par_map_indexed_tally(kept_ids, threads, 3, |_, &id, shard| {
+            let mut work = QueryWork::default();
+            let counts = positions.get(id).map_or([0; 4], |p| {
+                pois.counts_within_tallied(p, POI_RADIUS_M, &mut work)
+            });
+            shard[0] += work.rows_probed;
+            shard[1] += work.candidates;
+            shard[2] += work.haversine_calls;
+            counts
+        });
+    record(&QueryWork {
+        rows_probed: tally[0],
+        candidates: tally[1],
+        haversine_calls: tally[2],
     });
     let mut profiles = vec![[0.0f64; 4]; k];
     let sizes = clustering.sizes();
     for poi in 0..4 {
-        let column: Vec<f64> = raw_counts.iter().map(|c| c[poi]).collect();
+        let column: Vec<f64> = tower_poi.iter().map(|c| c[poi] as f64).collect();
         let normalised = minmax(&column)?;
         for (i, &label) in clustering.labels.iter().enumerate() {
             profiles[label][poi] += normalised[i];
@@ -135,6 +163,7 @@ pub fn label_clusters_parts(
     let labels = assign_labels(&profiles);
 
     // --- Fig 7 / Table 2: hotspots ----------------------------------
+    let mut work = QueryWork::default();
     let mut hotspots = Vec::with_capacity(k);
     let mut hotspot_poi = Vec::with_capacity(k);
     for c in 0..k {
@@ -149,14 +178,16 @@ pub fn label_clusters_parts(
         let (col, row, _) = grid.argmax();
         let point = grid.cell_center(col, row);
         hotspots.push(point);
-        hotspot_poi.push(pois.counts_within(&point, POI_RADIUS_M));
+        hotspot_poi.push(pois.counts_within_tallied(&point, POI_RADIUS_M, &mut work));
     }
+    record(&work);
 
     Ok(GeoLabels {
         labels,
         poi_profiles: profiles,
         hotspots,
         hotspot_poi,
+        tower_poi,
         ground_truth_agreement: 0.0,
     })
 }

@@ -178,8 +178,8 @@ impl StudyReport {
         h.u64(self.window.start_s);
         h.u64(self.window.bin_secs);
         h.usize(self.window.n_bins);
-        // City (ordered collections only: the POI spatial index
-        // buckets are a HashMap, so hash the ordered POI list).
+        // City (ordered collections only: hash the POI list in
+        // insertion order, not the spatial index's sorted layout).
         for z in self.city.zones() {
             h.usize(z.id);
             h.usize(z.kind.index());
@@ -502,7 +502,7 @@ impl Study {
         // 3. Vectorize (phase 2: z-score; phase 1 happened in synth —
         //    the log path exercises the full vectorizer; see the
         //    integration tests).
-        let normalized = normalize_matrix(&raw)?;
+        let normalized = normalize_matrix(&raw, 1)?;
         let kept_ids = normalized.kept_ids.clone();
         let vectors = normalized.vectors;
         // 4. Identify patterns (in the configured feature space; the
@@ -537,8 +537,7 @@ impl Study {
                     features[reps4[2]],
                     features[reps4[3]],
                 ];
-                let decomposer =
-                    Decomposer::new(&rep_features, &city, &kept_ids, Solver::ActiveSet)?;
+                let decomposer = Decomposer::new(&rep_features, &geo.tower_poi, Solver::ActiveSet)?;
                 // Rows F1..F4: the representatives themselves.
                 let mut targets: Vec<usize> = reps4.to_vec();
                 // Rows P1..Pn: sampled comprehensive towers.

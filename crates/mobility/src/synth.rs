@@ -65,17 +65,14 @@ pub fn tower_vector_with(
 
 /// Synthesises the whole city: one traffic vector per tower, in tower
 /// id order. Parallelised over towers via [`towerlens_par`]; each
-/// tower draws from its own seeded stream and lands in its own slot,
-/// so the output is independent of `config.threads`.
+/// tower computes its function mix, draws from its own seeded stream
+/// and lands in its own slot, so the output is independent of
+/// `config.threads`.
 pub fn synthesize_city(city: &City, window: &TraceWindow, config: &SynthConfig) -> Vec<Vec<f64>> {
-    let mixes: Vec<[f64; 4]> = city
-        .towers()
-        .iter()
-        .map(|t| city.function_mix(&t.position))
-        .collect();
     let table = IntensityTable::of(window);
-    towerlens_par::par_map_indexed(&mixes, config.threads, |id, mix| {
-        tower_vector_with(&table, mix, window, config, id)
+    towerlens_par::par_map_indexed(city.towers(), config.threads, |id, tower| {
+        let mix = city.function_mix(&tower.position);
+        tower_vector_with(&table, &mix, window, config, id)
     })
 }
 

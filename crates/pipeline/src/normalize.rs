@@ -45,23 +45,28 @@ impl NormalizedMatrix {
     }
 }
 
-/// Z-scores every row of a raw traffic matrix.
+/// Z-scores every row of a raw traffic matrix, fanning the rows out
+/// over up to `threads` workers (`0` = available parallelism).
 ///
 /// Rows with zero variance are *dropped* (and listed in
 /// [`NormalizedMatrix::dropped`]) rather than erroring: a real trace
 /// contains registered-but-dead stations and the paper's cleaning step
 /// removes them. Rows containing non-finite samples are an error —
-/// that's corruption, not a dead tower.
+/// that's corruption, not a dead tower. Each row's z-score lands in its
+/// own slot and the rows are then taken in order, so the result (and
+/// which row's error is returned: the lowest) is the same for every
+/// `threads`.
 ///
 /// # Errors
 /// [`DspError::NonFinite`] or [`DspError::EmptyInput`] from row
 /// validation.
-pub fn normalize_matrix(raw: &[Vec<f64>]) -> Result<NormalizedMatrix, DspError> {
+pub fn normalize_matrix(raw: &[Vec<f64>], threads: usize) -> Result<NormalizedMatrix, DspError> {
     let mut vectors = Vec::with_capacity(raw.len());
     let mut kept_ids = Vec::with_capacity(raw.len());
     let mut dropped = Vec::new();
-    for (id, row) in raw.iter().enumerate() {
-        match zscore(row) {
+    let rows = towerlens_par::par_map_indexed(raw, threads, |_, row| zscore(row));
+    for (id, row) in rows.into_iter().enumerate() {
+        match row {
             Ok(v) => {
                 vectors.push(v);
                 kept_ids.push(id);
@@ -92,7 +97,7 @@ mod tests {
             vec![5.0, 5.0, 5.0], // dead
             vec![0.0, 10.0, 0.0],
         ];
-        let out = normalize_matrix(&raw).unwrap();
+        let out = normalize_matrix(&raw, 1).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.kept_ids, vec![0, 2]);
         assert_eq!(out.dropped, vec![1]);
@@ -103,17 +108,52 @@ mod tests {
     }
 
     #[test]
+    fn any_thread_count_gives_the_serial_result_and_the_lowest_row_error() {
+        let raw: Vec<Vec<f64>> = (0..37)
+            .map(|i| {
+                if i % 5 == 3 {
+                    vec![2.0; 6] // dead
+                } else {
+                    (0..6).map(|j| ((i * 7 + j * 3) % 11) as f64).collect()
+                }
+            })
+            .collect();
+        let serial = normalize_matrix(&raw, 1).unwrap();
+        assert_eq!(serial.dropped.len(), 7);
+        for threads in [2, 3, 8, 64] {
+            assert_eq!(normalize_matrix(&raw, threads).unwrap(), serial);
+        }
+        // Two corrupt rows: every split reports the lower one.
+        let mut bad = raw.clone();
+        bad[30] = vec![];
+        bad[9][2] = f64::NAN;
+        let mut reversed = raw;
+        reversed[9] = vec![];
+        reversed[30][2] = f64::NAN;
+        for threads in [1, 2, 3, 8] {
+            assert!(matches!(
+                normalize_matrix(&bad, threads),
+                Err(DspError::NonFinite { .. })
+            ));
+            assert!(matches!(
+                normalize_matrix(&reversed, threads),
+                Err(DspError::EmptyInput)
+            ));
+        }
+    }
+
+    #[test]
     fn corruption_is_an_error_not_a_drop() {
         let raw = vec![vec![1.0, f64::NAN]];
         assert!(matches!(
-            normalize_matrix(&raw),
+            normalize_matrix(&raw, 1),
             Err(DspError::NonFinite { .. })
         ));
     }
 
     #[test]
     fn empty_matrix_is_fine() {
-        let out = normalize_matrix(&[]).unwrap();
+        let out = normalize_matrix(&[], 1).unwrap();
         assert!(out.is_empty());
         assert!(out.dropped.is_empty());
     }
@@ -121,7 +161,7 @@ mod tests {
     #[test]
     fn empty_row_is_an_error() {
         assert!(matches!(
-            normalize_matrix(&[vec![]]),
+            normalize_matrix(&[vec![]], 1),
             Err(DspError::EmptyInput)
         ));
     }

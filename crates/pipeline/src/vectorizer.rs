@@ -174,9 +174,10 @@ impl Vectorizer {
             Some(config) => impute_outages(&mut raw, &self.window, config),
             None => (vec![Vec::new(); raw.len()], ImputeReport::default()),
         };
-        let mut normalized = normalize_matrix(&raw).map_err(|e| TraceError::Normalization {
-            message: e.to_string(),
-        })?;
+        let mut normalized =
+            normalize_matrix(&raw, self.threads).map_err(|e| TraceError::Normalization {
+                message: e.to_string(),
+            })?;
         // Map per-tower masks into kept order so provenance follows
         // the vectors downstream.
         normalized.imputed = normalized

@@ -63,7 +63,7 @@ echo "bit-identical raw medium study at --threads 1 and --threads 3"
 echo "== paper-scale smoke: 9,600 towers in the spectral feature space =="
 # The scale contract: the full Shanghai-size study must complete within
 # a bounded wall-clock when clustering in the 6-dim spectral space
-# (about 3.3 s on a 2-vCPU VM; the bound mostly exists to catch a
+# (about 2.8 s on a 2-vCPU VM; the bound mostly exists to catch a
 # regression back onto the O(n²·4032) materialised raw path).
 timeout 180 ./target/release/towerlens-cli study \
     --scale paper --seed 42 --feature-space spectral \
@@ -90,6 +90,21 @@ cluster_evals=$(( $(counter "$thr_tmp/paper-metrics.json" cluster.index.leaf_eva
 [ "$cluster_evals" -le "$cluster_budget" ] \
     || { echo "paper study: $cluster_evals distance evaluations exceed $cluster_budget"; exit 1; }
 echo "paper study clustered with $cluster_evals distance evaluations (budget $cluster_budget)"
+# Label work is deterministic too: the POI index's longitude runs may
+# not yield more candidates, and its planar pre-test may not leave more
+# of them to the haversine, than when the gate was set. Measured with
+# the study above:
+#   towerlens-cli study --scale paper --seed 42 --feature-space spectral --metrics M
+label_candidates_budget=2512602
+label_haversine_budget=144
+label_candidates=$(counter "$thr_tmp/paper-metrics.json" core.label.poi_candidates)
+label_haversine=$(counter "$thr_tmp/paper-metrics.json" core.label.haversine_calls)
+[ "$label_candidates" -gt 0 ] && [ "$label_candidates" -le "$label_candidates_budget" ] \
+    || { echo "paper study: $label_candidates POI candidates, budget 1..$label_candidates_budget"; exit 1; }
+[ "$label_haversine" -le "$label_haversine_budget" ] \
+    || { echo "paper study: $label_haversine haversine calls exceed $label_haversine_budget"; exit 1; }
+echo "paper study labelled with $label_candidates POI candidates (budget $label_candidates_budget)" \
+    "and $label_haversine haversine calls (budget $label_haversine_budget)"
 
 echo "== paper-scale query batch: 40,000 requests, pruned topk =="
 # The query contract at the paper's scale: a 40,000-line batch (6/8
