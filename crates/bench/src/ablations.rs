@@ -10,7 +10,6 @@ use towerlens_cluster::compare::{adjusted_rand_index, purity};
 use towerlens_cluster::dendrogram::{Clustering, Dendrogram};
 use towerlens_cluster::distance::DistanceMatrix;
 use towerlens_cluster::validity::{calinski_harabasz, davies_bouldin, silhouette};
-use towerlens_core::freq::features_of;
 use towerlens_core::{CoreError, StudyReport};
 use towerlens_mobility::config::SynthConfig;
 use towerlens_mobility::synth::synthesize_city;
@@ -254,18 +253,18 @@ pub fn noise(report: &StudyReport) -> Result<String, CoreError> {
     Ok(out)
 }
 
-/// Ablation: feature space. Cluster in the 3-dimensional spectral
-/// space instead of the raw 4,032-dimensional one — the efficiency
-/// argument behind §5's representation.
+/// Ablation: feature space. Cluster the study's own spectral table —
+/// the six amplitude/phase features at the principal bins (§5) —
+/// against the raw 4,032-dimensional vectors, and compare both k = 5
+/// cuts with the ground truth and with each other.
 pub fn feature_space(report: &StudyReport) -> Result<String, CoreError> {
     let truth = truth_clustering(report)?;
     let mut out = String::from(
         "## Ablation — clustering feature space\n\
-         Raw z-scored vectors (the paper's §3 pipeline) vs the 3 spectral features\n\
-         (A_day, P_day, A_half) of §5:\n\n",
+         Raw z-scored vectors (the paper's §3 pipeline) vs the study's spectral table\n\
+         (A, P at the weekly, daily and half-day lines, §5):\n\n",
     );
-    let features = features_of(&report.vectors, &report.window)?;
-    let f3: Vec<Vec<f64>> = features.iter().map(|f| f.f3().to_vec()).collect();
+    let f6: Vec<Vec<f64>> = report.features.iter().map(|f| f.f6().to_vec()).collect();
 
     let mut t = TextTable::new(vec![
         "space",
@@ -274,35 +273,25 @@ pub fn feature_space(report: &StudyReport) -> Result<String, CoreError> {
         "ARI@5 vs truth",
         "purity@5",
     ]);
-    for (name, pts) in [("raw time-domain", &report.vectors), ("spectral f3", &f3)] {
+    let mut cuts = Vec::with_capacity(2);
+    for (name, pts) in [("raw time-domain", &report.vectors), ("spectral f6", &f6)] {
         let start = Instant::now();
         let dendro = agglomerative(DistanceMatrix::build(pts, 0)?, Linkage::Average)?;
         let elapsed = start.elapsed().as_secs_f64();
         let cut = dendro.cut_k(5.min(pts.len()))?;
-        let ari = adjusted_rand_index(&cut, &truth)?;
-        let pur = purity(&cut, &truth)?;
         t.row(vec![
             name.to_string(),
             pts[0].len().to_string(),
             num(elapsed),
-            num(ari),
-            num(pur),
+            num(adjusted_rand_index(&cut, &truth)?),
+            num(purity(&cut, &truth)?),
         ]);
+        cuts.push(cut);
     }
     out.push_str(&t.render());
-    out.push_str(
-        "\n(the spectral space carries most of the discriminative structure at a\n\
-         thousandth of the dimensionality — §5's 'most discriminating and essential\n\
-         features' claim, quantified)\n",
-    );
-    // Cross-agreement between the two partitions.
-    let raw_cut = agglomerative(DistanceMatrix::build(&report.vectors, 0)?, Linkage::Average)?
-        .cut_k(5.min(report.vectors.len()))?;
-    let f3_cut =
-        agglomerative(DistanceMatrix::build(&f3, 0)?, Linkage::Average)?.cut_k(5.min(f3.len()))?;
     out.push_str(&format!(
-        "cross-agreement ARI(raw, f3) = {}\n",
-        num(adjusted_rand_index(&raw_cut, &f3_cut)?)
+        "\ncross-agreement ARI(raw, spectral) = {}\n",
+        num(adjusted_rand_index(&cuts[0], &cuts[1])?)
     ));
     Ok(out)
 }

@@ -33,7 +33,7 @@ use towerlens_core::engine::{
     CheckpointError, CheckpointStore, EngineError, FsckInfo, Graph, RunReport, Stage, StageCodec,
     StageContext, StageOutput, Supervisor,
 };
-use towerlens_core::freq::{features_of_goertzel_par, representative_towers};
+use towerlens_core::freq::representative_towers;
 use towerlens_core::identifier::{IdentifiedPatterns, IdentifierConfig, PatternIdentifier};
 use towerlens_core::labeling::{cluster_of_kind, label_clusters_parts, GeoLabels};
 use towerlens_core::study::snapshot_from_parts;
@@ -766,10 +766,10 @@ pub fn analyze_instrumented_with(
 }
 
 /// Assembles the versioned query artifact from an analyze run's
-/// working set: frequency features are recomputed with the same
-/// Goertzel extractor the study uses (bit-identical at any thread
-/// count), and the primary-component basis is frozen only when the
-/// geographic labels cover all four pure kinds. `analyze` has no
+/// working set: the frequency features are the cluster stage's
+/// spectral table (fresh or from its checkpoint), and the
+/// primary-component basis is frozen only when the geographic labels
+/// cover all four pure kinds. `analyze` has no
 /// decomposer (it lacks the city ground truth), so the decomposition
 /// section is empty and `query decompose` solves live against the
 /// frozen basis.
@@ -781,7 +781,7 @@ fn analyze_snapshot(
     fingerprint: u64,
 ) -> Result<towerlens_artifact::Snapshot, Box<dyn std::error::Error>> {
     let window = TraceWindow::days(options.days);
-    let features = features_of_goertzel_par(&normalized.vectors, &window, options.threads)?;
+    let features = patterns.feature_table()?;
     let representatives = labels.and_then(|labels| {
         let pure: Option<Vec<usize>> = RegionKind::PURE
             .iter()
@@ -789,7 +789,7 @@ fn analyze_snapshot(
             .collect();
         match pure {
             Some(pure) if pure.len() == 4 => {
-                representative_towers(&features, &patterns.clustering, &pure)
+                representative_towers(features, &patterns.clustering, &pure)
                     .ok()
                     .map(|reps| [reps[0], reps[1], reps[2], reps[3]])
             }
@@ -802,7 +802,7 @@ fn analyze_snapshot(
         &normalized.vectors,
         patterns,
         labels,
-        &features,
+        features,
         representatives,
         &[],
         fingerprint,

@@ -114,6 +114,13 @@ fn hot_path_counters_are_exactly_equal_across_thread_counts() {
                 "spectral study published no k-d index evaluations"
             );
         }
+        // One spectral table per study, in either space: three
+        // Goertzel bins per kept tower, evaluated once.
+        assert_eq!(
+            counter_value(&dumps[0], "dsp.goertzel.evaluations"),
+            3 * counter_value(&dumps[0], "pipeline.normalize.towers_kept"),
+            "{space}: the study did not make exactly one Goertzel pass"
+        );
         assert!(
             counter_value(&dumps[0], "core.label.poi_candidates") > 0,
             "{space}: the label stage published no POI candidates"
@@ -175,6 +182,12 @@ fn resumed_stages_are_cached_in_the_span_log_with_zero_recompute_counters() {
     let warm = read(&warm_metrics);
     assert!(counter_value(&warm, "trace.ingest.records") > 0);
     assert!(counter_value(&warm, "cluster.distance.evaluations") > 0);
+    // The cluster stage builds the spectral table: one three-bin pass
+    // per kept tower.
+    assert_eq!(
+        counter_value(&warm, "dsp.goertzel.evaluations"),
+        3 * counter_value(&warm, "pipeline.normalize.towers_kept")
+    );
 
     // Resumed run: checkpointed stages come back `cached`, their
     // upstreams are skipped, and no recompute counter moves.
@@ -199,6 +212,8 @@ fn resumed_stages_are_cached_in_the_span_log_with_zero_recompute_counters() {
         "pipeline.normalize.towers_kept",
         "cluster.distance.evaluations",
         "cluster.agglomerative.merges",
+        // The table comes back with the cluster checkpoint.
+        "dsp.goertzel.evaluations",
     ] {
         assert_eq!(counter_value(&metrics, name), 0, "counter `{name}` moved");
     }

@@ -24,8 +24,9 @@ fn injected_panic_degrades_the_study_instead_of_aborting() {
         .stage("label")
         .expect("label stage reported")
         .error
-        .as_deref()
-        .expect("failure rendered");
+        .as_ref()
+        .expect("failure recorded")
+        .to_string();
     assert!(
         error.contains("panicked") && error.contains("failpoint `stage.label=panic` fired at hit"),
         "unexpected error: {error}"

@@ -5,6 +5,7 @@ use std::time::Duration;
 use towerlens_obs::SpanEvent;
 
 use super::stage::Card;
+use super::EngineError;
 
 /// How a stage was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +65,8 @@ pub struct StageReport {
     /// Input/output cardinalities (restored from the checkpoint
     /// header for cached stages).
     pub cards: Vec<Card>,
-    /// The rendered failure, for [`StageStatus::Failed`] stages.
-    pub error: Option<String>,
+    /// The stage's own error, for [`StageStatus::Failed`] stages.
+    pub error: Option<EngineError>,
     /// How many execution attempts the stage consumed: 1 for a clean
     /// run, +1 per supervised retry (compute, checkpoint probe, or
     /// checkpoint save), 0 for stages that did no work (skipped /
@@ -106,6 +107,11 @@ impl RunReport {
             .collect()
     }
 
+    /// The first failed stage's error, in registration order.
+    pub(crate) fn first_error(&self) -> Option<&EngineError> {
+        self.stages.iter().find_map(|s| s.error.as_ref())
+    }
+
     /// Whether any stage failed (or was pruned behind a failure).
     pub fn degraded(&self) -> bool {
         self.stages
@@ -133,7 +139,7 @@ impl RunReport {
                         .iter()
                         .map(|c| (c.label.to_string(), c.value))
                         .collect(),
-                    error: s.error.clone(),
+                    error: s.error.as_ref().map(ToString::to_string),
                     attempts: u64::from(s.attempts),
                 }
             })
@@ -273,7 +279,10 @@ impl RunReport {
                 out.push_str(",\"breaker_opened\":true");
             }
             if let Some(error) = &s.error {
-                out.push_str(&format!(",\"error\":\"{}\"", json_escape(error)));
+                out.push_str(&format!(
+                    ",\"error\":\"{}\"",
+                    json_escape(&error.to_string())
+                ));
             }
             out.push('}');
         }
@@ -340,7 +349,10 @@ mod tests {
     fn degraded() -> RunReport {
         let mut r = sample();
         r.stages[1].status = StageStatus::Failed;
-        r.stages[1].error = Some("stage `cluster` panicked: boom".into());
+        r.stages[1].error = Some(EngineError::StagePanicked {
+            stage: "cluster".to_string(),
+            message: "boom".to_string(),
+        });
         r.stages.push(StageReport {
             name: "label",
             wave: 2,
@@ -370,9 +382,10 @@ mod tests {
             start: Duration::from_millis(13),
             wall: Duration::from_millis(2_000),
             cards: Vec::new(),
-            error: Some(
-                "stage `frequency` exceeded its 2000 ms budget and was declared lost".into(),
-            ),
+            error: Some(EngineError::StageTimedOut {
+                stage: "frequency".to_string(),
+                budget_ms: 2_000,
+            }),
             attempts: 1,
             timed_out: true,
             breaker_opened: false,
@@ -384,7 +397,10 @@ mod tests {
             start: Duration::from_millis(13),
             wall: Duration::from_millis(1),
             cards: Vec::new(),
-            error: Some("stage `label` failed: transient: flaky".into()),
+            error: Some(EngineError::Stage {
+                stage: "label".to_string(),
+                message: "transient: flaky".to_string(),
+            }),
             attempts: 3,
             timed_out: false,
             breaker_opened: true,

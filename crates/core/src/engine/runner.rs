@@ -562,7 +562,7 @@ impl<A: Send + Sync> Graph<A> {
                                 start,
                                 wall,
                                 cards: Vec::new(),
-                                error: Some(e.to_string()),
+                                error: Some(e),
                                 attempts,
                                 timed_out,
                                 breaker_opened,
@@ -980,8 +980,11 @@ mod tests {
         assert_eq!(report.with_status(StageStatus::Failed), vec!["b"]);
         assert_eq!(report.with_status(StageStatus::Pruned), vec!["c"]);
         assert_eq!(report.with_status(StageStatus::Ran), vec!["a", "d"]);
-        let err = report.stage("b").unwrap().error.as_deref().unwrap();
-        assert!(err.contains("panicked") && err.contains("boom 7"), "{err}");
+        let err = report.stage("b").unwrap().error.as_ref().unwrap();
+        assert!(
+            matches!(err, EngineError::StagePanicked { message, .. } if message.contains("boom 7")),
+            "{err}"
+        );
         // Sibling work survived the panic; the dead branch yields no
         // artifact.
         assert_eq!(outcome.take("d").unwrap(), 11);
@@ -1006,8 +1009,13 @@ mod tests {
         // Pruning is transitive: d never had a chance either.
         assert_eq!(report.with_status(StageStatus::Pruned), vec!["c", "d"]);
         assert_eq!(
-            report.stage("b").unwrap().error.as_deref(),
-            Some("stage `b` failed: no data")
+            report
+                .stage("b")
+                .unwrap()
+                .error
+                .as_ref()
+                .map(ToString::to_string),
+            Some("stage `b` failed: no data".to_string())
         );
     }
 
@@ -1130,7 +1138,7 @@ mod tests {
         assert_eq!(report.with_status(StageStatus::Pruned), vec!["behind"]);
         let slow = report.stage("slow").unwrap();
         assert!(slow.timed_out);
-        let err = slow.error.as_deref().unwrap();
+        let err = slow.error.as_ref().unwrap().to_string();
         assert!(err.contains("40 ms budget"), "{err}");
         // The sibling's result committed; the straggler's was
         // discarded even though its thread eventually finished.

@@ -13,6 +13,9 @@
 //! [`StageCodec`], so a run against a [`CheckpointStore`] persists the
 //! expensive front of the pipeline (generation, synthesis,
 //! vectorization, clustering) and a resume reloads it bit-identically.
+//! The cluster checkpoint carries the study's spectral table
+//! ([`IdentifiedPatterns::features`]), which the `frequency` stage
+//! reads instead of extracting it again.
 
 use towerlens_city::city::{City, Tower};
 use towerlens_city::config::CityConfig;
@@ -30,8 +33,7 @@ use towerlens_trace::time::TraceWindow;
 
 use crate::decompose::{Decomposer, Decomposition};
 use crate::freq::{
-    cluster_feature_stats, features_of_goertzel_par, representative_towers, ClusterFeatureStats,
-    TowerFeatures,
+    cluster_feature_stats, representative_towers, ClusterFeatureStats, TowerFeatures,
 };
 use crate::identifier::{IdentifiedPatterns, IdentifierConfig, PatternIdentifier};
 use crate::labeling::{cluster_of_kind, label_clusters, GeoLabels};
@@ -116,10 +118,7 @@ pub fn study_graph(config: &StudyConfig) -> Graph<StudyArtifact> {
         .add_stage(TimeDomainStage {
             window: config.window,
         })
-        .add_stage(FrequencyStage {
-            window: config.window,
-            threads: config.threads,
-        })
+        .add_stage(FrequencyStage)
         .add_stage(DecomposeStage {
             sample: config.decompose_sample,
             threads: config.threads,
@@ -275,8 +274,7 @@ impl Stage<StudyArtifact> for VectorizeStage {
 
 struct ClusterStage {
     config: IdentifierConfig,
-    /// Supplies the principal bins when the feature space resolves to
-    /// spectral.
+    /// Supplies the principal bins of the spectral table.
     window: TraceWindow,
 }
 
@@ -388,26 +386,23 @@ impl Stage<StudyArtifact> for TimeDomainStage {
     }
 }
 
-struct FrequencyStage {
-    window: TraceWindow,
-    threads: usize,
-}
+/// Reads the cluster stage's spectral table; a window without a whole
+/// week has none, and the stage fails with that.
+struct FrequencyStage;
 
 impl Stage<StudyArtifact> for FrequencyStage {
     fn name(&self) -> &'static str {
         "frequency"
     }
     fn deps(&self) -> &'static [&'static str] {
-        &["vectorize", "cluster"]
+        &["cluster"]
     }
     fn run(
         &self,
         ctx: &StageContext<'_, StudyArtifact>,
     ) -> Result<StageOutput<StudyArtifact>, EngineError> {
-        let normalized = vectors_of(ctx, "vectorize")?;
         let patterns = patterns_of(ctx, "cluster")?;
-        let features = features_of_goertzel_par(&normalized.vectors, &self.window, self.threads)
-            .map_err(|e| ctx.fail(e))?;
+        let features = patterns.feature_table().map_err(|e| ctx.fail(e))?.to_vec();
         let stats =
             cluster_feature_stats(&features, &patterns.clustering).map_err(|e| ctx.fail(e))?;
         let (towers, clusters) = (features.len() as u64, stats.len() as u64);
@@ -742,7 +737,8 @@ pub fn decode_normalized(body: &mut BodyReader<'_>) -> Result<NormalizedMatrix, 
     })
 }
 
-/// Encodes an [`IdentifiedPatterns`] into the checkpoint body format.
+/// Encodes an [`IdentifiedPatterns`], spectral table included, into the
+/// checkpoint body format.
 /// Shared with the CLI's analyze graph.
 pub fn encode_patterns(p: &IdentifiedPatterns, out: &mut String) {
     out.push_str(&format!("patterns {} {}\n", p.k, encode_f64(p.threshold)));
@@ -781,6 +777,15 @@ pub fn encode_patterns(p: &IdentifiedPatterns, out: &mut String) {
             m.size,
             encode_f64(m.distance)
         ));
+    }
+    match &p.features {
+        Some(table) => {
+            out.push_str(&format!("features {}\n", table.len()));
+            for f in table {
+                encode_row("feature", &f.f6(), out);
+            }
+        }
+        None => out.push_str("features none\n"),
     }
 }
 
@@ -834,6 +839,32 @@ pub fn decode_patterns(body: &mut BodyReader<'_>) -> Result<IdentifiedPatterns, 
         });
     }
     let dendrogram = Dendrogram::from_sorted_merges(n, merges).map_err(|e| e.to_string())?;
+    let features = match body.tagged("features")? {
+        "none" => None,
+        rows => {
+            let rows = decode_usize(rows)?;
+            if rows != clustering.labels.len() {
+                return Err(format!(
+                    "{rows} feature rows but {} labels",
+                    clustering.labels.len()
+                ));
+            }
+            let table = (0..rows)
+                .map(|_| {
+                    let r = decode_row(body, "feature", 6)?;
+                    Ok(TowerFeatures {
+                        amp_week: r[0],
+                        phase_week: r[1],
+                        amp_day: r[2],
+                        phase_day: r[3],
+                        amp_half: r[4],
+                        phase_half: r[5],
+                    })
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            Some(table)
+        }
+    };
     Ok(IdentifiedPatterns {
         clustering,
         k,
@@ -842,6 +873,7 @@ pub fn decode_patterns(body: &mut BodyReader<'_>) -> Result<IdentifiedPatterns, 
         centroids,
         member_distances,
         dendrogram,
+        features,
     })
 }
 
@@ -998,6 +1030,13 @@ mod tests {
         }
         assert_eq!(a.member_distances, b.member_distances);
         assert_eq!(a.dendrogram.merges(), b.dendrogram.merges());
+        // The spectral table, bit for bit.
+        let bits = |p: &IdentifiedPatterns| -> Vec<[u64; 6]> {
+            let table = p.feature_table().unwrap();
+            table.iter().map(|f| f.f6().map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(a).len(), a.clustering.labels.len());
+        assert_eq!(bits(a), bits(b));
         // The reloaded dendrogram must cut identically.
         for k in 1..=a.k {
             assert_eq!(

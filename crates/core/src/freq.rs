@@ -8,13 +8,20 @@
 //! amplitude/phase pairs form the feature space in which the five
 //! patterns separate, towers fill a polygon, and the four "most
 //! representative" towers span everything else.
+//!
+//! Those pairs, one [`TowerFeatures`] row per tower, are extracted by
+//! [`features_of_goertzel_par`] once per study: the cluster stage's
+//! [`PatternIdentifier::identify_in`](crate::identifier::PatternIdentifier::identify_in)
+//! builds the table, and the frequency stage, the snapshot writers and
+//! serve's publish path all read it from
+//! [`IdentifiedPatterns`](crate::identifier::IdentifiedPatterns).
 
 use towerlens_cluster::dendrogram::Clustering;
 use towerlens_dsp::circular::{circular_mean, circular_stddev};
 use towerlens_dsp::fft::FftPlan;
+use towerlens_dsp::goertzel::{goertzel_bins_sharded, record_evaluations};
 use towerlens_dsp::spectrum::{amplitude_variance_across, Spectrum};
 use towerlens_dsp::stats::{mean, stddev};
-use towerlens_pipeline::feature::spectral_feature;
 use towerlens_trace::time::TraceWindow;
 
 use crate::error::CoreError;
@@ -28,13 +35,19 @@ use crate::error::CoreError;
 /// on an integer bin).
 pub fn principal_bins(window: &TraceWindow) -> Result<[usize; 3], CoreError> {
     // The bin arithmetic lives in `towerlens_pipeline::feature`, where
-    // the spectral feature-space projection uses it too; this wrapper
-    // only restates "no whole week" as a core error.
-    towerlens_pipeline::principal_bins(window).ok_or(CoreError::NotEnoughData {
+    // serve reads it too; this wrapper only restates "no whole week"
+    // as a core error.
+    towerlens_pipeline::principal_bins(window).ok_or_else(no_whole_weeks)
+}
+
+/// The error for a window without a whole week: it has no principal
+/// bins, so no feature table.
+pub(crate) fn no_whole_weeks() -> CoreError {
+    CoreError::NotEnoughData {
         what: "whole weeks in window",
         needed: 1,
         got: 0,
-    })
+    }
 }
 
 /// Amplitude/phase of the three principal components for one tower —
@@ -90,11 +103,10 @@ pub fn spectra_of(vectors: &[Vec<f64>]) -> Result<Vec<Spectrum>, CoreError> {
         .collect()
 }
 
-/// Extracts the principal-component features of every tower.
-///
-/// # Errors
-/// As for [`spectra_of`] and [`principal_bins`].
-pub fn features_of(
+/// The FFT reference the Goertzel table is tested against: the
+/// principal-component features of every tower, read off full spectra.
+#[cfg(test)]
+fn features_of(
     vectors: &[Vec<f64>],
     window: &TraceWindow,
 ) -> Result<Vec<TowerFeatures>, CoreError> {
@@ -575,30 +587,23 @@ mod calib {
     }
 }
 
-/// Goertzel-based feature extraction: identical output to
-/// [`features_of`] (up to float error) at ~O(3·N) per tower instead of
-/// a full FFT — the cheaper path when *only* the three principal
-/// components are needed (e.g. streaming feature updates). The
-/// benchmark suite quantifies the difference.
+/// The per-tower feature table by Goertzel: one pass per tower
+/// evaluates the three principal bins (see
+/// [`towerlens_dsp::goertzel::goertzel_bins`]) at ~O(3·N) instead of a
+/// full FFT, agreeing with the FFT's bins to float error.
+///
+/// This is the study's one feature extractor:
+/// [`PatternIdentifier::identify_in`](crate::identifier::PatternIdentifier::identify_in)
+/// runs it once per study and every later reader takes its table.
+/// Towers fan out over [`towerlens_par`] (`threads == 0` means
+/// available parallelism); each lands in its own slot and each worker
+/// counts Goertzel evaluations in a private shard merged once at the
+/// end, so both the features and the `dsp.goertzel.evaluations`
+/// counter are exactly identical for every thread count.
 ///
 /// # Errors
-/// As for [`features_of`].
-pub fn features_of_goertzel(
-    vectors: &[Vec<f64>],
-    window: &TraceWindow,
-) -> Result<Vec<TowerFeatures>, CoreError> {
-    features_of_goertzel_par(vectors, window, 1)
-}
-
-/// [`features_of_goertzel`] fanned out over towers via
-/// [`towerlens_par`] (`threads == 0` means available parallelism).
-/// Each tower lands in its own slot and each worker counts Goertzel
-/// evaluations in a private shard merged once at the end, so both the
-/// features and the `dsp.goertzel.evaluations` counter are exactly
-/// identical for every thread count.
-///
-/// # Errors
-/// As for [`features_of`].
+/// As for [`principal_bins`], plus [`towerlens_dsp::DspError`] for an
+/// empty vector, a bin not below its length, or a NaN/∞ sample.
 pub fn features_of_goertzel_par(
     vectors: &[Vec<f64>],
     window: &TraceWindow,
@@ -607,17 +612,18 @@ pub fn features_of_goertzel_par(
     let bins = principal_bins(window)?;
     let (out, tallies) =
         towerlens_par::par_map_indexed_tally(vectors, threads, 1, |_, v, shard| {
-            let [aw, pw, ad, pd, ah, ph] = spectral_feature(v, bins, &mut shard[0])?;
+            let n = v.len() as f64;
+            let [week, day, half] = goertzel_bins_sharded(v, bins, &mut shard[0])?;
             Ok::<TowerFeatures, CoreError>(TowerFeatures {
-                amp_week: aw,
-                phase_week: pw,
-                amp_day: ad,
-                phase_day: pd,
-                amp_half: ah,
-                phase_half: ph,
+                amp_week: week.abs() / n,
+                phase_week: week.arg(),
+                amp_day: day.abs() / n,
+                phase_day: day.arg(),
+                amp_half: half.abs() / n,
+                phase_half: half.arg(),
             })
         });
-    towerlens_dsp::goertzel::record_evaluations(tallies[0]);
+    record_evaluations(tallies[0]);
     out.into_iter().collect()
 }
 
@@ -638,7 +644,7 @@ mod goertzel_path {
             .map(|(i, &k)| tower_vector(&pure_mix(k), &w, &SynthConfig::default(), i))
             .collect();
         let via_fft = features_of(&vectors, &w).unwrap();
-        let via_goertzel = features_of_goertzel(&vectors, &w).unwrap();
+        let via_goertzel = features_of_goertzel_par(&vectors, &w, 1).unwrap();
         for (a, b) in via_fft.iter().zip(&via_goertzel) {
             assert!((a.amp_week - b.amp_week).abs() < 1e-6 * (a.amp_week + 1.0));
             assert!((a.phase_week - b.phase_week).abs() < 1e-6);

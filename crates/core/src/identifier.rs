@@ -7,24 +7,35 @@
 //! The selected cut's threshold is reported the way the paper quotes
 //! its 16.33.
 //!
+//! The identifier also builds the study's one spectral table: when the
+//! window spans whole weeks, one three-bin Goertzel pass per tower
+//! ([`features_of_goertzel_par`]) gives every tower its
+//! [`TowerFeatures`], returned in [`IdentifiedPatterns::features`] and
+//! carried by the cluster checkpoint. The frequency stage, the
+//! snapshot writers and serve's publish path read that table instead
+//! of extracting it again. Without a window, or when the window spans
+//! no whole week, the table is `None`, and each reader reports the
+//! missing weeks ([`IdentifiedPatterns::feature_table`]).
+//!
 //! The representation the clustering sees is a [`FeatureSpace`]
 //! choice: the raw 4,032-dim traffic vector (the paper's setting,
-//! materialised distance matrix) or the 6-dim spectral projection at
-//! the window's principal bins (matrix-free distances through the
-//! exact-pruning spatial index — the path that carries the paper's
-//! 9,600 towers and beyond). `Auto`, the default, keeps small studies
-//! on the raw reference path and switches large ones to spectral. A
-//! golden test below pins the two spaces to agreement by Adjusted Rand
-//! Index on separable data.
+//! materialised distance matrix) or the table's 6-dim rows, the
+//! amplitude and phase at the window's principal bins (matrix-free
+//! distances through the exact-pruning spatial index — the path that
+//! carries the paper's 9,600 towers and beyond). `Auto`, the default,
+//! keeps small studies on the raw reference path and switches large
+//! ones to spectral. A golden test below pins the two spaces to
+//! agreement by Adjusted Rand Index on separable data.
 
 use towerlens_cluster::agglomerative::{agglomerative, Linkage};
 use towerlens_cluster::dendrogram::{Clustering, Dendrogram};
 use towerlens_cluster::validity::{best_by_dbi, dbi_sweep, DbiPoint};
 use towerlens_cluster::{DistanceMatrix, IndexedMetric};
-use towerlens_pipeline::feature::{spectral_project, FeatureSpace};
+use towerlens_pipeline::feature::FeatureSpace;
 use towerlens_trace::time::TraceWindow;
 
 use crate::error::CoreError;
+use crate::freq::{features_of_goertzel_par, no_whole_weeks, principal_bins, TowerFeatures};
 
 /// Configuration of the identifier.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +46,7 @@ pub struct IdentifierConfig {
     pub k_min: usize,
     /// Largest cluster count the metric tuner considers.
     pub k_max: usize,
-    /// Worker threads for the distance matrix / spectral projection
+    /// Worker threads for the distance matrix and the feature table
     /// (0 = auto).
     pub threads: usize,
     /// Representation towers are clustered in (default
@@ -78,6 +89,21 @@ pub struct IdentifiedPatterns {
     pub member_distances: Vec<Vec<f64>>,
     /// The full dendrogram, for callers that want other cuts.
     pub dendrogram: Dendrogram,
+    /// The per-tower spectral table (input-vector aligned), built in
+    /// both feature spaces whenever the window spans whole weeks;
+    /// `None` without a window or a whole week.
+    pub features: Option<Vec<TowerFeatures>>,
+}
+
+impl IdentifiedPatterns {
+    /// The per-tower spectral table.
+    ///
+    /// # Errors
+    /// [`CoreError::NotEnoughData`] ("whole weeks in window") when the
+    /// table is `None`.
+    pub fn feature_table(&self) -> Result<&[TowerFeatures], CoreError> {
+        self.features.as_deref().ok_or_else(no_whole_weeks)
+    }
 }
 
 /// The pattern identifier.
@@ -99,8 +125,9 @@ impl PatternIdentifier {
 
     /// Runs clustering + metric tuning over z-scored traffic vectors,
     /// always in the raw feature space's terms: equivalent to
-    /// [`PatternIdentifier::identify_in`] with no window, so a
-    /// configuration that resolves to the spectral space errors here.
+    /// [`PatternIdentifier::identify_in`] with no window, so it builds
+    /// no feature table and a configuration that resolves to the
+    /// spectral space errors here.
     ///
     /// # Errors
     /// As for [`PatternIdentifier::identify_in`].
@@ -111,19 +138,20 @@ impl PatternIdentifier {
     /// Runs clustering + metric tuning over z-scored traffic vectors
     /// in the configured [`FeatureSpace`].
     ///
-    /// In the raw space the towers are clustered as-is over a
+    /// When `window` spans whole weeks, one Goertzel pass first builds
+    /// the spectral table ([`IdentifiedPatterns::features`]) in either
+    /// space. In the raw space the towers are clustered as-is over a
     /// materialised distance matrix (bit-identical to the
-    /// pre-feature-space pipeline). In the spectral space each tower
-    /// is first projected onto its six principal-component features
-    /// for `window` — clustering and the DBI sweep then run in that
-    /// 6-dim space, matrix-free — while centroids and member→centroid
-    /// distances are still reported in the traffic-vector space, so
-    /// Fig 6's pattern profiles keep their meaning in either space.
+    /// pre-feature-space pipeline). In the spectral space the
+    /// clustering and the DBI sweep run over the table's 6-dim rows,
+    /// matrix-free — while centroids and member→centroid distances are
+    /// still reported in the traffic-vector space, so Fig 6's pattern
+    /// profiles keep their meaning in either space.
     ///
     /// # Errors
     /// * [`CoreError::NotEnoughData`] if fewer than `k_min + 1`
-    ///   vectors are supplied, if the spectral space is selected
-    ///   without a window, or if the window does not span whole weeks,
+    ///   vectors are supplied, or if the spectral space is selected
+    ///   without a window or with one that spans no whole week,
     /// * wrapped [`towerlens_cluster::ClusterError`] /
     ///   [`towerlens_dsp::DspError`] for validation failures.
     pub fn identify_in(
@@ -139,23 +167,27 @@ impl PatternIdentifier {
                 got: vectors.len(),
             });
         }
+        // The study's one spectral table.
+        let features = match window {
+            Some(window) if principal_bins(window).is_ok() => {
+                Some(features_of_goertzel_par(vectors, window, cfg.threads)?)
+            }
+            _ => None,
+        };
         // The space the dendrogram and the DBI sweep live in: the
-        // towers themselves, or their 6-dim spectral projections.
-        let projected = match cfg.feature_space.resolve(vectors.len()) {
+        // towers themselves, or the table's 6-dim rows.
+        let projected: Option<Vec<Vec<f64>>> = match cfg.feature_space.resolve(vectors.len()) {
             FeatureSpace::Raw => None,
             FeatureSpace::Spectral => {
-                let window = window.ok_or(CoreError::NotEnoughData {
-                    what: "trace window for spectral feature space",
-                    needed: 1,
-                    got: 0,
-                })?;
-                let bins =
-                    towerlens_pipeline::principal_bins(window).ok_or(CoreError::NotEnoughData {
-                        what: "whole weeks in window",
+                if window.is_none() {
+                    return Err(CoreError::NotEnoughData {
+                        what: "trace window for spectral feature space",
                         needed: 1,
                         got: 0,
-                    })?;
-                Some(spectral_project(vectors, bins, cfg.threads)?)
+                    });
+                }
+                let table = features.as_deref().ok_or_else(no_whole_weeks)?;
+                Some(table.iter().map(|f| f.f6().to_vec()).collect())
             }
             FeatureSpace::Auto => unreachable!("resolve() never returns Auto"),
         };
@@ -167,10 +199,8 @@ impl PatternIdentifier {
             // through the exact-pruning spatial index — no O(n²)
             // buffer, and nearest-neighbour scans collapse to pruned
             // descents. Bit-identical to the materialised matrix over
-            // the same features (a golden test below pins it).
-            Some(features) => {
-                agglomerative(IndexedMetric::new(features, cfg.linkage)?, cfg.linkage)?
-            }
+            // the same rows (a golden test below pins it).
+            Some(rows) => agglomerative(IndexedMetric::new(rows, cfg.linkage)?, cfg.linkage)?,
         };
         let space: &[Vec<f64>] = projected.as_deref().unwrap_or(vectors);
         let k_max = cfg.k_max.min(vectors.len());
@@ -191,6 +221,7 @@ impl PatternIdentifier {
             centroids,
             member_distances,
             dendrogram,
+            features,
         })
     }
 }
@@ -331,6 +362,52 @@ mod tests {
     }
 
     #[test]
+    fn the_feature_table_is_one_goertzel_pass_in_either_space() {
+        // The table every later stage reads: exactly the Goertzel
+        // extractor's output, bit for bit, whichever space clusters.
+        let window = TraceWindow::days(7);
+        let (vectors, _) = pure_kind_vectors(6, &window);
+        let reference = features_of_goertzel_par(&vectors, &window, 1).unwrap();
+        let bits = |table: &[TowerFeatures]| -> Vec<[u64; 6]> {
+            table.iter().map(|f| f.f6().map(f64::to_bits)).collect()
+        };
+        for space in [FeatureSpace::Raw, FeatureSpace::Spectral] {
+            let found = PatternIdentifier::new(IdentifierConfig {
+                feature_space: space,
+                threads: 3,
+                ..IdentifierConfig::default()
+            })
+            .identify_in(&vectors, Some(&window))
+            .unwrap();
+            assert_eq!(
+                bits(found.feature_table().unwrap()),
+                bits(&reference),
+                "{space}"
+            );
+        }
+        // No whole week, or no window at all: no table, and its readers
+        // get the missing-weeks error.
+        let raw = PatternIdentifier::new(IdentifierConfig {
+            feature_space: FeatureSpace::Raw,
+            ..IdentifierConfig::default()
+        });
+        for found in [
+            raw.identify_in(&vectors, Some(&TraceWindow::days(10)))
+                .unwrap(),
+            raw.identify(&vectors).unwrap(),
+        ] {
+            assert!(found.features.is_none());
+            assert!(matches!(
+                found.feature_table(),
+                Err(CoreError::NotEnoughData {
+                    what: "whole weeks in window",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
     fn auto_space_is_bit_identical_to_raw_at_small_n() {
         // The compatibility contract: the default (Auto) resolves to
         // the raw reference below the switch-over, window or not.
@@ -358,8 +435,6 @@ mod tests {
         // must match it merge for merge, heights compared by bits.
         let window = TraceWindow::days(7);
         let (vectors, _) = pure_kind_vectors(12, &window);
-        let bins = towerlens_pipeline::principal_bins(&window).unwrap();
-        let features = spectral_project(&vectors, bins, 1).unwrap();
         for linkage in [
             Linkage::Single,
             Linkage::Complete,
@@ -374,8 +449,14 @@ mod tests {
             })
             .identify_in(&vectors, Some(&window))
             .unwrap();
+            let rows: Vec<Vec<f64>> = found
+                .feature_table()
+                .unwrap()
+                .iter()
+                .map(|f| f.f6().to_vec())
+                .collect();
             let reference =
-                agglomerative(DistanceMatrix::build(&features, 1).unwrap(), linkage).unwrap();
+                agglomerative(DistanceMatrix::build(&rows, 1).unwrap(), linkage).unwrap();
             let (got, want) = (found.dendrogram.merges(), reference.merges());
             assert_eq!(got.len(), want.len(), "{linkage:?}");
             for (step, (x, y)) in got.iter().zip(want).enumerate() {

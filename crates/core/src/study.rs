@@ -169,9 +169,11 @@ impl StudyReport {
     /// An FNV-1a content hash over every numeric and categorical
     /// field of the report, with floats hashed by bit pattern. Two
     /// reports fingerprint equal iff the pipeline produced
-    /// bit-identical results — the equivalence oracle for the staged
-    /// engine vs the monolithic driver, and for resumed vs fresh
-    /// runs.
+    /// bit-identical results — the oracle for resumed vs fresh runs
+    /// and for any thread count, and the engine's pin: a test holds
+    /// the fingerprints of five seeded studies at fixed values. The
+    /// spectral table is hashed once, as [`StudyReport::features`]: the
+    /// frequency stage copies it from `patterns`.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         // Window.
@@ -417,23 +419,23 @@ impl Study {
     /// As [`Study::run_instrumented`], under a [`Supervisor`]:
     /// transient failures retry with deterministic backoff and stages
     /// may carry a wall-time budget. `Supervisor::default()` is
-    /// exactly [`Study::run_instrumented`].
+    /// exactly [`Study::run_instrumented`]. This is
+    /// [`Study::run_resilient_with`] that insists on every section.
     ///
     /// # Errors
     /// As [`Study::run_instrumented`], plus stage-timeout errors from
-    /// the watchdog.
+    /// the watchdog. When an optional stage failed, its own error (the
+    /// first in stage order).
     pub fn run_instrumented_with(
         &self,
         store: Option<&CheckpointStore>,
         supervisor: &Supervisor,
     ) -> Result<(StudyReport, RunReport), CoreError> {
-        let graph = study_graph(&self.config);
-        let RunOutcome {
-            mut artifacts,
-            report,
-        } = graph.run_with(store, supervisor)?;
-        let study = assemble(&self.config, &mut artifacts)?;
-        Ok((study, report))
+        let (partial, report) = self.run_resilient_with(store, supervisor)?;
+        match partial.into_full() {
+            Some(study) => Ok((study, report)),
+            None => Err(lost(&report, "report")),
+        }
     }
 
     /// Runs the pipeline fault-tolerantly: a panic in any stage, or a
@@ -473,100 +475,8 @@ impl Study {
             mut artifacts,
             report,
         } = graph.run_with(store, supervisor)?;
-        let partial = assemble_partial(&self.config, &mut artifacts)?;
+        let partial = assemble_partial(&self.config, &mut artifacts, &report)?;
         Ok((partial, report))
-    }
-
-    /// The pre-engine single-function pipeline, kept verbatim as the
-    /// numerical reference: the golden test asserts that the staged
-    /// engine reproduces this path bit-for-bit (see
-    /// [`StudyReport::fingerprint`]).
-    #[doc(hidden)]
-    pub fn run_monolithic(&self) -> Result<StudyReport, CoreError> {
-        use towerlens_city::generate::generate;
-        use towerlens_mobility::synth::synthesize_city;
-        use towerlens_opt::simplex::Solver;
-        use towerlens_pipeline::normalize::normalize_matrix;
-
-        use crate::decompose::Decomposer;
-        use crate::freq::{cluster_feature_stats, features_of_goertzel, representative_towers};
-        use crate::identifier::PatternIdentifier;
-        use crate::labeling::label_clusters;
-        use crate::timedomain::{cluster_series, cluster_time_stats};
-
-        let cfg = &self.config;
-        // 1. Ground truth.
-        let city = generate(&cfg.city)?;
-        // 2. Traffic (fast synthesis path).
-        let raw = synthesize_city(&city, &cfg.window, &cfg.synth);
-        // 3. Vectorize (phase 2: z-score; phase 1 happened in synth —
-        //    the log path exercises the full vectorizer; see the
-        //    integration tests).
-        let normalized = normalize_matrix(&raw, 1)?;
-        let kept_ids = normalized.kept_ids.clone();
-        let vectors = normalized.vectors;
-        // 4. Identify patterns (in the configured feature space; the
-        //    window supplies the spectral bins when that space wins).
-        let identifier = PatternIdentifier::new(cfg.identifier);
-        let patterns = identifier.identify_in(&vectors, Some(&cfg.window))?;
-        // 5. Geographic labels.
-        let geo = label_clusters(&city, &patterns.clustering, &kept_ids, 1)?;
-        // 6. Time-domain statistics over the kept towers' raw rows.
-        let kept_raw: Vec<&[f64]> = kept_ids.iter().map(|&id| raw[id].as_slice()).collect();
-        let series = cluster_series(&kept_raw, &patterns.clustering)?;
-        let time_stats: Vec<ClusterTimeStats> = series
-            .iter()
-            .map(|s| cluster_time_stats(s, &cfg.window))
-            .collect::<Result<_, _>>()?;
-        // 7. Frequency features (Goertzel at the three principal
-        //    bins, the same extractor the staged engine runs).
-        let features = features_of_goertzel(&vectors, &cfg.window)?;
-        let feature_stats = cluster_feature_stats(&features, &patterns.clustering)?;
-        // 8. Representatives + decomposition.
-        let pure_clusters: Option<Vec<usize>> = RegionKind::PURE
-            .iter()
-            .map(|&k| cluster_of_kind(&geo.labels, k))
-            .collect();
-        let (representatives, decompositions) = match pure_clusters {
-            Some(pure) if pure.len() == 4 => {
-                let reps = representative_towers(&features, &patterns.clustering, &pure)?;
-                let reps4: [usize; 4] = [reps[0], reps[1], reps[2], reps[3]];
-                let rep_features: [TowerFeatures; 4] = [
-                    features[reps4[0]],
-                    features[reps4[1]],
-                    features[reps4[2]],
-                    features[reps4[3]],
-                ];
-                let decomposer = Decomposer::new(&rep_features, &geo.tower_poi, Solver::ActiveSet)?;
-                // Rows F1..F4: the representatives themselves.
-                let mut targets: Vec<usize> = reps4.to_vec();
-                // Rows P1..Pn: sampled comprehensive towers.
-                if let Some(comp) = cluster_of_kind(&geo.labels, RegionKind::Comprehensive) {
-                    let members = patterns.clustering.members(comp);
-                    let step = (members.len() / cfg.decompose_sample.max(1)).max(1);
-                    targets.extend(members.iter().step_by(step).take(cfg.decompose_sample));
-                }
-                let rows = decomposer.decompose_all(&targets, &features)?;
-                (Some(reps4), rows)
-            }
-            _ => (None, Vec::new()),
-        };
-
-        Ok(StudyReport {
-            city,
-            window: cfg.window,
-            raw,
-            kept_ids,
-            vectors,
-            patterns,
-            geo,
-            cluster_series: series,
-            time_stats,
-            features,
-            feature_stats,
-            representatives,
-            decompositions,
-        })
     }
 }
 
@@ -802,82 +712,27 @@ fn type_mismatch(name: &'static str) -> CoreError {
     })
 }
 
-/// Assembles the [`StudyReport`] from the stage artifacts.
-fn assemble(
-    config: &StudyConfig,
-    artifacts: &mut HashMap<&'static str, StudyArtifact>,
-) -> Result<StudyReport, CoreError> {
-    let mut take = |name: &'static str| {
-        artifacts
-            .remove(name)
-            .ok_or_else(|| EngineError::MissingArtifact {
-                stage: "<assemble>".to_string(),
-                dep: name.to_string(),
-            })
-    };
-    let StudyArtifact::City(city) = take("city")? else {
-        return Err(type_mismatch("city"));
-    };
-    let StudyArtifact::Raw(raw) = take("synthesize")? else {
-        return Err(type_mismatch("synthesize"));
-    };
-    let StudyArtifact::Vectors(normalized) = take("vectorize")? else {
-        return Err(type_mismatch("vectorize"));
-    };
-    let StudyArtifact::Patterns(patterns) = take("cluster")? else {
-        return Err(type_mismatch("cluster"));
-    };
-    let StudyArtifact::Geo(geo) = take("label")? else {
-        return Err(type_mismatch("label"));
-    };
-    let StudyArtifact::TimeDomain { series, stats } = take("timedomain")? else {
-        return Err(type_mismatch("timedomain"));
-    };
-    let StudyArtifact::Frequency {
-        features,
-        stats: feature_stats,
-    } = take("frequency")?
-    else {
-        return Err(type_mismatch("frequency"));
-    };
-    let StudyArtifact::Decompose {
-        representatives,
-        rows,
-    } = take("decompose")?
-    else {
-        return Err(type_mismatch("decompose"));
-    };
-    Ok(StudyReport {
-        city,
-        window: config.window,
-        raw,
-        kept_ids: normalized.kept_ids,
-        vectors: normalized.vectors,
-        patterns,
-        geo,
-        cluster_series: series,
-        time_stats: stats,
-        features,
-        feature_stats,
-        representatives,
-        decompositions: rows,
-    })
+/// The error for an artifact a run could not deliver: the first failed
+/// stage's own error, which names the stage (a missing artifact always
+/// has one behind it), else the artifact itself.
+fn lost(report: &RunReport, artifact: &str) -> CoreError {
+    let error = report.first_error().cloned();
+    CoreError::Engine(error.unwrap_or_else(|| EngineError::MissingArtifact {
+        stage: "<assemble>".to_string(),
+        dep: artifact.to_string(),
+    }))
 }
 
 /// Assembles the partial report: the spine is required, the optional
 /// sections degrade to `None` when their stage failed or was pruned.
+/// This is the one assembler; [`Study::run_instrumented_with`] upgrades
+/// its result with [`PartialStudyReport::into_full`].
 fn assemble_partial(
     config: &StudyConfig,
     artifacts: &mut HashMap<&'static str, StudyArtifact>,
+    report: &RunReport,
 ) -> Result<PartialStudyReport, CoreError> {
-    let mut take = |name: &'static str| {
-        artifacts
-            .remove(name)
-            .ok_or_else(|| EngineError::MissingArtifact {
-                stage: "<assemble>".to_string(),
-                dep: name.to_string(),
-            })
-    };
+    let mut take = |name: &'static str| artifacts.remove(name).ok_or_else(|| lost(report, name));
     let StudyArtifact::City(city) = take("city")? else {
         return Err(type_mismatch("city"));
     };
@@ -956,20 +811,71 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
-    /// The golden equivalence: the staged engine must be numerically
-    /// invisible relative to the original single-function driver.
+    /// The engine pinned by value: any change to a number a study
+    /// reports moves its fingerprint. At these values the staged
+    /// engine was bit-identical to the pre-engine single-function
+    /// pipeline, in both feature spaces. Release builds and the test
+    /// profile agree on them; re-measure with
+    /// `cargo test --release -p towerlens-core --lib engine_is_pinned_by_fingerprint`,
+    /// whose failure message lists every study's value.
     #[test]
-    fn engine_matches_monolithic_bit_for_bit() {
-        for seed in [3, 7] {
-            let study = Study::new(StudyConfig::tiny(seed));
-            let staged = study.run().unwrap();
-            let monolithic = study.run_monolithic().unwrap();
-            assert_eq!(
-                staged.fingerprint(),
-                monolithic.fingerprint(),
-                "seed {seed}: staged engine diverged from the monolithic driver"
-            );
-        }
+    fn engine_is_pinned_by_fingerprint() {
+        let spectral = |mut config: StudyConfig| {
+            config.identifier.feature_space = FeatureSpace::Spectral;
+            config
+        };
+        let pins = [
+            ("tiny 3", StudyConfig::tiny(3), 0xf6b3_dc5e_166a_3a05_u64),
+            ("tiny 7", StudyConfig::tiny(7), 0x2b6a_173c_cdeb_eae3),
+            ("small 7", StudyConfig::small(7), 0xfedd_315d_4cc7_6a5e),
+            (
+                "tiny 3 spectral",
+                spectral(StudyConfig::tiny(3)),
+                0x69ba_9066_7d14_cbe2,
+            ),
+            (
+                "tiny 7 spectral",
+                spectral(StudyConfig::tiny(7)),
+                0x562d_363d_fbac_befe,
+            ),
+        ];
+        let got: Vec<(&str, String)> = pins
+            .iter()
+            .map(|(name, config, _)| {
+                let report = Study::new(config.clone()).run().unwrap();
+                (*name, format!("{:016x}", report.fingerprint()))
+            })
+            .collect();
+        let want: Vec<(&str, String)> = pins
+            .iter()
+            .map(|(name, _, pin)| (*name, format!("{pin:016x}")))
+            .collect();
+        assert_eq!(got, want, "study fingerprints moved");
+    }
+
+    #[test]
+    fn a_failed_optional_stage_fails_the_full_run_with_its_own_error() {
+        // Ten days hold no whole week: the cluster stage builds no
+        // spectral table, so the frequency stage fails and decompose is
+        // pruned behind it. The full run reports that failure, not the
+        // missing artifact it leaves behind.
+        let mut config = StudyConfig::tiny(7);
+        config.window = TraceWindow::days(10);
+        let study = Study::new(config);
+        let want = "stage `frequency` failed: not enough whole weeks in window: need 1, got 0";
+        let err = study.run().unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Engine(EngineError::Stage { stage, .. }) if stage == "frequency"),
+            "{err}"
+        );
+        assert_eq!(err.to_string(), format!("engine: {want}"));
+        let (partial, report) = study.run_resilient(None).unwrap();
+        assert!(partial.geo.is_some() && partial.frequency.is_none());
+        assert_eq!(report.with_status(StageStatus::Pruned), vec!["decompose"]);
+        assert_eq!(
+            report.first_error().map(ToString::to_string).as_deref(),
+            Some(want)
+        );
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! The paper's own §4 observation (the three principal frequency
 //! components retain >94% of signal energy) licenses a 6-dim
 //! alternative: each tower's `(amplitude, phase)` pair at the weekly,
-//! daily and half-daily lines. [`FeatureSpace`] names the choice and
-//! threads it from the CLI down to the cluster stage; a golden test in
-//! `towerlens-core` pins the spectral space to the raw-space reference
-//! by Adjusted Rand Index at small n.
+//! daily and half-daily lines ([`principal_bins`]). [`FeatureSpace`]
+//! names the choice and threads it from the CLI down to the cluster
+//! stage. The 6-dim rows themselves are the study's one spectral
+//! table, built once by `towerlens-core`'s pattern identifier in
+//! either space; a golden test there pins the spectral space to the
+//! raw-space reference by Adjusted Rand Index at small n.
 
 use std::fmt;
 use std::str::FromStr;
 
-use towerlens_dsp::goertzel::{goertzel_bins_sharded, record_evaluations};
-use towerlens_dsp::DspError;
 use towerlens_trace::time::TraceWindow;
 
 /// Tower count at which [`FeatureSpace::Auto`] switches from raw to
@@ -103,62 +103,6 @@ pub fn principal_bins(window: &TraceWindow) -> Option<[usize; 3]> {
     Some([w, 7 * w, 14 * w])
 }
 
-/// One tower's spectral feature `(A_w, P_w, A_d, P_d, A_h, P_h)`: the
-/// three principal bins evaluated in one Goertzel pass over the vector,
-/// in bin order, counted into the caller's `tally` shard (credit it
-/// with [`record_evaluations`]).
-///
-/// Amplitudes are normalised by the vector length so they are
-/// comparable across window lengths. This is the one extractor behind
-/// both [`spectral_project`] and the frequency stage's feature table
-/// in `towerlens-core`, so the two agree bit for bit.
-///
-/// # Errors
-/// [`DspError::BinOutOfRange`] if a bin is not below the vector's
-/// length, [`DspError::EmptyInput`] for an empty vector,
-/// [`DspError::NonFinite`] for a NaN/∞ sample.
-pub fn spectral_feature(
-    v: &[f64],
-    bins: [usize; 3],
-    tally: &mut u64,
-) -> Result<[f64; 6], DspError> {
-    let n = v.len() as f64;
-    let mut feature = [0.0; 6];
-    for (pair, c) in feature
-        .chunks_exact_mut(2)
-        .zip(goertzel_bins_sharded(v, bins, tally)?)
-    {
-        pair[0] = c.abs() / n;
-        pair[1] = c.arg();
-    }
-    Ok(feature)
-}
-
-/// Projects every tower vector onto the 6-dim spectral feature space
-/// with [`spectral_feature`] at the given principal bins.
-///
-/// Fanned out over towers via `towerlens_par` (`threads == 0` means
-/// available parallelism); every tower lands in its own output slot
-/// and Goertzel evaluations are tallied in worker-private shards
-/// merged once at the end, so both the projection and the
-/// `dsp.goertzel.evaluations` counter are bit-identical for every
-/// thread count.
-///
-/// # Errors
-/// As for [`spectral_feature`].
-pub fn spectral_project(
-    vectors: &[Vec<f64>],
-    bins: [usize; 3],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, DspError> {
-    let (out, tallies) =
-        towerlens_par::par_map_indexed_tally(vectors, threads, 1, |_, v, shard| {
-            spectral_feature(v, bins, &mut shard[0]).map(Vec::from)
-        });
-    record_evaluations(tallies[0]);
-    out.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,44 +142,5 @@ mod tests {
         assert_eq!(principal_bins(&TraceWindow::days(14)), Some([2, 14, 28]));
         assert_eq!(principal_bins(&TraceWindow::paper()), Some([4, 28, 56]));
         assert_eq!(principal_bins(&TraceWindow::days(5)), None);
-    }
-
-    #[test]
-    fn projection_is_six_dim_and_thread_invariant() {
-        let window = TraceWindow::days(7);
-        let bins = principal_bins(&window).unwrap();
-        let n = window.n_bins;
-        let vectors: Vec<Vec<f64>> = (0..9)
-            .map(|t| {
-                (0..n)
-                    .map(|i| {
-                        let x = i as f64 / n as f64 * std::f64::consts::TAU;
-                        (x * 7.0 + t as f64).sin() + 0.25 * (x * 14.0).cos()
-                    })
-                    .collect()
-            })
-            .collect();
-        let reference = spectral_project(&vectors, bins, 1).unwrap();
-        assert_eq!(reference.len(), vectors.len());
-        assert!(reference.iter().all(|f| f.len() == 6));
-        // The daily line dominates these synthetic towers.
-        assert!(reference[0][2] > reference[0][0]);
-        for threads in [2usize, 8] {
-            let par = spectral_project(&vectors, bins, threads).unwrap();
-            for (a, b) in reference.iter().zip(&par) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn projection_rejects_out_of_range_bins() {
-        let vectors = vec![vec![1.0, 2.0, 3.0, 4.0]];
-        assert!(matches!(
-            spectral_project(&vectors, [1, 7, 14], 1),
-            Err(DspError::BinOutOfRange { .. })
-        ));
     }
 }

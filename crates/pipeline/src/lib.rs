@@ -41,7 +41,7 @@ pub mod impute;
 pub mod normalize;
 pub mod vectorizer;
 
-pub use feature::{principal_bins, spectral_project, FeatureSpace, SPECTRAL_AUTO_MIN};
+pub use feature::{principal_bins, FeatureSpace, SPECTRAL_AUTO_MIN};
 pub use impute::{impute_outages, ImputeConfig, ImputeReport};
 pub use normalize::{normalize_matrix, NormalizedMatrix};
 pub use vectorizer::{Vectorizer, VectorizerOptions, VectorizerOutput, VectorizerReport};

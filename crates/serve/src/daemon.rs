@@ -58,7 +58,6 @@ use std::sync::Arc;
 use towerlens_artifact::{fnv1a64, Publisher};
 use towerlens_core::engine::{BreakerPolicy, CheckpointError, CheckpointStore, RetryPolicy};
 use towerlens_core::error::CoreError;
-use towerlens_core::freq::features_of_goertzel;
 use towerlens_core::identifier::PatternIdentifier;
 use towerlens_core::study::snapshot_from_parts;
 use towerlens_dsp::goertzel;
@@ -779,8 +778,8 @@ fn state_records(snap: &ServeSnapshot) -> Vec<LogRecord> {
 
 /// Assembles the versioned query artifact for the current durable
 /// state: the same record rebuild as [`drain`], a one-thread
-/// vectorize (bit-reproducible), spectral feature extraction, and
-/// pattern identification, fed through the study's shared
+/// vectorize (bit-reproducible), and pattern identification, whose
+/// spectral table and clustering feed the study's shared
 /// [`snapshot_from_parts`] assembly point. `Ok(None)` when the state
 /// holds too little data to identify patterns — a young stream has
 /// nothing to publish yet, which is not an error.
@@ -806,15 +805,16 @@ fn query_snapshot_of(
         Err(CoreError::NotEnoughData { .. }) => return Ok(None),
         Err(e) => return Err(ServeError::Analysis(e.to_string())),
     };
-    let features =
-        features_of_goertzel(vectors, window).map_err(|e| ServeError::Analysis(e.to_string()))?;
+    let features = patterns
+        .feature_table()
+        .map_err(|e| ServeError::Analysis(e.to_string()))?;
     snapshot_from_parts(
         window,
         &vect.normalized.kept_ids,
         vectors,
         &patterns,
         None,
-        &features,
+        features,
         None,
         &[],
         fingerprint,

@@ -105,6 +105,16 @@ label_haversine=$(counter "$thr_tmp/paper-metrics.json" core.label.haversine_cal
     || { echo "paper study: $label_haversine haversine calls exceed $label_haversine_budget"; exit 1; }
 echo "paper study labelled with $label_candidates POI candidates (budget $label_candidates_budget)" \
     "and $label_haversine haversine calls (budget $label_haversine_budget)"
+# One spectral table per study: the cluster stage's Goertzel pass
+# evaluates three bins per kept tower (3 x 9,600), and every later
+# reader takes its table. A second feature pass would double this.
+# Measured with the study above:
+#   towerlens-cli study --scale paper --seed 42 --feature-space spectral --metrics M
+goertzel_budget=28800
+goertzel_evals=$(counter "$thr_tmp/paper-metrics.json" dsp.goertzel.evaluations)
+[ "$goertzel_evals" -le "$goertzel_budget" ] \
+    || { echo "paper study: $goertzel_evals Goertzel evaluations exceed $goertzel_budget"; exit 1; }
+echo "paper study made $goertzel_evals Goertzel evaluations (budget $goertzel_budget)"
 
 echo "== paper-scale query batch: 40,000 requests, pruned topk =="
 # The query contract at the paper's scale: a 40,000-line batch (6/8
