@@ -162,7 +162,7 @@ impl MergeState {
 /// mutual nearest neighbours they are merged immediately. Valid for
 /// reducible linkages (all four here), producing the same tree as the
 /// closest-pair scan up to tie order.
-fn nn_chain<S: DistanceSource>(dist: &mut S, linkage: Linkage) -> Vec<Merge> {
+pub(crate) fn nn_chain<S: DistanceSource>(dist: &mut S, linkage: Linkage) -> Vec<Merge> {
     let n = dist.len();
     let mut st = MergeState::new(n);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
@@ -529,6 +529,28 @@ mod tests {
                         b.labels
                     );
                 }
+            }
+        }
+
+        #[test]
+        fn union_find_replay_matches_the_relabelling_oracle(
+            coords in prop::collection::vec(0u8..4, 2 * 28),
+            n in 2usize..=28,
+            dim in 1usize..=2,
+        ) {
+            // Points on a small integer grid: many coincident points and
+            // equal distances, so the engine emits tied merge heights in
+            // whatever order its chain meets them.
+            let points: Vec<Vec<f64>> = coords
+                .chunks(2)
+                .take(n)
+                .map(|c| c[..dim].iter().map(|&v| f64::from(v)).collect())
+                .collect();
+            for linkage in LINKAGES {
+                let merges = nn_chain(&mut matrix(&points), linkage);
+                let want = crate::dendrogram::relabelling_replay(n, merges.clone()).unwrap();
+                let got = Dendrogram::new(n, merges).unwrap();
+                prop_assert_eq!(got.merges(), want.merges(), "n={} dim={} {:?}", n, dim, linkage);
             }
         }
     }

@@ -39,58 +39,41 @@ impl Dendrogram {
     ///
     /// The NN-chain engine emits merges out of height order; stable
     /// sorting plus an id rewrite yields the canonical form the
-    /// closest-pair scan would emit. The rewrite replays the sorted merges over a
-    /// per-point cluster map, addressing each merge by one
+    /// closest-pair scan would emit. The rewrite replays the sorted
+    /// merges through a union-find over the points, whose every root
+    /// carries its cluster's current id, addressing each merge by one
     /// *representative point* of each side (recorded before sorting).
     /// The `(rep_a, rep_b)` edges of a merge history always form a
-    /// spanning tree of the points, so the replay never tries to merge
-    /// a cluster with itself regardless of tie order.
+    /// spanning tree of the points, so the replay never merges a
+    /// cluster with itself regardless of tie order; if it would, the
+    /// input was not a merge history and the replay fails.
+    ///
+    /// # Errors
+    /// [`ClusterError::Internal`] for a merge count other than `n − 1`,
+    /// a reference to a cluster id not yet created, or a replayed merge
+    /// whose two sides are already one cluster.
     pub(crate) fn new(n: usize, merges: Vec<Merge>) -> Result<Self, ClusterError> {
-        if merges.len() + 1 != n && !(n == 0 && merges.is_empty()) {
-            return Err(ClusterError::Internal("merge count must be n-1"));
-        }
-        // Representative point of every cluster id in creation order.
-        let total = n + merges.len();
-        let mut rep: Vec<usize> = vec![usize::MAX; total];
-        for (i, r) in rep.iter_mut().enumerate().take(n) {
-            *r = i;
-        }
-        let mut tagged: Vec<(Merge, usize, usize)> = Vec::with_capacity(merges.len());
-        for (i, m) in merges.iter().enumerate() {
-            let created = n + i;
-            if m.a >= created || m.b >= created || rep[m.a] == usize::MAX || rep[m.b] == usize::MAX
-            {
-                return Err(ClusterError::Internal(
-                    "merge references a not-yet-created cluster id",
-                ));
-            }
-            rep[created] = rep[m.a];
-            tagged.push((*m, rep[m.a], rep[m.b]));
-        }
-        tagged.sort_by(|x, y| {
-            x.0.distance
-                .partial_cmp(&y.0.distance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        let tagged = tag_representatives(n, merges)?;
         // Replay in sorted order, assigning fresh ids n, n+1, …
-        let mut point_cluster: Vec<usize> = (0..n).collect();
+        let mut uf = UnionFind::new(n);
+        let mut id: Vec<usize> = (0..n).collect();
         let mut new_merges = Vec::with_capacity(tagged.len());
         for (i, (m, ra, rb)) in tagged.into_iter().enumerate() {
-            let na = point_cluster[ra];
-            let nb = point_cluster[rb];
-            debug_assert_ne!(na, nb, "replay merged a cluster with itself");
-            let new_id = n + i;
+            let (root_a, root_b) = (uf.find(ra), uf.find(rb));
+            if root_a == root_b {
+                return Err(ClusterError::Internal(
+                    "replay merged a cluster with itself",
+                ));
+            }
+            let (na, nb) = (id[root_a], id[root_b]);
             new_merges.push(Merge {
                 a: na.min(nb),
                 b: na.max(nb),
                 distance: m.distance,
                 size: m.size,
             });
-            for pc in point_cluster.iter_mut() {
-                if *pc == na || *pc == nb {
-                    *pc = new_id;
-                }
-            }
+            uf.parent[root_a] = root_b;
+            id[root_b] = n + i;
         }
         Ok(Dendrogram {
             n,
@@ -230,6 +213,72 @@ impl Dendrogram {
     }
 }
 
+/// Checks a creation-order merge list and tags every merge with one
+/// representative point of each side, stably sorted by merge distance:
+/// the input [`Dendrogram::new`] replays.
+fn tag_representatives(
+    n: usize,
+    merges: Vec<Merge>,
+) -> Result<Vec<(Merge, usize, usize)>, ClusterError> {
+    if merges.len() + 1 != n && !(n == 0 && merges.is_empty()) {
+        return Err(ClusterError::Internal("merge count must be n-1"));
+    }
+    // Representative point of every cluster id in creation order.
+    let total = n + merges.len();
+    let mut rep: Vec<usize> = vec![usize::MAX; total];
+    for (i, r) in rep.iter_mut().enumerate().take(n) {
+        *r = i;
+    }
+    let mut tagged: Vec<(Merge, usize, usize)> = Vec::with_capacity(merges.len());
+    for (i, m) in merges.into_iter().enumerate() {
+        let created = n + i;
+        if m.a >= created || m.b >= created || rep[m.a] == usize::MAX || rep[m.b] == usize::MAX {
+            return Err(ClusterError::Internal(
+                "merge references a not-yet-created cluster id",
+            ));
+        }
+        rep[created] = rep[m.a];
+        tagged.push((m, rep[m.a], rep[m.b]));
+    }
+    tagged.sort_by(|x, y| {
+        x.0.distance
+            .partial_cmp(&y.0.distance)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(tagged)
+}
+
+/// Test oracle for [`Dendrogram::new`]: the O(n²) replay it used
+/// before the union-find, which relabels every point of both sides
+/// after each merge.
+#[cfg(test)]
+pub(crate) fn relabelling_replay(n: usize, merges: Vec<Merge>) -> Result<Dendrogram, ClusterError> {
+    let tagged = tag_representatives(n, merges)?;
+    let mut point_cluster: Vec<usize> = (0..n).collect();
+    let mut new_merges = Vec::with_capacity(tagged.len());
+    for (i, (m, ra, rb)) in tagged.into_iter().enumerate() {
+        let na = point_cluster[ra];
+        let nb = point_cluster[rb];
+        assert_ne!(na, nb, "replay merged a cluster with itself");
+        let new_id = n + i;
+        new_merges.push(Merge {
+            a: na.min(nb),
+            b: na.max(nb),
+            distance: m.distance,
+            size: m.size,
+        });
+        for pc in point_cluster.iter_mut() {
+            if *pc == na || *pc == nb {
+                *pc = new_id;
+            }
+        }
+    }
+    Ok(Dendrogram {
+        n,
+        merges: new_merges,
+    })
+}
+
 /// A flat assignment of points to `k` clusters, labelled `0..k` in
 /// order of first appearance.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -294,29 +343,75 @@ impl Clustering {
             .collect()
     }
 
-    /// Centroid of each cluster in the original feature space.
+    /// Centroid of each cluster in the original feature space, over
+    /// up to `threads` workers (`0` means available parallelism).
+    ///
+    /// Each worker sums one contiguous range of dimensions over every
+    /// point in point order, so every coordinate adds the same values in
+    /// the same order as a serial pass: the centroids are bit-identical
+    /// for any thread count. Inputs under a quarter million values
+    /// (points × dimensions) run on the calling thread. The workers
+    /// check the values they read, so the point set is read once and
+    /// validated as the serial check would: the error names the first
+    /// bad point.
     ///
     /// # Errors
     /// Point-set validation failures, or
     /// [`ClusterError::Internal`] if `points.len()` doesn't match the
     /// label count.
-    pub fn centroids(&self, points: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, ClusterError> {
-        let dim = validate_points(points)?;
+    pub fn centroids(
+        &self,
+        points: &[Vec<f64>],
+        threads: usize,
+    ) -> Result<Vec<Vec<f64>>, ClusterError> {
         if points.len() != self.labels.len() {
+            validate_points(points)?;
             return Err(ClusterError::Internal("points/labels length mismatch"));
         }
-        let mut centroids = vec![vec![0.0; dim]; self.k];
-        let sizes = self.sizes();
-        for (p, &l) in points.iter().zip(&self.labels) {
-            for (c, v) in centroids[l].iter_mut().zip(p) {
-                *c += v;
-            }
-        }
-        for (c, &s) in centroids.iter_mut().zip(&sizes) {
-            if s > 0 {
-                for v in c.iter_mut() {
-                    *v /= s as f64;
+        let dim = points.first().ok_or(ClusterError::EmptyInput)?.len();
+        // Points before the first ragged one are summed and checked;
+        // that one is the error unless an earlier point is not finite.
+        let ragged = points.iter().position(|p| p.len() != dim);
+        let rows = &points[..ragged.unwrap_or(points.len())];
+        let workers = workers_for(points.len() * dim, threads);
+        let width = towerlens_par::chunk_len(dim, workers).max(1);
+        let ranges: Vec<(usize, usize)> = (0..dim)
+            .step_by(width)
+            .map(|d0| (d0, (d0 + width).min(dim)))
+            .collect();
+        let blocks = towerlens_par::par_map_indexed(&ranges, workers, |_, &(d0, d1)| {
+            let mut block = vec![vec![0.0; d1 - d0]; self.k];
+            let mut non_finite = None;
+            for (index, (p, &l)) in rows.iter().zip(&self.labels).enumerate() {
+                let values = &p[d0..d1];
+                for (c, v) in block[l].iter_mut().zip(values) {
+                    *c += v;
                 }
+                let finite = values.iter().fold(true, |finite, v| finite & v.is_finite());
+                if !finite && non_finite.is_none() {
+                    non_finite = Some(index);
+                }
+            }
+            (block, non_finite)
+        });
+        if let Some(index) = blocks.iter().filter_map(|(_, bad)| *bad).min() {
+            return Err(ClusterError::NonFinite { index });
+        }
+        if let Some(index) = ragged {
+            return Err(ClusterError::DimensionMismatch {
+                expected: dim,
+                actual: points[index].len(),
+                index,
+            });
+        }
+        let sizes = self.sizes();
+        let mut centroids = vec![Vec::with_capacity(dim); self.k];
+        for (block, _) in blocks {
+            for ((c, part), &s) in centroids.iter_mut().zip(block).zip(&sizes) {
+                c.extend(
+                    part.into_iter()
+                        .map(|v| if s > 0 { v / s as f64 } else { v }),
+                );
             }
         }
         Ok(centroids)
@@ -325,15 +420,21 @@ impl Clustering {
     /// For each cluster, the Euclidean distances of its members to the
     /// cluster centroid — the sample behind Fig 6(b)'s CDFs.
     /// `centroids` are this clustering's [`Clustering::centroids`] over
-    /// the same points.
+    /// the same points. Points fan out over up to `threads` workers
+    /// (`0` means available parallelism), each distance in its own
+    /// slot, so the result is bit-identical for any thread count; inputs
+    /// under a quarter million values run on the calling thread.
     ///
     /// # Errors
     /// [`ClusterError::Internal`] if `points` doesn't match the label
-    /// count or `centroids` the cluster count.
+    /// count or `centroids` the cluster count, and
+    /// [`ClusterError::DimensionMismatch`] (indexed by cluster) for a
+    /// centroid whose length differs from the first point's.
     pub fn member_centroid_distances(
         &self,
         points: &[Vec<f64>],
         centroids: &[Vec<f64>],
+        threads: usize,
     ) -> Result<Vec<Vec<f64>>, ClusterError> {
         if points.len() != self.labels.len() {
             return Err(ClusterError::Internal("points/labels length mismatch"));
@@ -341,9 +442,21 @@ impl Clustering {
         if centroids.len() != self.k {
             return Err(ClusterError::Internal("centroids/clusters count mismatch"));
         }
-        let mut out = vec![Vec::new(); self.k];
-        for (p, &l) in points.iter().zip(&self.labels) {
-            out[l].push(euclidean(p, &centroids[l]));
+        let dim = points.first().map_or(0, Vec::len);
+        if let Some(index) = centroids.iter().position(|c| c.len() != dim) {
+            return Err(ClusterError::DimensionMismatch {
+                expected: dim,
+                actual: centroids[index].len(),
+                index,
+            });
+        }
+        let workers = workers_for(points.len() * dim, threads);
+        let distances = towerlens_par::par_map_indexed(points, workers, |i, p| {
+            euclidean(p, &centroids[self.labels[i]])
+        });
+        let mut out: Vec<Vec<f64>> = self.sizes().into_iter().map(Vec::with_capacity).collect();
+        for (d, &l) in distances.into_iter().zip(&self.labels) {
+            out[l].push(d);
         }
         Ok(out)
     }
@@ -362,6 +475,22 @@ impl Clustering {
             labels: self.labels.iter().map(|&l| remap[l]).collect(),
             k: self.k,
         }
+    }
+}
+
+/// Point-set size, in values (points × dimensions), below which
+/// [`Clustering::centroids`] and
+/// [`Clustering::member_centroid_distances`] stay on the calling
+/// thread: such a pass takes tens of microseconds, and serve's
+/// per-publish studies (about 120 towers of 1,008 bins) spawn nothing.
+const PAR_MIN_VALUES: usize = 1 << 18;
+
+/// The worker count for a pass over `values` values.
+fn workers_for(values: usize, threads: usize) -> usize {
+    if values < PAR_MIN_VALUES {
+        1
+    } else {
+        threads
     }
 }
 
@@ -539,12 +668,100 @@ mod tests {
     fn centroids_and_distances() {
         let pts = vec![vec![0.0, 0.0], vec![2.0, 0.0], vec![10.0, 10.0]];
         let c = Clustering::from_labels(vec![0, 0, 1]).unwrap();
-        let cents = c.centroids(&pts).unwrap();
+        let cents = c.centroids(&pts, 1).unwrap();
         assert_eq!(cents[0], vec![1.0, 0.0]);
         assert_eq!(cents[1], vec![10.0, 10.0]);
-        let d = c.member_centroid_distances(&pts, &cents).unwrap();
+        let d = c.member_centroid_distances(&pts, &cents, 1).unwrap();
         assert_eq!(d[0], vec![1.0, 1.0]);
         assert_eq!(d[1], vec![0.0]);
+    }
+
+    #[test]
+    fn member_distances_reject_a_centroid_of_the_wrong_length() {
+        // A short centroid used to truncate every distance silently in
+        // release builds.
+        let pts = vec![vec![0.0, 0.0], vec![2.0, 0.0], vec![10.0, 10.0]];
+        let c = Clustering::from_labels(vec![0, 0, 1]).unwrap();
+        let mut cents = c.centroids(&pts, 1).unwrap();
+        cents[1].pop();
+        assert_eq!(
+            c.member_centroid_distances(&pts, &cents, 1).unwrap_err(),
+            ClusterError::DimensionMismatch {
+                expected: 2,
+                actual: 1,
+                index: 1
+            }
+        );
+    }
+
+    #[test]
+    fn threaded_centroids_and_distances_are_bit_identical_to_a_serial_pass() {
+        // 2,468 points × 331 dimensions clear the serial threshold, and
+        // 331 dimensions split unevenly over 2, 3 and 8 workers.
+        let (n, dim) = (2_468, 331);
+        assert!(n * dim >= PAR_MIN_VALUES);
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|p| {
+                (0..dim)
+                    .map(|d| ((p * dim + d) as f64 * 0.618).sin() * 10f64.powi((d % 7) as i32 - 3))
+                    .collect()
+            })
+            .collect();
+        let c = Clustering::from_labels((0..n).map(|p| (p * 7 + p / 13) % 5).collect()).unwrap();
+        // The serial reference: every point added in order, then divided.
+        let mut want = vec![vec![0.0; dim]; c.k];
+        for (p, &l) in points.iter().zip(&c.labels) {
+            for (acc, v) in want[l].iter_mut().zip(p) {
+                *acc += v;
+            }
+        }
+        for (acc, &size) in want.iter_mut().zip(&c.sizes()) {
+            for v in acc.iter_mut() {
+                *v /= size as f64;
+            }
+        }
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let want_distances: Vec<Vec<f64>> = (0..c.k)
+            .map(|l| {
+                c.members(l)
+                    .into_iter()
+                    .map(|p| euclidean(&points[p], &want[l]))
+                    .collect()
+            })
+            .collect();
+        for threads in [1usize, 2, 3, 8] {
+            let got = c.centroids(&points, threads).unwrap();
+            assert_eq!(bits(&got), bits(&want), "threads={threads}");
+            let distances = c.member_centroid_distances(&points, &got, threads).unwrap();
+            assert_eq!(bits(&distances), bits(&want_distances), "threads={threads}");
+        }
+        // Validation still names the first bad row, whichever worker
+        // would have summed it.
+        let mut bad = points.clone();
+        bad[n - 1][dim - 1] = f64::NAN;
+        bad[700][3] = f64::INFINITY;
+        bad[800][4] = f64::NAN;
+        bad[800][dim - 1] = f64::NAN;
+        bad[900].pop();
+        for first in [700, 800] {
+            assert_eq!(
+                c.centroids(&bad, 3).unwrap_err(),
+                ClusterError::NonFinite { index: first }
+            );
+            bad[first].fill(0.0);
+        }
+        assert_eq!(
+            c.centroids(&bad, 3).unwrap_err(),
+            ClusterError::DimensionMismatch {
+                expected: dim,
+                actual: dim - 1,
+                index: 900
+            }
+        );
     }
 
     #[test]
@@ -557,5 +774,21 @@ mod tests {
     #[test]
     fn merge_count_validated() {
         assert!(Dendrogram::new(3, vec![]).is_err());
+    }
+
+    #[test]
+    fn replay_rejects_a_merge_within_one_cluster() {
+        // Both merges join points 0 and 1, so point 2 is never reached
+        // and the second replayed merge finds one cluster on both sides.
+        let merge = |distance| Merge {
+            a: 0,
+            b: 1,
+            distance,
+            size: 2,
+        };
+        assert_eq!(
+            Dendrogram::new(3, vec![merge(1.0), merge(2.0)]).unwrap_err(),
+            ClusterError::Internal("replay merged a cluster with itself")
+        );
     }
 }

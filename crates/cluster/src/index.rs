@@ -27,7 +27,9 @@
 //! [`DistanceMatrix`](crate::DistanceMatrix), and every merged cluster
 //! owns one Lance–Williams row, which a merge rewrites column by
 //! column over the live leaves and merged clusters — so dendrograms
-//! are bit-identical to the matrix's. Merged clusters are
+//! are bit-identical to the matrix's. For the average linkage the leaf
+//! columns run eight (AVX-512) or four (AVX) to a vector instruction,
+//! each lane repeating the scalar walk's operations. Merged clusters are
 //! tracked with axis-aligned bounding boxes (the
 //! O(1) union of their members' boxes); for the linkages whose
 //! cluster distance provably dominates the box gap (single, complete,
@@ -618,23 +620,66 @@ impl IndexedMetric {
     }
 }
 
+/// How a merge walks its leaf columns. Only the average linkage has
+/// vector walks; every lane of one does the portable walk's
+/// floating-point operations on its own column, in the same order and
+/// without fused multiply-adds, so all three write bit-identical rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// Eight columns per 512-bit vector (AVX-512F).
+    Avx512,
+    /// Four columns per 256-bit vector (AVX), when a merging slot is a
+    /// single point.
+    Avx,
+    /// One column at a time: the reference, and the walk of the other
+    /// three linkages.
+    Portable,
+}
+
+impl Walk {
+    /// The widest walk this CPU runs for `linkage`.
+    fn for_linkage(linkage: Linkage) -> Walk {
+        if linkage != Linkage::Average {
+            return Walk::Portable;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Walk::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx") {
+                return Walk::Avx;
+            }
+        }
+        Walk::Portable
+    }
+}
+
 /// The Lance–Williams update of `row_i` at every live leaf `k`, for one
 /// of the four leaf-or-merged cases of the merging slots `i` and `j`,
 /// fixed at compile time: a single-point slot contributes a kernel
 /// distance, a merged one its row (`row_i` read before it is
 /// overwritten, `row_j`). Every `k` reads and writes only column `k`,
-/// so the walk order changes no value. Returns the kernel evaluations
-/// performed.
+/// so the walk order changes no value. A vector `walk` (average
+/// linkage only: `update` must then be the average recurrence over the
+/// sizes `(ni, nj)`) covers the leading columns it can and the portable
+/// walk the rest. Returns the kernel evaluations performed: one per
+/// leaf endpoint and live leaf, whatever the lane count.
+#[allow(clippy::too_many_arguments)]
 fn update_leaf_columns<const I_LEAF: bool, const J_LEAF: bool>(
+    walk: Walk,
     tree: &SpatialIndex,
     leaves: &[u32],
     (i, j): (usize, usize),
     row_i: &mut [f64],
     row_j: &[f64],
+    sizes: (f64, f64),
     update: impl Fn(f64, f64) -> f64,
 ) -> u64 {
     let (pi, pj) = (tree.row_of(i), tree.row_of(j));
-    for &k in leaves {
+    let points = (&tree.flat[..], pi, pj);
+    let done = vector_walk::<I_LEAF, J_LEAF>(walk, points, leaves, row_i, row_j, sizes);
+    for &k in &leaves[done..] {
         let k = k as usize;
         let dik = if I_LEAF {
             leaf_distance(pi, tree.row_of(k))
@@ -649,6 +694,205 @@ fn update_leaf_columns<const I_LEAF: bool, const J_LEAF: bool>(
         row_i[k] = update(dik, djk);
     }
     (u64::from(I_LEAF) + u64::from(J_LEAF)) * leaves.len() as u64
+}
+
+/// Runs `walk`'s vector kernel over the leading leaves it covers and
+/// returns how many it walked: none for the portable walk, on a CPU
+/// without the walk's instructions, or for points of more than
+/// [`VECTOR_WALK_MAX_DIM`] dimensions. `points` is the tree's flat copy
+/// and the rows of `i` and `j`.
+///
+/// # Panics
+/// Before a vector kernel runs: if a leaf is not below `n =
+/// row_i.len()`, the flat copy does not hold `n` rows of the points'
+/// dimension, or `row_j` does not hold `n` entries while `j` is merged.
+#[cfg(target_arch = "x86_64")]
+fn vector_walk<const I_LEAF: bool, const J_LEAF: bool>(
+    walk: Walk,
+    points: (&[f64], &[f64], &[f64]),
+    leaves: &[u32],
+    row_i: &mut [f64],
+    row_j: &[f64],
+    sizes: (f64, f64),
+) -> usize {
+    let (flat, pi, pj) = points;
+    let dim = pi.len();
+    if walk == Walk::Portable || dim > VECTOR_WALK_MAX_DIM {
+        return 0;
+    }
+    // The kernels read and write unchecked at these offsets.
+    let n = row_i.len();
+    assert!(
+        flat.len() == n * dim && pj.len() == dim,
+        "points are rows of the tree"
+    );
+    assert!(J_LEAF || row_j.len() == n, "row_j spans every slot");
+    let top = leaves.iter().fold(0u32, |top, &k| top.max(k));
+    assert!(leaves.is_empty() || (top as usize) < n, "leaves are slots");
+    if walk == Walk::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F was just detected, and the asserts above
+        // establish the kernel's bounds.
+        #[allow(unsafe_code)]
+        return unsafe {
+            average_walk_avx512::<I_LEAF, J_LEAF>(points, leaves, row_i, row_j, sizes)
+        };
+    }
+    // Without a gather, a column with no leaf endpoint loads and stores
+    // its lanes one by one for a single division, which the portable
+    // walk does faster.
+    if (I_LEAF || J_LEAF) && std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was just detected; the kernel's accesses are
+        // bounds-checked.
+        #[allow(unsafe_code)]
+        return unsafe { average_walk_avx::<I_LEAF, J_LEAF>(points, leaves, row_i, row_j, sizes) };
+    }
+    0
+}
+
+/// Without x86-64 vector kernels every walk is the portable one.
+#[cfg(not(target_arch = "x86_64"))]
+fn vector_walk<const I_LEAF: bool, const J_LEAF: bool>(
+    _walk: Walk,
+    _points: (&[f64], &[f64], &[f64]),
+    _leaves: &[u32],
+    _row_i: &mut [f64],
+    _row_j: &[f64],
+    _sizes: (f64, f64),
+) -> usize {
+    0
+}
+
+/// Point dimensions the vector walks serve: below eight the scalar
+/// kernel is one sequential sum (`t += d·d` in axis order, then
+/// `0.0 + t` from the empty eight-lane fold), which each vector lane
+/// repeats. Wider points take the portable walk.
+const VECTOR_WALK_MAX_DIM: usize = 7;
+
+/// The average-linkage column walk on 512-bit vectors, eight live
+/// leaves per step. Each lane gathers its leaf's coordinates from the
+/// tree's flat copy (`points.0`, rows of `points.1.len()` values) and
+/// takes its [`leaf_distance`] to `points.1` (when `I_LEAF`) and
+/// `points.2` (when `J_LEAF`), gathers the row entries it reads
+/// instead, and scatters `(ni·dik + nj·djk) / (ni + nj)`. Returns the
+/// leaves walked, a multiple of eight; the caller walks the rest.
+///
+/// # Safety
+/// Requires AVX-512F; callers must check
+/// `is_x86_feature_detected!("avx512f")`. With `n = row_i.len()`: every
+/// leaf is below `n`, the flat copy holds `n` rows, `points.2` has the
+/// length of `points.1`, and `row_j` holds `n` entries unless `J_LEAF`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(unsafe_code)]
+unsafe fn average_walk_avx512<const I_LEAF: bool, const J_LEAF: bool>(
+    (flat, pi, pj): (&[f64], &[f64], &[f64]),
+    leaves: &[u32],
+    row_i: &mut [f64],
+    row_j: &[f64],
+    (ni, nj): (f64, f64),
+) -> usize {
+    use std::arch::x86_64::*;
+    let dim = pi.len();
+    let zero = _mm512_setzero_pd();
+    let (wi, wj) = (_mm512_set1_pd(ni), _mm512_set1_pd(nj));
+    let sum = _mm512_set1_pd(ni + nj);
+    let mut chunks = leaves.chunks_exact(8);
+    for ks in &mut chunks {
+        let cols = _mm512_cvtepu32_epi64(_mm256_loadu_si256(ks.as_ptr().cast()));
+        let offsets: [i64; 8] = std::array::from_fn(|l| (ks[l] as usize * dim) as i64);
+        let offsets = _mm512_loadu_si512(offsets.as_ptr().cast());
+        let (mut ti, mut tj) = (zero, zero);
+        for d in 0..dim {
+            let y = _mm512_i64gather_pd::<8>(offsets, flat.as_ptr().add(d));
+            if I_LEAF {
+                let diff = _mm512_sub_pd(_mm512_set1_pd(pi[d]), y);
+                ti = _mm512_add_pd(ti, _mm512_mul_pd(diff, diff));
+            }
+            if J_LEAF {
+                let diff = _mm512_sub_pd(_mm512_set1_pd(pj[d]), y);
+                tj = _mm512_add_pd(tj, _mm512_mul_pd(diff, diff));
+            }
+        }
+        let dik = if I_LEAF {
+            _mm512_sqrt_pd(_mm512_add_pd(zero, ti))
+        } else {
+            _mm512_i64gather_pd::<8>(cols, row_i.as_ptr())
+        };
+        let djk = if J_LEAF {
+            _mm512_sqrt_pd(_mm512_add_pd(zero, tj))
+        } else {
+            _mm512_i64gather_pd::<8>(cols, row_j.as_ptr())
+        };
+        let v = _mm512_div_pd(
+            _mm512_add_pd(_mm512_mul_pd(wi, dik), _mm512_mul_pd(wj, djk)),
+            sum,
+        );
+        _mm512_i64scatter_pd::<8>(row_i.as_mut_ptr(), cols, v);
+    }
+    leaves.len() - chunks.remainder().len()
+}
+
+/// [`average_walk_avx512`] on 256-bit vectors, four live leaves per
+/// step, with lane-by-lane loads and stores (AVX has no gather or
+/// scatter). Returns the leaves walked, a multiple of four.
+///
+/// # Safety
+/// Requires AVX; callers must check `is_x86_feature_detected!("avx")`.
+/// Every access is bounds-checked.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(unsafe_code)]
+unsafe fn average_walk_avx<const I_LEAF: bool, const J_LEAF: bool>(
+    (flat, pi, pj): (&[f64], &[f64], &[f64]),
+    leaves: &[u32],
+    row_i: &mut [f64],
+    row_j: &[f64],
+    (ni, nj): (f64, f64),
+) -> usize {
+    use std::arch::x86_64::*;
+    let dim = pi.len();
+    let zero = _mm256_setzero_pd();
+    let (wi, wj) = (_mm256_set1_pd(ni), _mm256_set1_pd(nj));
+    let sum = _mm256_set1_pd(ni + nj);
+    let lanes = |values: &[f64], at: [usize; 4]| {
+        _mm256_set_pd(values[at[3]], values[at[2]], values[at[1]], values[at[0]])
+    };
+    let mut chunks = leaves.chunks_exact(4);
+    for ks in &mut chunks {
+        let cols: [usize; 4] = std::array::from_fn(|l| ks[l] as usize);
+        let (mut ti, mut tj) = (zero, zero);
+        for d in 0..dim {
+            let y = lanes(flat, cols.map(|k| k * dim + d));
+            if I_LEAF {
+                let diff = _mm256_sub_pd(_mm256_set1_pd(pi[d]), y);
+                ti = _mm256_add_pd(ti, _mm256_mul_pd(diff, diff));
+            }
+            if J_LEAF {
+                let diff = _mm256_sub_pd(_mm256_set1_pd(pj[d]), y);
+                tj = _mm256_add_pd(tj, _mm256_mul_pd(diff, diff));
+            }
+        }
+        let dik = if I_LEAF {
+            _mm256_sqrt_pd(_mm256_add_pd(zero, ti))
+        } else {
+            lanes(row_i, cols)
+        };
+        let djk = if J_LEAF {
+            _mm256_sqrt_pd(_mm256_add_pd(zero, tj))
+        } else {
+            lanes(row_j, cols)
+        };
+        let v = _mm256_div_pd(
+            _mm256_add_pd(_mm256_mul_pd(wi, dik), _mm256_mul_pd(wj, djk)),
+            sum,
+        );
+        let mut out = [0.0f64; 4];
+        _mm256_storeu_pd(out.as_mut_ptr(), v);
+        for (&k, value) in cols.iter().zip(out) {
+            row_i[k] = value;
+        }
+    }
+    leaves.len() - chunks.remainder().len()
 }
 
 /// Removes `x` from an ascending list, if present.
@@ -714,18 +958,24 @@ impl DistanceSource for IndexedMetric {
 
         // A leaf's size is 1.
         let update = |dik: f64, djk: f64| linkage.update(dik, djk, d, ni, nj, 1.0);
+        let walk = Walk::for_linkage(linkage);
         let (tree, leaves) = (&self.tree, &self.leaves[..]);
-        self.evaluations += match &absorbed {
-            None if i_leaf => {
-                update_leaf_columns::<true, true>(tree, leaves, (i, j), &mut row, &[], update)
-            }
-            None => update_leaf_columns::<false, true>(tree, leaves, (i, j), &mut row, &[], update),
-            Some(a) if i_leaf => {
-                update_leaf_columns::<true, false>(tree, leaves, (i, j), &mut row, &a.row, update)
-            }
-            Some(a) => {
-                update_leaf_columns::<false, false>(tree, leaves, (i, j), &mut row, &a.row, update)
-            }
+        let row_j: &[f64] = absorbed.as_ref().map_or(&[], |a| &a.row);
+        let ij = (i, j);
+        let sizes = (ni, nj);
+        self.evaluations += match (i_leaf, absorbed.is_none()) {
+            (true, true) => update_leaf_columns::<true, true>(
+                walk, tree, leaves, ij, &mut row, row_j, sizes, update,
+            ),
+            (false, true) => update_leaf_columns::<false, true>(
+                walk, tree, leaves, ij, &mut row, row_j, sizes, update,
+            ),
+            (true, false) => update_leaf_columns::<true, false>(
+                walk, tree, leaves, ij, &mut row, row_j, sizes, update,
+            ),
+            (false, false) => update_leaf_columns::<false, false>(
+                walk, tree, leaves, ij, &mut row, row_j, sizes, update,
+            ),
         };
         // Merged columns: their rows hold both old distances and take
         // the symmetric write. `i` itself is still listed when it was
@@ -1035,6 +1285,96 @@ mod tests {
             }
             // Every off-diagonal read reached the kernel, repeats included.
             assert_eq!(indexed.evaluations(), 24 * 23, "dim {dim}");
+        }
+    }
+
+    /// Runs one average-linkage column walk of slots 0 and 1 over
+    /// `leaves`, for the leaf/merged case `(i_leaf, j_leaf)`, on a copy
+    /// of `row_i`; returns the row's bits and the evaluations counted.
+    fn average_walk(
+        walk: Walk,
+        (i_leaf, j_leaf): (bool, bool),
+        tree: &SpatialIndex,
+        leaves: &[u32],
+        (row_i, row_j): (&[f64], &[f64]),
+        sizes: (f64, f64),
+    ) -> (Vec<u64>, u64) {
+        let mut row = row_i.to_vec();
+        let update = |dik, djk| Linkage::Average.update(dik, djk, 0.0, sizes.0, sizes.1, 1.0);
+        let args = (tree, leaves, (0, 1));
+        let evaluations = match (i_leaf, j_leaf) {
+            (true, true) => update_leaf_columns::<true, true>(
+                walk, args.0, args.1, args.2, &mut row, row_j, sizes, update,
+            ),
+            (true, false) => update_leaf_columns::<true, false>(
+                walk, args.0, args.1, args.2, &mut row, row_j, sizes, update,
+            ),
+            (false, true) => update_leaf_columns::<false, true>(
+                walk, args.0, args.1, args.2, &mut row, row_j, sizes, update,
+            ),
+            (false, false) => update_leaf_columns::<false, false>(
+                walk, args.0, args.1, args.2, &mut row, row_j, sizes, update,
+            ),
+        };
+        (row.iter().map(|v| v.to_bits()).collect(), evaluations)
+    }
+
+    #[test]
+    fn every_average_walk_is_bit_identical_to_the_portable_walk() {
+        // All four leaf/merged cases; live-leaf counts on both sides of
+        // the four- and eight-lane widths; dimensions inside the vector
+        // walks' range and past it (where they defer to the portable
+        // walk); equal and unequal cluster sizes.
+        let mut walks = vec![Walk::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx") {
+                walks.push(Walk::Avx);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                walks.push(Walk::Avx512);
+            }
+        }
+        let cases = [(true, true), (true, false), (false, true), (false, false)];
+        for dim in [1usize, 2, 6, 7, 8, 9] {
+            let points = mixture(61, 4, dim);
+            let n = points.len();
+            let tree = SpatialIndex::build(&points[..]);
+            // Row entries spanning five decades, so a changed operation
+            // order moves low bits.
+            let row = |salt: f64| -> Vec<f64> {
+                (0..n)
+                    .map(|k| ((k as f64 + salt) * 0.37).sin().abs() * 10f64.powi(k as i32 % 5 - 2))
+                    .collect()
+            };
+            let (row_i, row_j) = (row(0.3), row(0.9));
+            for live in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 59] {
+                // An ascending spread of slots, never 0 or 1.
+                let leaves: Vec<u32> = (0..live).map(|t| (2 + t * (n - 2) / live) as u32).collect();
+                for sizes in [(1.0, 1.0), (1.0, 6.0), (9.0, 1.0), (12.0, 5.0)] {
+                    for case in cases {
+                        let what = format!("dim={dim} live={live} sizes={sizes:?} case={case:?}");
+                        let rows = (&row_i[..], &row_j[..]);
+                        let want = average_walk(Walk::Portable, case, &tree, &leaves, rows, sizes);
+                        let endpoints = u64::from(case.0) + u64::from(case.1);
+                        assert_eq!(want.1, endpoints * live as u64, "{what}");
+                        for &walk in &walks {
+                            let got = average_walk(walk, case, &tree, &leaves, rows, sizes);
+                            assert_eq!(got, want, "{walk:?} {what}");
+                        }
+                    }
+                }
+            }
+        }
+        // The widest walk this CPU has must have been checked.
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                assert!(walks.contains(&Walk::Avx512), "{walks:?}");
+            }
+            if std::arch::is_x86_feature_detected!("avx") {
+                assert!(walks.contains(&Walk::Avx), "{walks:?}");
+            }
         }
     }
 

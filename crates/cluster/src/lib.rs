@@ -33,10 +33,10 @@
 //! All APIs are fallible ([`ClusterError`]) rather than panicking, and
 //! deterministic given their inputs.
 
-// `deny`, not `forbid`: the one sanctioned exception is the SIMD
-// distance kernels in [`distance`], leaf functions each pinned
-// bit-for-bit to the safe scalar reference by test. Everything else
-// stays safe.
+// `deny`, not `forbid`: the sanctioned exceptions are the SIMD
+// distance kernels in [`distance`] and the vector Lance–Williams walks
+// in [`index`], leaf functions each pinned bit-for-bit to the safe
+// scalar reference by test. Everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -31,7 +31,7 @@ pub fn davies_bouldin(points: &[Vec<f64>], clustering: &Clustering) -> Result<f6
     if clustering.k < 2 {
         return Err(ClusterError::ZeroClusters);
     }
-    let centroids = clustering.centroids(points)?;
+    let centroids = clustering.centroids(points, 1)?;
     let sizes = clustering.sizes();
     // S_i: mean member→centroid distance.
     let mut scatter = vec![0.0f64; clustering.k];
@@ -308,7 +308,7 @@ pub fn calinski_harabasz(
             available: n,
         });
     }
-    let centroids = clustering.centroids(points)?;
+    let centroids = clustering.centroids(points, 1)?;
     let sizes = clustering.sizes();
     let dim = points[0].len();
     // Global centroid.

@@ -18,8 +18,9 @@
 
 use towerlens_cluster::dendrogram::Clustering;
 use towerlens_dsp::circular::{circular_mean, circular_stddev};
+use towerlens_dsp::complex::Complex;
 use towerlens_dsp::fft::FftPlan;
-use towerlens_dsp::goertzel::{goertzel_bins_sharded, record_evaluations};
+use towerlens_dsp::goertzel::{goertzel_bins_each, goertzel_bins_sharded, record_evaluations};
 use towerlens_dsp::spectrum::{amplitude_variance_across, Spectrum};
 use towerlens_dsp::stats::{mean, stddev};
 use towerlens_trace::time::TraceWindow;
@@ -587,6 +588,11 @@ mod calib {
     }
 }
 
+/// Towers whose Goertzel recurrences [`features_of_goertzel_par`] runs
+/// interleaved in one pass: four towers × three bins keep twelve
+/// independent dependency chains in flight.
+const GOERTZEL_GROUP: usize = 4;
+
 /// The per-tower feature table by Goertzel: one pass per tower
 /// evaluates the three principal bins (see
 /// [`towerlens_dsp::goertzel::goertzel_bins`]) at ~O(3·N) instead of a
@@ -595,36 +601,60 @@ mod calib {
 /// This is the study's one feature extractor:
 /// [`PatternIdentifier::identify_in`](crate::identifier::PatternIdentifier::identify_in)
 /// runs it once per study and every later reader takes its table.
-/// Towers fan out over [`towerlens_par`] (`threads == 0` means
-/// available parallelism); each lands in its own slot and each worker
-/// counts Goertzel evaluations in a private shard merged once at the
-/// end, so both the features and the `dsp.goertzel.evaluations`
-/// counter are exactly identical for every thread count.
+/// Groups of four towers fan out over [`towerlens_par`]
+/// (`threads == 0` means available parallelism) and run through
+/// [`goertzel_bins_each`], which gives every tower exactly its own
+/// three-bin pass — value, error and evaluation count. Each tower lands
+/// in its own slot and each worker counts Goertzel evaluations in a
+/// private shard merged once at the end, so both the features and the
+/// `dsp.goertzel.evaluations` counter are exactly identical for every
+/// thread count.
 ///
 /// # Errors
 /// As for [`principal_bins`], plus [`towerlens_dsp::DspError`] for an
-/// empty vector, a bin not below its length, or a NaN/∞ sample.
+/// empty vector, a bin not below its length, or a NaN/∞ sample: the
+/// lowest-indexed failing tower's.
 pub fn features_of_goertzel_par(
     vectors: &[Vec<f64>],
     window: &TraceWindow,
     threads: usize,
 ) -> Result<Vec<TowerFeatures>, CoreError> {
     let bins = principal_bins(window)?;
+    let groups: Vec<&[Vec<f64>]> = vectors.chunks(GOERTZEL_GROUP).collect();
     let (out, tallies) =
-        towerlens_par::par_map_indexed_tally(vectors, threads, 1, |_, v, shard| {
-            let n = v.len() as f64;
-            let [week, day, half] = goertzel_bins_sharded(v, bins, &mut shard[0])?;
-            Ok::<TowerFeatures, CoreError>(TowerFeatures {
-                amp_week: week.abs() / n,
-                phase_week: week.arg(),
-                amp_day: day.abs() / n,
-                phase_day: day.arg(),
-                amp_half: half.abs() / n,
-                phase_half: half.arg(),
-            })
+        towerlens_par::par_map_indexed_tally(&groups, threads, 1, |_, group, shard| {
+            let lines: Vec<_> = match <&[Vec<f64>; GOERTZEL_GROUP]>::try_from(*group) {
+                Ok(full) => {
+                    let signals = full.each_ref().map(Vec::as_slice);
+                    goertzel_bins_each(signals, bins, &mut shard[0]).into()
+                }
+                Err(_) => group
+                    .iter()
+                    .map(|v| goertzel_bins_sharded(v, bins, &mut shard[0]))
+                    .collect(),
+            };
+            lines
+                .into_iter()
+                .zip(*group)
+                .map(|(tower, v)| Ok::<_, CoreError>(features(v.len(), tower?)))
+                .collect::<Vec<_>>()
         });
     record_evaluations(tallies[0]);
-    out.into_iter().collect()
+    out.into_iter().flatten().collect()
+}
+
+/// The features of a tower of `n` samples from its three principal
+/// lines.
+fn features(n: usize, [week, day, half]: [Complex; 3]) -> TowerFeatures {
+    let n = n as f64;
+    TowerFeatures {
+        amp_week: week.abs() / n,
+        phase_week: week.arg(),
+        amp_day: day.abs() / n,
+        phase_day: day.arg(),
+        amp_half: half.abs() / n,
+        phase_half: half.arg(),
+    }
 }
 
 #[cfg(test)]
@@ -695,6 +725,55 @@ mod goertzel_path {
                 summary.lost_energy
             );
         }
+    }
+
+    #[test]
+    fn grouped_towers_match_their_own_passes_and_report_the_first_error() {
+        // Eleven towers: two full groups of four and a short last group.
+        let w = TraceWindow::days(7);
+        let bins = principal_bins(&w).unwrap();
+        let vectors: Vec<Vec<f64>> = (0..11)
+            .map(|i| {
+                tower_vector(
+                    &pure_mix(PoiKind::ALL[i % 4]),
+                    &w,
+                    &SynthConfig::default(),
+                    i,
+                )
+            })
+            .collect();
+        let bits = |table: &[TowerFeatures]| -> Vec<[u64; 6]> {
+            table.iter().map(|f| f.f6().map(f64::to_bits)).collect()
+        };
+        let reference: Vec<TowerFeatures> = vectors
+            .iter()
+            .map(|v| {
+                features(
+                    v.len(),
+                    towerlens_dsp::goertzel::goertzel_bins(v, bins).unwrap(),
+                )
+            })
+            .collect();
+        for threads in [1usize, 2, 3] {
+            let table = features_of_goertzel_par(&vectors, &w, threads).unwrap();
+            assert_eq!(bits(&table), bits(&reference), "threads={threads}");
+        }
+        // A non-finite tower in the second group and an empty one in the
+        // third: the second group's tower fails first.
+        let mut bad = vectors.clone();
+        bad[9].clear();
+        bad[6][100] = f64::NAN;
+        for threads in [1usize, 3] {
+            assert_eq!(
+                features_of_goertzel_par(&bad, &w, threads).unwrap_err(),
+                CoreError::from(towerlens_dsp::DspError::NonFinite { index: 100 })
+            );
+        }
+        bad[6][100] = 0.0;
+        assert_eq!(
+            features_of_goertzel_par(&bad, &w, 2).unwrap_err(),
+            CoreError::from(towerlens_dsp::DspError::EmptyInput)
+        );
     }
 
     #[test]

@@ -211,8 +211,9 @@ impl PatternIdentifier {
             got: 0,
         })?;
         let clustering = dendrogram.cut_k(best.k)?;
-        let centroids = clustering.centroids(vectors)?;
-        let member_distances = clustering.member_centroid_distances(vectors, &centroids)?;
+        let centroids = clustering.centroids(vectors, cfg.threads)?;
+        let member_distances =
+            clustering.member_centroid_distances(vectors, &centroids, cfg.threads)?;
         Ok(IdentifiedPatterns {
             k: best.k,
             threshold: best.threshold,

@@ -15,8 +15,9 @@
 //!
 //! Each recurrence is one latency-bound dependency chain, so
 //! [`goertzel_bins`] runs several bins' chains interleaved in a single
-//! pass over the signal: the processor overlaps them, and every bin
-//! stays bit-identical to its own [`goertzel`] call.
+//! pass over the signal, and [`goertzel_bins_each`] several signals'
+//! bins at once: the processor overlaps them, and every bin stays
+//! bit-identical to its own [`goertzel`] call.
 
 use towerlens_obs::LazyCounter;
 
@@ -87,9 +88,11 @@ fn finish(s_prev: f64, s_prev2: f64, omega: f64) -> Complex {
 /// and checked for non-finite samples once.
 ///
 /// # Errors
-/// As for [`goertzel`], checked before any work: [`DspError::EmptyInput`]
-/// for an empty signal, then [`DspError::BinOutOfRange`] for the first
-/// bin `≥ N`, then [`DspError::NonFinite`].
+/// The first error the per-bin sequence of [`goertzel`] calls reports,
+/// checked before any work: [`DspError::EmptyInput`] for an empty
+/// signal, then [`DspError::BinOutOfRange`] for a first bin `≥ N`, then
+/// [`DspError::NonFinite`], then [`DspError::BinOutOfRange`] for the
+/// first later bin `≥ N`.
 pub fn goertzel_bins<const B: usize>(
     x: &[f64],
     bins: [usize; B],
@@ -115,10 +118,16 @@ pub fn goertzel_bins_sharded<const B: usize>(
     if n == 0 {
         return Err(DspError::EmptyInput);
     }
-    if let Some(&bin) = bins.iter().find(|&&k| k >= n) {
-        return Err(DspError::BinOutOfRange { bin, len: n });
+    // The per-bin sequence's order: its first call checks its bin, then
+    // the signal; later calls can only fail on their own bin.
+    let out_of_range = |bin: usize| DspError::BinOutOfRange { bin, len: n };
+    if let Some(&bin) = bins.first().filter(|&&k| k >= n) {
+        return Err(out_of_range(bin));
     }
     check_finite(x)?;
+    if let Some(&bin) = bins.iter().find(|&&k| k >= n) {
+        return Err(out_of_range(bin));
+    }
     *tally += B as u64;
     let omega = bins.map(|k| std::f64::consts::TAU * k as f64 / n as f64);
     let coeff = omega.map(|w| 2.0 * w.cos());
@@ -134,6 +143,69 @@ pub fn goertzel_bins_sharded<const B: usize>(
     Ok(std::array::from_fn(|b| {
         finish(s_prev[b], s_prev2[b], omega[b])
     }))
+}
+
+/// [`goertzel_bins_sharded`] over `T` signals: element `t` of the
+/// result, and the evaluations added to `tally`, are exactly what
+/// [`goertzel_bins_sharded`] gives for `signals[t]`, errors included.
+///
+/// When all signals share one length above every bin, the `T × B`
+/// recurrences run interleaved in a single pass — each with
+/// [`goertzel`]'s operations in its order, so every bin stays
+/// bit-identical — which keeps `T × B` independent dependency chains in
+/// flight instead of `B`, and reads every signal once. The same pass
+/// checks the samples; if any is NaN or ∞, or the signals do not share
+/// a length, each signal runs on its own instead.
+pub fn goertzel_bins_each<const T: usize, const B: usize>(
+    signals: [&[f64]; T],
+    bins: [usize; B],
+    tally: &mut u64,
+) -> [Result<[Complex; B], DspError>; T] {
+    let n = signals.first().map_or(0, |x| x.len());
+    if n > 0 && bins.iter().all(|&k| k < n) && signals.iter().all(|x| x.len() == n) {
+        if let Some(lines) = interleaved_bins(signals, bins) {
+            *tally += (T * B) as u64;
+            return lines.map(Ok);
+        }
+    }
+    signals.map(|x| goertzel_bins_sharded(x, bins, tally))
+}
+
+/// The interleaved pass of [`goertzel_bins_each`] over signals of one
+/// length `N` above every bin; `None` if a sample is NaN or ∞.
+fn interleaved_bins<const T: usize, const B: usize>(
+    signals: [&[f64]; T],
+    bins: [usize; B],
+) -> Option<[[Complex; B]; T]> {
+    let n = signals[0].len();
+    let omega = bins.map(|k| std::f64::consts::TAU * k as f64 / n as f64);
+    let coeff = omega.map(|w| 2.0 * w.cos());
+    let signals = signals.map(|x| &x[..n]);
+    // Bin-major states: for each bin, the T signals' recurrences sit
+    // side by side, which the compiler can pack into vector lanes.
+    let mut s_prev = [[0.0f64; T]; B];
+    let mut s_prev2 = [[0.0f64; T]; B];
+    let mut finite = [true; T];
+    // `i` indexes every signal, not `signals` itself.
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..n {
+        let samples: [f64; T] = std::array::from_fn(|t| signals[t][i]);
+        for (finite, sample) in finite.iter_mut().zip(&samples) {
+            *finite &= sample.is_finite();
+        }
+        for ((prev, prev2), c) in s_prev.iter_mut().zip(&mut s_prev2).zip(coeff) {
+            for ((p, p2), sample) in prev.iter_mut().zip(prev2).zip(&samples) {
+                let s = sample + c * *p - *p2;
+                *p2 = *p;
+                *p = s;
+            }
+        }
+    }
+    finite.iter().all(|&f| f).then(|| {
+        std::array::from_fn(|t| {
+            std::array::from_fn(|b| finish(s_prev[b][t], s_prev2[b][t], omega[b]))
+        })
+    })
 }
 
 /// Amplitude and phase of one bin via Goertzel — the §5 feature pair
@@ -245,16 +317,67 @@ mod tests {
         // Errors: the per-bin sequence's, and nothing counted.
         let mut nan = paper_like(97);
         nan[40] = f64::NAN;
-        let faults: [(&[f64], [usize; 3]); 3] = [
+        // A non-finite signal with a later bin out of range: the per-bin
+        // sequence fails on the first bin's finiteness check.
+        let faults: [(&[f64], [usize; 3]); 6] = [
             (&[], [1, 4, 28]),
             (&paper_like(97), [4, 97, 28]),
             (&nan, [1, 4, 28]),
+            (&nan, [4, 97, 28]),
+            (&nan, [97, 4, 28]),
+            (&[], [97, 4, 28]),
         ];
         for (x, bins) in faults {
             let mut tally = 0;
             let err = goertzel_bins_sharded(x, bins, &mut tally).unwrap_err();
             assert_eq!(err, per_bin(x, &bins).unwrap_err(), "{bins:?}");
             assert_eq!(tally, 0, "{bins:?}: a failed batch counts nothing");
+        }
+    }
+
+    #[test]
+    fn each_signal_matches_its_own_batch() {
+        // Groups that interleave (equal lengths, all finite, bins in
+        // range) and groups that cannot: every result, error and
+        // evaluation count must be the per-signal batch's.
+        let good: Vec<Vec<f64>> = (0..4)
+            .map(|t| paper_like(4_032).iter().map(|v| v - t as f64).collect())
+            .collect();
+        let shifted: Vec<Vec<f64>> = (0..4)
+            .map(|t| {
+                paper_like(97)
+                    .iter()
+                    .map(|v| v * (t as f64 + 0.5))
+                    .collect()
+            })
+            .collect();
+        let mut nan = shifted.clone();
+        nan[2][40] = f64::NAN;
+        let mut ragged = shifted.clone();
+        ragged[1].pop();
+        let mut empty = shifted.clone();
+        empty[3].clear();
+        let groups = [&good, &shifted, &nan, &ragged, &empty];
+        for bins in [[4, 28, 56], [1, 4, 96], [4, 97, 28]] {
+            for group in groups {
+                let signals: [&[f64]; 4] = std::array::from_fn(|t| group[t].as_slice());
+                let mut tally = 7;
+                let got = goertzel_bins_each(signals, bins, &mut tally);
+                let mut want_tally = 7;
+                for (t, got) in got.iter().enumerate() {
+                    let want = goertzel_bins_sharded(signals[t], bins, &mut want_tally);
+                    match (got, &want) {
+                        (Ok(got), Ok(want)) => {
+                            for (a, b) in got.iter().zip(want) {
+                                assert_eq!(a.re.to_bits(), b.re.to_bits(), "{bins:?} signal {t}");
+                                assert_eq!(a.im.to_bits(), b.im.to_bits(), "{bins:?} signal {t}");
+                            }
+                        }
+                        _ => assert_eq!(got, &want, "{bins:?} signal {t}"),
+                    }
+                }
+                assert_eq!(tally, want_tally, "{bins:?}");
+            }
         }
     }
 

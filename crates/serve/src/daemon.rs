@@ -60,7 +60,8 @@ use towerlens_core::engine::{BreakerPolicy, CheckpointError, CheckpointStore, Re
 use towerlens_core::error::CoreError;
 use towerlens_core::identifier::PatternIdentifier;
 use towerlens_core::study::snapshot_from_parts;
-use towerlens_dsp::goertzel;
+use towerlens_dsp::goertzel::{goertzel_bins_sharded, record_evaluations};
+use towerlens_dsp::DspError;
 use towerlens_obs::{Action, LazyCounter};
 use towerlens_pipeline::vectorizer::{Vectorizer, VectorizerOptions};
 use towerlens_pipeline::{principal_bins, FeatureSpace};
@@ -868,12 +869,9 @@ fn analyze(
     basis: Option<&Basis>,
 ) -> Result<ServeReport, ServeError> {
     let whole_weeks = principal_bins(window).is_some();
-    let bins = match principal_bins(window) {
-        Some(b) => b.to_vec(),
-        None => [1usize, 7, 14]
-            .iter()
-            .map(|&b| b % window.n_bins.max(1))
-            .collect(),
+    let line_bins = match principal_bins(window) {
+        Some(b) => b,
+        None => [1usize, 7, 14].map(|b| b % window.n_bins.max(1)),
     };
     let active_towers = {
         let mut cells: Vec<u32> = records.iter().map(|r| r.cell_id).collect();
@@ -891,7 +889,7 @@ fn analyze(
         active_towers,
         vector_towers: 0,
         dropped_towers: 0,
-        bins,
+        bins: line_bins.to_vec(),
         whole_weeks,
         line_amplitudes: Vec::new(),
         patterns: None,
@@ -915,19 +913,9 @@ fn analyze(
     report.vector_towers = vect.normalized.vectors.len();
     report.dropped_towers = vect.normalized.dropped.len();
 
-    // Mean amplitude of each principal line over kept towers' raw
-    // traffic (batch Goertzel — the live sliding bank's ground truth).
     if !vect.normalized.kept_ids.is_empty() {
-        let mut sums = vec![0.0f64; report.bins.len()];
-        for &id in &vect.normalized.kept_ids {
-            for (i, &bin) in report.bins.iter().enumerate() {
-                let c = goertzel(&vect.raw[id], bin)
-                    .map_err(|e| ServeError::Analysis(e.to_string()))?;
-                sums[i] += c.abs();
-            }
-        }
-        let n = vect.normalized.kept_ids.len() as f64;
-        report.line_amplitudes = sums.into_iter().map(|s| s / n).collect();
+        report.line_amplitudes = line_amplitudes(&vect.raw, &vect.normalized.kept_ids, line_bins)
+            .map_err(|e| ServeError::Analysis(e.to_string()))?;
     }
 
     match PatternIdentifier::default().identify_in(&vect.normalized.vectors, Some(window)) {
@@ -949,6 +937,31 @@ fn analyze(
         report.basis_classes = Some((b.fingerprint, classes));
     }
     Ok(report)
+}
+
+/// Mean amplitude of each principal line over the kept towers' raw
+/// traffic (batch Goertzel — the live sliding bank's ground truth):
+/// one three-bin pass per tower, each line bit-identical to its own
+/// `goertzel` call and any error the first a per-bin loop over the
+/// towers would meet. Three evaluations are counted per tower, once.
+fn line_amplitudes(
+    raw: &[Vec<f64>],
+    kept_ids: &[usize],
+    bins: [usize; 3],
+) -> Result<Vec<f64>, DspError> {
+    let mut sums = [0.0f64; 3];
+    let mut tally = 0;
+    let passes = kept_ids.iter().try_for_each(|&id| {
+        let lines = goertzel_bins_sharded(&raw[id], bins, &mut tally)?;
+        for (sum, line) in sums.iter_mut().zip(lines) {
+            *sum += line.abs();
+        }
+        Ok(())
+    });
+    record_evaluations(tally);
+    passes?;
+    let n = kept_ids.len() as f64;
+    Ok(sums.iter().map(|s| s / n).collect())
 }
 
 /// The equivalence oracle: parses the *entire* source as one batch,
@@ -1035,6 +1048,49 @@ mod tests {
             ..ServeConfig::default()
         };
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn line_amplitudes_match_a_per_bin_loop_errors_included() {
+        // The per-bin loop the drain report ran before its one pass per
+        // tower: the same means bit for bit, and the same first error.
+        let per_bin = |raw: &[Vec<f64>], kept: &[usize], bins: [usize; 3]| {
+            let mut sums = [0.0f64; 3];
+            for &id in kept {
+                for (sum, &bin) in sums.iter_mut().zip(&bins) {
+                    *sum += towerlens_dsp::goertzel::goertzel(&raw[id], bin)?.abs();
+                }
+            }
+            let n = kept.len() as f64;
+            Ok::<_, DspError>(sums.iter().map(|s| s / n).collect::<Vec<f64>>())
+        };
+        let raw: Vec<Vec<f64>> = (0..5)
+            .map(|t| {
+                (0..1_008)
+                    .map(|i| ((i * (t + 3)) as f64 * 0.013).sin() * (t + 1) as f64 + 4.0)
+                    .collect()
+            })
+            .collect();
+        let kept = [0, 2, 3, 4];
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let (got, want) = (
+            line_amplitudes(&raw, &kept, [1, 7, 14]).unwrap(),
+            per_bin(&raw, &kept, [1, 7, 14]).unwrap(),
+        );
+        assert_eq!(bits(got), bits(want));
+        // The first kept tower holds a NaN, and every tower is shorter
+        // than bin 2,000: where the first bin is in range the per-bin
+        // loop fails on the NaN, not on the later bin.
+        let mut bad = raw.clone();
+        bad[2][500] = f64::NAN;
+        let kept = [2, 0, 3, 4];
+        for bins in [[1, 2_000, 14], [2_000, 7, 14], [1, 7, 14]] {
+            assert_eq!(
+                line_amplitudes(&bad, &kept, bins).unwrap_err(),
+                per_bin(&bad, &kept, bins).unwrap_err(),
+                "{bins:?}"
+            );
+        }
     }
 
     #[test]

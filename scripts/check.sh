@@ -59,11 +59,37 @@ echo "bit-identical study output at --threads 1 and --threads 4"
 cmp "$thr_tmp/raw-t1.out" "$thr_tmp/raw-t3.out" \
     || { echo "raw medium study differs between --threads 1 and --threads 3"; exit 1; }
 echo "bit-identical raw medium study at --threads 1 and --threads 3"
+# The paper study clusters in the spectral space, where the Goertzel
+# table (groups of four towers), the centroids (dimension ranges) and
+# the member distances (towers) split over the workers; an odd worker
+# count splits all three unevenly. Its stdout, its snapshot artifact
+# (centroids and feature table), its cluster checkpoint (member
+# distances and merges) and its work counters must not depend on it.
+# Each run writes into its own directory under the same relative
+# names, so stdout (which names the artifact) can match byte for byte.
+cli="$PWD/target/release/towerlens-cli"
+for t in 1 3; do
+    mkdir -p "$thr_tmp/paper-t$t"
+    (cd "$thr_tmp/paper-t$t" && "$cli" study \
+        --scale paper --seed 42 --threads "$t" --resume ckpt \
+        --snapshot paper.artifact --metrics metrics.json > study.out)
+done
+for f in study.out paper.artifact ckpt/cluster.ckpt; do
+    [ -s "$thr_tmp/paper-t1/$f" ] || { echo "paper study wrote no $f"; exit 1; }
+    cmp "$thr_tmp/paper-t1/$f" "$thr_tmp/paper-t3/$f" \
+        || { echo "paper study $f differs between --threads 1 and --threads 3"; exit 1; }
+done
+counters_t1=$(grep -o '"counters":{[^}]*}' "$thr_tmp/paper-t1/metrics.json")
+counters_t3=$(grep -o '"counters":{[^}]*}' "$thr_tmp/paper-t3/metrics.json")
+[ -n "$counters_t1" ] && [ "$counters_t1" = "$counters_t3" ] \
+    || { echo "paper study counters differ between --threads 1 and --threads 3"; exit 1; }
+echo "bit-identical paper study (stdout, snapshot, cluster checkpoint, counters)" \
+    "at --threads 1 and --threads 3"
 
 echo "== paper-scale smoke: 9,600 towers in the spectral feature space =="
 # The scale contract: the full Shanghai-size study must complete within
 # a bounded wall-clock when clustering in the 6-dim spectral space
-# (about 2.8 s on a 2-vCPU VM; the bound mostly exists to catch a
+# (about 2.2 s on a 2-vCPU VM; the bound mostly exists to catch a
 # regression back onto the O(n²·4032) materialised raw path).
 timeout 180 ./target/release/towerlens-cli study \
     --scale paper --seed 42 --feature-space spectral \
