@@ -27,9 +27,9 @@
 //! [`DistanceMatrix`](crate::DistanceMatrix), and every merged cluster
 //! owns one Lance–Williams row, which a merge rewrites column by
 //! column over the live leaves and merged clusters — so dendrograms
-//! are bit-identical to the matrix's. For the average linkage the leaf
-//! columns run eight (AVX-512) or four (AVX) to a vector instruction,
-//! each lane repeating the scalar walk's operations. Merged clusters are
+//! are bit-identical to the matrix's. For the average linkage on an
+//! AVX-512 CPU the leaf columns run eight to a vector instruction, each
+//! lane repeating the scalar walk's operations. Merged clusters are
 //! tracked with axis-aligned bounding boxes (the
 //! O(1) union of their members' boxes); for the linkages whose
 //! cluster distance provably dominates the box gap (single, complete,
@@ -620,19 +620,16 @@ impl IndexedMetric {
     }
 }
 
-/// How a merge walks its leaf columns. Only the average linkage has
-/// vector walks; every lane of one does the portable walk's
+/// How a merge walks its leaf columns. Only the average linkage has a
+/// vector walk; every lane of it does the portable walk's
 /// floating-point operations on its own column, in the same order and
-/// without fused multiply-adds, so all three write bit-identical rows.
+/// without fused multiply-adds, so both write bit-identical rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Walk {
     /// Eight columns per 512-bit vector (AVX-512F).
     Avx512,
-    /// Four columns per 256-bit vector (AVX), when a merging slot is a
-    /// single point.
-    Avx,
-    /// One column at a time: the reference, and the walk of the other
-    /// three linkages.
+    /// One column at a time: the reference, the walk of CPUs without
+    /// AVX-512F, and the walk of the other three linkages.
     Portable,
 }
 
@@ -646,9 +643,6 @@ impl Walk {
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return Walk::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx") {
-                return Walk::Avx;
             }
         }
         Walk::Portable
@@ -696,14 +690,14 @@ fn update_leaf_columns<const I_LEAF: bool, const J_LEAF: bool>(
     (u64::from(I_LEAF) + u64::from(J_LEAF)) * leaves.len() as u64
 }
 
-/// Runs `walk`'s vector kernel over the leading leaves it covers and
-/// returns how many it walked: none for the portable walk, on a CPU
-/// without the walk's instructions, or for points of more than
-/// [`VECTOR_WALK_MAX_DIM`] dimensions. `points` is the tree's flat copy
-/// and the rows of `i` and `j`.
+/// Runs the AVX-512 walk over the leading leaves it covers and returns
+/// how many it walked: none for the portable walk, on a CPU without
+/// AVX-512F, or for points of more than [`VECTOR_WALK_MAX_DIM`]
+/// dimensions. `points` is the tree's flat copy and the rows of `i` and
+/// `j`; `leaves` is ascending.
 ///
 /// # Panics
-/// Before a vector kernel runs: if a leaf is not below `n =
+/// Before the kernel runs: if the last leaf is not below `n =
 /// row_i.len()`, the flat copy does not hold `n` rows of the points'
 /// dimension, or `row_j` does not hold `n` entries while `j` is merged.
 #[cfg(target_arch = "x86_64")]
@@ -717,36 +711,31 @@ fn vector_walk<const I_LEAF: bool, const J_LEAF: bool>(
 ) -> usize {
     let (flat, pi, pj) = points;
     let dim = pi.len();
-    if walk == Walk::Portable || dim > VECTOR_WALK_MAX_DIM {
+    if walk == Walk::Portable
+        || dim > VECTOR_WALK_MAX_DIM
+        || !std::arch::is_x86_feature_detected!("avx512f")
+    {
         return 0;
     }
-    // The kernels read and write unchecked at these offsets.
+    // The kernel reads and writes unchecked at these offsets.
     let n = row_i.len();
     assert!(
         flat.len() == n * dim && pj.len() == dim,
         "points are rows of the tree"
     );
     assert!(J_LEAF || row_j.len() == n, "row_j spans every slot");
-    let top = leaves.iter().fold(0u32, |top, &k| top.max(k));
-    assert!(leaves.is_empty() || (top as usize) < n, "leaves are slots");
-    if walk == Walk::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: AVX-512F was just detected, and the asserts above
-        // establish the kernel's bounds.
-        #[allow(unsafe_code)]
-        return unsafe {
-            average_walk_avx512::<I_LEAF, J_LEAF>(points, leaves, row_i, row_j, sizes)
-        };
+    // The live-leaf list is ascending, so its last entry bounds them all.
+    debug_assert!(leaves.is_sorted(), "leaves ascend");
+    assert!(
+        leaves.last().is_none_or(|&k| (k as usize) < n),
+        "leaves are slots"
+    );
+    // SAFETY: AVX-512F was just detected, and the asserts above
+    // establish the kernel's bounds.
+    #[allow(unsafe_code)]
+    unsafe {
+        average_walk_avx512::<I_LEAF, J_LEAF>(points, leaves, row_i, row_j, sizes)
     }
-    // Without a gather, a column with no leaf endpoint loads and stores
-    // its lanes one by one for a single division, which the portable
-    // walk does faster.
-    if (I_LEAF || J_LEAF) && std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX was just detected; the kernel's accesses are
-        // bounds-checked.
-        #[allow(unsafe_code)]
-        return unsafe { average_walk_avx::<I_LEAF, J_LEAF>(points, leaves, row_i, row_j, sizes) };
-    }
-    0
 }
 
 /// Without x86-64 vector kernels every walk is the portable one.
@@ -762,7 +751,7 @@ fn vector_walk<const I_LEAF: bool, const J_LEAF: bool>(
     0
 }
 
-/// Point dimensions the vector walks serve: below eight the scalar
+/// Point dimensions the vector walk serves: below eight the scalar
 /// kernel is one sequential sum (`t += d·d` in axis order, then
 /// `0.0 + t` from the empty eight-lane fold), which each vector lane
 /// repeats. Wider points take the portable walk.
@@ -828,69 +817,6 @@ unsafe fn average_walk_avx512<const I_LEAF: bool, const J_LEAF: bool>(
             sum,
         );
         _mm512_i64scatter_pd::<8>(row_i.as_mut_ptr(), cols, v);
-    }
-    leaves.len() - chunks.remainder().len()
-}
-
-/// [`average_walk_avx512`] on 256-bit vectors, four live leaves per
-/// step, with lane-by-lane loads and stores (AVX has no gather or
-/// scatter). Returns the leaves walked, a multiple of four.
-///
-/// # Safety
-/// Requires AVX; callers must check `is_x86_feature_detected!("avx")`.
-/// Every access is bounds-checked.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[allow(unsafe_code)]
-unsafe fn average_walk_avx<const I_LEAF: bool, const J_LEAF: bool>(
-    (flat, pi, pj): (&[f64], &[f64], &[f64]),
-    leaves: &[u32],
-    row_i: &mut [f64],
-    row_j: &[f64],
-    (ni, nj): (f64, f64),
-) -> usize {
-    use std::arch::x86_64::*;
-    let dim = pi.len();
-    let zero = _mm256_setzero_pd();
-    let (wi, wj) = (_mm256_set1_pd(ni), _mm256_set1_pd(nj));
-    let sum = _mm256_set1_pd(ni + nj);
-    let lanes = |values: &[f64], at: [usize; 4]| {
-        _mm256_set_pd(values[at[3]], values[at[2]], values[at[1]], values[at[0]])
-    };
-    let mut chunks = leaves.chunks_exact(4);
-    for ks in &mut chunks {
-        let cols: [usize; 4] = std::array::from_fn(|l| ks[l] as usize);
-        let (mut ti, mut tj) = (zero, zero);
-        for d in 0..dim {
-            let y = lanes(flat, cols.map(|k| k * dim + d));
-            if I_LEAF {
-                let diff = _mm256_sub_pd(_mm256_set1_pd(pi[d]), y);
-                ti = _mm256_add_pd(ti, _mm256_mul_pd(diff, diff));
-            }
-            if J_LEAF {
-                let diff = _mm256_sub_pd(_mm256_set1_pd(pj[d]), y);
-                tj = _mm256_add_pd(tj, _mm256_mul_pd(diff, diff));
-            }
-        }
-        let dik = if I_LEAF {
-            _mm256_sqrt_pd(_mm256_add_pd(zero, ti))
-        } else {
-            lanes(row_i, cols)
-        };
-        let djk = if J_LEAF {
-            _mm256_sqrt_pd(_mm256_add_pd(zero, tj))
-        } else {
-            lanes(row_j, cols)
-        };
-        let v = _mm256_div_pd(
-            _mm256_add_pd(_mm256_mul_pd(wi, dik), _mm256_mul_pd(wj, djk)),
-            sum,
-        );
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), v);
-        for (&k, value) in cols.iter().zip(out) {
-            row_i[k] = value;
-        }
     }
     leaves.len() - chunks.remainder().len()
 }
@@ -1320,21 +1246,12 @@ mod tests {
     }
 
     #[test]
-    fn every_average_walk_is_bit_identical_to_the_portable_walk() {
+    fn the_vector_walk_is_bit_identical_to_the_portable_walk() {
         // All four leaf/merged cases; live-leaf counts on both sides of
-        // the four- and eight-lane widths; dimensions inside the vector
-        // walks' range and past it (where they defer to the portable
-        // walk); equal and unequal cluster sizes.
-        let mut walks = vec![Walk::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx") {
-                walks.push(Walk::Avx);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                walks.push(Walk::Avx512);
-            }
-        }
+        // the eight-lane width; dimensions inside the vector walk's
+        // range and past it (where it defers to the portable walk);
+        // equal and unequal cluster sizes. Without AVX-512F the vector
+        // walk is the portable one.
         let cases = [(true, true), (true, false), (false, true), (false, false)];
         for dim in [1usize, 2, 6, 7, 8, 9] {
             let points = mixture(61, 4, dim);
@@ -1358,22 +1275,10 @@ mod tests {
                         let want = average_walk(Walk::Portable, case, &tree, &leaves, rows, sizes);
                         let endpoints = u64::from(case.0) + u64::from(case.1);
                         assert_eq!(want.1, endpoints * live as u64, "{what}");
-                        for &walk in &walks {
-                            let got = average_walk(walk, case, &tree, &leaves, rows, sizes);
-                            assert_eq!(got, want, "{walk:?} {what}");
-                        }
+                        let got = average_walk(Walk::Avx512, case, &tree, &leaves, rows, sizes);
+                        assert_eq!(got, want, "{what}");
                     }
                 }
-            }
-        }
-        // The widest walk this CPU has must have been checked.
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                assert!(walks.contains(&Walk::Avx512), "{walks:?}");
-            }
-            if std::arch::is_x86_feature_detected!("avx") {
-                assert!(walks.contains(&Walk::Avx), "{walks:?}");
             }
         }
     }

@@ -34,7 +34,7 @@
 //! deterministic given their inputs.
 
 // `deny`, not `forbid`: the sanctioned exceptions are the SIMD
-// distance kernels in [`distance`] and the vector Lance–Williams walks
+// distance kernels in [`distance`] and the vector Lance–Williams walk
 // in [`index`], leaf functions each pinned bit-for-bit to the safe
 // scalar reference by test. Everything else stays safe.
 #![deny(unsafe_code)]

@@ -46,8 +46,10 @@ pub struct IdentifierConfig {
     pub k_min: usize,
     /// Largest cluster count the metric tuner considers.
     pub k_max: usize,
-    /// Worker threads for the distance matrix and the feature table
-    /// (0 = auto).
+    /// Worker threads (0 = auto) for the distance matrix, the feature
+    /// table, the DBI sweep's cluster counts, and the final centroids
+    /// and member-to-centroid distances; the last two stay on the
+    /// calling thread below about a million values (towers × bins).
     pub threads: usize,
     /// Representation towers are clustered in (default
     /// [`FeatureSpace::Auto`]: raw below

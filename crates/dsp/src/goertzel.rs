@@ -129,20 +129,8 @@ pub fn goertzel_bins_sharded<const B: usize>(
         return Err(out_of_range(bin));
     }
     *tally += B as u64;
-    let omega = bins.map(|k| std::f64::consts::TAU * k as f64 / n as f64);
-    let coeff = omega.map(|w| 2.0 * w.cos());
-    let mut s_prev = [0.0f64; B];
-    let mut s_prev2 = [0.0f64; B];
-    for &sample in x {
-        for b in 0..B {
-            let s = sample + coeff[b] * s_prev[b] - s_prev2[b];
-            s_prev2[b] = s_prev[b];
-            s_prev[b] = s;
-        }
-    }
-    Ok(std::array::from_fn(|b| {
-        finish(s_prev[b], s_prev2[b], omega[b])
-    }))
+    let [lines] = interleaved_bins([x], bins).expect("the signal was checked finite");
+    Ok(lines)
 }
 
 /// [`goertzel_bins_sharded`] over `T` signals: element `t` of the
@@ -171,8 +159,9 @@ pub fn goertzel_bins_each<const T: usize, const B: usize>(
     signals.map(|x| goertzel_bins_sharded(x, bins, tally))
 }
 
-/// The interleaved pass of [`goertzel_bins_each`] over signals of one
-/// length `N` above every bin; `None` if a sample is NaN or ∞.
+/// The one multi-bin recurrence, over `T` signals of one length `N`
+/// above every bin (one signal for [`goertzel_bins_sharded`], a group
+/// for [`goertzel_bins_each`]); `None` if a sample is NaN or ∞.
 fn interleaved_bins<const T: usize, const B: usize>(
     signals: [&[f64]; T],
     bins: [usize; B],
