@@ -811,6 +811,35 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
+    /// The five studies the two pins below run, by name.
+    fn pinned_studies() -> [(&'static str, StudyConfig); 5] {
+        let spectral = |mut config: StudyConfig| {
+            config.identifier.feature_space = FeatureSpace::Spectral;
+            config
+        };
+        [
+            ("tiny 3", StudyConfig::tiny(3)),
+            ("tiny 7", StudyConfig::tiny(7)),
+            ("small 7", StudyConfig::small(7)),
+            ("tiny 3 spectral", spectral(StudyConfig::tiny(3))),
+            ("tiny 7 spectral", spectral(StudyConfig::tiny(7))),
+        ]
+    }
+
+    /// Runs every pinned study and compares `render(report)` with its
+    /// pin, reporting every study's value on failure.
+    fn assert_pinned(pins: [&str; 5], render: impl Fn(&StudyReport) -> String, what: &str) {
+        let (got, want): (Vec<_>, Vec<_>) = pinned_studies()
+            .into_iter()
+            .zip(pins)
+            .map(|((name, config), pin)| {
+                let report = Study::new(config).run().unwrap();
+                ((name, render(&report)), (name, pin.to_string()))
+            })
+            .unzip();
+        assert_eq!(got, want, "{what} moved");
+    }
+
     /// The engine pinned by value: any change to a number a study
     /// reports moves its fingerprint. At these values the staged
     /// engine was bit-identical to the pre-engine single-function
@@ -820,37 +849,60 @@ mod tests {
     /// whose failure message lists every study's value.
     #[test]
     fn engine_is_pinned_by_fingerprint() {
-        let spectral = |mut config: StudyConfig| {
-            config.identifier.feature_space = FeatureSpace::Spectral;
-            config
-        };
         let pins = [
-            ("tiny 3", StudyConfig::tiny(3), 0xf6b3_dc5e_166a_3a05_u64),
-            ("tiny 7", StudyConfig::tiny(7), 0x2b6a_173c_cdeb_eae3),
-            ("small 7", StudyConfig::small(7), 0xfedd_315d_4cc7_6a5e),
-            (
-                "tiny 3 spectral",
-                spectral(StudyConfig::tiny(3)),
-                0x69ba_9066_7d14_cbe2,
-            ),
-            (
-                "tiny 7 spectral",
-                spectral(StudyConfig::tiny(7)),
-                0x562d_363d_fbac_befe,
-            ),
+            "f6b3dc5e166a3a05",
+            "2b6a173ccdebeae3",
+            "fedd315d4cc76a5e",
+            "69ba90667d14cbe2",
+            "562d363dfbacbefe",
         ];
-        let got: Vec<(&str, String)> = pins
-            .iter()
-            .map(|(name, config, _)| {
-                let report = Study::new(config.clone()).run().unwrap();
-                (*name, format!("{:016x}", report.fingerprint()))
-            })
-            .collect();
-        let want: Vec<(&str, String)> = pins
-            .iter()
-            .map(|(name, _, pin)| (*name, format!("{pin:016x}")))
-            .collect();
-        assert_eq!(got, want, "study fingerprints moved");
+        assert_pinned(
+            pins,
+            |report| format!("{:016x}", report.fingerprint()),
+            "study fingerprints",
+        );
+    }
+
+    /// What the same five studies find, pinned apart from their bits:
+    /// the pattern count, an FNV-1a digest of the cluster labels, the
+    /// labelled region kinds, the agreement's bits and the number of
+    /// decomposed rows. A change that moves stored floats in their last
+    /// bits but no result (as the synthesiser's noise kernel did)
+    /// re-pins the fingerprints above and leaves these as they are.
+    #[test]
+    fn study_results_are_pinned() {
+        let pins = [
+            "k=5 labels=7ccdd0d5f431e7e3 kinds=Resident,Transport,Office,Entertainment,\
+             Comprehensive agreement=3fee222222222222 rows=12",
+            "k=4 labels=e28a3306922e1a84 kinds=Entertainment,Resident,Transport,Office \
+             agreement=3fe599999999999a rows=4",
+            "k=6 labels=3735a2739def05e3 kinds=Resident,Office,Comprehensive,Transport,\
+             Entertainment,Comprehensive agreement=3feee147ae147ae1 rows=36",
+            "k=5 labels=3372c46412b15c62 kinds=Resident,Transport,Office,Comprehensive,\
+             Entertainment agreement=3fedddddddddddde rows=12",
+            "k=3 labels=2f52f888694a4527 kinds=Resident,Office,Entertainment \
+             agreement=3fe4888888888889 rows=0",
+        ];
+        assert_pinned(
+            pins,
+            |report| {
+                let mut labels = Fnv::new();
+                for &l in &report.patterns.clustering.labels {
+                    labels.usize(l);
+                }
+                let kinds: Vec<String> =
+                    report.geo.labels.iter().map(ToString::to_string).collect();
+                format!(
+                    "k={} labels={:016x} kinds={} agreement={:016x} rows={}",
+                    report.patterns.k,
+                    labels.finish(),
+                    kinds.join(","),
+                    report.geo.ground_truth_agreement.to_bits(),
+                    report.decompositions.len()
+                )
+            },
+            "study results",
+        );
     }
 
     #[test]
