@@ -3,9 +3,18 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::CityError;
-use crate::geo::{BoundingBox, GeoPoint};
+use crate::geo::{BoundingBox, GeoPoint, EARTH_RADIUS_M};
 use crate::poi::PoiIndex;
 use crate::zone::{RegionKind, Zone};
+
+/// ρ: the relative slack of [`City::function_mix`]'s latitude-gap
+/// pre-test (see its docs).
+const GAP_SLACK: f64 = 1e-9;
+
+/// Whether the latitude-gap bound holds at `p`: finite, |φ| ≤ 90°.
+fn in_domain(p: &GeoPoint) -> bool {
+    p.lon.is_finite() && p.lat.abs() <= 90.0
+}
 
 /// A cellular tower.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -126,9 +135,41 @@ impl City {
     /// (slightly more than a pure zone in total — mixed-use areas are
     /// denser). Normalised to sum to 1; an isolated point far from
     /// every zone returns the uniform mixture.
+    ///
+    /// # The latitude-gap pre-test
+    ///
+    /// Most zones are far from the point, and a zone is rejected before
+    /// its haversine when its latitude gap alone puts it beyond
+    /// `3·radius`. Kept zones are summed in zone order as before, so
+    /// every mix is bit-identical to a haversine over every zone.
+    ///
+    /// Write R for [`EARTH_RADIUS_M`], Δφ for the computed
+    /// `(φ_point − φ_zone).to_radians()` (the haversine's own) and g =
+    /// `min(|Δφ|, 1)`. With both points finite and both latitudes in
+    /// [−90°, 90°], the haversine's `a` is at least `sin²(Δφ/2)`: the
+    /// cosines of in-domain latitudes round to non-negative values, so
+    /// its second term is non-negative and the computed sum is at least
+    /// the computed first term. The exact chain
+    /// `2R·asin(|sin(Δφ/2)|) = R·|Δφ| ≥ R·g` then holds, since |Δφ| ≤ π.
+    /// Its computed version rounds `sin`, the square, `√`, `asin` and the
+    /// product, each within 1 ulp, and `asin` is well conditioned below
+    /// `sin ½` (hence the cap at 1 radian: condition number 1.09 there),
+    /// so the computed distance is at least `R·g·(1 − 10·2⁻⁵³)`. The
+    /// pre-test rejects a zone when `fl(fl(R·g)·(1 − ρ)) > 3·radius`
+    /// with ρ = 10⁻⁹, which covers those ulps and its own two roundings
+    /// many times over; the computed haversine then exceeds `3·radius`
+    /// too, and the scan would have skipped the zone. Points or zones
+    /// outside the domain (non-finite, or |φ| > 90°) always take the
+    /// haversine.
     pub fn function_mix(&self, point: &GeoPoint) -> [f64; 4] {
         let mut mix = [0.0f64; 4];
+        let point_in_domain = in_domain(point);
         for zone in &self.zones {
+            let dphi = (point.lat - zone.center.lat).to_radians();
+            let gap = EARTH_RADIUS_M * dphi.abs().min(1.0) * (1.0 - GAP_SLACK);
+            if point_in_domain && in_domain(&zone.center) && gap > 3.0 * zone.radius_m {
+                continue;
+            }
             let d = zone.center.distance_m(point);
             let scale = (0.7 * zone.radius_m).max(1.0);
             if d > 3.0 * zone.radius_m {
@@ -229,6 +270,107 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9);
             assert!(mix.iter().all(|&m| m >= 0.0));
         }
+    }
+
+    /// `function_mix` without its pre-test: a haversine to every zone.
+    fn function_mix_by_scan(city: &City, point: &GeoPoint) -> [f64; 4] {
+        let mut mix = [0.0f64; 4];
+        for zone in &city.zones {
+            let d = zone.center.distance_m(point);
+            let scale = (0.7 * zone.radius_m).max(1.0);
+            if d > 3.0 * zone.radius_m {
+                continue;
+            }
+            let w = (-(d / scale) * (d / scale)).exp();
+            match zone.kind {
+                RegionKind::Comprehensive => {
+                    for (m, b) in mix.iter_mut().zip(&city.comprehensive_blend) {
+                        *m += w * 1.2 * b;
+                    }
+                }
+                kind => mix[kind.native_poi().unwrap().index()] += w,
+            }
+        }
+        let total: f64 = mix.iter().sum();
+        if total <= 0.0 {
+            return [0.25; 4];
+        }
+        mix.map(|m| m / total)
+    }
+
+    fn assert_mix_matches_scan(city: &City, point: &GeoPoint) {
+        let bits = |mix: [f64; 4]| mix.map(f64::to_bits);
+        assert_eq!(
+            bits(city.function_mix(point)),
+            bits(function_mix_by_scan(city, point)),
+            "at {point:?}"
+        );
+    }
+
+    #[test]
+    fn function_mix_matches_the_scan_at_every_paper_tower() {
+        let c = generate(&CityConfig::paper_scale(42)).unwrap();
+        for t in c.towers() {
+            assert_mix_matches_scan(&c, &t.position);
+        }
+    }
+
+    #[test]
+    fn function_mix_matches_the_scan_near_the_poles_and_the_antimeridian() {
+        // Zones of every kind straddling ±180°, at the poles and at
+        // their edges, with radii from 150 m to 40 km.
+        let centers = [
+            (179.999, 10.0),
+            (-179.999, 10.0),
+            (180.0, -45.0),
+            (0.0, 90.0),
+            (120.0, 89.99),
+            (-60.0, -89.995),
+            (0.0, -90.0),
+            (179.9, 89.9),
+        ];
+        let zones: Vec<Zone> = centers
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &(lon, lat))| [150.0, 2_000.0, 40_000.0].map(|r| (i, lon, lat, r)))
+            .enumerate()
+            .map(|(id, (i, lon, lat, radius_m))| Zone {
+                id,
+                kind: RegionKind::ALL[(id + i) % 5],
+                center: GeoPoint::new(lon, lat),
+                radius_m,
+            })
+            .collect();
+        let c = City::from_parts(
+            zones,
+            Vec::new(),
+            PoiIndex::build(Vec::new()),
+            GeoPoint::new(0.0, 0.0),
+            [0.25; 4],
+        );
+        let mut points = Vec::new();
+        for &(lon, lat) in &centers {
+            for dlat in [-0.5, -0.05, -0.002, 0.0, 0.001, 0.03, 0.4] {
+                for dlon in [-1.0, -0.01, 0.0, 0.002, 0.5, 359.99, -359.99] {
+                    points.push(GeoPoint::new(lon + dlon, lat + dlat));
+                }
+            }
+        }
+        points.extend(
+            [
+                (180.0, 90.0),
+                (-180.0, -90.0),
+                (0.0, 90.000_1),
+                (f64::NAN, 10.0),
+            ]
+            .map(|(lon, lat)| GeoPoint::new(lon, lat)),
+        );
+        for p in &points {
+            assert_mix_matches_scan(&c, p);
+        }
+        // The zones near a pole reach points across it.
+        let mix = c.function_mix(&GeoPoint::new(-60.0, 89.995));
+        assert_ne!(mix, [0.25; 4]);
     }
 
     #[test]

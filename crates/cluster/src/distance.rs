@@ -17,7 +17,8 @@
 
 use towerlens_obs::LazyCounter;
 
-use crate::error::{validate_points, ClusterError};
+use crate::dendrogram::workers_for;
+use crate::error::{validate_points_par, ClusterError};
 
 /// Pairwise distance evaluations, across all matrix builds. Batched:
 /// one add of n(n−1)/2 per build, not one per pair.
@@ -452,17 +453,18 @@ impl DistanceMatrix {
     /// Propagates point-set validation failures; see
     /// [`ClusterError`].
     pub fn build(points: &[Vec<f64>], threads: usize) -> Result<Self, ClusterError> {
-        validate_points(points)?;
         let n = points.len();
+        // Below the threshold the spawn overhead dominates; force the
+        // serial path (one worker runs inline).
+        let workers = if n < 64 { 1 } else { threads };
+        let values = n * points.first().map_or(0, Vec::len);
+        validate_points_par(points, workers_for(values, workers))?;
         let len = n * (n - 1) / 2;
 
         // A tile owns rows i0..i1, whose condensed entries are one
         // contiguous run of the buffer.
         let tiles = (n - 1).div_ceil(TILE_ROWS);
         let cells: Vec<usize> = (0..tiles).map(|t| tile_cells(n, t)).collect();
-        // Below the threshold the spawn overhead dominates; force the
-        // serial path (one worker runs inline).
-        let workers = if n < 64 { 1 } else { threads };
         let mut data = vec![0.0f64; len];
         towerlens_par::par_slices_mut(&mut data, &cells, &tile_order(tiles), workers, |t, out| {
             fill_tile(points, t * TILE_ROWS, out)
@@ -746,6 +748,17 @@ mod tests {
             DistanceMatrix::build(&[vec![1.0], vec![1.0, 2.0]], 1),
             Err(ClusterError::DimensionMismatch { .. })
         ));
+        // A million values and more: the check runs over the workers
+        // and still names the lowest bad point.
+        let mut points: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64; 10_500]).collect();
+        points[90].push(1.0);
+        points[30][4] = f64::INFINITY;
+        for threads in [1, 2, 3] {
+            assert_eq!(
+                DistanceMatrix::build(&points, threads).unwrap_err(),
+                ClusterError::NonFinite { index: 30 }
+            );
+        }
     }
 
     #[test]

@@ -80,22 +80,51 @@ impl std::fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// Validates a point set: non-empty, consistent dimension, finite.
+/// The error names the lowest-index bad point; a point both ragged and
+/// non-finite is reported ragged.
 pub(crate) fn validate_points(points: &[Vec<f64>]) -> Result<usize, ClusterError> {
-    let first = points.first().ok_or(ClusterError::EmptyInput)?;
-    let dim = first.len();
+    let dim = points.first().ok_or(ClusterError::EmptyInput)?.len();
     for (index, p) in points.iter().enumerate() {
-        if p.len() != dim {
-            return Err(ClusterError::DimensionMismatch {
-                expected: dim,
-                actual: p.len(),
-                index,
-            });
-        }
-        if p.iter().any(|v| !v.is_finite()) {
-            return Err(ClusterError::NonFinite { index });
-        }
+        check_point(index, p, dim)?;
     }
     Ok(dim)
+}
+
+/// [`validate_points`] over up to `threads` workers (`0` = available
+/// parallelism): each scans one contiguous run of points for its
+/// lowest-index bad point, and the lowest run's error wins, so the
+/// result is exactly the serial scan's.
+pub(crate) fn validate_points_par(
+    points: &[Vec<f64>],
+    threads: usize,
+) -> Result<usize, ClusterError> {
+    let dim = points.first().ok_or(ClusterError::EmptyInput)?.len();
+    let chunk = towerlens_par::chunk_len(points.len(), threads);
+    let runs: Vec<&[Vec<f64>]> = points.chunks(chunk).collect();
+    let errors = towerlens_par::par_map_indexed(&runs, threads, |r, run| {
+        run.iter()
+            .enumerate()
+            .find_map(|(i, p)| check_point(r * chunk + i, p, dim).err())
+    });
+    match errors.into_iter().flatten().next() {
+        Some(err) => Err(err),
+        None => Ok(dim),
+    }
+}
+
+/// One point of a `dim`-dimensional set: ragged before non-finite.
+fn check_point(index: usize, p: &[f64], dim: usize) -> Result<(), ClusterError> {
+    if p.len() != dim {
+        return Err(ClusterError::DimensionMismatch {
+            expected: dim,
+            actual: p.len(),
+            index,
+        });
+    }
+    if p.iter().any(|v| !v.is_finite()) {
+        return Err(ClusterError::NonFinite { index });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -118,6 +147,46 @@ mod tests {
             Err(ClusterError::NonFinite { index: 1 })
         );
         assert_eq!(validate_points(&[vec![1.0, 2.0], vec![3.0, 4.0]]), Ok(2));
+    }
+
+    #[test]
+    fn parallel_validation_returns_the_serial_scans_error() {
+        // 90 points: at 2 threads the runs are 0..45 and 45..90, at 3
+        // they are 0..30, 30..60 and 60..90. Each case puts bad points
+        // in two workers' runs; the lowest one must win, ragged before
+        // non-finite within a point.
+        let ragged = |index| ClusterError::DimensionMismatch {
+            expected: 3,
+            actual: 4,
+            index,
+        };
+        let non_finite = |index| ClusterError::NonFinite { index };
+        // (non-finite points, ragged points, the error)
+        let cases: [(&[usize], &[usize], _); 5] = [
+            (&[20], &[70], Err(non_finite(20))),
+            (&[80], &[50], Err(ragged(50))),
+            (&[44], &[44, 46], Err(ragged(44))),
+            (&[89, 31], &[61], Err(non_finite(31))),
+            (&[], &[], Ok(3)),
+        ];
+        for (nan_at, ragged_at, want) in cases {
+            let mut points: Vec<Vec<f64>> = (0..90).map(|i| vec![i as f64; 3]).collect();
+            for &i in nan_at {
+                points[i][1] = f64::NAN;
+            }
+            for &i in ragged_at {
+                points[i].push(0.0);
+            }
+            assert_eq!(validate_points(&points), want);
+            for threads in [1, 2, 3] {
+                assert_eq!(
+                    validate_points_par(&points, threads),
+                    want,
+                    "{threads} threads"
+                );
+            }
+        }
+        assert_eq!(validate_points_par(&[], 2), Err(ClusterError::EmptyInput));
     }
 
     #[test]

@@ -841,20 +841,20 @@ mod tests {
     }
 
     /// The engine pinned by value: any change to a number a study
-    /// reports moves its fingerprint. At these values the staged
-    /// engine was bit-identical to the pre-engine single-function
-    /// pipeline, in both feature spaces. Release builds and the test
-    /// profile agree on them; re-measure with
+    /// reports moves its fingerprint. A change that moves raw bits but
+    /// no result (as the synthesiser's noise kernel did) re-pins these
+    /// while [`study_results_are_pinned`] holds. Release builds and the
+    /// test profile agree on them; re-measure with
     /// `cargo test --release -p towerlens-core --lib engine_is_pinned_by_fingerprint`,
     /// whose failure message lists every study's value.
     #[test]
     fn engine_is_pinned_by_fingerprint() {
         let pins = [
-            "f6b3dc5e166a3a05",
-            "2b6a173ccdebeae3",
-            "fedd315d4cc76a5e",
-            "69ba90667d14cbe2",
-            "562d363dfbacbefe",
+            "4230bb328e7a9567",
+            "b2fab4e4f131946d",
+            "d1106e768f0e9933",
+            "52aaf0d028d37c18",
+            "8b6319fd770ca65e",
         ];
         assert_pinned(
             pins,
@@ -868,7 +868,8 @@ mod tests {
     /// labelled region kinds, the agreement's bits and the number of
     /// decomposed rows. A change that moves stored floats in their last
     /// bits but no result (as the synthesiser's noise kernel did)
-    /// re-pins the fingerprints above and leaves these as they are.
+    /// re-pins [`engine_is_pinned_by_fingerprint`] and leaves these as
+    /// they are.
     #[test]
     fn study_results_are_pinned() {
         let pins = [

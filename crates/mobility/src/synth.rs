@@ -21,6 +21,7 @@ use towerlens_city::city::City;
 use towerlens_trace::time::TraceWindow;
 
 use crate::config::SynthConfig;
+use crate::noise::{self, Isa};
 use crate::profiles::IntensityTable;
 
 /// Synthesises one tower's traffic vector.
@@ -33,31 +34,72 @@ pub fn tower_vector(
     config: &SynthConfig,
     tower_id: usize,
 ) -> Vec<f64> {
-    tower_vector_with(&IntensityTable::of(window), mix, window, config, tower_id)
+    let table = IntensityTable::of(window);
+    let mut scratch = Scratch::default();
+    tower_vector_with(
+        &table,
+        mix,
+        window,
+        config,
+        tower_id,
+        &mut scratch,
+        Isa::Avx512,
+    )
+}
+
+/// A worker's reusable buffers: a tower's day factors, its bins'
+/// uniforms and their noise.
+#[derive(Default)]
+struct Scratch {
+    days: Vec<f64>,
+    u1: Vec<f64>,
+    u2: Vec<f64>,
+    bin_noise: Vec<f64>,
 }
 
 /// [`tower_vector`] against a precomputed [`IntensityTable`] for the
-/// window, so batch callers pay the profile sampling once per window
-/// instead of once per tower. Bit-identical to [`tower_vector`].
-pub fn tower_vector_with(
+/// window and a worker's scratch. The tower's stream is drawn in one
+/// order (the scale's two uniforms, each day factor's two, then `u₁`
+/// and `u₂` of every bin); the widest noise row up to `widest`
+/// evaluates the bins' log-normal noise from their uniforms in one pass
+/// (every instantiation gives the same bits), and each bin multiplies
+/// `scale · day · noise · base` left to right.
+fn tower_vector_with(
     table: &IntensityTable,
     mix: &[f64; 4],
     window: &TraceWindow,
     config: &SynthConfig,
     tower_id: usize,
+    scratch: &mut Scratch,
+    widest: Isa,
 ) -> Vec<f64> {
     debug_assert_eq!(table.n_bins(), window.n_bins);
+    let Scratch {
+        days,
+        u1,
+        u2,
+        bin_noise,
+    } = scratch;
     let mut rng = tower_rng(config.seed, tower_id);
     let scale = config.base_bytes_per_bin * lognormal(&mut rng, config.tower_scale_sigma);
     let n_days = window.n_bins * window.bin_secs as usize / 86_400 + 1;
-    let day_factors: Vec<f64> = (0..n_days)
-        .map(|_| lognormal(&mut rng, config.day_noise_sigma))
-        .collect();
-    (0..window.n_bins)
-        .map(|bin| {
+    days.clear();
+    days.extend((0..n_days).map(|_| lognormal(&mut rng, config.day_noise_sigma)));
+    u1.clear();
+    u2.clear();
+    for _ in 0..window.n_bins {
+        let (a, b) = uniforms(&mut rng);
+        u1.push(a);
+        u2.push(b);
+    }
+    bin_noise.resize(window.n_bins, 0.0);
+    noise::lognormal_row(widest, u1, u2, config.bin_noise_sigma, bin_noise);
+    bin_noise
+        .iter()
+        .enumerate()
+        .map(|(bin, &noise)| {
             let base = table.mixture(mix, bin);
-            let day = day_factors[window.day_of_bin(bin)];
-            let noise = lognormal(&mut rng, config.bin_noise_sigma);
+            let day = days[window.day_of_bin(bin)];
             scale * day * noise * base
         })
         .collect()
@@ -69,11 +111,27 @@ pub fn tower_vector_with(
 /// and lands in its own slot, so the output is independent of
 /// `config.threads`.
 pub fn synthesize_city(city: &City, window: &TraceWindow, config: &SynthConfig) -> Vec<Vec<f64>> {
+    synthesize_city_with(city, window, config, Isa::Avx512)
+}
+
+fn synthesize_city_with(
+    city: &City,
+    window: &TraceWindow,
+    config: &SynthConfig,
+    widest: Isa,
+) -> Vec<Vec<f64>> {
     let table = IntensityTable::of(window);
-    towerlens_par::par_map_indexed(city.towers(), config.threads, |id, tower| {
-        let mix = city.function_mix(&tower.position);
-        tower_vector_with(&table, &mix, window, config, id)
-    })
+    towerlens_par::par_map_indexed_scratch(
+        city.towers(),
+        config.threads,
+        0,
+        Scratch::default,
+        |scratch, id, tower, _| {
+            let mix = city.function_mix(&tower.position);
+            tower_vector_with(&table, &mix, window, config, id, scratch, widest)
+        },
+    )
+    .0
 }
 
 /// Derives a tower's private RNG from the global seed (SplitMix-style
@@ -85,18 +143,21 @@ pub(crate) fn tower_rng(seed: u64, tower_id: usize) -> StdRng {
     StdRng::seed_from_u64(z ^ (z >> 31))
 }
 
-/// Log-normal sample with median 1: `exp(σ·Z)`. σ = 0 always yields
-/// exactly 1 (and still consumes one draw, keeping streams aligned
-/// across configs).
+/// The two uniforms of one log-normal draw, in stream order:
+/// `u₁ ∈ [ε, 1)`, `u₂ ∈ [0, 1)`.
+#[inline]
+fn uniforms(rng: &mut StdRng) -> (f64, f64) {
+    let u1 = rng.gen_range(f64::EPSILON..1.0);
+    let u2 = rng.gen_range(0.0..1.0);
+    (u1, u2)
+}
+
+/// Log-normal sample with median 1: `exp(σ·Z)` through the noise
+/// kernel. σ = 0 yields exactly 1 and still consumes the draw's two
+/// uniforms, keeping streams aligned across configs.
 fn lognormal(rng: &mut StdRng, sigma: f64) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    if sigma == 0.0 {
-        1.0
-    } else {
-        (sigma * z).exp()
-    }
+    let (u1, u2) = uniforms(rng);
+    noise::lognormal(u1, u2, sigma)
 }
 
 #[cfg(test)]
@@ -157,6 +218,51 @@ mod tests {
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn portable_and_dispatched_noise_synthesise_the_same_city() {
+        let city = generate(&CityConfig::tiny(3)).unwrap();
+        let w = TraceWindow::days(7);
+        let cfg = SynthConfig::default();
+        let portable = synthesize_city_with(&city, &w, &cfg, Isa::Portable);
+        let dispatched = synthesize_city(&city, &w, &cfg);
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&portable), bits(&dispatched));
+    }
+
+    #[test]
+    fn every_draw_stays_near_the_libm_composition_in_stream_order() {
+        // Each tower's stream as the synthesiser draws it: the scale
+        // (σ = 0.8), the day factors (0.02), then every bin (0.06).
+        let w = TraceWindow::days(7);
+        let cfg = SynthConfig::default();
+        let n_days = w.n_bins * w.bin_secs as usize / 86_400 + 1;
+        let mut worst = [0u64; 3];
+        for id in 0..300 {
+            let mut rng = tower_rng(cfg.seed, id);
+            for draw in 0..1 + n_days + w.n_bins {
+                let (slot, sigma) = match draw {
+                    0 => (0, cfg.tower_scale_sigma),
+                    d if d <= n_days => (1, cfg.day_noise_sigma),
+                    _ => (2, cfg.bin_noise_sigma),
+                };
+                let (u1, u2) = uniforms(&mut rng);
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                let libm = (sigma * z).exp();
+                let ulps = (noise::lognormal(u1, u2, sigma).to_bits() as i64)
+                    .abs_diff(libm.to_bits() as i64);
+                worst[slot] = worst[slot].max(ulps);
+            }
+        }
+        assert!(
+            worst[0] <= 18 && worst[1] <= 1 && worst[2] <= 2,
+            "worst ulps (scale, day, bin): {worst:?}"
+        );
     }
 
     #[test]

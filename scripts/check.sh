@@ -59,6 +59,32 @@ echo "bit-identical study output at --threads 1 and --threads 4"
 cmp "$thr_tmp/raw-t1.out" "$thr_tmp/raw-t3.out" \
     || { echo "raw medium study differs between --threads 1 and --threads 3"; exit 1; }
 echo "bit-identical raw medium study at --threads 1 and --threads 3"
+# Result tripwire: a study's result lines (pattern count, cluster
+# shares, agreement; not the line naming its artifact) must read as
+# pinned. The fingerprint test pins raw bits and is re-pinned whenever
+# they move on purpose; this text moves only when a result does, so
+# last-bit drift that shifts a tie fails here. A change meant to move a
+# result re-pins the text with its reason in CHANGES.md.
+pin_results() {
+    local got
+    got=$(grep -v '^wrote query artifact' "$1")
+    if [ "$got" != "$2" ]; then
+        echo "$3: result lines differ from the pinned text"
+        diff <(printf '%s\n' "$2") <(printf '%s\n' "$got") || true
+        exit 1
+    fi
+    echo "$3: result lines match the pinned text"
+}
+# Pinned from
+#   towerlens-cli study --scale medium --feature-space raw --seed 42
+pin_results "$thr_tmp/raw-t1.out" 'study medium seed 42: 2400 towers, 2400 analysed, 6 patterns
+  cluster 0: Resident  17.5%
+  cluster 1: Office  45.6%
+  cluster 2: Comprehensive   0.6%
+  cluster 3: Comprehensive  24.0%
+  cluster 4: Entertainment  10.2%
+  cluster 5: Transport   2.1%
+ground-truth agreement: 0.948' "raw medium study"
 # The paper study clusters in the spectral space, where the Goertzel
 # table (groups of four towers), the centroids (dimension ranges) and
 # the member distances (towers) split over the workers; an odd worker
@@ -89,7 +115,7 @@ echo "bit-identical paper study (stdout, snapshot, cluster checkpoint, counters)
 echo "== paper-scale smoke: 9,600 towers in the spectral feature space =="
 # The scale contract: the full Shanghai-size study must complete within
 # a bounded wall-clock when clustering in the 6-dim spectral space
-# (about 2.2 s on a 2-vCPU VM; the bound mostly exists to catch a
+# (about 1.7 s on a 2-vCPU VM; the bound mostly exists to catch a
 # regression back onto the O(n²·4032) materialised raw path).
 timeout 180 ./target/release/towerlens-cli study \
     --scale paper --seed 42 --feature-space spectral \
@@ -99,6 +125,13 @@ timeout 180 ./target/release/towerlens-cli study \
 grep -q "9600 towers" "$thr_tmp/study-paper.out" \
     || { echo "paper-scale study output missing its tower count"; exit 1; }
 echo "paper-scale spectral study completed within bound"
+# Pinned from
+#   towerlens-cli study --scale paper --seed 42 --feature-space spectral
+pin_results "$thr_tmp/study-paper.out" 'study paper seed 42: 9600 towers, 9600 analysed, 3 patterns
+  cluster 0: Resident  17.8%
+  cluster 1: Office  76.6%
+  cluster 2: Entertainment   5.7%
+ground-truth agreement: 0.682' "paper-scale spectral study"
 
 # A counter's value in a --metrics dump; 0 when never registered.
 counter() {
