@@ -1,27 +1,16 @@
-//! The binary snapshot codec: magic, version, section table, FNV-1a
-//! checksums.
+//! The query artifact: the sections of a study snapshot on the
+//! [`crate::container`] layout.
 //!
-//! A snapshot file is laid out as (all integers little-endian):
-//!
-//! | bytes             | field                                        |
-//! |-------------------|----------------------------------------------|
-//! | `0..8`            | magic `TLARTFCT`                             |
-//! | `8..12`           | format version (`u32`, currently 1)          |
-//! | `12..16`          | section count `n` (`u32`)                    |
-//! | `16..16+32n`      | section table, 32 bytes per entry            |
-//! | `16+32n..24+32n`  | header checksum (FNV-1a of bytes `0..16+32n`)|
-//! | `24+32n..EOF`     | section payloads, contiguous, in table order |
-//!
-//! Each table entry is `tag[8]` (ASCII, space-padded), `offset: u64`
-//! (from byte 0 of the file), `len: u64`, and `checksum: u64` (FNV-1a
-//! of the payload bytes). Payloads must be contiguous — the first
-//! starts right after the header checksum, each next one where the
-//! previous ended, and the file ends exactly at the last payload's
-//! end. Together with the two checksum layers this makes *any*
-//! single-byte corruption detectable: a flip in a payload trips its
-//! section checksum, a flip in the header or table trips the header
-//! checksum, and appending or truncating bytes trips the length
-//! check.
+//! | tag        | payload                                                |
+//! |------------|--------------------------------------------------------|
+//! | `meta`     | fingerprint, window, bin width, bins, k, threshold, space |
+//! | `towers`   | tower count, then (id, label) per tower                |
+//! | `feat`     | six spectral features per tower                        |
+//! | `centroid` | dimension count, then k centroids                      |
+//! | `kinds`    | k region-kind names (optional)                         |
+//! | `basis`    | four representatives and their vertices (optional)     |
+//! | `decomp`   | row count, then the stored decompositions              |
+//! | `profile`  | bins per day, then per-tower day means and σ           |
 //!
 //! Unknown section tags are tolerated on read (their checksums are
 //! still verified) so a v1 reader survives additive extensions;
@@ -30,16 +19,10 @@
 //! full compatibility policy.
 
 use std::collections::HashSet;
-use std::fmt;
 use std::path::Path;
 
-/// Leading file magic.
-pub const MAGIC: [u8; 8] = *b"TLARTFCT";
-/// Current format version.
-pub const VERSION: u32 = 1;
-/// Hard ceiling on the section count — a structural sanity bound so a
-/// corrupted count can never drive an over-allocation.
-pub const MAX_SECTIONS: u32 = 64;
+use crate::container::{io_err, tag_str, Container, ContainerWriter, Dec, Enc, SectionFsck};
+use crate::container::{ArtifactError, SectionStatus, VERSION};
 
 const TAG_META: [u8; 8] = *b"meta    ";
 const TAG_TOWERS: [u8; 8] = *b"towers  ";
@@ -50,129 +33,17 @@ const TAG_BASIS: [u8; 8] = *b"basis   ";
 const TAG_DECOMP: [u8; 8] = *b"decomp  ";
 const TAG_PROFILE: [u8; 8] = *b"profile ";
 
-/// 64-bit FNV-1a (same parameters as the engine checkpoint codec).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Everything that can go wrong reading or writing a snapshot. All
-/// decode paths return one of these — they never panic, and a
-/// checksum failure is always surfaced rather than yielding a wrong
-/// answer.
-#[derive(Debug)]
-pub enum ArtifactError {
-    /// Filesystem failure.
-    Io {
-        /// The offending path.
-        path: String,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file's version is newer than this reader understands.
-    UnsupportedVersion {
-        /// The version found in the header.
-        found: u32,
-    },
-    /// The file is shorter than its own layout claims.
-    Truncated {
-        /// Bytes the layout requires.
-        needed: u64,
-        /// Bytes actually present.
-        got: u64,
-    },
-    /// The header/table bytes fail their checksum.
-    HeaderChecksum {
-        /// Checksum recorded in the file.
-        expected: u64,
-        /// Checksum recomputed over the header bytes.
-        found: u64,
-    },
-    /// A section payload fails its table checksum.
-    SectionChecksum {
-        /// The section's tag.
-        section: String,
-        /// Checksum recorded in the table.
-        expected: u64,
-        /// Checksum recomputed over the payload.
-        found: u64,
-    },
-    /// A section decodes to structurally invalid data.
-    Corrupt {
-        /// The section's tag.
-        section: String,
-        /// What was wrong.
-        reason: String,
-    },
-    /// A section the snapshot semantics require is absent.
-    MissingSection {
-        /// The missing tag.
-        section: String,
-    },
-}
-
-impl fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArtifactError::Io { path, source } => write!(f, "io {path}: {source}"),
-            ArtifactError::BadMagic => write!(f, "not a towerlens artifact (bad magic)"),
-            ArtifactError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported artifact version {found} (reader speaks {VERSION})"
-                )
-            }
-            ArtifactError::Truncated { needed, got } => {
-                write!(
-                    f,
-                    "truncated artifact: layout needs {needed} bytes, file has {got}"
-                )
-            }
-            ArtifactError::HeaderChecksum { expected, found } => write!(
-                f,
-                "header checksum mismatch: recorded {expected:016x}, computed {found:016x}"
-            ),
-            ArtifactError::SectionChecksum {
-                section,
-                expected,
-                found,
-            } => write!(
-                f,
-                "section `{section}` checksum mismatch: recorded {expected:016x}, \
-                 computed {found:016x}"
-            ),
-            ArtifactError::Corrupt { section, reason } => {
-                write!(f, "section `{section}` corrupt: {reason}")
-            }
-            ArtifactError::MissingSection { section } => {
-                write!(f, "required section `{section}` missing")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ArtifactError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-fn io_err(path: &Path, source: std::io::Error) -> ArtifactError {
-    ArtifactError::Io {
-        path: path.display().to_string(),
-        source,
-    }
-}
+/// The section tags a v1 snapshot reader knows.
+const KNOWN_TAGS: [[u8; 8]; 8] = [
+    TAG_META,
+    TAG_TOWERS,
+    TAG_FEAT,
+    TAG_CENTROID,
+    TAG_KINDS,
+    TAG_BASIS,
+    TAG_DECOMP,
+    TAG_PROFILE,
+];
 
 /// Study-level provenance and shape, from the `meta` section.
 #[derive(Debug, Clone, PartialEq)]
@@ -317,96 +188,14 @@ impl Snapshot {
 
 // ---------------------------------------------------------------- codec
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8], section: &'static str) -> Dec<'a> {
-        Dec {
-            bytes,
-            pos: 0,
-            section,
-        }
-    }
-    fn corrupt(&self, reason: impl Into<String>) -> ArtifactError {
-        ArtifactError::Corrupt {
-            section: self.section.to_string(),
-            reason: reason.into(),
-        }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| self.corrupt("payload shorter than its own layout"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-    fn u64(&mut self) -> Result<u64, ArtifactError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-    fn usize(&mut self) -> Result<usize, ArtifactError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.corrupt(format!("count {v} overflows usize")))
-    }
-    fn f64(&mut self) -> Result<f64, ArtifactError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> Result<String, ArtifactError> {
-        let len = self.usize()?;
-        if len > self.bytes.len() - self.pos {
-            return Err(self.corrupt(format!("string length {len} exceeds payload")));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("string is not UTF-8"))
-    }
-    fn finish(&self) -> Result<(), ArtifactError> {
-        if self.pos != self.bytes.len() {
-            return Err(self.corrupt(format!(
-                "{} trailing bytes after payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn encode_meta(meta: &Meta) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_meta(meta: &Meta, e: &mut Enc) {
     e.u64(meta.fingerprint);
     e.u64(meta.window_start_s);
     e.u64(meta.bin_secs);
-    e.u64(meta.n_bins as u64);
-    e.u64(meta.k as u64);
+    e.usize(meta.n_bins);
+    e.usize(meta.k);
     e.f64(meta.threshold);
     e.str(&meta.feature_space);
-    e.buf
 }
 
 fn decode_meta(bytes: &[u8]) -> Result<Meta, ArtifactError> {
@@ -424,22 +213,17 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta, ArtifactError> {
     Ok(meta)
 }
 
-fn encode_towers(ids: &[u64], labels: &[u32]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(ids.len() as u64);
+fn encode_towers(ids: &[u64], labels: &[u32], e: &mut Enc) {
+    e.usize(ids.len());
     for (&id, &label) in ids.iter().zip(labels) {
         e.u64(id);
         e.u64(u64::from(label));
     }
-    e.buf
 }
 
 fn decode_towers(bytes: &[u8], k: usize) -> Result<(Vec<u64>, Vec<u32>), ArtifactError> {
     let mut d = Dec::new(bytes, "towers");
-    let n = d.usize()?;
-    if n > bytes.len() / 16 {
-        return Err(d.corrupt(format!("tower count {n} exceeds payload size")));
-    }
+    let n = d.count(16)?;
     let mut ids = Vec::with_capacity(n);
     let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
@@ -454,14 +238,10 @@ fn decode_towers(bytes: &[u8], k: usize) -> Result<(Vec<u64>, Vec<u32>), Artifac
     Ok((ids, labels))
 }
 
-fn encode_feat(features: &[[f64; 6]]) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_feat(features: &[[f64; 6]], e: &mut Enc) {
     for row in features {
-        for &v in row {
-            e.f64(v);
-        }
+        e.f64s(row);
     }
-    e.buf
 }
 
 fn decode_feat(bytes: &[u8], n: usize) -> Result<Vec<[f64; 6]>, ArtifactError> {
@@ -485,50 +265,39 @@ fn decode_feat(bytes: &[u8], n: usize) -> Result<Vec<[f64; 6]>, ArtifactError> {
     Ok(rows)
 }
 
-fn encode_centroids(centroids: &[Vec<f64>]) -> Vec<u8> {
-    let mut e = Enc::new();
-    let dims = centroids.first().map_or(0, Vec::len);
-    e.u64(dims as u64);
+fn encode_centroids(centroids: &[Vec<f64>], e: &mut Enc) {
+    e.usize(centroids.first().map_or(0, Vec::len));
     for c in centroids {
-        for &v in c {
-            e.f64(v);
-        }
+        e.f64s(c);
     }
-    e.buf
 }
 
 fn decode_centroids(bytes: &[u8], k: usize) -> Result<Vec<Vec<f64>>, ArtifactError> {
     let mut d = Dec::new(bytes, "centroid");
     let dims = d.usize()?;
-    if bytes.len() != 8 + k * dims * 8 {
+    let expected = k.checked_mul(dims).and_then(|v| v.checked_mul(8));
+    if expected != Some(d.remaining()) || (dims == 0 && k > 0) {
         return Err(d.corrupt(format!(
-            "payload is {} bytes, expected {} for k={k} × dims={dims}",
-            bytes.len(),
-            8 + k * dims * 8
+            "payload is {} bytes, wrong for k={k} × dims={dims}",
+            bytes.len()
         )));
     }
-    let mut centroids = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut c = Vec::with_capacity(dims);
-        for _ in 0..dims {
-            c.push(d.f64()?);
-        }
-        centroids.push(c);
-    }
+    let centroids = (0..k).map(|_| d.f64s(dims)).collect::<Result<_, _>>()?;
     d.finish()?;
     Ok(centroids)
 }
 
-fn encode_kinds(kinds: &[String]) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_kinds(kinds: &[String], e: &mut Enc) {
     for kind in kinds {
         e.str(kind);
     }
-    e.buf
 }
 
 fn decode_kinds(bytes: &[u8], k: usize) -> Result<Vec<String>, ArtifactError> {
     let mut d = Dec::new(bytes, "kinds");
+    if k > bytes.len() / 8 {
+        return Err(d.corrupt(format!("{k} names exceed payload size")));
+    }
     let mut kinds = Vec::with_capacity(k);
     for _ in 0..k {
         kinds.push(d.str()?);
@@ -537,17 +306,13 @@ fn decode_kinds(bytes: &[u8], k: usize) -> Result<Vec<String>, ArtifactError> {
     Ok(kinds)
 }
 
-fn encode_basis(basis: &BasisSection) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_basis(basis: &BasisSection, e: &mut Enc) {
     for &rep in &basis.representatives {
-        e.u64(rep as u64);
+        e.usize(rep);
     }
     for vertex in &basis.vertices {
-        for &v in vertex {
-            e.f64(v);
-        }
+        e.f64s(vertex);
     }
-    e.buf
 }
 
 fn decode_basis(bytes: &[u8], n: usize) -> Result<BasisSection, ArtifactError> {
@@ -575,28 +340,19 @@ fn decode_basis(bytes: &[u8], n: usize) -> Result<BasisSection, ArtifactError> {
     })
 }
 
-fn encode_decomp(rows: &[DecompRow]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(rows.len() as u64);
+fn encode_decomp(rows: &[DecompRow], e: &mut Enc) {
+    e.usize(rows.len());
     for row in rows {
-        e.u64(row.vector_index as u64);
-        for &c in &row.coefficients {
-            e.f64(c);
-        }
+        e.usize(row.vector_index);
+        e.f64s(&row.coefficients);
         e.f64(row.residual_sqr);
-        for &c in &row.ntf_idf {
-            e.f64(c);
-        }
+        e.f64s(&row.ntf_idf);
     }
-    e.buf
 }
 
 fn decode_decomp(bytes: &[u8], n: usize) -> Result<Vec<DecompRow>, ArtifactError> {
     let mut d = Dec::new(bytes, "decomp");
-    let count = d.usize()?;
-    if count > bytes.len() / 80 {
-        return Err(d.corrupt(format!("row count {count} exceeds payload size")));
-    }
+    let count = d.count(80)?;
     let mut rows = Vec::with_capacity(count);
     for _ in 0..count {
         let vector_index = d.usize()?;
@@ -625,43 +381,29 @@ fn decode_decomp(bytes: &[u8], n: usize) -> Result<Vec<DecompRow>, ArtifactError
     Ok(rows)
 }
 
-fn encode_profile(profile: &DayProfile) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(profile.bins_per_day as u64);
+fn encode_profile(profile: &DayProfile, e: &mut Enc) {
+    e.usize(profile.bins_per_day);
     for (mean, std) in profile.mean.iter().zip(&profile.std) {
-        for &v in mean {
-            e.f64(v);
-        }
-        for &v in std {
-            e.f64(v);
-        }
+        e.f64s(mean);
+        e.f64s(std);
     }
-    e.buf
 }
 
 fn decode_profile(bytes: &[u8], n: usize) -> Result<DayProfile, ArtifactError> {
     let mut d = Dec::new(bytes, "profile");
     let bins_per_day = d.usize()?;
-    if bytes.len() != 8 + n * bins_per_day * 16 {
+    let expected = n.checked_mul(bins_per_day).and_then(|v| v.checked_mul(16));
+    if expected != Some(d.remaining()) {
         return Err(d.corrupt(format!(
-            "payload is {} bytes, expected {} for {n} towers × {bins_per_day} bins",
-            bytes.len(),
-            8 + n * bins_per_day * 16
+            "payload is {} bytes, wrong for {n} towers × {bins_per_day} bins",
+            bytes.len()
         )));
     }
     let mut mean = Vec::with_capacity(n);
     let mut std = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut m = Vec::with_capacity(bins_per_day);
-        for _ in 0..bins_per_day {
-            m.push(d.f64()?);
-        }
-        let mut s = Vec::with_capacity(bins_per_day);
-        for _ in 0..bins_per_day {
-            s.push(d.f64()?);
-        }
-        mean.push(m);
-        std.push(s);
+        mean.push(d.f64s(bins_per_day)?);
+        std.push(d.f64s(bins_per_day)?);
     }
     d.finish()?;
     Ok(DayProfile {
@@ -671,51 +413,25 @@ fn decode_profile(bytes: &[u8], n: usize) -> Result<DayProfile, ArtifactError> {
     })
 }
 
-fn tag_str(tag: &[u8; 8]) -> String {
-    String::from_utf8_lossy(tag).trim_end().to_string()
-}
-
 impl Snapshot {
     /// Encodes the snapshot to its byte representation.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut sections: Vec<([u8; 8], Vec<u8>)> = vec![
-            (TAG_META, encode_meta(&self.meta)),
-            (TAG_TOWERS, encode_towers(&self.tower_ids, &self.labels)),
-            (TAG_FEAT, encode_feat(&self.features)),
-            (TAG_CENTROID, encode_centroids(&self.centroids)),
-        ];
+        let optional = usize::from(self.kinds.is_some()) + usize::from(self.basis.is_some());
+        let mut file = ContainerWriter::new(6 + optional);
+        encode_meta(&self.meta, file.section(TAG_META));
+        encode_towers(&self.tower_ids, &self.labels, file.section(TAG_TOWERS));
+        encode_feat(&self.features, file.section(TAG_FEAT));
+        encode_centroids(&self.centroids, file.section(TAG_CENTROID));
         if let Some(kinds) = &self.kinds {
-            sections.push((TAG_KINDS, encode_kinds(kinds)));
+            encode_kinds(kinds, file.section(TAG_KINDS));
         }
         if let Some(basis) = &self.basis {
-            sections.push((TAG_BASIS, encode_basis(basis)));
+            encode_basis(basis, file.section(TAG_BASIS));
         }
-        sections.push((TAG_DECOMP, encode_decomp(&self.decompositions)));
-        sections.push((TAG_PROFILE, encode_profile(&self.profile)));
-
-        let n = sections.len();
-        let header_len = 16 + 32 * n;
-        let mut out = Vec::with_capacity(
-            header_len + 8 + sections.iter().map(|(_, p)| p.len()).sum::<usize>(),
-        );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        let mut offset = (header_len + 8) as u64;
-        for (tag, payload) in &sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-            offset += payload.len() as u64;
-        }
-        let header_sum = fnv1a64(&out);
-        out.extend_from_slice(&header_sum.to_le_bytes());
-        for (_, payload) in &sections {
-            out.extend_from_slice(payload);
-        }
-        out
+        encode_decomp(&self.decompositions, file.section(TAG_DECOMP));
+        encode_profile(&self.profile, file.section(TAG_PROFILE));
+        file.finish()
     }
 
     /// Decodes a snapshot from bytes, verifying the header checksum,
@@ -728,7 +444,7 @@ impl Snapshot {
     /// Any [`ArtifactError`] variant except `Io`; never panics on
     /// arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, ArtifactError> {
-        let table = parse_header(bytes)?;
+        let sections = Container::parse(bytes)?.sections()?;
         let mut seen: HashSet<[u8; 8]> = HashSet::new();
         let mut meta = None;
         let mut towers_bytes = None;
@@ -738,15 +454,14 @@ impl Snapshot {
         let mut basis_bytes = None;
         let mut decomp_bytes = None;
         let mut profile_bytes = None;
-        for entry in &table {
-            let payload = section_payload(bytes, entry)?;
-            if !seen.insert(entry.tag) && is_known_tag(&entry.tag) {
+        for (tag, payload) in sections {
+            if !seen.insert(tag) && KNOWN_TAGS.contains(&tag) {
                 return Err(ArtifactError::Corrupt {
-                    section: tag_str(&entry.tag),
+                    section: tag_str(&tag),
                     reason: "duplicate section".into(),
                 });
             }
-            match entry.tag {
+            match tag {
                 TAG_META => meta = Some(decode_meta(payload)?),
                 TAG_TOWERS => towers_bytes = Some(payload),
                 TAG_FEAT => feat_bytes = Some(payload),
@@ -786,129 +501,6 @@ impl Snapshot {
     }
 }
 
-struct TableEntry {
-    tag: [u8; 8],
-    offset: u64,
-    len: u64,
-    checksum: u64,
-}
-
-fn is_known_tag(tag: &[u8; 8]) -> bool {
-    matches!(
-        *tag,
-        TAG_META
-            | TAG_TOWERS
-            | TAG_FEAT
-            | TAG_CENTROID
-            | TAG_KINDS
-            | TAG_BASIS
-            | TAG_DECOMP
-            | TAG_PROFILE
-    )
-}
-
-/// Parses and fully validates the header: magic, version, section
-/// count, table bounds, header checksum, payload contiguity, and
-/// exact file length.
-fn parse_header(bytes: &[u8]) -> Result<Vec<TableEntry>, ArtifactError> {
-    if bytes.len() < 16 {
-        return Err(ArtifactError::Truncated {
-            needed: 16,
-            got: bytes.len() as u64,
-        });
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(ArtifactError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
-    if version != VERSION {
-        return Err(ArtifactError::UnsupportedVersion { found: version });
-    }
-    let n = u32::from_le_bytes(bytes[12..16].try_into().expect("4-byte slice"));
-    if n == 0 || n > MAX_SECTIONS {
-        return Err(ArtifactError::Corrupt {
-            section: "table".into(),
-            reason: format!("section count {n} outside 1..={MAX_SECTIONS}"),
-        });
-    }
-    let n = n as usize;
-    let header_len = 16 + 32 * n;
-    let header_end = header_len + 8;
-    if bytes.len() < header_end {
-        return Err(ArtifactError::Truncated {
-            needed: header_end as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    let expected = u64::from_le_bytes(
-        bytes[header_len..header_end]
-            .try_into()
-            .expect("8-byte slice"),
-    );
-    let found = fnv1a64(&bytes[..header_len]);
-    if expected != found {
-        return Err(ArtifactError::HeaderChecksum { expected, found });
-    }
-    let mut table = Vec::with_capacity(n);
-    let mut cursor = header_end as u64;
-    for i in 0..n {
-        let base = 16 + 32 * i;
-        let mut tag = [0u8; 8];
-        tag.copy_from_slice(&bytes[base..base + 8]);
-        let offset = u64::from_le_bytes(bytes[base + 8..base + 16].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(bytes[base + 16..base + 24].try_into().expect("8 bytes"));
-        let checksum = u64::from_le_bytes(bytes[base + 24..base + 32].try_into().expect("8 bytes"));
-        if offset != cursor {
-            return Err(ArtifactError::Corrupt {
-                section: tag_str(&tag),
-                reason: format!("offset {offset} breaks contiguity (expected {cursor})"),
-            });
-        }
-        cursor = offset
-            .checked_add(len)
-            .ok_or_else(|| ArtifactError::Corrupt {
-                section: tag_str(&tag),
-                reason: "offset + len overflows".into(),
-            })?;
-        table.push(TableEntry {
-            tag,
-            offset,
-            len,
-            checksum,
-        });
-    }
-    if cursor != bytes.len() as u64 {
-        if cursor > bytes.len() as u64 {
-            return Err(ArtifactError::Truncated {
-                needed: cursor,
-                got: bytes.len() as u64,
-            });
-        }
-        return Err(ArtifactError::Corrupt {
-            section: "table".into(),
-            reason: format!(
-                "{} trailing bytes after last section",
-                bytes.len() as u64 - cursor
-            ),
-        });
-    }
-    Ok(table)
-}
-
-fn section_payload<'a>(bytes: &'a [u8], entry: &TableEntry) -> Result<&'a [u8], ArtifactError> {
-    // Bounds were validated by `parse_header`'s contiguity walk.
-    let payload = &bytes[entry.offset as usize..(entry.offset + entry.len) as usize];
-    let found = fnv1a64(payload);
-    if found != entry.checksum {
-        return Err(ArtifactError::SectionChecksum {
-            section: tag_str(&entry.tag),
-            expected: entry.checksum,
-            found,
-        });
-    }
-    Ok(payload)
-}
-
 // ------------------------------------------------------------- file I/O
 
 /// Writes a snapshot atomically through [`crate::replace_durably`]
@@ -939,34 +531,6 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, ArtifactError> {
 
 // ----------------------------------------------------------------- fsck
 
-/// Per-section verdict from [`fsck_artifact`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SectionStatus {
-    /// Checksum matches and (for known tags) the payload decodes.
-    Ok,
-    /// Tag unknown to this reader — checksum verified, content
-    /// skipped. Readable, but a newer writer produced it.
-    Unknown,
-    /// Payload bytes do not match the table checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the table.
-        expected: u64,
-        /// Checksum recomputed over the payload.
-        found: u64,
-    },
-}
-
-/// One section row in a [`ArtifactFsck`] report.
-#[derive(Debug, Clone)]
-pub struct SectionFsck {
-    /// Section tag (trailing padding stripped).
-    pub tag: String,
-    /// Payload length in bytes.
-    pub bytes: u64,
-    /// Verdict.
-    pub status: SectionStatus,
-}
-
 /// The result of fsck'ing a snapshot whose header parses.
 #[derive(Debug, Clone)]
 pub struct ArtifactFsck {
@@ -991,7 +555,7 @@ impl ArtifactFsck {
     /// make it *degraded* (see the doctor's health classification).
     #[must_use]
     pub fn healthy(&self) -> bool {
-        self.semantic.is_none() && self.sections.iter().all(|s| s.status == SectionStatus::Ok)
+        self.semantic.is_none() && self.sections.iter().all(intact)
     }
 
     /// True when any section tag is unknown to this reader.
@@ -1001,6 +565,10 @@ impl ArtifactFsck {
             .iter()
             .any(|s| s.status == SectionStatus::Unknown)
     }
+}
+
+fn intact(section: &SectionFsck) -> bool {
+    !matches!(section.status, SectionStatus::ChecksumMismatch { .. })
 }
 
 /// Structurally audits a snapshot file: header, every section
@@ -1016,35 +584,10 @@ impl ArtifactFsck {
 /// returned rows, not as an error.
 pub fn fsck_artifact(path: &Path) -> Result<ArtifactFsck, ArtifactError> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    let version = if bytes.len() >= 12 && bytes[0..8] == MAGIC {
-        u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"))
-    } else {
-        0
-    };
-    let table = parse_header(&bytes)?;
-    let mut sections = Vec::with_capacity(table.len());
-    let mut all_ok = true;
-    for entry in &table {
-        let status = match section_payload(&bytes, entry) {
-            Ok(_) if is_known_tag(&entry.tag) => SectionStatus::Ok,
-            Ok(_) => SectionStatus::Unknown,
-            Err(ArtifactError::SectionChecksum {
-                expected, found, ..
-            }) => {
-                all_ok = false;
-                SectionStatus::ChecksumMismatch { expected, found }
-            }
-            Err(_) => unreachable!("section_payload only fails with SectionChecksum"),
-        };
-        sections.push(SectionFsck {
-            tag: tag_str(&entry.tag),
-            bytes: entry.len,
-            status,
-        });
-    }
+    let sections = Container::parse(&bytes)?.audit(&KNOWN_TAGS);
     let (mut fingerprint, mut towers, mut k) = (0u64, 0usize, 0usize);
     let mut semantic = None;
-    if all_ok {
+    if sections.iter().all(intact) {
         match Snapshot::decode(&bytes) {
             Ok(snap) => {
                 fingerprint = snap.meta.fingerprint;
@@ -1055,7 +598,7 @@ pub fn fsck_artifact(path: &Path) -> Result<ArtifactFsck, ArtifactError> {
         }
     }
     Ok(ArtifactFsck {
-        version,
+        version: VERSION,
         fingerprint,
         towers,
         k,
@@ -1188,6 +731,59 @@ mod tests {
             Snapshot::decode(&bytes),
             Err(ArtifactError::Corrupt { .. })
         ));
+    }
+
+    /// An extra section a newer writer added is checksum-verified and
+    /// skipped: the snapshot still decodes, and fsck calls the file
+    /// intact but marks the section unknown.
+    #[test]
+    fn unknown_sections_are_tolerated_and_reported() {
+        let snap = sample_snapshot();
+        let bytes = snap.encode();
+        let sections = Container::parse(&bytes).unwrap().sections().unwrap();
+        let mut file = ContainerWriter::new(sections.len() + 1);
+        for (tag, payload) in &sections {
+            file.section(*tag).bytes(payload);
+        }
+        file.section(*b"future  ").u64(42);
+        let extended = file.finish();
+        assert_eq!(Snapshot::decode(&extended).unwrap(), snap);
+
+        let dir = std::env::temp_dir().join(format!("tl-artifact-unknown-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("study.artifact");
+        std::fs::write(&path, &extended).unwrap();
+        let fsck = fsck_artifact(&path).unwrap();
+        assert!(fsck.healthy());
+        assert!(fsck.has_unknown_sections());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The section decoders meet payloads that pass their checksums
+    /// but hold anything at all (a buggy or hostile writer): each such
+    /// file decodes or fails typed, without a panic and without an
+    /// allocation sized by a count the payload cannot hold.
+    #[test]
+    fn arbitrary_section_payloads_never_panic() {
+        let bytes = sample_snapshot().encode();
+        let sections = Container::parse(&bytes).unwrap().sections().unwrap();
+        let mut lcg = 7u64;
+        for victim in 0..sections.len() {
+            let len = sections[victim].1.len();
+            let mut noise = vec![0u8; len + 24];
+            for b in &mut noise {
+                lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                *b = (lcg >> 56) as u8;
+            }
+            for payload in [vec![], vec![0xff; 64], vec![0xff; len], noise] {
+                let mut file = ContainerWriter::new(sections.len());
+                for (i, (tag, original)) in sections.iter().enumerate() {
+                    let out = file.section(*tag);
+                    out.bytes(if i == victim { &payload } else { original });
+                }
+                let _ = Snapshot::decode(&file.finish());
+            }
+        }
     }
 
     #[test]

@@ -3,18 +3,20 @@
 //! The versioned study-artifact store and the memory-resident query
 //! index over it — the read path of the paper's operator workflow.
 //!
-//! A batch study's engine checkpoints are resume blobs: text, keyed
-//! to the stage graph, and only meaningful to the engine that wrote
-//! them. This crate promotes the study's *results* to a typed,
-//! versioned, independently loadable artifact:
+//! It also owns the workspace's one durable container: every file
+//! written to be read back — query artifacts, stage checkpoints, serve
+//! snapshots — shares one layout, one set of checksums and one fsck.
 //!
-//! * [`format`] — a compact binary snapshot (magic + version +
-//!   section table + FNV-1a section checksums) holding per-tower
-//!   pattern labels, convex-combination decompositions, the frozen
-//!   primary-component basis, the 6-dim spectral feature vectors,
-//!   and per-tower expected day profiles. Any single flipped byte is
-//!   caught by a checksum with a typed [`ArtifactError`] — decode
-//!   never panics and never returns a silently wrong answer.
+//! * [`container`] — the layout (magic + version + section table +
+//!   FNV-1a header and section checksums, sections tiling the file)
+//!   and the little-endian field codec ([`Enc`]/[`Dec`]) inside the
+//!   sections. Any single flipped, dropped or appended byte is caught
+//!   with a typed [`ArtifactError`] — decode never panics and never
+//!   returns a silently wrong answer.
+//! * [`format`] — the study snapshot's sections: per-tower pattern
+//!   labels, convex-combination decompositions, the frozen
+//!   primary-component basis, the 6-dim spectral feature vectors, and
+//!   per-tower expected day profiles.
 //! * [`query`] — [`QueryIndex`], the memory-resident index behind
 //!   `towerlens query`: `pattern`, `decompose`, `topk` (matrix-free
 //!   nearest-neighbour scan in spectral feature space), and `screen`
@@ -39,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod container;
 pub mod durable;
 pub mod format;
 pub mod query;
@@ -46,10 +49,13 @@ pub mod store;
 
 pub use durable::{replace_durably, temp_path};
 
+pub use container::{
+    fnv1a64, ArtifactError, Container, ContainerWriter, Dec, Enc, SectionFsck, SectionStatus,
+    MAGIC, VERSION,
+};
 pub use format::{
-    fnv1a64, fsck_artifact, read_snapshot, write_snapshot, ArtifactError, ArtifactFsck,
-    BasisSection, DayProfile, DecompRow, Meta, SectionFsck, SectionStatus, Snapshot, MAGIC,
-    VERSION,
+    fsck_artifact, read_snapshot, write_snapshot, ArtifactFsck, BasisSection, DayProfile,
+    DecompRow, Meta, Snapshot,
 };
 pub use query::{
     parse_request, read_day_file, render_decompose, render_pattern, render_screen, render_topk,

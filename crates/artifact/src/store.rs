@@ -36,8 +36,9 @@ use std::path::{Path, PathBuf};
 
 use towerlens_obs::{Failpoints, LazyCounter};
 
+use crate::container::{io_err, ArtifactError};
 use crate::durable::replace_durably;
-use crate::format::{ArtifactError, Snapshot};
+use crate::format::Snapshot;
 use crate::query::QueryIndex;
 
 static QUERY_RELOADS: LazyCounter = LazyCounter::new("query.reload_total");
@@ -170,13 +171,6 @@ impl Publisher {
             io_err,
         )?;
         Ok(generation)
-    }
-}
-
-fn io_err(path: &Path, source: std::io::Error) -> ArtifactError {
-    ArtifactError::Io {
-        path: path.display().to_string(),
-        source,
     }
 }
 

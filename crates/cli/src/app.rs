@@ -24,6 +24,33 @@ use towerlens_core::engine::CheckpointError;
 use towerlens_core::{RunReport, Study, Supervisor};
 use towerlens_pipeline::FeatureSpace;
 
+/// The one stdout writer: every `print!` and `println!` in this module
+/// resolves to the two macros below, which route here. Once the reader
+/// of stdout is gone (`towerlens-cli study … | head -1`), nothing the
+/// CLI still has to say can arrive, so a broken pipe ends the process
+/// quietly with status 0 instead of the standard macros' panic.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Parses the shared `--feature-space` flag (default `auto`).
 fn feature_space_from(flags: &Flags) -> Result<FeatureSpace, String> {
     match flags.get("feature-space") {
@@ -874,20 +901,19 @@ pub fn run(argv: &[String]) -> i32 {
                     .max()
                     .unwrap_or(4);
                 println!(
-                    "{:<file_w$}  {:<10}  status  {:>16}  {:>5}  {:>5}  detail",
-                    "file", "stage", "fingerprint", "cards", "lines"
+                    "{:<file_w$}  {:<10}  status  {:>16}  {:>5}  detail",
+                    "file", "stage", "fingerprint", "cards"
                 );
                 let (mut ok, mut stale, mut bad) = (0usize, 0usize, 0usize);
                 for (name, verdict) in &rows {
                     match verdict {
-                        Ok(info) => {
+                        Ok(header) => {
                             ok += 1;
                             println!(
-                                "{name:<file_w$}  {:<10}  ok      {:>16}  {:>5}  {:>5}",
-                                info.stage,
-                                format!("{:016x}", info.fingerprint),
-                                info.cards.len(),
-                                info.body_lines
+                                "{name:<file_w$}  {:<10}  ok      {:>16}  {:>5}",
+                                header.stage,
+                                format!("{:016x}", header.fingerprint),
+                                header.cards.len()
                             );
                         }
                         // Stale ≠ damaged: the file is internally
@@ -895,18 +921,17 @@ pub fn run(argv: &[String]) -> i32 {
                         Err(e @ CheckpointError::FingerprintMismatch { stage, found, .. }) => {
                             stale += 1;
                             println!(
-                                "{name:<file_w$}  {:<10}  STALE   {:>16}  {:>5}  {:>5}  {e}",
+                                "{name:<file_w$}  {:<10}  STALE   {:>16}  {:>5}  {e}",
                                 stage,
                                 format!("{found:016x}"),
-                                "-",
                                 "-"
                             );
                         }
                         Err(e) => {
                             bad += 1;
                             println!(
-                                "{name:<file_w$}  {:<10}  BAD     {:>16}  {:>5}  {:>5}  {e}",
-                                "-", "-", "-", "-"
+                                "{name:<file_w$}  {:<10}  BAD     {:>16}  {:>5}  {e}",
+                                "-", "-", "-"
                             );
                         }
                     }

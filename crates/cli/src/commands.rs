@@ -18,8 +18,7 @@
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use towerlens_artifact::fnv1a64;
-use towerlens_artifact::{ArtifactError, ArtifactFsck};
+use towerlens_artifact::{fnv1a64, ArtifactError, ArtifactFsck, Dec, Enc};
 use towerlens_city::config::CityConfig;
 use towerlens_city::generate::generate;
 use towerlens_city::geo::{BoundingBox, GeoPoint};
@@ -27,11 +26,10 @@ use towerlens_city::poi::{Poi, PoiIndex};
 use towerlens_city::zone::RegionKind;
 use towerlens_cluster::compare::adjusted_rand_index;
 use towerlens_cluster::dendrogram::Clustering;
-use towerlens_core::engine::checkpoint::{decode_usize, BodyReader};
 use towerlens_core::engine::{
-    decode_normalized, decode_patterns, encode_normalized, encode_patterns, fsck_file,
-    CheckpointError, CheckpointStore, EngineError, FsckInfo, Graph, RunReport, Stage, StageCodec,
-    StageContext, StageOutput, Supervisor,
+    decode_normalized, decode_patterns, encode_normalized, encode_patterns, fsck_checkpoint,
+    CheckpointError, CheckpointStore, EngineError, Graph, RunReport, Stage, StageCodec,
+    StageContext, StageHeader, StageOutput, Supervisor,
 };
 use towerlens_core::freq::representative_towers;
 use towerlens_core::identifier::{IdentifiedPatterns, IdentifierConfig, PatternIdentifier};
@@ -575,7 +573,7 @@ impl Stage<CliArtifact> for ScoreStage {
 struct CliVectorsCodec;
 
 impl StageCodec<CliArtifact> for CliVectorsCodec {
-    fn encode(&self, artifact: &CliArtifact, out: &mut String) -> Result<(), String> {
+    fn encode(&self, artifact: &CliArtifact, out: &mut Enc) -> Result<(), String> {
         let CliArtifact::Vectors {
             normalized,
             parsed,
@@ -584,20 +582,17 @@ impl StageCodec<CliArtifact> for CliVectorsCodec {
         else {
             return Err("expected a vectors artifact".to_string());
         };
-        out.push_str(&format!("counts {parsed} {cleaned}\n"));
+        out.usize(*parsed);
+        out.usize(*cleaned);
         encode_normalized(normalized, out);
         Ok(())
     }
 
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<CliArtifact, String> {
-        let mut fields = body.tagged("counts")?.split_whitespace();
-        let parsed = decode_usize(fields.next().ok_or("missing parsed count")?)?;
-        let cleaned = decode_usize(fields.next().ok_or("missing cleaned count")?)?;
-        let normalized = decode_normalized(body)?;
+    fn decode(&self, d: &mut Dec<'_>) -> Result<CliArtifact, ArtifactError> {
         Ok(CliArtifact::Vectors {
-            normalized,
-            parsed,
-            cleaned,
+            parsed: d.usize()?,
+            cleaned: d.usize()?,
+            normalized: decode_normalized(d)?,
         })
     }
 }
@@ -605,7 +600,7 @@ impl StageCodec<CliArtifact> for CliVectorsCodec {
 struct CliPatternsCodec;
 
 impl StageCodec<CliArtifact> for CliPatternsCodec {
-    fn encode(&self, artifact: &CliArtifact, out: &mut String) -> Result<(), String> {
+    fn encode(&self, artifact: &CliArtifact, out: &mut Enc) -> Result<(), String> {
         let CliArtifact::Patterns(p) = artifact else {
             return Err("expected a pattern-set artifact".to_string());
         };
@@ -613,8 +608,8 @@ impl StageCodec<CliArtifact> for CliPatternsCodec {
         Ok(())
     }
 
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<CliArtifact, String> {
-        Ok(CliArtifact::Patterns(decode_patterns(body)?))
+    fn decode(&self, d: &mut Dec<'_>) -> Result<CliArtifact, ArtifactError> {
+        Ok(CliArtifact::Patterns(decode_patterns(d)?))
     }
 }
 
@@ -866,7 +861,25 @@ pub fn run_study_with(
 
 /// One `doctor` verdict: the checkpoint's file name and its fsck
 /// outcome.
-pub type DoctorRow = (String, Result<FsckInfo, CheckpointError>);
+pub type DoctorRow = (String, Result<StageHeader, CheckpointError>);
+
+/// The files in `dir` with extension `ext`, in name order.
+fn files_with_extension(dir: &Path, ext: &str) -> Result<Vec<PathBuf>, std::io::Error> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            (path.extension().and_then(|e| e.to_str()) == Some(ext)).then_some(path)
+        })
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
 
 /// Fscks every `*.ckpt` file in a checkpoint directory, in name order.
 ///
@@ -884,21 +897,11 @@ pub fn doctor_checkpoints(
     expected_fingerprint: Option<u64>,
 ) -> Result<Vec<DoctorRow>, std::io::Error> {
     fn scan(dir: &Path, prefix: &str, fp: Option<u64>) -> Result<Vec<DoctorRow>, std::io::Error> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(|entry| {
-                let path = entry.ok()?.path();
-                (path.extension().and_then(|e| e.to_str()) == Some("ckpt")).then_some(path)
-            })
-            .collect();
-        paths.sort();
-        Ok(paths
+        Ok(files_with_extension(dir, "ckpt")?
             .into_iter()
             .map(|path| {
-                let name = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                (format!("{prefix}{name}"), fsck_file(&path, fp))
+                let verdict = fsck_checkpoint(&path, fp);
+                (format!("{prefix}{}", file_name(&path)), verdict)
             })
             .collect())
     }
@@ -927,22 +930,9 @@ pub type ArtifactRow = (String, Result<ArtifactFsck, ArtifactError>);
 /// # Errors
 /// Only directory-level I/O failures.
 pub fn doctor_artifacts(dir: &Path) -> Result<Vec<ArtifactRow>, std::io::Error> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|entry| {
-            let path = entry.ok()?.path();
-            (path.extension().and_then(|e| e.to_str()) == Some("artifact")).then_some(path)
-        })
-        .collect();
-    paths.sort();
-    Ok(paths
+    Ok(files_with_extension(dir, "artifact")?
         .into_iter()
-        .map(|path| {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            (name, towerlens_artifact::fsck_artifact(&path))
-        })
+        .map(|path| (file_name(&path), towerlens_artifact::fsck_artifact(&path)))
         .collect())
 }
 
@@ -968,7 +958,7 @@ pub enum Health {
 /// the file is *stale* — internally consistent, written by another
 /// configuration — which is degraded, not corrupt. Everything else
 /// that errors is damage.
-pub fn checkpoint_health(verdict: &Result<FsckInfo, CheckpointError>) -> Health {
+pub fn checkpoint_health(verdict: &Result<StageHeader, CheckpointError>) -> Health {
     match verdict {
         Ok(_) => Health::Healthy,
         Err(CheckpointError::FingerprintMismatch { .. }) => Health::Degraded,
@@ -1027,7 +1017,7 @@ impl Health {
 pub type DoctorVerdict = (&'static str, String, Health, String);
 
 /// The detail string for a checkpoint verdict.
-pub fn checkpoint_detail(verdict: &Result<FsckInfo, CheckpointError>) -> String {
+pub fn checkpoint_detail(verdict: &Result<StageHeader, CheckpointError>) -> String {
     match verdict {
         Ok(_) => String::new(),
         Err(e) => e.to_string(),
@@ -1294,8 +1284,10 @@ mod tests {
             expected: 1,
             found: 2,
         });
-        let torn = Err(CheckpointError::Truncated {
+        let torn = Err(CheckpointError::Damaged {
+            path: "cluster.ckpt".into(),
             stage: "cluster".into(),
+            error: towerlens_artifact::ArtifactError::Truncated { needed: 64, got: 9 },
         });
         assert_eq!(checkpoint_health(&stale), Health::Degraded);
         assert_eq!(checkpoint_health(&torn), Health::Corrupt);

@@ -328,3 +328,38 @@ fn doctor_warns_on_intact_artifacts_and_fails_on_corruption() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that goes away is not a failure: `query --stdin` whose
+/// stdout is closed before the first request arrives still exits 0,
+/// without a panic or a backtrace on stderr.
+#[test]
+fn query_stdin_survives_a_closed_stdout() {
+    let dir = temp("closed-stdout");
+    let artifact = dir.join("study.artifact");
+    write_snapshot(&artifact, &towerlens_artifact::format::sample_snapshot())
+        .expect("write artifact");
+    let mut child = Command::new(BIN)
+        .args(["query", "--snapshot", artifact.to_str().unwrap(), "--stdin"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn CLI");
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().expect("stdin handle");
+    // Enough answers to overflow any buffer between the CLI and the
+    // closed pipe. A write error here would mean the child died early;
+    // the status check below reports that.
+    for i in 0..20_000 {
+        let _ = writeln!(stdin, "pattern {}", [11, 42, 99][i % 3]);
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait CLI");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+        "stderr: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

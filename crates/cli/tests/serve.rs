@@ -257,7 +257,7 @@ fn serve_classifies_against_a_frozen_batch_basis() {
     assert!(!out.status.success(), "serve accepted a checkpoint basis");
     let stderr = String::from_utf8_lossy(&out.stderr);
     let expected = format!(
-        "configuration: basis {}: not a towerlens artifact",
+        "configuration: basis {}: required section `meta` missing",
         cluster_ckpt.display()
     );
     assert!(stderr.contains(&expected), "stderr: {stderr}");

@@ -23,11 +23,11 @@
 //! stage that actually has to run are not executed at all and are
 //! reported [`StageStatus::Skipped`].
 //!
-//! The checkpoint format is a line-oriented text file (the same
-//! hand-rolled-TSV idiom as the CLI dataset files); floats are stored
-//! as IEEE-754 bit patterns so a reloaded artifact is *bit-identical*
-//! to the computed one. Corrupt or truncated files surface a typed
-//! [`CheckpointError`], never a panic.
+//! A checkpoint is a file in the workspace's one durable container
+//! (the query artifact's: checksummed sections that tile the file);
+//! floats are stored as IEEE-754 bit patterns so a reloaded artifact
+//! is *bit-identical* to the computed one. Corrupt or truncated files
+//! surface a typed [`CheckpointError`], never a panic.
 
 pub mod checkpoint;
 pub mod report;
@@ -36,7 +36,7 @@ pub mod stage;
 pub mod study_stages;
 pub mod supervisor;
 
-pub use checkpoint::{fnv1a64, fsck_file, CheckpointError, CheckpointStore, FsckInfo};
+pub use checkpoint::{fnv1a64, fsck_checkpoint, CheckpointError, CheckpointStore, StageHeader};
 pub use report::{RunReport, StageReport, StageStatus};
 pub use runner::{Graph, RunOutcome};
 pub use stage::{Card, Stage, StageCodec, StageContext, StageOutput};

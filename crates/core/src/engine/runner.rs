@@ -629,11 +629,11 @@ impl<A: Send + Sync> Graph<A> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::checkpoint::BodyReader;
     use super::super::stage::{StageCodec, StageOutput};
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
+    use towerlens_artifact::{ArtifactError, Dec, Enc};
 
     type RunFn =
         Box<dyn Fn(&StageContext<'_, u64>) -> Result<StageOutput<u64>, EngineError> + Send + Sync>;
@@ -676,19 +676,17 @@ mod tests {
         }
     }
 
-    /// Codec for `u64` artifacts: one decimal line.
+    /// Codec for `u64` artifacts: one field.
     struct U64Codec;
 
     impl StageCodec<u64> for U64Codec {
-        fn encode(&self, artifact: &u64, out: &mut String) -> Result<(), String> {
-            out.push_str(&format!("value {artifact}\n"));
+        fn encode(&self, artifact: &u64, out: &mut Enc) -> Result<(), String> {
+            out.u64(*artifact);
             Ok(())
         }
 
-        fn decode(&self, body: &mut BodyReader<'_>) -> Result<u64, String> {
-            body.tagged("value")?
-                .parse()
-                .map_err(|_| "bad value".to_string())
+        fn decode(&self, body: &mut Dec<'_>) -> Result<u64, ArtifactError> {
+            body.u64()
         }
     }
 
@@ -909,8 +907,9 @@ mod tests {
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         counted_chain(&counts).run(Some(&store)).unwrap();
         let path = store.path_of("b");
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("value", "vlaue")).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0] ^= 0x20; // "TLARTFCT" -> "tLARTFCT"
+        std::fs::write(&path, bytes).unwrap();
 
         // The damaged file is a warning and a recompute, not a dead
         // run — and the recompute overwrites it, so a third run caches
@@ -942,8 +941,13 @@ mod tests {
                 f.set_len(len / 2).unwrap();
             }),
             ("flipped", |p| {
-                let text = std::fs::read_to_string(p).unwrap();
-                std::fs::write(p, text.replace("value 6", "value 7")).unwrap();
+                // The body is the value 6 as a little-endian u64, the
+                // file's last eight bytes: make it 7.
+                let mut bytes = std::fs::read(p).unwrap();
+                let at = bytes.len() - 8;
+                assert_eq!(bytes[at], 6);
+                bytes[at] = 7;
+                std::fs::write(p, bytes).unwrap();
             }),
             ("empty", |p| std::fs::write(p, "").unwrap()),
         ];

@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 
-use super::checkpoint::BodyReader;
+use towerlens_artifact::{ArtifactError, Dec, Enc};
+
 use super::EngineError;
 
 /// A named cardinality ("towers=120", "merges=119") attached to a
@@ -147,21 +148,23 @@ pub trait Stage<A>: Send + Sync {
     }
 }
 
-/// Encodes/decodes one stage's artifact to the checkpoint body (a
-/// line-oriented text block; see [`super::checkpoint`]).
+/// Encodes/decodes one stage's artifact to the checkpoint's `body`
+/// section (see [`super::checkpoint`]), in the container's
+/// fixed-width fields: integers as `u64`, floats as their IEEE-754
+/// bits.
 pub trait StageCodec<A>: Send + Sync {
-    /// Appends the artifact's body lines to `out` (each line
-    /// `\n`-terminated).
+    /// Writes the artifact into the body section.
     ///
     /// # Errors
     /// A rendered reason, e.g. when handed the wrong artifact variant.
-    fn encode(&self, artifact: &A, out: &mut String) -> Result<(), String>;
+    fn encode(&self, artifact: &A, out: &mut Enc) -> Result<(), String>;
 
-    /// Rebuilds the artifact from body lines.
+    /// Rebuilds the artifact from the body section; the store then
+    /// checks that the whole payload was read.
     ///
     /// # Errors
-    /// A rendered reason; the store wraps it into
-    /// [`super::CheckpointError::Corrupt`] with the failing line
-    /// number.
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<A, String>;
+    /// The reader's [`ArtifactError`], or [`Dec::corrupt`] for content
+    /// the codec rejects; the store wraps it into
+    /// [`super::CheckpointError::Damaged`].
+    fn decode(&self, body: &mut Dec<'_>) -> Result<A, ArtifactError>;
 }

@@ -40,7 +40,9 @@ use crate::labeling::{cluster_of_kind, label_clusters, GeoLabels};
 use crate::study::StudyConfig;
 use crate::timedomain::{cluster_series, cluster_time_stats, ClusterTimeStats};
 
-use super::checkpoint::{decode_f64, decode_usize, encode_f64, fnv1a64, BodyReader};
+use towerlens_artifact::{ArtifactError, Dec, Enc};
+
+use super::checkpoint::fnv1a64;
 use super::runner::Graph;
 use super::stage::{Stage, StageCodec, StageContext, StageOutput};
 use super::EngineError;
@@ -485,180 +487,127 @@ impl Stage<StudyArtifact> for DecomposeStage {
 
 // ---- codecs -----------------------------------------------------
 
-fn take<'a>(fields: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
-    fields.next().ok_or_else(|| format!("missing {what} field"))
-}
-
-fn encode_row(tag: &str, row: &[f64], out: &mut String) {
-    out.push_str(tag);
-    for v in row {
-        out.push(' ');
-        out.push_str(&encode_f64(*v));
-    }
-    out.push('\n');
-}
-
-fn decode_row(body: &mut BodyReader<'_>, tag: &str, cols: usize) -> Result<Vec<f64>, String> {
-    let row = body
-        .tagged(tag)?
-        .split_whitespace()
-        .map(decode_f64)
-        .collect::<Result<Vec<_>, _>>()?;
-    if row.len() != cols {
-        return Err(format!("expected {cols} values, got {}", row.len()));
-    }
-    Ok(row)
-}
-
-fn encode_matrix(matrix: &[Vec<f64>], cols: usize, out: &mut String) {
-    out.push_str(&format!("matrix {} {cols}\n", matrix.len()));
+fn encode_matrix(matrix: &[Vec<f64>], out: &mut Enc) {
+    out.usize(matrix.len());
+    out.usize(matrix.first().map_or(0, Vec::len));
     for row in matrix {
-        encode_row("row", row, out);
+        out.f64s(row);
     }
 }
 
-fn decode_matrix(body: &mut BodyReader<'_>) -> Result<Vec<Vec<f64>>, String> {
-    let mut dims = body.tagged("matrix")?.split_whitespace();
-    let rows = decode_usize(take(&mut dims, "row count")?)?;
-    let cols = decode_usize(take(&mut dims, "column count")?)?;
-    (0..rows).map(|_| decode_row(body, "row", cols)).collect()
-}
-
-fn encode_ids(tag: &str, ids: &[usize], out: &mut String) {
-    out.push_str(&format!("{tag} {}", ids.len()));
-    for id in ids {
-        out.push(' ');
-        out.push_str(&id.to_string());
+fn decode_matrix(d: &mut Dec<'_>) -> Result<Vec<Vec<f64>>, ArtifactError> {
+    let rows = d.usize()?;
+    let cols = d.usize()?;
+    let fits = rows
+        .checked_mul(cols)
+        .and_then(|n| n.checked_mul(8))
+        .is_some_and(|bytes| bytes <= d.remaining());
+    if !fits || (cols == 0 && rows > 0) {
+        return Err(d.corrupt(format!("a {rows} x {cols} matrix exceeds the payload")));
     }
-    out.push('\n');
+    (0..rows).map(|_| d.f64s(cols)).collect()
 }
 
-fn decode_ids(body: &mut BodyReader<'_>, tag: &str) -> Result<Vec<usize>, String> {
-    let mut fields = body.tagged(tag)?.split_whitespace();
-    let n = decode_usize(take(&mut fields, "count")?)?;
-    let ids = fields.map(decode_usize).collect::<Result<Vec<_>, _>>()?;
-    if ids.len() != n {
-        return Err(format!("expected {n} ids, got {}", ids.len()));
+fn encode_ids(ids: &[usize], out: &mut Enc) {
+    out.usize(ids.len());
+    for &id in ids {
+        out.usize(id);
     }
-    Ok(ids)
 }
 
-fn geo_fields(p: &GeoPoint) -> String {
-    format!("{} {}", encode_f64(p.lon), encode_f64(p.lat))
+fn decode_ids(d: &mut Dec<'_>) -> Result<Vec<usize>, ArtifactError> {
+    let n = d.count(8)?;
+    (0..n).map(|_| d.usize()).collect()
 }
 
-fn decode_geo<'a>(fields: &mut impl Iterator<Item = &'a str>) -> Result<GeoPoint, String> {
-    let lon = decode_f64(take(fields, "lon")?)?;
-    let lat = decode_f64(take(fields, "lat")?)?;
-    Ok(GeoPoint { lon, lat })
+fn encode_geo(p: &GeoPoint, out: &mut Enc) {
+    out.f64(p.lon);
+    out.f64(p.lat);
+}
+
+fn decode_geo(d: &mut Dec<'_>) -> Result<GeoPoint, ArtifactError> {
+    Ok(GeoPoint {
+        lon: d.f64()?,
+        lat: d.f64()?,
+    })
+}
+
+fn decode_region(d: &mut Dec<'_>) -> Result<RegionKind, ArtifactError> {
+    let index = d.usize()?;
+    RegionKind::from_index(index).ok_or_else(|| d.corrupt(format!("bad region kind {index}")))
 }
 
 struct CityCodec;
 
 impl StageCodec<StudyArtifact> for CityCodec {
-    fn encode(&self, artifact: &StudyArtifact, out: &mut String) -> Result<(), String> {
+    fn encode(&self, artifact: &StudyArtifact, out: &mut Enc) -> Result<(), String> {
         let StudyArtifact::City(city) = artifact else {
             return Err("expected a city artifact".to_string());
         };
-        out.push_str(&format!("center {}\n", geo_fields(&city.center())));
-        let blend = city.comprehensive_blend();
-        out.push_str("blend");
-        for b in blend {
-            out.push(' ');
-            out.push_str(&encode_f64(b));
-        }
-        out.push('\n');
-        out.push_str(&format!("zones {}\n", city.zones().len()));
+        encode_geo(&city.center(), out);
+        out.f64s(&city.comprehensive_blend());
+        out.usize(city.zones().len());
         for z in city.zones() {
-            out.push_str(&format!(
-                "zone {} {} {} {}\n",
-                z.id,
-                z.kind.index(),
-                encode_f64(z.radius_m),
-                geo_fields(&z.center)
-            ));
+            out.usize(z.id);
+            out.usize(z.kind.index());
+            out.f64(z.radius_m);
+            encode_geo(&z.center, out);
         }
-        out.push_str(&format!("towers {}\n", city.towers().len()));
+        out.usize(city.towers().len());
         for t in city.towers() {
-            // The free-text address may contain spaces: last field.
-            out.push_str(&format!(
-                "tower {} {} {} {} {}\n",
-                t.id,
-                t.kind_truth.index(),
-                t.zone_id,
-                geo_fields(&t.position),
-                t.address
-            ));
+            out.usize(t.id);
+            out.usize(t.kind_truth.index());
+            out.usize(t.zone_id);
+            encode_geo(&t.position, out);
+            out.str(&t.address);
         }
         let pois = city.pois().pois();
-        out.push_str(&format!("pois {}\n", pois.len()));
+        out.usize(pois.len());
         for p in pois {
-            out.push_str(&format!(
-                "poi {} {} {}\n",
-                p.kind.index(),
-                p.zone_id,
-                geo_fields(&p.position)
-            ));
+            out.usize(p.kind.index());
+            out.usize(p.zone_id);
+            encode_geo(&p.position, out);
         }
         Ok(())
     }
 
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<StudyArtifact, String> {
-        let mut fields = body.tagged("center")?.split_whitespace();
-        let center = decode_geo(&mut fields)?;
-        let mut fields = body.tagged("blend")?.split_whitespace();
+    fn decode(&self, d: &mut Dec<'_>) -> Result<StudyArtifact, ArtifactError> {
+        let center = decode_geo(d)?;
         let mut blend = [0.0f64; 4];
-        for b in blend.iter_mut() {
-            *b = decode_f64(take(&mut fields, "blend")?)?;
+        for b in &mut blend {
+            *b = d.f64()?;
         }
-        let n_zones = decode_usize(body.tagged("zones")?)?;
+        let n_zones = d.count(40)?;
         let mut zones = Vec::with_capacity(n_zones);
         for _ in 0..n_zones {
-            let mut fields = body.tagged("zone")?.split_whitespace();
-            let id = decode_usize(take(&mut fields, "zone id")?)?;
-            let kind = RegionKind::from_index(decode_usize(take(&mut fields, "zone kind")?)?)
-                .ok_or("bad zone kind")?;
-            let radius_m = decode_f64(take(&mut fields, "zone radius")?)?;
-            let center = decode_geo(&mut fields)?;
             zones.push(Zone {
-                id,
-                kind,
-                center,
-                radius_m,
+                id: d.usize()?,
+                kind: decode_region(d)?,
+                radius_m: d.f64()?,
+                center: decode_geo(d)?,
             });
         }
-        let n_towers = decode_usize(body.tagged("towers")?)?;
+        let n_towers = d.count(48)?;
         let mut towers = Vec::with_capacity(n_towers);
         for _ in 0..n_towers {
-            let line = body.tagged("tower")?;
-            let mut fields = line.splitn(6, ' ');
-            let id = decode_usize(take(&mut fields, "tower id")?)?;
-            let kind_truth =
-                RegionKind::from_index(decode_usize(take(&mut fields, "tower kind")?)?)
-                    .ok_or("bad tower kind")?;
-            let zone_id = decode_usize(take(&mut fields, "tower zone")?)?;
-            let position = decode_geo(&mut fields)?;
-            let address = take(&mut fields, "tower address")?.to_string();
             towers.push(Tower {
-                id,
-                position,
-                address,
-                kind_truth,
-                zone_id,
+                id: d.usize()?,
+                kind_truth: decode_region(d)?,
+                zone_id: d.usize()?,
+                position: decode_geo(d)?,
+                address: d.str()?,
             });
         }
-        let n_pois = decode_usize(body.tagged("pois")?)?;
+        let n_pois = d.count(32)?;
         let mut pois = Vec::with_capacity(n_pois);
         for _ in 0..n_pois {
-            let mut fields = body.tagged("poi")?.split_whitespace();
-            let kind = PoiKind::from_index(decode_usize(take(&mut fields, "poi kind")?)?)
-                .ok_or("bad poi kind")?;
-            let zone_id = decode_usize(take(&mut fields, "poi zone")?)?;
-            let position = decode_geo(&mut fields)?;
+            let index = d.usize()?;
+            let kind = PoiKind::from_index(index)
+                .ok_or_else(|| d.corrupt(format!("bad poi kind {index}")))?;
             pois.push(Poi {
-                position,
                 kind,
-                zone_id,
+                zone_id: d.usize()?,
+                position: decode_geo(d)?,
             });
         }
         Ok(StudyArtifact::City(City::from_parts(
@@ -674,60 +623,51 @@ impl StageCodec<StudyArtifact> for CityCodec {
 struct RawCodec;
 
 impl StageCodec<StudyArtifact> for RawCodec {
-    fn encode(&self, artifact: &StudyArtifact, out: &mut String) -> Result<(), String> {
+    fn encode(&self, artifact: &StudyArtifact, out: &mut Enc) -> Result<(), String> {
         let StudyArtifact::Raw(raw) = artifact else {
             return Err("expected a raw-matrix artifact".to_string());
         };
-        let cols = raw.first().map_or(0, Vec::len);
-        encode_matrix(raw, cols, out);
+        encode_matrix(raw, out);
         Ok(())
     }
 
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<StudyArtifact, String> {
-        Ok(StudyArtifact::Raw(decode_matrix(body)?))
+    fn decode(&self, d: &mut Dec<'_>) -> Result<StudyArtifact, ArtifactError> {
+        Ok(StudyArtifact::Raw(decode_matrix(d)?))
     }
 }
 
-/// Encodes a [`NormalizedMatrix`] into the checkpoint body format.
-/// Shared with the CLI's analyze graph, which checkpoints the same
-/// artifact type.
-pub fn encode_normalized(nm: &NormalizedMatrix, out: &mut String) {
-    encode_ids("kept", &nm.kept_ids, out);
-    encode_ids("dropped", &nm.dropped, out);
-    out.push_str(&format!("imputed {}\n", nm.imputed.len()));
+/// Encodes a [`NormalizedMatrix`] into a checkpoint body. Shared with
+/// the CLI's analyze graph, which checkpoints the same artifact type.
+pub fn encode_normalized(nm: &NormalizedMatrix, out: &mut Enc) {
+    encode_ids(&nm.kept_ids, out);
+    encode_ids(&nm.dropped, out);
+    out.usize(nm.imputed.len());
     for mask in &nm.imputed {
-        encode_ids("mask", mask, out);
+        encode_ids(mask, out);
     }
-    let cols = nm.vectors.first().map_or(0, Vec::len);
-    encode_matrix(&nm.vectors, cols, out);
+    encode_matrix(&nm.vectors, out);
 }
 
 /// Decodes a [`NormalizedMatrix`] written by [`encode_normalized`].
 ///
 /// # Errors
-/// A rendered reason when the body is malformed or inconsistent.
-pub fn decode_normalized(body: &mut BodyReader<'_>) -> Result<NormalizedMatrix, String> {
-    let kept_ids = decode_ids(body, "kept")?;
-    let dropped = decode_ids(body, "dropped")?;
-    let n_masks = decode_usize(body.tagged("imputed")?)?;
-    let mut imputed = Vec::with_capacity(n_masks);
-    for _ in 0..n_masks {
-        imputed.push(decode_ids(body, "mask")?);
-    }
-    let vectors = decode_matrix(body)?;
-    if vectors.len() != kept_ids.len() {
-        return Err(format!(
-            "{} vectors but {} kept ids",
+/// The reader's [`ArtifactError`] when the body is malformed or
+/// inconsistent.
+pub fn decode_normalized(d: &mut Dec<'_>) -> Result<NormalizedMatrix, ArtifactError> {
+    let kept_ids = decode_ids(d)?;
+    let dropped = decode_ids(d)?;
+    let n_masks = d.count(8)?;
+    let imputed = (0..n_masks)
+        .map(|_| decode_ids(d))
+        .collect::<Result<Vec<_>, _>>()?;
+    let vectors = decode_matrix(d)?;
+    if vectors.len() != kept_ids.len() || imputed.len() != kept_ids.len() {
+        return Err(d.corrupt(format!(
+            "{} vectors and {} imputed masks but {} kept ids",
             vectors.len(),
-            kept_ids.len()
-        ));
-    }
-    if imputed.len() != kept_ids.len() {
-        return Err(format!(
-            "{} imputed masks but {} kept ids",
             imputed.len(),
             kept_ids.len()
-        ));
+        )));
     }
     Ok(NormalizedMatrix {
         vectors,
@@ -737,122 +677,96 @@ pub fn decode_normalized(body: &mut BodyReader<'_>) -> Result<NormalizedMatrix, 
     })
 }
 
-/// Encodes an [`IdentifiedPatterns`], spectral table included, into the
-/// checkpoint body format.
-/// Shared with the CLI's analyze graph.
-pub fn encode_patterns(p: &IdentifiedPatterns, out: &mut String) {
-    out.push_str(&format!("patterns {} {}\n", p.k, encode_f64(p.threshold)));
-    encode_ids("labels", &p.clustering.labels, out);
-    out.push_str(&format!("clusters {}\n", p.clustering.k));
-    out.push_str(&format!("dbi {}\n", p.dbi_curve.len()));
+/// Encodes an [`IdentifiedPatterns`], spectral table included, into a
+/// checkpoint body. Shared with the CLI's analyze graph.
+pub fn encode_patterns(p: &IdentifiedPatterns, out: &mut Enc) {
+    out.usize(p.k);
+    out.f64(p.threshold);
+    encode_ids(&p.clustering.labels, out);
+    out.usize(p.clustering.k);
+    out.usize(p.dbi_curve.len());
     for point in &p.dbi_curve {
-        out.push_str(&format!(
-            "point {} {} {}\n",
-            point.k,
-            encode_f64(point.threshold),
-            encode_f64(point.dbi)
-        ));
+        out.usize(point.k);
+        out.f64(point.threshold);
+        out.f64(point.dbi);
     }
-    let cols = p.centroids.first().map_or(0, Vec::len);
-    encode_matrix(&p.centroids, cols, out);
-    out.push_str(&format!("memberdist {}\n", p.member_distances.len()));
+    encode_matrix(&p.centroids, out);
+    out.usize(p.member_distances.len());
     for row in &p.member_distances {
-        out.push_str(&format!("rag {}", row.len()));
-        for v in row {
-            out.push(' ');
-            out.push_str(&encode_f64(*v));
-        }
-        out.push('\n');
+        out.usize(row.len());
+        out.f64s(row);
     }
-    out.push_str(&format!(
-        "dendrogram {} {}\n",
-        p.dendrogram.len(),
-        p.dendrogram.merges().len()
-    ));
+    out.usize(p.dendrogram.len());
+    out.usize(p.dendrogram.merges().len());
     for m in p.dendrogram.merges() {
-        out.push_str(&format!(
-            "merge {} {} {} {}\n",
-            m.a,
-            m.b,
-            m.size,
-            encode_f64(m.distance)
-        ));
+        out.usize(m.a);
+        out.usize(m.b);
+        out.usize(m.size);
+        out.f64(m.distance);
     }
+    // The spectral table: a presence flag, then one six-feature row
+    // per labelled vector.
     match &p.features {
         Some(table) => {
-            out.push_str(&format!("features {}\n", table.len()));
+            out.u64(1);
             for f in table {
-                encode_row("feature", &f.f6(), out);
+                out.f64s(&f.f6());
             }
         }
-        None => out.push_str("features none\n"),
+        None => out.u64(0),
     }
 }
 
 /// Decodes an [`IdentifiedPatterns`] written by [`encode_patterns`].
 ///
 /// # Errors
-/// A rendered reason when the body is malformed or inconsistent.
-pub fn decode_patterns(body: &mut BodyReader<'_>) -> Result<IdentifiedPatterns, String> {
-    let mut fields = body.tagged("patterns")?.split_whitespace();
-    let k = decode_usize(take(&mut fields, "k")?)?;
-    let threshold = decode_f64(take(&mut fields, "threshold")?)?;
-    let labels = decode_ids(body, "labels")?;
-    let clustering_k = decode_usize(body.tagged("clusters")?)?;
+/// The reader's [`ArtifactError`] when the body is malformed or
+/// inconsistent.
+pub fn decode_patterns(d: &mut Dec<'_>) -> Result<IdentifiedPatterns, ArtifactError> {
+    let k = d.usize()?;
+    let threshold = d.f64()?;
     let clustering = Clustering {
-        labels,
-        k: clustering_k,
+        labels: decode_ids(d)?,
+        k: d.usize()?,
     };
-    let n_points = decode_usize(body.tagged("dbi")?)?;
+    let n_points = d.count(24)?;
     let mut dbi_curve = Vec::with_capacity(n_points);
     for _ in 0..n_points {
-        let mut fields = body.tagged("point")?.split_whitespace();
         dbi_curve.push(DbiPoint {
-            k: decode_usize(take(&mut fields, "point k")?)?,
-            threshold: decode_f64(take(&mut fields, "point threshold")?)?,
-            dbi: decode_f64(take(&mut fields, "point dbi")?)?,
+            k: d.usize()?,
+            threshold: d.f64()?,
+            dbi: d.f64()?,
         });
     }
-    let centroids = decode_matrix(body)?;
-    let n_rag = decode_usize(body.tagged("memberdist")?)?;
-    let mut member_distances = Vec::with_capacity(n_rag);
-    for _ in 0..n_rag {
-        let mut fields = body.tagged("rag")?.split_whitespace();
-        let len = decode_usize(take(&mut fields, "row length")?)?;
-        let row = fields.map(decode_f64).collect::<Result<Vec<_>, _>>()?;
-        if row.len() != len {
-            return Err(format!("expected {len} distances, got {}", row.len()));
-        }
-        member_distances.push(row);
+    let centroids = decode_matrix(d)?;
+    let n_rows = d.count(8)?;
+    let mut member_distances = Vec::with_capacity(n_rows);
+    for _ in 0..n_rows {
+        let len = d.usize()?;
+        member_distances.push(d.f64s(len)?);
     }
-    let mut fields = body.tagged("dendrogram")?.split_whitespace();
-    let n = decode_usize(take(&mut fields, "leaf count")?)?;
-    let n_merges = decode_usize(take(&mut fields, "merge count")?)?;
+    let n = d.usize()?;
+    let n_merges = d.count(32)?;
     let mut merges = Vec::with_capacity(n_merges);
     for _ in 0..n_merges {
-        let mut fields = body.tagged("merge")?.split_whitespace();
         merges.push(Merge {
-            a: decode_usize(take(&mut fields, "merge a")?)?,
-            b: decode_usize(take(&mut fields, "merge b")?)?,
-            size: decode_usize(take(&mut fields, "merge size")?)?,
-            distance: decode_f64(take(&mut fields, "merge distance")?)?,
+            a: d.usize()?,
+            b: d.usize()?,
+            size: d.usize()?,
+            distance: d.f64()?,
         });
     }
-    let dendrogram = Dendrogram::from_sorted_merges(n, merges).map_err(|e| e.to_string())?;
-    let features = match body.tagged("features")? {
-        "none" => None,
-        rows => {
-            let rows = decode_usize(rows)?;
-            if rows != clustering.labels.len() {
-                return Err(format!(
-                    "{rows} feature rows but {} labels",
-                    clustering.labels.len()
-                ));
-            }
-            let table = (0..rows)
-                .map(|_| {
-                    let r = decode_row(body, "feature", 6)?;
-                    Ok(TowerFeatures {
+    let dendrogram =
+        Dendrogram::from_sorted_merges(n, merges).map_err(|e| d.corrupt(e.to_string()))?;
+    let features = match d.u64()? {
+        0 => None,
+        1 => {
+            let rows = clustering.labels.len();
+            let table = d.f64s(rows.saturating_mul(6))?;
+            Some(
+                table
+                    .chunks_exact(6)
+                    .map(|r| TowerFeatures {
                         amp_week: r[0],
                         phase_week: r[1],
                         amp_day: r[2],
@@ -860,10 +774,10 @@ pub fn decode_patterns(body: &mut BodyReader<'_>) -> Result<IdentifiedPatterns, 
                         amp_half: r[4],
                         phase_half: r[5],
                     })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Some(table)
+                    .collect(),
+            )
         }
+        flag => return Err(d.corrupt(format!("bad spectral-table flag {flag}"))),
     };
     Ok(IdentifiedPatterns {
         clustering,
@@ -880,7 +794,7 @@ pub fn decode_patterns(body: &mut BodyReader<'_>) -> Result<IdentifiedPatterns, 
 struct VectorsCodec;
 
 impl StageCodec<StudyArtifact> for VectorsCodec {
-    fn encode(&self, artifact: &StudyArtifact, out: &mut String) -> Result<(), String> {
+    fn encode(&self, artifact: &StudyArtifact, out: &mut Enc) -> Result<(), String> {
         let StudyArtifact::Vectors(nm) = artifact else {
             return Err("expected a vector-matrix artifact".to_string());
         };
@@ -888,15 +802,15 @@ impl StageCodec<StudyArtifact> for VectorsCodec {
         Ok(())
     }
 
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<StudyArtifact, String> {
-        Ok(StudyArtifact::Vectors(decode_normalized(body)?))
+    fn decode(&self, d: &mut Dec<'_>) -> Result<StudyArtifact, ArtifactError> {
+        Ok(StudyArtifact::Vectors(decode_normalized(d)?))
     }
 }
 
 struct PatternsCodec;
 
 impl StageCodec<StudyArtifact> for PatternsCodec {
-    fn encode(&self, artifact: &StudyArtifact, out: &mut String) -> Result<(), String> {
+    fn encode(&self, artifact: &StudyArtifact, out: &mut Enc) -> Result<(), String> {
         let StudyArtifact::Patterns(p) = artifact else {
             return Err("expected a pattern-set artifact".to_string());
         };
@@ -904,8 +818,8 @@ impl StageCodec<StudyArtifact> for PatternsCodec {
         Ok(())
     }
 
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<StudyArtifact, String> {
-        Ok(StudyArtifact::Patterns(decode_patterns(body)?))
+    fn decode(&self, d: &mut Dec<'_>) -> Result<StudyArtifact, ArtifactError> {
+        Ok(StudyArtifact::Patterns(decode_patterns(d)?))
     }
 }
 
@@ -948,6 +862,46 @@ mod tests {
             serial,
             study_fingerprint(&StudyConfig::tiny(7).with_threads(8))
         );
+    }
+
+    /// No study codec panics or over-allocates on a damaged body:
+    /// every sampled prefix is an error, sampled single-byte changes
+    /// decode to a value or an error, and counts beyond the payload are
+    /// rejected before anything is sized by them.
+    #[test]
+    fn study_codecs_survive_arbitrary_bodies() {
+        let outcome = study_graph(&StudyConfig::tiny(11)).run(None).unwrap();
+        let codecs: [(&str, &dyn StageCodec<StudyArtifact>); 4] = [
+            ("city", &CityCodec),
+            ("synthesize", &RawCodec),
+            ("vectorize", &VectorsCodec),
+            ("cluster", &PatternsCodec),
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for (stage, codec) in codecs {
+            let mut enc = Enc::default();
+            codec.encode(&outcome.artifacts[stage], &mut enc).unwrap();
+            let body = enc.into_bytes();
+            let decode = |bytes: &[u8]| {
+                let mut d = Dec::new(bytes, "body");
+                codec.decode(&mut d).and_then(|a| d.finish().map(|()| a))
+            };
+            assert!(decode(&body).is_ok(), "{stage}");
+            for cut in (0..body.len()).step_by((body.len() / 97).max(1)) {
+                assert!(decode(&body[..cut]).is_err(), "{stage}: prefix {cut}");
+            }
+            let mut bent = body.clone();
+            for _ in 0..200 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let at = (state >> 33) as usize % body.len();
+                bent[at] ^= (state >> 8) as u8 | 1;
+                let _ = decode(&bent);
+                bent[at] = body[at];
+            }
+            assert!(decode(&[0xff; 64]).is_err(), "{stage}");
+        }
     }
 
     fn temp_store(tag: &str) -> CheckpointStore {

@@ -25,9 +25,6 @@
 //! * [`decompose`] — §5.3: convex-combination decomposition of any
 //!   tower over the four primary components, validated against POI
 //!   NTF-IDF (Table 6, Figs 18–19).
-//! * [`predict`] — applications on top of the model: sparse spectral
-//!   forecasting and anomaly screening (the introduction's ISP
-//!   use-cases).
 //! * [`engine`] — the stage-graph execution engine: named stages with
 //!   declared dependencies, concurrent wave scheduling, per-stage
 //!   instrumentation, and filesystem checkpointing with resume.
@@ -45,7 +42,6 @@ pub mod error;
 pub mod freq;
 pub mod identifier;
 pub mod labeling;
-pub mod predict;
 pub mod study;
 pub mod timedomain;
 

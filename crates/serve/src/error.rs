@@ -59,6 +59,10 @@ impl std::fmt::Display for ServeError {
                 f,
                 "wal segment {segment}: sequence gap (expected seq {expected}, found {found})"
             ),
+            ServeError::Snapshot(e @ CheckpointError::Damaged { .. }) => write!(
+                f,
+                "snapshot: {e} (remove the snapshot directory to rebuild the state from the WAL)"
+            ),
             ServeError::Snapshot(e) => write!(f, "snapshot: {e}"),
             ServeError::Config(reason) => write!(f, "configuration: {reason}"),
             ServeError::Analysis(reason) => write!(f, "drain analysis: {reason}"),

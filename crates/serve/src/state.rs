@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use towerlens_core::engine::checkpoint::{decode_usize, BodyReader};
+use towerlens_artifact::{ArtifactError, Dec, Enc};
 use towerlens_core::engine::StageCodec;
 use towerlens_dsp::SlidingGoertzel;
 use towerlens_trace::record::LogRecord;
@@ -75,74 +75,63 @@ impl ServeSnapshot {
     }
 }
 
-/// Line-oriented codec for [`ServeSnapshot`], in the checkpoint
-/// store's body idiom. Everything is integer, so the round trip is
+/// Codec for [`ServeSnapshot`], the `body` of the checkpoint store's
+/// `serve-state` file. Everything is integer, so the round trip is
 /// trivially exact.
 pub struct SnapshotCodec;
 
 impl StageCodec<ServeSnapshot> for SnapshotCodec {
-    fn encode(&self, snap: &ServeSnapshot, out: &mut String) -> Result<(), String> {
-        out.push_str(&format!(
-            "counts {} {} {} {} {}\n",
-            snap.next_seq, snap.records, snap.malformed, snap.duplicates, snap.conflicts
-        ));
-        out.push_str(&format!("towers {}\n", snap.towers.len()));
+    fn encode(&self, snap: &ServeSnapshot, out: &mut Enc) -> Result<(), String> {
+        for count in [
+            snap.next_seq,
+            snap.records,
+            snap.malformed,
+            snap.duplicates,
+            snap.conflicts,
+        ] {
+            out.u64(count);
+        }
+        out.usize(snap.towers.len());
         for (cell, sessions) in &snap.towers {
-            out.push_str(&format!("tower {cell} {}\n", sessions.len()));
+            out.u64(u64::from(*cell));
+            out.usize(sessions.len());
             for s in sessions {
-                out.push_str(&format!(
-                    "s {} {} {} {} {}\n",
-                    s.user_id, s.start_s, s.end_s, s.bytes, s.first_seq
-                ));
+                for field in [s.user_id, s.start_s, s.end_s, s.bytes, s.first_seq] {
+                    out.u64(field);
+                }
             }
         }
         Ok(())
     }
 
-    fn decode(&self, body: &mut BodyReader<'_>) -> Result<ServeSnapshot, String> {
-        fn u64_field<'a>(
-            fields: &mut impl Iterator<Item = &'a str>,
-            what: &str,
-        ) -> Result<u64, String> {
-            fields
-                .next()
-                .ok_or_else(|| format!("missing {what}"))?
-                .parse()
-                .map_err(|_| format!("bad {what}"))
-        }
-        let mut fields = body.tagged("counts")?.split(' ');
-        let next_seq = u64_field(&mut fields, "next_seq")?;
-        let records = u64_field(&mut fields, "records")?;
-        let malformed = u64_field(&mut fields, "malformed")?;
-        let duplicates = u64_field(&mut fields, "duplicates")?;
-        let conflicts = u64_field(&mut fields, "conflicts")?;
-        let n_towers = decode_usize(body.tagged("towers")?)?;
-        let mut towers = Vec::with_capacity(n_towers);
+    fn decode(&self, d: &mut Dec<'_>) -> Result<ServeSnapshot, ArtifactError> {
+        let mut snap = ServeSnapshot {
+            next_seq: d.u64()?,
+            records: d.u64()?,
+            malformed: d.u64()?,
+            duplicates: d.u64()?,
+            conflicts: d.u64()?,
+            towers: Vec::new(),
+        };
+        let n_towers = d.count(16)?;
+        snap.towers.reserve(n_towers);
         for _ in 0..n_towers {
-            let mut fields = body.tagged("tower")?.split(' ');
-            let cell = u64_field(&mut fields, "cell id")? as u32;
-            let n_sessions = u64_field(&mut fields, "session count")? as usize;
+            let cell = d.u64()?;
+            let cell = u32::try_from(cell).map_err(|_| d.corrupt(format!("cell id {cell}")))?;
+            let n_sessions = d.count(40)?;
             let mut sessions = Vec::with_capacity(n_sessions);
             for _ in 0..n_sessions {
-                let mut fields = body.tagged("s")?.split(' ');
                 sessions.push(Session {
-                    user_id: u64_field(&mut fields, "user id")?,
-                    start_s: u64_field(&mut fields, "start")?,
-                    end_s: u64_field(&mut fields, "end")?,
-                    bytes: u64_field(&mut fields, "bytes")?,
-                    first_seq: u64_field(&mut fields, "first_seq")?,
+                    user_id: d.u64()?,
+                    start_s: d.u64()?,
+                    end_s: d.u64()?,
+                    bytes: d.u64()?,
+                    first_seq: d.u64()?,
                 });
             }
-            towers.push((cell, sessions));
+            snap.towers.push((cell, sessions));
         }
-        Ok(ServeSnapshot {
-            next_seq,
-            records,
-            malformed,
-            duplicates,
-            conflicts,
-            towers,
-        })
+        Ok(snap)
     }
 }
 
@@ -419,18 +408,29 @@ mod tests {
                 ),
             ],
         };
-        let mut body = String::new();
+        let mut body = Enc::default();
         SnapshotCodec.encode(&snap, &mut body).unwrap();
-        let mut reader = BodyReader::new(&body, 0);
-        let back = SnapshotCodec.decode(&mut reader).unwrap();
-        assert_eq!(back, snap);
+        let bytes = body.into_bytes();
+        let mut d = Dec::new(&bytes, "body");
+        assert_eq!(SnapshotCodec.decode(&mut d).unwrap(), snap);
+        d.finish().unwrap();
+        // Every proper prefix is short of its own layout.
+        for cut in 0..bytes.len() {
+            assert!(SnapshotCodec
+                .decode(&mut Dec::new(&bytes[..cut], "body"))
+                .is_err());
+        }
     }
 
     #[test]
     fn codec_rejects_garbage() {
-        let mut reader = BodyReader::new("counts 1 2 x 4 5\ntowers 0\n", 0);
-        assert!(SnapshotCodec.decode(&mut reader).is_err());
-        let mut reader = BodyReader::new("nope\n", 0);
-        assert!(SnapshotCodec.decode(&mut reader).is_err());
+        let mut body = Enc::default();
+        for v in [1, 2, 3, 4, 5, 1, u64::from(u32::MAX) + 1, 0] {
+            body.u64(v);
+        }
+        let bytes = body.into_bytes();
+        assert!(SnapshotCodec.decode(&mut Dec::new(&bytes, "body")).is_err());
+        let huge = [0xffu8; 48];
+        assert!(SnapshotCodec.decode(&mut Dec::new(&huge, "body")).is_err());
     }
 }
