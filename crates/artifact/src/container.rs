@@ -46,12 +46,44 @@ pub const MAX_SECTIONS: u32 = 64;
 /// configuration fingerprint and WAL entry checksum.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::new();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// Streaming 64-bit FNV-1a: bytes fed in any number of pieces hash as
+/// their concatenation would under [`fnv1a64`], so a checksum over
+/// several fields needs no joined copy of them.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The state before any byte (the FNV-1a offset basis).
+    #[must_use]
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Feeds `bytes`.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 /// Everything that can go wrong reading or writing a container file.
@@ -625,6 +657,20 @@ mod tests {
         assert_eq!(values[1].to_bits(), (f64::MIN_POSITIVE / 8.0).to_bits());
         assert_eq!(values[2].to_bits(), (0.1f64 + 0.2).to_bits());
         two.finish().unwrap();
+    }
+
+    #[test]
+    fn streaming_fnv_hashes_pieces_as_their_concatenation() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        let text = "12\tStraße 5".as_bytes();
+        for split in 0..=text.len() {
+            let mut h = Fnv1a::new();
+            h.update(&text[..split]);
+            h.update(&text[split..]);
+            assert_eq!(h.finish(), fnv1a64(text), "split at {split}");
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod store;
 pub use durable::{replace_durably, temp_path};
 
 pub use container::{
-    fnv1a64, ArtifactError, Container, ContainerWriter, Dec, Enc, SectionFsck, SectionStatus,
-    MAGIC, VERSION,
+    fnv1a64, ArtifactError, Container, ContainerWriter, Dec, Enc, Fnv1a, SectionFsck,
+    SectionStatus, MAGIC, VERSION,
 };
 pub use format::{
     fsck_artifact, read_snapshot, write_snapshot, ArtifactFsck, BasisSection, DayProfile,

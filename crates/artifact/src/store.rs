@@ -32,6 +32,7 @@
 //! a crashed-and-restarted publisher converges instead of minting
 //! duplicate generations forever.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use towerlens_obs::{Failpoints, LazyCounter};
@@ -148,10 +149,8 @@ impl Publisher {
         let bytes = snapshot.encode();
         if let Ok(Some(name)) = read_current(&self.dir) {
             if let Some(n) = parse_generation_name(&name) {
-                if let Ok(existing) = std::fs::read(self.dir.join(&name)) {
-                    if existing == bytes {
-                        return Ok(n);
-                    }
+                if file_holds(&self.dir.join(&name), &bytes) {
+                    return Ok(n);
                 }
             }
         }
@@ -172,6 +171,31 @@ impl Publisher {
         )?;
         Ok(generation)
     }
+}
+
+/// The chunk [`file_holds`] reads at a time: comparing a generation
+/// never holds a second copy of it.
+const COMPARE_CHUNK: usize = 64 * 1024;
+
+/// Whether the file at `path` holds exactly `bytes`: the lengths
+/// first, then the contents chunk by chunk, stopping at the first
+/// difference. A file that cannot be read holds nothing.
+fn file_holds(path: &Path, bytes: &[u8]) -> bool {
+    let Ok(mut file) = std::fs::File::open(path) else {
+        return false;
+    };
+    if !file.metadata().is_ok_and(|m| m.len() == bytes.len() as u64) {
+        return false;
+    }
+    let mut chunk = vec![0u8; COMPARE_CHUNK.min(bytes.len()) + 1];
+    for want in bytes.chunks(COMPARE_CHUNK) {
+        let got = &mut chunk[..want.len()];
+        if file.read_exact(got).is_err() || got != want {
+            return false;
+        }
+    }
+    // The file may have grown since its length was read.
+    matches!(file.read(&mut chunk[..1]), Ok(0))
 }
 
 // ------------------------------------------------------------- resolver
@@ -415,6 +439,35 @@ mod tests {
         assert_eq!(resolved.generation, 2);
         assert!(!resolved.degraded);
         assert_eq!(resolved.snapshot.meta.fingerprint, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Publishing compares the new encoding with `CURRENT`'s file chunk
+    /// by chunk: equal bytes are still a no-op, and a same-length file
+    /// that differs only in its last byte, or only in the first byte
+    /// after a chunk boundary, is still published over.
+    #[test]
+    fn publish_compares_every_byte_of_a_same_length_generation() {
+        let dir = tmp("publish-compare");
+        let mut publisher = Publisher::open(&dir, None).unwrap();
+        let mut big = variant(1);
+        big.meta.feature_space = "x".repeat(2 * COMPARE_CHUNK);
+        assert_eq!(publisher.publish(&big).unwrap(), 1);
+        assert_eq!(publisher.publish(&big).unwrap(), 1, "equal bytes");
+        let pristine = std::fs::read(dir.join(generation_name(1))).unwrap();
+        assert!(pristine.len() > 2 * COMPARE_CHUNK);
+        for (generation, at) in [(1, pristine.len() - 1), (2, COMPARE_CHUNK)] {
+            let mut damaged = pristine.clone();
+            damaged[at] ^= 1;
+            std::fs::write(dir.join(generation_name(generation)), damaged).unwrap();
+            assert_eq!(
+                publisher.publish(&big).unwrap(),
+                generation + 1,
+                "differs at byte {at}"
+            );
+        }
+        assert_eq!(publisher.publish(&big).unwrap(), 3, "equal bytes");
+        assert_eq!(publisher.published(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

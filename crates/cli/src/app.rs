@@ -225,8 +225,12 @@ fn parse_or_exit(command: &str, raw: &[String], defs: &[FlagDef]) -> Result<Flag
 /// failed, `--timings` or not, so the failure is never silent.
 /// `--timings` additionally prints the nonzero counters from the
 /// metrics registry, which every engine run feeds — so the timing
-/// view and `--metrics` share one source of truth.
+/// view and `--metrics` share one source of truth. Warnings (such as a
+/// damaged checkpoint being recomputed) go to stderr on every run.
 fn emit_report(command: &str, report: &RunReport, timings: bool, json: bool) -> i32 {
+    for warning in &report.warnings {
+        eprintln!("{command} warning: {warning}");
+    }
     let degraded = report.degraded();
     if timings || degraded {
         print!("{}", report.render_table());

@@ -258,3 +258,36 @@ fn watchdog_deadline_degrades_an_overrunning_optional_stage() {
     assert_eq!(counter_value(&m, "core.engine.stages_failed"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A damaged checkpoint is recomputed with a warning, and the warning
+/// reaches stderr on a plain run, without `--timings` or `--json`.
+#[test]
+fn damaged_checkpoint_warning_reaches_stderr_without_flags() {
+    let dir = temp("warn");
+    let ckpt = dir.join("ckpt");
+    let args = [
+        "study",
+        "--scale",
+        "tiny",
+        "--seed",
+        "3",
+        "--resume",
+        ckpt.to_str().unwrap(),
+    ];
+    let fresh = run_ok(&args);
+    let city = ckpt.join("city.ckpt");
+    let mut bytes = std::fs::read(&city).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&city, bytes).unwrap();
+
+    let resumed = run_ok(&args);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.contains("checkpoint for stage `city` is unusable")
+            && stderr.contains("recomputing"),
+        "no warning on stderr: {stderr}"
+    );
+    assert_eq!(resumed.stdout, fresh.stdout, "the recompute changed stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use towerlens_artifact::Fnv1a;
 use towerlens_city::city::City;
 use towerlens_city::config::CityConfig;
 use towerlens_city::zone::RegionKind;
@@ -329,17 +330,14 @@ impl StudyReport {
 }
 
 /// Incremental FNV-1a, with typed writers matching the report fields.
-struct Fnv(u64);
+struct Fnv(Fnv1a);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(Fnv1a::new())
     }
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.update(bytes);
     }
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
@@ -366,7 +364,7 @@ impl Fnv {
         }
     }
     fn finish(&self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 

@@ -57,3 +57,39 @@ fn torn_tail_is_repaired_before_a_new_segment_opens() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Acknowledged source lines can hold non-ASCII text, so a torn final
+/// write can split a multi-byte character. That tail was never
+/// acknowledged either: replay tolerates it, and the writer repairs it
+/// and opens the next segment, instead of every start failing on a
+/// segment that is not UTF-8.
+#[test]
+fn torn_multibyte_tail_is_tolerated_and_repaired() {
+    let dir =
+        std::env::temp_dir().join(format!("towerlens-review-torn-utf8-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut w = WalWriter::open(&dir).unwrap();
+    w.append(0, "1\t0\t600\t0\t10\tHauptstraße").unwrap();
+    w.append(1, "2\t0\t600\t1\t20\tBahnhofstraße").unwrap();
+    w.sync().unwrap();
+    drop(w);
+    // Cut the file right after the last 0xC3, the first byte of `ß`.
+    let path = segment_path(&dir, 0);
+    let bytes = std::fs::read(&path).unwrap();
+    let cut = bytes.iter().rposition(|&b| b == 0xC3).unwrap() + 1;
+    std::fs::write(&path, &bytes[..cut]).unwrap();
+    assert!(std::str::from_utf8(&bytes[..cut]).is_err());
+
+    let out = replay(&dir).unwrap();
+    assert_eq!((out.next_seq, out.torn_tails), (1, 1));
+    assert_eq!(out.entries[0].line, "1\t0\t600\t0\t10\tHauptstraße");
+
+    let w2 = WalWriter::open(&dir).unwrap();
+    assert_eq!(w2.segment_index(), 1);
+    drop(w2);
+    let repaired = replay(&dir).unwrap();
+    assert_eq!((repaired.next_seq, repaired.torn_tails), (1, 0));
+    assert_eq!(repaired.entries, out.entries);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -234,6 +234,21 @@ head -2500 "$serve_tmp/ds/logs.tsv" > "$serve_tmp/stream.tsv"
 serve_flags=(--source "$serve_tmp/stream.tsv" --days 7 --segment-records 500 --shards 3)
 ./target/release/towerlens-cli serve "${serve_flags[@]}" \
     --data "$serve_tmp/clean" > "$serve_tmp/serve-clean.out" 2> /dev/null
+# Recovery work, counted exactly: a rerun over the drained directory
+# verifies every WAL entry once (one per non-empty stream line),
+# applies none (the snapshot covers them all), and prints the drained
+# run's stdout.
+./target/release/towerlens-cli serve "${serve_flags[@]}" --data "$serve_tmp/clean" \
+    --metrics "$serve_tmp/rerun-metrics.json" > "$serve_tmp/serve-rerun.out" 2> /dev/null
+cmp "$serve_tmp/serve-clean.out" "$serve_tmp/serve-rerun.out" \
+    || { echo "serve rerun over the drained directory changed stdout"; exit 1; }
+stream_lines=$(grep -c . "$serve_tmp/stream.tsv")
+verified=$(counter "$serve_tmp/rerun-metrics.json" serve.wal.entries_verified)
+[ "$verified" -eq "$stream_lines" ] \
+    || { echo "serve rerun verified $verified WAL entries, expected $stream_lines"; exit 1; }
+grep -q '"serve.recovery.entries_applied":0[,}]' "$serve_tmp/rerun-metrics.json" \
+    || { echo "serve rerun applied WAL entries its snapshot covers"; exit 1; }
+echo "serve rerun verified all $verified WAL entries and applied none"
 # Kill at every segment boundary (abort before each snapshot), then
 # restart, until a run reaches the drain.
 for attempt in $(seq 1 12); do
