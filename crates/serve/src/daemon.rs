@@ -21,8 +21,8 @@
 //!    of the complete durable state. A restart therefore applies at
 //!    most one segment's entries, but it still verifies every entry
 //!    of the ledger (checksums, seals, gap-free numbering), so its
-//!    cost grows with the stream: about 0.2 µs per entry with the
-//!    single scanner of [`crate::wal`], against 0.6–0.9 µs when every
+//!    cost grows with the stream: 0.2–0.3 µs per entry with the
+//!    single scanner of [`crate::wal`], against 0.6–1.0 µs when every
 //!    entry was checksummed twice and copied (94,773 entries, 2-vCPU
 //!    Xeon VM). Bounding it by one segment would need a durable
 //!    replay horizon, and start-up would then stop failing on a

@@ -83,18 +83,9 @@ fn hex16(v: u64) -> [u8; 16] {
     out
 }
 
-/// Parses a field as `u64::from_str_radix` would: an optional `+`,
-/// then at least one digit, without overflow.
+/// Parses a field in `radix`; a field that is not UTF-8 holds no digits.
 fn parse_u64(field: &[u8], radix: u32) -> Option<u64> {
-    let digits = field.strip_prefix(b"+").unwrap_or(field);
-    if digits.is_empty() {
-        return None;
-    }
-    digits.iter().try_fold(0u64, |v, &b| {
-        let digit = char::from(b).to_digit(radix)?;
-        v.checked_mul(u64::from(radix))?
-            .checked_add(u64::from(digit))
-    })
+    u64::from_str_radix(std::str::from_utf8(field).ok()?, radix).ok()
 }
 
 /// The checksum of one entry: FNV-1a over `"<seq>\t<line>"`, with
@@ -772,9 +763,10 @@ pub fn fsck_wal(wal_dir: &Path) -> Result<Vec<WalSegmentFsck>, ServeError> {
 mod tests {
     use super::*;
 
-    /// The line parsers the byte scanner replaced, kept verbatim as the
-    /// test oracle: `replay` and `fsck_wal` over `read_to_string` and
-    /// `split('\n')`, checksumming each entry through `format!`.
+    /// The line parsers the byte scanner replaced, kept as the test
+    /// oracle: `replay` and `fsck_wal` over `read_to_string` and
+    /// `split('\n')`, checksumming each entry through `format!` and
+    /// parsing a sequence gap back out of its rendered reason.
     mod oracle {
         use std::path::Path;
 
@@ -1127,46 +1119,6 @@ mod tests {
         }
         assert_eq!(find_newline(&bytes), None);
         assert_eq!(find_newline(b""), None);
-    }
-
-    #[test]
-    fn fields_parse_as_the_standard_library_parses_them() {
-        let fields = [
-            "",
-            "+",
-            "-",
-            "0",
-            "+7",
-            "-7",
-            "++7",
-            "007",
-            "12a",
-            "a",
-            "F",
-            "ff",
-            "FF",
-            "x1",
-            " 1",
-            "1 ",
-            "18446744073709551615",
-            "18446744073709551616",
-            "ffffffffffffffff",
-            "10000000000000000",
-            "0000000000000000000001",
-            "+ff",
-        ];
-        for field in fields {
-            assert_eq!(
-                parse_u64(field.as_bytes(), 10),
-                field.parse::<u64>().ok(),
-                "{field:?}"
-            );
-            assert_eq!(
-                parse_u64(field.as_bytes(), 16),
-                u64::from_str_radix(field, 16).ok(),
-                "{field:?} in hex"
-            );
-        }
     }
 
     /// The scanner against the oracle over a three-segment WAL (two
