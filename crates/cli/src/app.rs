@@ -118,16 +118,16 @@ usage:
                         [--basis PATH] [--flush-every N] [--progress-every N]
                         [--publish DIR] [--metrics PATH]
       crash-safe streaming ingestion: append every source line to a
-      checksummed WAL under DIR/wal before acknowledging it, maintain
-      per-tower sliding traffic state across supervised shards, snapshot
-      at every segment boundary (DIR/snap), and print the batch-identical
+      checksummed WAL under DIR/wal before acknowledging it, keep each
+      tower's cleaned sessions across supervised shards, snapshot at
+      every segment boundary (DIR/snap), and print the batch-identical
       drain report; killed runs resume from snapshot + WAL tail with
-      byte-identical final output. --basis classifies live towers against
-      a frozen batch basis: the versioned query artifact written by
-      `analyze --snapshot` / `study --snapshot`. --publish
-      additionally publishes a query artifact at every snapshot
-      boundary as DIR/gen-N.artifact plus an atomic CURRENT pointer,
-      for `query --watch` hot reload
+      byte-identical final output. --basis classifies the towers against
+      a frozen batch basis built over the same --days window: the
+      versioned query artifact written by `analyze --snapshot` /
+      `study --snapshot`. --publish additionally publishes a query
+      artifact at every snapshot boundary as DIR/gen-N.artifact plus an
+      atomic CURRENT pointer, for `query --watch` hot reload
 
   towerlens-cli doctor  --dir DIR [--fingerprint HEX] [--json]
       fsck every checkpoint file in DIR (and DIR/snap), any WAL

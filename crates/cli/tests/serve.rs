@@ -61,11 +61,35 @@ fn serve_stdout_is_deterministic_and_metrics_stable() {
     let report = String::from_utf8_lossy(&out1.stdout);
     assert!(report.contains("source lines   3000"), "report: {report}");
 
-    let (m1, m2) = (read(&m1), read(&m2));
+    // A rerun over the drained directory prints the same report.
+    let m3 = dir.join("m3.json");
+    let mut args3 = serve_args(logs.to_str().unwrap(), d1.to_str().unwrap());
+    args3.extend(["--metrics", m3.to_str().unwrap()]);
+    assert_eq!(run_ok(&args3).stdout, out1.stdout);
+
+    let (m1, m2, m3) = (read(&m1), read(&m2), read(&m3));
     assert_eq!(scrub_metrics(&m1), scrub_metrics(&m2));
     assert_eq!(counter_value(&m1, "serve.records_ingested"), 3000);
     assert_eq!(counter_value(&m1, "serve.wal_segments"), 5);
+    // The stream ends on a segment boundary, whose barrier already
+    // snapshotted the final state: no second snapshot of it.
+    assert_eq!(
+        counter_value(&m1, "serve.snapshots"),
+        counter_value(&m1, "serve.wal_segments")
+    );
     assert_eq!(counter_value(&m1, "serve.shed_total"), 0);
+    // Without --publish or --basis the only Goertzel work is the
+    // drain's: one three-bin pass per kept tower for the line
+    // amplitudes and one for the identifier's spectral table.
+    for m in [&m1, &m3] {
+        let kept = counter_value(m, "pipeline.normalize.towers_kept");
+        assert!(kept > 0, "{m}");
+        assert_eq!(
+            counter_value(m, "dsp.goertzel.evaluations"),
+            6 * kept,
+            "{m}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -191,9 +215,10 @@ fn doctor_fscks_wal_and_snapshots_and_flags_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `serve --basis` classifies live towers against the frozen analyze
-/// checkpoint, and the classification is part of the deterministic
-/// report.
+/// `serve --basis` classifies the towers against a frozen analyze
+/// artifact, and the classification is part of the deterministic
+/// report. A file that is not an artifact of the same window is refused
+/// before any state is written.
 #[test]
 fn serve_classifies_against_a_frozen_batch_basis() {
     let dir = temp("basis");
@@ -245,6 +270,15 @@ fn serve_classifies_against_a_frozen_batch_basis() {
         "basis line: {basis_line}"
     );
     assert!(basis_line.contains("classes"), "basis line: {basis_line}");
+    // The last barrier's progress line classifies the same final state
+    // through the same analysis as the drain.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let progress = stderr
+        .lines()
+        .rfind(|l| l.starts_with("serve: snapshot at seq"))
+        .unwrap_or_else(|| panic!("no progress line: {stderr}"));
+    let classes = |line: &str| line.split_once(" classes ").map(|(_, c)| c.to_string());
+    assert_eq!(classes(progress), classes(basis_line), "{progress}");
 
     // A checkpoint is not a basis: serve refuses it, naming the file,
     // before it writes any durable state.
@@ -259,6 +293,35 @@ fn serve_classifies_against_a_frozen_batch_basis() {
     let expected = format!(
         "configuration: basis {}: required section `meta` missing",
         cluster_ckpt.display()
+    );
+    assert!(stderr.contains(&expected), "stderr: {stderr}");
+    assert!(
+        !refused.exists(),
+        "serve wrote state before rejecting the basis"
+    );
+
+    // A basis over another window is refused just as early: its
+    // centroids cannot classify this window's vectors.
+    let basis14 = dir.join("study14.artifact");
+    run_ok(&[
+        "analyze",
+        "--dir",
+        ds.to_str().unwrap(),
+        "--days",
+        "14",
+        "--feature-space",
+        "raw",
+        "--snapshot",
+        basis14.to_str().unwrap(),
+    ]);
+    let mut args = serve_args(logs.to_str().unwrap(), refused.to_str().unwrap());
+    args.extend(["--basis", basis14.to_str().unwrap()]);
+    let out = run_env(&args, &[]);
+    assert!(!out.status.success(), "serve accepted a 14-day basis");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let expected = format!(
+        "configuration: basis {}: dimensionality 2016 does not match the 7-day window's 1008 bins",
+        basis14.display()
     );
     assert!(stderr.contains(&expected), "stderr: {stderr}");
     assert!(

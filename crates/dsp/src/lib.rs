@@ -13,11 +13,11 @@
 //! * [`spectrum`] — amplitude/phase extraction, band selection and
 //!   time-domain reconstruction from a sparse set of components
 //!   (the paper's k ∈ {0, 4, 28, 56} reconstruction), energy accounting,
+//! * [`mod@goertzel`] — single-bin DFT at the three principal lines
+//!   (week, day, half-day), several bins or towers per pass: the
+//!   study's spectral table and `serve`'s drain-report line amplitudes,
 //! * [`normalize`] — z-score and min-max normalisation used by the
 //!   traffic vectorizer and the POI validation,
-//! * [`sliding`] — incrementally-maintained Goertzel bins (in-place
-//!   amendment and sliding-DFT window advance with periodic exact
-//!   rescue) for the streaming ingestion daemon,
 //! * [`stats`] — summary statistics and empirical CDFs,
 //! * [`circular`] — circular statistics for phase angles (Fig 16 needs
 //!   means/standard deviations of phases, which are only meaningful in
@@ -37,7 +37,6 @@ pub mod error;
 pub mod fft;
 pub mod goertzel;
 pub mod normalize;
-pub mod sliding;
 pub mod spectrum;
 pub mod stats;
 
@@ -45,5 +44,4 @@ pub use complex::Complex;
 pub use error::DspError;
 pub use fft::{fft, ifft, FftPlan};
 pub use goertzel::{goertzel, goertzel_bins, goertzel_feature};
-pub use sliding::SlidingGoertzel;
 pub use spectrum::Spectrum;

@@ -1,12 +1,13 @@
-//! Online classification against a frozen batch basis.
+//! Classification against a frozen batch basis.
 //!
-//! The daemon does not re-cluster on every snapshot: the batch study
-//! (or `towerlens-cli analyze`) discovers the city's traffic patterns
-//! once, and `serve` classifies live towers against those **frozen
-//! centroids** by nearest-centroid assignment in z-scored feature
-//! space. The basis is the versioned query artifact the batch run
-//! writes with `--snapshot`, so a batch run and a streaming run
-//! literally share the artifact.
+//! The batch study (or `towerlens-cli analyze`) discovers the city's
+//! traffic patterns once, and `serve` assigns each tower of its
+//! durable state to the nearest of those **frozen centroids** in
+//! z-scored traffic space: at every snapshot barrier (the progress
+//! line's counts) and in the drain report, both over the same batch
+//! analysis of the state. The basis is the versioned query artifact
+//! the batch run writes with `--snapshot`, so a batch run and a
+//! streaming run literally share the artifact.
 
 use std::path::Path;
 
@@ -18,10 +19,6 @@ use crate::error::{io_err, ServeError};
 pub struct Basis {
     /// The frozen batch centroids (in z-scored space).
     pub centroids: Vec<Vec<f64>>,
-    /// The number of patterns the batch run settled on.
-    pub k: usize,
-    /// The dendrogram cut threshold the batch run used.
-    pub threshold: f64,
     /// The configuration fingerprint the basis was written under.
     pub fingerprint: u64,
 }
@@ -53,8 +50,6 @@ pub fn load_basis(path: &Path) -> Result<Basis, ServeError> {
     }
     Ok(Basis {
         centroids: snap.centroids,
-        k: snap.meta.k,
-        threshold: snap.meta.threshold,
         fingerprint: snap.meta.fingerprint,
     })
 }
@@ -98,9 +93,7 @@ mod tests {
 
     fn basis_of(centroids: Vec<Vec<f64>>) -> Basis {
         Basis {
-            k: centroids.len(),
             centroids,
-            threshold: 0.0,
             fingerprint: 0,
         }
     }
@@ -137,7 +130,6 @@ mod tests {
         towerlens_artifact::write_snapshot(&path, &snap).unwrap();
         let basis = load_basis(&path).unwrap();
         assert_eq!(basis.fingerprint, snap.meta.fingerprint);
-        assert_eq!(basis.k, snap.meta.k);
         assert_eq!(basis.centroids, snap.centroids);
         assert_eq!(basis.dims(), 8);
 

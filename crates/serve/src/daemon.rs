@@ -1,5 +1,5 @@
 //! The streaming ingestion daemon: WAL-ahead acknowledgement, sharded
-//! per-tower state with supervision, snapshot checkpoints at segment
+//! per-tower sessions with supervision, snapshot checkpoints at segment
 //! boundaries, and a drain report that byte-matches the batch
 //! pipeline.
 //!
@@ -7,8 +7,8 @@
 //!
 //! 1. **Recover.** Load the latest snapshot (if any) from
 //!    `data_dir/snap`, verify the whole WAL (`data_dir/wal`), apply the
-//!    entries past the snapshot's sequence horizon, and rebuild
-//!    per-shard tower state.
+//!    entries past the snapshot's sequence horizon, and hand each shard
+//!    its towers' sessions.
 //! 2. **Stream.** Read the source line by line. Every non-empty line
 //!    is assigned the next global sequence number and appended to the
 //!    WAL *before* it is parsed or applied — the WAL is the
@@ -18,30 +18,34 @@
 //!    backpressure wait before blocking.
 //! 3. **Checkpoint.** At every WAL segment boundary the daemon seals
 //!    the segment, barriers the shards, and writes an fsync'd snapshot
-//!    of the complete durable state. A restart therefore applies at
-//!    most one segment's entries, but it still verifies every entry
-//!    of the ledger (checksums, seals, gap-free numbering), so its
-//!    cost grows with the stream: 0.2–0.3 µs per entry with the
-//!    single scanner of [`crate::wal`], against 0.6–1.0 µs when every
-//!    entry was checksummed twice and copied (94,773 entries, 2-vCPU
-//!    Xeon VM). Bounding it by one segment would need a durable
-//!    replay horizon, and start-up would then stop failing on a
-//!    damaged covered segment.
+//!    of the complete durable state. When something reads it — a
+//!    `--publish` generation or the `--basis` counts on the progress
+//!    line — the barrier also runs one batch analysis of that state.
+//!    A restart therefore applies at most one segment's entries, but
+//!    it still verifies every entry of the ledger (checksums, seals,
+//!    gap-free numbering), so its cost grows with the stream: 0.2–0.3 µs
+//!    per entry with the single scanner of [`crate::wal`], against
+//!    0.6–1.0 µs when every entry was checksummed twice and copied
+//!    (94,773 entries, 2-vCPU Xeon VM). Bounding it by one segment
+//!    would need a durable replay horizon, and start-up would then stop
+//!    failing on a damaged covered segment.
 //! 4. **Drain.** At end of stream the daemon runs the *batch* analysis
 //!    (vectorizer → spectral lines → pattern identifier → optional
-//!    frozen-basis classification) over the recovered state and prints
-//!    one deterministic report to stdout.
+//!    frozen-basis classification) over the final state, once, shared
+//!    with the final checkpoint, and prints one deterministic report to
+//!    stdout.
 //!
 //! # Determinism contract
 //!
 //! Everything printed to **stdout** is a pure function of the
 //! acknowledged record stream. The durable state is integer-only
-//! (sessions and counters); all floating-point state is rebuilt from
-//! it. Killing the daemon at any point and restarting it over the same
-//! source therefore converges to byte-identical stdout — the chaos
-//! tests kill at every segment boundary and diff the output against an
-//! uninterrupted run. Progress, supervision noise, and anything
-//! wall-clock flavoured goes to stderr or the metrics registry.
+//! (sessions and counters), and it is all the shards hold: every
+//! floating-point number comes from a batch analysis of it. Killing the
+//! daemon at any point and restarting it over the same source therefore
+//! converges to byte-identical stdout — the chaos tests kill at every
+//! segment boundary and diff the output against an uninterrupted run.
+//! Progress, supervision noise, and anything wall-clock flavoured goes
+//! to stderr or the metrics registry.
 //!
 //! # Supervision
 //!
@@ -61,17 +65,16 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::Arc;
 
 use towerlens_artifact::{fnv1a64, Publisher};
 use towerlens_core::engine::{BreakerPolicy, CheckpointError, CheckpointStore, RetryPolicy};
 use towerlens_core::error::CoreError;
-use towerlens_core::identifier::PatternIdentifier;
+use towerlens_core::identifier::{IdentifiedPatterns, PatternIdentifier};
 use towerlens_core::study::snapshot_from_parts;
 use towerlens_dsp::goertzel::{goertzel_bins_sharded, record_evaluations};
 use towerlens_dsp::DspError;
 use towerlens_obs::{Action, LazyCounter};
-use towerlens_pipeline::vectorizer::{Vectorizer, VectorizerOptions};
+use towerlens_pipeline::vectorizer::{Vectorizer, VectorizerOptions, VectorizerOutput};
 use towerlens_pipeline::{principal_bins, FeatureSpace};
 use towerlens_trace::clean::clean_records;
 use towerlens_trace::record::LogRecord;
@@ -181,18 +184,24 @@ impl ServeConfig {
         TraceWindow::days(self.days)
     }
 
-    /// The three maintained spectral bins: the paper's week / day /
-    /// half-day lines when the window is whole weeks, their modular
-    /// stand-ins otherwise.
-    fn goertzel_bins(&self) -> Vec<usize> {
-        let window = self.window();
-        match principal_bins(&window) {
-            Some(bins) => bins.to_vec(),
-            None => [1usize, 7, 14]
-                .iter()
-                .map(|&b| b % window.n_bins.max(1))
-                .collect(),
+    /// Loads the frozen basis, if one is configured, and refuses one
+    /// whose centroids do not have the window's bin count — before any
+    /// state is written, not after a whole stream.
+    fn frozen_basis(&self) -> Result<Option<Basis>, ServeError> {
+        let Some(path) = &self.basis else {
+            return Ok(None);
+        };
+        let basis = load_basis(path)?;
+        let bins = self.window().n_bins;
+        if basis.dims() != bins {
+            return Err(ServeError::Config(format!(
+                "basis {}: dimensionality {} does not match the {}-day window's {bins} bins",
+                path.display(),
+                basis.dims(),
+                self.days
+            )));
         }
+        Ok(Some(basis))
     }
 }
 
@@ -204,6 +213,18 @@ struct Counts {
     malformed: u64,
     duplicates: u64,
     conflicts: u64,
+}
+
+impl Counts {
+    fn of(snap: &ServeSnapshot) -> Counts {
+        Counts {
+            next_seq: snap.next_seq,
+            records: snap.records,
+            malformed: snap.malformed,
+            duplicates: snap.duplicates,
+            conflicts: snap.conflicts,
+        }
+    }
 }
 
 /// The drain report: one deterministic stdout document.
@@ -294,8 +315,8 @@ impl ServeReport {
 enum ShardMsg {
     /// Apply one acknowledged record.
     Apply(u64, LogRecord),
-    /// Barrier: reply with the shard's current view. Because the
-    /// channel is ordered, the view covers exactly the records
+    /// Barrier: reply with a copy of the shard's state. Because the
+    /// channel is ordered, the copy covers exactly the records
     /// dispatched before the barrier.
     Sync(mpsc::Sender<ShardView>),
 }
@@ -303,26 +324,21 @@ enum ShardMsg {
 /// A shard's state as of a barrier.
 #[derive(Debug, Clone, Default)]
 struct ShardView {
+    /// The shard's towers in ascending cell id.
     towers: Vec<(u32, Vec<Session>)>,
     duplicates: u64,
     conflicts: u64,
     shed: u64,
     quarantined: bool,
-    /// Live nearest-centroid class counts (when a basis is armed).
-    online_classes: Vec<u64>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_shard(
     index: usize,
     rx: mpsc::Receiver<ShardMsg>,
     mut towers: BTreeMap<u32, TowerState>,
-    window: TraceWindow,
-    gbins: Vec<usize>,
     retry: RetryPolicy,
     breaker: BreakerPolicy,
     mut fault_budget: u64,
-    basis: Option<Arc<Basis>>,
 ) {
     let stage = format!("serve-shard-{index}");
     let mut duplicates = 0u64;
@@ -348,10 +364,7 @@ fn run_shard(
                         }
                         continue;
                     }
-                    let tower = towers
-                        .entry(rec.cell_id)
-                        .or_insert_with(|| TowerState::new(&window, &gbins));
-                    applied = Some(tower.apply(&rec, seq, &window));
+                    applied = Some(towers.entry(rec.cell_id).or_default().apply(&rec, seq));
                     break;
                 }
                 match applied {
@@ -380,10 +393,6 @@ fn run_shard(
                 }
             }
             ShardMsg::Sync(reply) => {
-                let online_classes = basis
-                    .as_deref()
-                    .map(|b| online_class_counts(&towers, b))
-                    .unwrap_or_default();
                 let view = ShardView {
                     towers: towers
                         .iter()
@@ -393,7 +402,6 @@ fn run_shard(
                     conflicts,
                     shed,
                     quarantined,
-                    online_classes,
                 };
                 if reply.send(view).is_err() {
                     return; // ingest side is gone; shut down
@@ -403,28 +411,7 @@ fn run_shard(
     }
 }
 
-/// Live classification from the incremental views: z-score each
-/// tower's binned traffic with its running moments and assign the
-/// nearest frozen centroid. Zero-variance towers and dimension
-/// mismatches are skipped (the drain report surfaces the latter as a
-/// hard error).
-fn online_class_counts(towers: &BTreeMap<u32, TowerState>, basis: &Basis) -> Vec<u64> {
-    let mut counts = vec![0u64; basis.centroids.len()];
-    for tower in towers.values() {
-        let (mean, std) = tower.zscore_moments();
-        let traffic = tower.traffic();
-        if std <= 0.0 || traffic.len() != basis.dims() {
-            continue;
-        }
-        let z: Vec<f64> = traffic.iter().map(|v| (v - mean) / std).collect();
-        if let Ok(labels) = classify(&[z], basis) {
-            counts[labels[0]] += 1;
-        }
-    }
-    counts
-}
-
-/// Recovery product: rebuilt per-shard state plus the durable counts.
+/// Recovery product: per-shard sessions plus the durable counts.
 struct Recovered {
     shard_maps: Vec<BTreeMap<u32, TowerState>>,
     counts: Counts,
@@ -433,12 +420,7 @@ struct Recovered {
     snapshotted_seq: Option<u64>,
 }
 
-fn recover(
-    config: &ServeConfig,
-    store: &CheckpointStore,
-    window: &TraceWindow,
-    gbins: &[usize],
-) -> Result<Recovered, ServeError> {
+fn recover(config: &ServeConfig, store: &CheckpointStore) -> Result<Recovered, ServeError> {
     let snapshot = store
         .load(SNAPSHOT_STAGE, &SnapshotCodec)?
         .map(|(snap, _cards)| snap);
@@ -446,16 +428,10 @@ fn recover(
     let snapshot = snapshot.unwrap_or_default();
 
     let mut shard_maps: Vec<BTreeMap<u32, TowerState>> = vec![BTreeMap::new(); config.shards];
-    let mut counts = Counts {
-        next_seq: snapshot.next_seq,
-        records: snapshot.records,
-        malformed: snapshot.malformed,
-        duplicates: snapshot.duplicates,
-        conflicts: snapshot.conflicts,
-    };
+    let mut counts = Counts::of(&snapshot);
     for (cell, sessions) in snapshot.towers {
         let shard = cell as usize % config.shards;
-        shard_maps[shard].insert(cell, TowerState::from_sessions(sessions, window, gbins));
+        shard_maps[shard].insert(cell, TowerState::from_sessions(sessions));
     }
 
     // Verify the whole ledger and apply the entries past the snapshot's
@@ -478,10 +454,8 @@ fn recover(
             Ok(rec) => {
                 counts.records += 1;
                 let shard = rec.cell_id as usize % config.shards;
-                let tower = shard_maps[shard]
-                    .entry(rec.cell_id)
-                    .or_insert_with(|| TowerState::new(window, gbins));
-                match tower.apply(&rec, seq, window) {
+                let tower = shard_maps[shard].entry(rec.cell_id).or_default();
+                match tower.apply(&rec, seq) {
                     ApplyOutcome::New => {}
                     ApplyOutcome::Duplicate => counts.duplicates += 1,
                     ApplyOutcome::Conflict => counts.conflicts += 1,
@@ -541,10 +515,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     failpoints
         .check_stages(&[SNAPSHOT_STAGE])
         .map_err(|e| ServeError::Config(e.to_string()))?;
-    let basis = match &config.basis {
-        Some(path) => Some(Arc::new(load_basis(path)?)),
-        None => None,
-    };
+    let basis = config.frozen_basis()?;
     let mut publisher = match &config.publish {
         Some(dir) => Some(
             Publisher::open(dir, None)
@@ -554,10 +525,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     };
     let fingerprint = config.fingerprint();
     let window = config.window();
-    let gbins = config.goertzel_bins();
 
     let store = CheckpointStore::open(config.data_dir.join(SNAP_DIR), config.fingerprint())?;
-    let recovered = recover(config, &store, &window, &gbins)?;
+    let recovered = recover(config, &store)?;
     let mut counts = recovered.counts;
     let resume_from = counts.next_seq;
 
@@ -575,10 +545,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
             Some(Action::Err(n)) => n,
             _ => 0,
         };
-        let (w, g, r, b) = (window, gbins.clone(), retry.clone(), basis.clone());
-        let br = breaker.clone();
+        let (r, b) = (retry.clone(), breaker.clone());
         handles.push(std::thread::spawn(move || {
-            run_shard(i, rx, map, w, g, r, br, budget, b)
+            run_shard(i, rx, map, r, b, budget)
         }));
         senders.push(tx);
     }
@@ -600,22 +569,28 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
         Ok(views)
     };
 
-    let assemble = |views: &[ShardView], counts: &Counts| -> ServeSnapshot {
-        let mut towers: BTreeMap<u32, Vec<Session>> = BTreeMap::new();
-        for view in views {
-            for (cell, sessions) in &view.towers {
-                towers.insert(*cell, sessions.clone());
+    // Saves a barrier's state (when `save`), then analyses it once if
+    // something reads the analysis — the published generation or the
+    // `--basis` counts — and prints the progress line. Returns the
+    // analysis it made, for the drain to reuse.
+    let mut checkpoint =
+        |state: &BarrierState, save: bool| -> Result<Option<Analysis>, ServeError> {
+            if save {
+                save_snapshot(&store, &state.snap, &retry)?;
+                SNAPSHOTS.inc();
             }
-        }
-        ServeSnapshot {
-            next_seq: counts.next_seq,
-            records: counts.records,
-            malformed: counts.malformed,
-            duplicates: counts.duplicates + views.iter().map(|v| v.duplicates).sum::<u64>(),
-            conflicts: counts.conflicts + views.iter().map(|v| v.conflicts).sum::<u64>(),
-            towers: towers.into_iter().collect(),
-        }
-    };
+            if publisher.is_none() && basis.is_none() {
+                progress_line(state, None);
+                return Ok(None);
+            }
+            let analysis = Analysis::of_state(&state.snap, &window)?;
+            if let Some(publisher) = publisher.as_mut() {
+                publish_generation(publisher, &analysis, &window, fingerprint)?;
+            }
+            let classes = basis.as_ref().map(|b| analysis.classes(b)).transpose()?;
+            progress_line(state, classes.as_deref());
+            Ok(Some(analysis))
+        };
 
     // Stream the source, skipping the lines already acknowledged.
     let mut wal = WalWriter::open(&config.data_dir.join(WAL_DIR))?;
@@ -623,6 +598,8 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     let reader = std::io::BufReader::new(file);
     let mut skipped = 0u64;
     let mut unflushed = 0u64;
+    // This run's latest barrier and the analysis it made, if any.
+    let mut last: Option<(BarrierState, Option<Analysis>)> = None;
     for line in reader.lines() {
         let line = line.map_err(|e| io_err(&config.source, e))?;
         if line.is_empty() {
@@ -677,93 +654,104 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
             if wal.rotate()? {
                 WAL_SEGMENTS.inc();
             }
-            let views = barrier(&senders)?;
-            let snap = assemble(&views, &counts);
-            save_snapshot(&store, &snap, &retry)?;
-            SNAPSHOTS.inc();
-            publish_generation(publisher.as_mut(), &snap, &window, fingerprint)?;
-            progress_line(&snap, &views);
+            // Free the previous barrier's copy before taking the next.
+            drop(last.take());
+            let state = assemble(barrier(&senders)?, &counts);
+            let analysis = checkpoint(&state, true)?;
+            last = Some((state, analysis));
         }
     }
 
-    // End of stream: seal the tail, snapshot if anything advanced,
-    // and drain.
+    // End of stream: seal the tail. When this run's last barrier
+    // already covered every acknowledged line, its snapshot, generation
+    // and progress line stand. Otherwise checkpoint the final state,
+    // saving it only if the on-disk snapshot is behind; a resumed run
+    // with nothing new still publishes, so a generation lost to a kill
+    // between a snapshot and its publish converges (the publish is an
+    // idempotent no-op once `CURRENT` names these bytes).
     wal.sync()?;
     if wal.rotate()? {
         WAL_SEGMENTS.inc();
     }
-    let views = barrier(&senders)?;
-    let snap = assemble(&views, &counts);
-    if recovered.snapshotted_seq != Some(counts.next_seq) {
-        save_snapshot(&store, &snap, &retry)?;
-        SNAPSHOTS.inc();
-    }
-    // Publish unconditionally at end of stream: even when a resumed
-    // run had nothing new to snapshot, the generation store must
-    // converge to pointing at the full-stream artifact (the publish
-    // itself is an idempotent no-op once it does).
-    publish_generation(publisher.as_mut(), &snap, &window, fingerprint)?;
-    progress_line(&snap, &views);
+    let last = last.filter(|(state, _)| state.snap.next_seq == counts.next_seq);
+    let (state, analysis) = match last {
+        Some(done) => done,
+        None => {
+            let state = assemble(barrier(&senders)?, &counts);
+            let save = recovered.snapshotted_seq != Some(counts.next_seq);
+            let analysis = checkpoint(&state, save)?;
+            (state, analysis)
+        }
+    };
     drop(senders);
     for h in handles {
         let _ = h.join();
     }
 
-    drain(&snap, &window, basis.as_deref())
+    let analysis = match analysis {
+        Some(analysis) => analysis,
+        None => Analysis::of_state(&state.snap, &window)?,
+    };
+    report(&Counts::of(&state.snap), &analysis, &window, basis.as_ref())
 }
 
-fn progress_line(snap: &ServeSnapshot, views: &[ShardView]) {
-    let shed: u64 = views.iter().map(|v| v.shed).sum();
-    let quarantined = views.iter().filter(|v| v.quarantined).count();
+/// The durable state as of a barrier, with the shards' supervision
+/// tallies for the progress line.
+struct BarrierState {
+    snap: ServeSnapshot,
+    shed: u64,
+    quarantined: usize,
+}
+
+/// Moves the shards' copies into one snapshot: shards hold disjoint
+/// cells, each view in ascending cell id, so sorting the towers (not
+/// their sessions) orders the whole.
+fn assemble(views: Vec<ShardView>, counts: &Counts) -> BarrierState {
+    let mut snap = ServeSnapshot {
+        next_seq: counts.next_seq,
+        records: counts.records,
+        malformed: counts.malformed,
+        duplicates: counts.duplicates,
+        conflicts: counts.conflicts,
+        towers: Vec::new(),
+    };
+    let (mut shed, mut quarantined) = (0, 0);
+    for view in views {
+        snap.duplicates += view.duplicates;
+        snap.conflicts += view.conflicts;
+        snap.towers.extend(view.towers);
+        shed += view.shed;
+        quarantined += usize::from(view.quarantined);
+    }
+    snap.towers.sort_unstable_by_key(|(cell, _)| *cell);
+    BarrierState {
+        snap,
+        shed,
+        quarantined,
+    }
+}
+
+fn progress_line(state: &BarrierState, classes: Option<&[usize]>) {
     let mut msg = format!(
         "serve: snapshot at seq {} ({} sessions, {} towers, {} shed, {} quarantined)",
-        snap.next_seq,
-        snap.towers.iter().map(|(_, s)| s.len()).sum::<usize>(),
-        snap.towers.len(),
-        shed,
-        quarantined
+        state.snap.next_seq,
+        state.snap.kept(),
+        state.snap.towers.len(),
+        state.shed,
+        state.quarantined
     );
-    if views.iter().any(|v| !v.online_classes.is_empty()) {
-        let mut classes: Vec<u64> = Vec::new();
-        for view in views {
-            for (i, c) in view.online_classes.iter().enumerate() {
-                if classes.len() <= i {
-                    classes.resize(i + 1, 0);
-                }
-                classes[i] += c;
-            }
-        }
-        msg.push_str(&format!(" online classes {classes:?}"));
+    if let Some(classes) = classes {
+        msg.push_str(&format!(" classes {classes:?}"));
     }
     eprintln!("{msg}");
 }
 
-/// Rebuilds the batch pipeline's input from the durable state and runs
-/// the batch analysis. Sorting sessions by `first_seq` reconstructs
-/// the batch cleaner's first-seen output order exactly, so this is the
-/// same record list `clean_records` would produce over the full
-/// acknowledged stream — which is what makes serve-vs-batch
-/// byte-identity hold by construction rather than by tolerance.
-fn drain(
-    snap: &ServeSnapshot,
-    window: &TraceWindow,
-    basis: Option<&Basis>,
-) -> Result<ServeReport, ServeError> {
-    let records = state_records(snap);
-    let counts = Counts {
-        next_seq: snap.next_seq,
-        records: snap.records,
-        malformed: snap.malformed,
-        duplicates: snap.duplicates,
-        conflicts: snap.conflicts,
-    };
-    analyze(&records, &counts, window, basis)
-}
-
 /// Rebuilds the cleaned record list from durable state: sessions
 /// sorted by `first_seq` reconstruct the batch cleaner's first-seen
-/// output order exactly. Shared by [`drain`] and the generation
-/// publisher so both analyse the same stream.
+/// output order exactly — the same record list `clean_records` would
+/// produce over the full acknowledged stream, which is what makes
+/// serve-vs-batch byte-identity hold by construction rather than by
+/// tolerance.
 fn state_records(snap: &ServeSnapshot) -> Vec<LogRecord> {
     let mut sessions: Vec<(u32, &Session)> = snap
         .towers
@@ -784,31 +772,75 @@ fn state_records(snap: &ServeSnapshot) -> Vec<LogRecord> {
         .collect()
 }
 
-/// Assembles the versioned query artifact for the current durable
-/// state: the same record rebuild as [`drain`], a one-thread
-/// vectorize (bit-reproducible), and pattern identification, whose
+/// One batch analysis of a cleaned record list, the source of every
+/// number `serve` derives: a one-thread vectorize (bit-reproducible
+/// across machines) and pattern identification. A barrier's generation,
+/// its `--basis` counts and the drain report all read the same one.
+struct Analysis {
+    /// Sessions analysed.
+    sessions: u64,
+    /// Towers with at least one session.
+    active_towers: usize,
+    /// The vectorizer's output and the identified patterns; `None`
+    /// without records.
+    run: Option<(VectorizerOutput, Result<IdentifiedPatterns, CoreError>)>,
+}
+
+impl Analysis {
+    fn of(records: &[LogRecord], window: &TraceWindow) -> Result<Analysis, ServeError> {
+        // The vectorizer's tower count: one row per cell id up to the
+        // largest seen.
+        let n_towers = records.iter().map(|r| r.cell_id as usize + 1).max();
+        let mut active = vec![false; n_towers.unwrap_or(0)];
+        for r in records {
+            active[r.cell_id as usize] = true;
+        }
+        let mut analysis = Analysis {
+            sessions: records.len() as u64,
+            active_towers: active.iter().filter(|&&a| a).count(),
+            run: None,
+        };
+        if let Some(n_towers) = n_towers {
+            let vect = Vectorizer::new(*window, 1)
+                .run_with(records, n_towers, &VectorizerOptions::default())
+                .map_err(|e| ServeError::Analysis(e.to_string()))?;
+            let patterns =
+                PatternIdentifier::default().identify_in(&vect.normalized.vectors, Some(window));
+            analysis.run = Some((vect, patterns));
+        }
+        Ok(analysis)
+    }
+
+    fn of_state(snap: &ServeSnapshot, window: &TraceWindow) -> Result<Analysis, ServeError> {
+        Analysis::of(&state_records(snap), window)
+    }
+
+    /// Kept towers per nearest frozen centroid.
+    fn classes(&self, basis: &Basis) -> Result<Vec<usize>, ServeError> {
+        let mut classes = vec![0usize; basis.centroids.len()];
+        if let Some((vect, _)) = &self.run {
+            for label in classify(&vect.normalized.vectors, basis)? {
+                classes[label] += 1;
+            }
+        }
+        Ok(classes)
+    }
+}
+
+/// Assembles the versioned query artifact of an analysed state: its
 /// spectral table and clustering feed the study's shared
 /// [`snapshot_from_parts`] assembly point. `Ok(None)` when the state
 /// holds too little data to identify patterns — a young stream has
 /// nothing to publish yet, which is not an error.
 fn query_snapshot_of(
-    snap: &ServeSnapshot,
+    analysis: &Analysis,
     window: &TraceWindow,
     fingerprint: u64,
 ) -> Result<Option<towerlens_artifact::Snapshot>, ServeError> {
-    let records = state_records(snap);
-    if records.is_empty() {
+    let Some((vect, patterns)) = &analysis.run else {
         return Ok(None);
-    }
-    let n_towers = records.iter().map(|r| r.cell_id).max().unwrap_or(0) as usize + 1;
-    let vect = Vectorizer::new(*window, 1)
-        .run_with(&records, n_towers, &VectorizerOptions::default())
-        .map_err(|e| ServeError::Analysis(e.to_string()))?;
-    let vectors = &vect.normalized.vectors;
-    if vectors.is_empty() {
-        return Ok(None);
-    }
-    let patterns = match PatternIdentifier::default().identify_in(vectors, Some(window)) {
+    };
+    let patterns = match patterns {
         Ok(p) => p,
         Err(CoreError::NotEnoughData { .. }) => return Ok(None),
         Err(e) => return Err(ServeError::Analysis(e.to_string())),
@@ -819,8 +851,8 @@ fn query_snapshot_of(
     snapshot_from_parts(
         window,
         &vect.normalized.kept_ids,
-        vectors,
-        &patterns,
+        &vect.normalized.vectors,
+        patterns,
         None,
         features,
         None,
@@ -832,21 +864,18 @@ fn query_snapshot_of(
     .map_err(|e| ServeError::Analysis(e.to_string()))
 }
 
-/// Publishes the current state to the generation store, when one is
-/// configured. Counts `serve.generations_published` only for real
-/// publishes — [`Publisher::publish`] is an idempotent no-op when
-/// `CURRENT` already names these exact bytes, which is what lets a
+/// Publishes an analysed state to the generation store. Counts
+/// `serve.generations_published` only for real publishes —
+/// [`Publisher::publish`] is an idempotent no-op when `CURRENT`
+/// already names these exact bytes, which is what lets a
 /// crashed-and-restarted publisher converge.
 fn publish_generation(
-    publisher: Option<&mut Publisher>,
-    snap: &ServeSnapshot,
+    publisher: &mut Publisher,
+    analysis: &Analysis,
     window: &TraceWindow,
     fingerprint: u64,
 ) -> Result<(), ServeError> {
-    let Some(publisher) = publisher else {
-        return Ok(());
-    };
-    match query_snapshot_of(snap, window, fingerprint)? {
+    match query_snapshot_of(analysis, window, fingerprint)? {
         Some(artifact) => {
             let before = publisher.published();
             let generation = publisher
@@ -866,12 +895,12 @@ fn publish_generation(
     Ok(())
 }
 
-/// The batch analysis over cleaned records — shared verbatim by the
+/// The drain report of an analysed state — shared verbatim by the
 /// daemon's drain and [`batch_reference`], with identical inputs by
 /// construction.
-fn analyze(
-    records: &[LogRecord],
+fn report(
     counts: &Counts,
+    analysis: &Analysis,
     window: &TraceWindow,
     basis: Option<&Basis>,
 ) -> Result<ServeReport, ServeError> {
@@ -880,20 +909,14 @@ fn analyze(
         Some(b) => b,
         None => [1usize, 7, 14].map(|b| b % window.n_bins.max(1)),
     };
-    let active_towers = {
-        let mut cells: Vec<u32> = records.iter().map(|r| r.cell_id).collect();
-        cells.sort_unstable();
-        cells.dedup();
-        cells.len()
-    };
     let mut report = ServeReport {
         source_lines: counts.next_seq,
         records: counts.records,
         malformed: counts.malformed,
         duplicates: counts.duplicates,
         conflicts: counts.conflicts,
-        sessions: records.len() as u64,
-        active_towers,
+        sessions: analysis.sessions,
+        active_towers: analysis.active_towers,
         vector_towers: 0,
         dropped_towers: 0,
         bins: line_bins.to_vec(),
@@ -903,51 +926,35 @@ fn analyze(
         pattern_note: None,
         basis_classes: None,
     };
-    if records.is_empty() {
-        report.pattern_note = Some("no records".to_string());
-        if let Some(b) = basis {
-            report.basis_classes = Some((b.fingerprint, vec![0; b.centroids.len()]));
+    match &analysis.run {
+        None => report.pattern_note = Some("no records".to_string()),
+        Some((vect, patterns)) => {
+            report.vector_towers = vect.normalized.vectors.len();
+            report.dropped_towers = vect.normalized.dropped.len();
+            if !vect.normalized.kept_ids.is_empty() {
+                report.line_amplitudes =
+                    line_amplitudes(&vect.raw, &vect.normalized.kept_ids, line_bins)
+                        .map_err(|e| ServeError::Analysis(e.to_string()))?;
+            }
+            match patterns {
+                Ok(p) => report.patterns = Some((p.k, p.clustering.sizes())),
+                Err(CoreError::NotEnoughData { what, needed, got }) => {
+                    report.pattern_note = Some(format!(
+                        "not enough data: {what} (need {needed}, got {got})"
+                    ));
+                }
+                Err(e) => report.pattern_note = Some(e.to_string()),
+            }
         }
-        return Ok(report);
     }
-
-    let n_towers = records.iter().map(|r| r.cell_id).max().unwrap_or(0) as usize + 1;
-    // One worker thread: the drain must be bit-reproducible across
-    // machines, and it runs once per stream.
-    let vect = Vectorizer::new(*window, 1)
-        .run_with(records, n_towers, &VectorizerOptions::default())
-        .map_err(|e| ServeError::Analysis(e.to_string()))?;
-    report.vector_towers = vect.normalized.vectors.len();
-    report.dropped_towers = vect.normalized.dropped.len();
-
-    if !vect.normalized.kept_ids.is_empty() {
-        report.line_amplitudes = line_amplitudes(&vect.raw, &vect.normalized.kept_ids, line_bins)
-            .map_err(|e| ServeError::Analysis(e.to_string()))?;
-    }
-
-    match PatternIdentifier::default().identify_in(&vect.normalized.vectors, Some(window)) {
-        Ok(p) => report.patterns = Some((p.k, p.clustering.sizes())),
-        Err(CoreError::NotEnoughData { what, needed, got }) => {
-            report.pattern_note = Some(format!(
-                "not enough data: {what} (need {needed}, got {got})"
-            ));
-        }
-        Err(e) => report.pattern_note = Some(e.to_string()),
-    }
-
     if let Some(b) = basis {
-        let labels = classify(&vect.normalized.vectors, b)?;
-        let mut classes = vec![0usize; b.centroids.len()];
-        for l in labels {
-            classes[l] += 1;
-        }
-        report.basis_classes = Some((b.fingerprint, classes));
+        report.basis_classes = Some((b.fingerprint, analysis.classes(b)?));
     }
     Ok(report)
 }
 
 /// Mean amplitude of each principal line over the kept towers' raw
-/// traffic (batch Goertzel — the live sliding bank's ground truth):
+/// traffic (batch Goertzel over the vectorizer's binned traffic):
 /// one three-bin pass per tower, each line bit-identical to its own
 /// `goertzel` call and any error the first a per-bin loop over the
 /// towers would meet. Three evaluations are counted per tower, once.
@@ -972,20 +979,17 @@ fn line_amplitudes(
 }
 
 /// The equivalence oracle: parses the *entire* source as one batch,
-/// cleans it with the batch cleaner, and runs the same analysis the
-/// daemon's drain runs. A recorded stream replayed through `serve` —
-/// with any kill/restart schedule — must render byte-identically to
-/// this.
+/// cleans it with the batch cleaner, and renders the report the
+/// daemon's drain renders, through the same analysis. A recorded
+/// stream replayed through `serve` — with any kill/restart schedule —
+/// must render byte-identically to this.
 ///
 /// # Errors
 /// Any [`ServeError`].
 pub fn batch_reference(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     config.validate()?;
     let window = config.window();
-    let basis = match &config.basis {
-        Some(path) => Some(load_basis(path)?),
-        None => None,
-    };
+    let basis = config.frozen_basis()?;
     let text = std::fs::read_to_string(&config.source).map_err(|e| io_err(&config.source, e))?;
     let mut counts = Counts::default();
     let mut records = Vec::new();
@@ -1006,7 +1010,8 @@ pub fn batch_reference(config: &ServeConfig) -> Result<ServeReport, ServeError> 
     let (kept, clean) = clean_records(&records);
     counts.duplicates = clean.duplicates_removed as u64;
     counts.conflicts = clean.conflicts_resolved as u64;
-    analyze(&kept, &counts, &window, basis.as_ref())
+    let analysis = Analysis::of(&kept, &window)?;
+    report(&counts, &analysis, &window, basis.as_ref())
 }
 
 #[cfg(test)]

@@ -3,12 +3,12 @@
 //! Crash-safe streaming ingestion for the towerlens pipeline: the
 //! `towerlens serve` daemon tails a source of connection-log lines,
 //! acknowledges each by appending it to a checksummed segment-based
-//! write-ahead log, maintains per-tower sliding traffic state (binned
-//! traffic, incremental z-score moments, sliding-window Goertzel
-//! amplitudes of the three principal spectral lines) across supervised
-//! shard workers, snapshots the durable state at every segment
-//! boundary, and — at end of stream — runs the batch analysis over the
-//! recovered state.
+//! write-ahead log, keeps each tower's cleaned sessions in supervised
+//! shard workers, and snapshots that durable state at every segment
+//! boundary. Every derived number — a published generation, the
+//! `--basis` class counts, the drain report — comes from one batch
+//! analysis (vectorize, spectral lines, pattern identification) of the
+//! durable state, made at most once per barrier and at end of stream.
 //!
 //! The headline guarantee is **deterministic kill-and-resume replay**:
 //! kill the daemon at any point, restart it over the same source and

@@ -1,5 +1,5 @@
-//! Durable daemon state and its snapshot codec, plus the live
-//! per-tower view.
+//! Durable daemon state, its snapshot codec, and the per-tower
+//! session store the shards apply records to.
 //!
 //! The determinism contract of the daemon rests on one rule: **every
 //! byte the daemon prints to stdout is a pure function of the durable
@@ -7,11 +7,12 @@
 //! acknowledged record stream. Durable state is deliberately minimal —
 //! per-tower *sessions* (the cleaned connection logs, each carrying
 //! the sequence number under which its key was first seen) plus a
-//! handful of integer counters. Everything floating-point (binned
-//! traffic, Goertzel lines, z-score moments) is a live *view* rebuilt
-//! exactly from the sessions, never persisted, and never printed to
-//! stdout — so a kill-and-resume run cannot diverge by a single bit
-//! from an uninterrupted one.
+//! handful of integer counters — and it is all a shard holds. Every
+//! derived number (binned traffic, z-scored vectors, spectral lines,
+//! patterns, basis classes) comes from one batch analysis of that
+//! state, never from a floating-point copy amended record by record,
+//! so a kill-and-resume run cannot diverge by a single bit from an
+//! uninterrupted one.
 //!
 //! Session semantics mirror [`towerlens_trace::clean::clean_records`]
 //! exactly: byte-identical duplicates are dropped, conflicting entries
@@ -25,9 +26,7 @@ use std::collections::HashMap;
 
 use towerlens_artifact::{ArtifactError, Dec, Enc};
 use towerlens_core::engine::StageCodec;
-use towerlens_dsp::SlidingGoertzel;
 use towerlens_trace::record::LogRecord;
-use towerlens_trace::time::TraceWindow;
 
 /// The snapshot's stage name inside the checkpoint store.
 pub const SNAPSHOT_STAGE: &str = "serve-state";
@@ -146,49 +145,23 @@ pub enum ApplyOutcome {
     Conflict,
 }
 
-/// One tower's live state: the durable sessions plus the derived
-/// views — binned traffic (the sliding-Goertzel bank's window),
-/// incrementally maintained principal spectral lines, and the running
-/// z-score moments. The views are amended in place on the hot path
-/// and rebuilt *exactly* from the sessions whenever a conflict
-/// rewrites history, so they are always a pure function of the
-/// sessions.
-#[derive(Debug, Clone)]
+/// One tower's sessions in first-seen order, with the key index that
+/// finds a session by `(user, start, end)`.
+#[derive(Debug, Clone, Default)]
 pub struct TowerState {
     sessions: Vec<Session>,
     index: HashMap<(u64, u64, u64), usize>,
-    bank: SlidingGoertzel,
-    sum: f64,
-    sumsq: f64,
 }
 
 impl TowerState {
-    /// An empty tower over `window`, maintaining the spectral lines
-    /// `gbins` (every index already reduced modulo the window length).
-    pub fn new(window: &TraceWindow, gbins: &[usize]) -> Self {
-        let bank = SlidingGoertzel::new(vec![0.0; window.n_bins], gbins)
-            .expect("serve config validated: non-empty window, bins in range");
-        TowerState {
-            sessions: Vec::new(),
-            index: HashMap::new(),
-            bank,
-            sum: 0.0,
-            sumsq: 0.0,
-        }
-    }
-
-    /// Rebuilds a tower from snapshot sessions (exactly the conflict
-    /// rebuild, so restart state matches in-run state).
-    pub fn from_sessions(sessions: Vec<Session>, window: &TraceWindow, gbins: &[usize]) -> Self {
-        let mut tower = TowerState::new(window, gbins);
-        tower.index = sessions
+    /// Rebuilds a tower from snapshot sessions.
+    pub fn from_sessions(sessions: Vec<Session>) -> Self {
+        let index = sessions
             .iter()
             .enumerate()
             .map(|(i, s)| ((s.user_id, s.start_s, s.end_s), i))
             .collect();
-        tower.sessions = sessions;
-        tower.rebuild(window);
-        tower
+        TowerState { sessions, index }
     }
 
     /// The tower's sessions, in first-seen order.
@@ -196,37 +169,10 @@ impl TowerState {
         &self.sessions
     }
 
-    /// Consumes the tower, returning its sessions.
-    pub fn into_sessions(self) -> Vec<Session> {
-        self.sessions
-    }
-
-    /// The live binned traffic view (bytes per window bin).
-    pub fn traffic(&self) -> &[f64] {
-        self.bank.window()
-    }
-
-    /// Live amplitudes of the maintained principal spectral lines.
-    pub fn line_amplitudes(&self) -> Vec<f64> {
-        (0..self.bank.bins().len())
-            .map(|i| self.bank.amplitude(i))
-            .collect()
-    }
-
-    /// Live z-score moments of the binned traffic: `(mean, stddev)`
-    /// (population standard deviation, matching the batch
-    /// normaliser's convention).
-    pub fn zscore_moments(&self) -> (f64, f64) {
-        let n = self.bank.len() as f64;
-        let mean = self.sum / n;
-        let var = (self.sumsq / n - mean * mean).max(0.0);
-        (mean, var.sqrt())
-    }
-
     /// Applies one acknowledged record under the batch cleaner's
     /// semantics. `seq` is the record's global sequence number; it is
     /// recorded only for a new session key.
-    pub fn apply(&mut self, r: &LogRecord, seq: u64, window: &TraceWindow) -> ApplyOutcome {
+    pub fn apply(&mut self, r: &LogRecord, seq: u64) -> ApplyOutcome {
         let key = (r.user_id, r.start_s, r.end_s);
         match self.index.entry(key) {
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -238,7 +184,6 @@ impl TowerState {
                     bytes: r.bytes,
                     first_seq: seq,
                 });
-                self.add_interval(r.start_s, r.end_s, r.bytes, window);
                 ApplyOutcome::New
             }
             std::collections::hash_map::Entry::Occupied(o) => {
@@ -247,53 +192,11 @@ impl TowerState {
                 if existing.bytes == r.bytes {
                     ApplyOutcome::Duplicate
                 } else {
-                    if r.bytes > existing.bytes {
-                        existing.bytes = r.bytes;
-                        // History was rewritten: amendments alone
-                        // cannot express a replacement exactly in
-                        // floating point, so rebuild the whole view
-                        // from the sessions — live state stays a pure
-                        // function of the durable state.
-                        self.rebuild(window);
-                    }
+                    existing.bytes = existing.bytes.max(r.bytes);
                     ApplyOutcome::Conflict
                 }
             }
         }
-    }
-
-    /// Adds one session interval to the live views: bins via the
-    /// vectorizer's overlap rule, each touched bin amending the
-    /// Goertzel bank in place and the z-score moments incrementally.
-    fn add_interval(&mut self, start_s: u64, end_s: u64, bytes: u64, window: &TraceWindow) {
-        let mut touched: Vec<(usize, f64)> = Vec::new();
-        window.for_each_overlap(start_s, end_s, |bin, frac| {
-            touched.push((bin, bytes as f64 * frac));
-        });
-        for (bin, delta) in touched {
-            let old = self.bank.window()[bin];
-            self.bank
-                .update(bin, delta)
-                .expect("overlap bins are within the window");
-            let new = old + delta;
-            self.sum += delta;
-            self.sumsq += new * new - old * old;
-        }
-    }
-
-    /// Recomputes every live view exactly from the sessions.
-    fn rebuild(&mut self, window: &TraceWindow) {
-        let gbins = self.bank.bins().to_vec();
-        let mut raw = vec![0.0; window.n_bins];
-        for s in &self.sessions {
-            window.for_each_overlap(s.start_s, s.end_s, |bin, frac| {
-                raw[bin] += s.bytes as f64 * frac;
-            });
-        }
-        self.sum = raw.iter().sum();
-        self.sumsq = raw.iter().map(|v| v * v).sum();
-        self.bank = SlidingGoertzel::new(raw, &gbins)
-            .expect("rebuild reuses the validated window and bins");
     }
 }
 
@@ -301,13 +204,10 @@ impl TowerState {
 mod tests {
     use super::*;
     use towerlens_trace::clean::clean_records;
-
-    fn window() -> TraceWindow {
-        TraceWindow::days(1)
-    }
+    use towerlens_trace::time::TraceWindow;
 
     fn rec(user: u64, start: u64, bytes: u64) -> LogRecord {
-        let w = window();
+        let w = TraceWindow::days(1);
         LogRecord {
             user_id: user,
             start_s: w.start_s + start,
@@ -320,7 +220,6 @@ mod tests {
 
     #[test]
     fn apply_mirrors_the_batch_cleaner() {
-        let w = window();
         let records = vec![
             rec(1, 0, 100),
             rec(1, 0, 100), // duplicate
@@ -328,11 +227,11 @@ mod tests {
             rec(2, 600, 50),
             rec(1, 0, 10), // conflict, smaller loses
         ];
-        let mut tower = TowerState::new(&w, &[1, 7, 14]);
+        let mut tower = TowerState::default();
         let mut dup = 0;
         let mut conf = 0;
         for (seq, r) in records.iter().enumerate() {
-            match tower.apply(r, seq as u64, &w) {
+            match tower.apply(r, seq as u64) {
                 ApplyOutcome::New => {}
                 ApplyOutcome::Duplicate => dup += 1,
                 ApplyOutcome::Conflict => conf += 1,
@@ -350,22 +249,30 @@ mod tests {
         }
     }
 
+    /// A tower restored from its sessions, as recovery restores a
+    /// snapshot, applies the rest of a stream exactly as the tower that
+    /// never stopped: same outcomes, same sessions.
     #[test]
-    fn views_are_a_pure_function_of_sessions() {
-        let w = window();
-        let mut live = TowerState::new(&w, &[1, 7, 14]);
-        for (seq, r) in [rec(1, 0, 100), rec(2, 1200, 40), rec(1, 0, 300)]
-            .iter()
-            .enumerate()
-        {
-            live.apply(r, seq as u64, &w);
+    fn restored_tower_applies_like_the_live_one() {
+        let records = [
+            rec(1, 0, 100),
+            rec(2, 1200, 40),
+            rec(1, 0, 300),   // conflict
+            rec(2, 1200, 40), // duplicate
+            rec(1, 0, 200),   // conflict, smaller loses
+            rec(3, 600, 7),
+        ];
+        let mut live = TowerState::default();
+        for (seq, r) in records[..3].iter().enumerate() {
+            live.apply(r, seq as u64);
         }
-        let rebuilt = TowerState::from_sessions(live.sessions().to_vec(), &w, &[1, 7, 14]);
-        // The conflict forced a rebuild, so live state IS the pure
-        // rebuild — bit-identical, not merely close.
-        assert_eq!(live.traffic(), rebuilt.traffic());
-        assert_eq!(live.line_amplitudes(), rebuilt.line_amplitudes());
-        assert_eq!(live.zscore_moments(), rebuilt.zscore_moments());
+        let mut restored = TowerState::from_sessions(live.sessions().to_vec());
+        for (seq, r) in records.iter().enumerate().skip(3) {
+            assert_eq!(live.apply(r, seq as u64), restored.apply(r, seq as u64));
+        }
+        assert_eq!(live.sessions(), restored.sessions());
+        assert_eq!(live.sessions().len(), 3);
+        assert_eq!(live.sessions()[0].bytes, 300);
     }
 
     #[test]

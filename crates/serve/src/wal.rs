@@ -26,9 +26,10 @@
 //!
 //! Replay tolerates exactly one kind of damage: a torn *final* line of
 //! an *unsealed* segment — the write that was interrupted mid-flight
-//! and never acknowledged. Damage anywhere else means acknowledged
-//! data was lost and replay fails loudly, as does any gap in the
-//! sequence numbering.
+//! and never acknowledged. A seal footer cut short of its 16 hash
+//! digits is such a line: the segment never got its seal. Damage
+//! anywhere else means acknowledged data was lost and replay fails
+//! loudly, as does any gap in the sequence numbering.
 //!
 //! One scanner reads the ledger for [`replay`], [`fsck_wal`], the
 //! writer's torn-tail repair and the daemon's recovery. It reads each
@@ -52,6 +53,10 @@ static ENTRIES_VERIFIED: LazyCounter = LazyCounter::new("serve.wal.entries_verif
 
 /// Magic prefix of every segment header.
 pub const WAL_MAGIC: &str = "towerlens-wal v1 segment";
+
+/// Hex digits of a seal footer's hash: the writer writes `{hash:016x}`,
+/// so a shorter hash is a footer torn by a crash.
+const SEAL_HASH_DIGITS: usize = 16;
 
 /// The WAL subdirectory under a serve data directory.
 pub const WAL_DIR: &str = "wal";
@@ -148,9 +153,11 @@ enum Line<'a> {
         checksum: u64,
         line: &'a str,
     },
-    /// `seal <n> <hash>`, complete; the walk checks `n` and `hash`.
+    /// `seal <n> <hash>`, complete: `hash` has the 16 digits the
+    /// writer writes. The walk checks `n` and `hash`.
     Seal { declared: u64, hash: u64 },
-    /// A line starting `seal ` that is not a complete footer.
+    /// A line starting `seal ` that is not a complete footer, such as
+    /// one torn inside its hash.
     BadSeal,
     /// Anything else.
     BadEntry,
@@ -161,7 +168,10 @@ impl<'a> Line<'a> {
         if let Some(rest) = raw.strip_prefix(b"seal ") {
             let mut fields = rest.split(|&b| b == b' ');
             let declared = fields.next().and_then(|f| parse_u64(f, 10));
-            let hash = fields.next().and_then(|f| parse_u64(f, 16));
+            let hash = fields
+                .next()
+                .filter(|f| f.len() == SEAL_HASH_DIGITS)
+                .and_then(|f| parse_u64(f, 16));
             return match (declared, hash, fields.next()) {
                 (Some(declared), Some(hash), None) => Line::Seal { declared, hash },
                 _ => Line::BadSeal,
@@ -766,7 +776,10 @@ mod tests {
     /// The line parsers the byte scanner replaced, kept as the test
     /// oracle: `replay` and `fsck_wal` over `read_to_string` and
     /// `split('\n')`, checksumming each entry through `format!` and
-    /// parsing a sequence gap back out of its rendered reason.
+    /// parsing a sequence gap back out of its rendered reason. They
+    /// take a seal hash as complete only at 16 digits, the scanner's
+    /// rule; `replay_any_seal_width` keeps the replaced parsers' rule,
+    /// which took a hash of any length.
     mod oracle {
         use std::path::Path;
 
@@ -793,6 +806,7 @@ mod tests {
             index: u64,
             mut expected_seq: u64,
             is_last: bool,
+            any_seal_width: bool,
         ) -> SegmentScan {
             let mut scan = SegmentScan {
                 entries: Vec::new(),
@@ -835,7 +849,10 @@ mod tests {
                 if let Some(rest) = raw.strip_prefix("seal ") {
                     let mut fields = rest.split(' ');
                     let declared = fields.next().and_then(|s| s.parse::<u64>().ok());
-                    let hash = fields.next().and_then(|s| u64::from_str_radix(s, 16).ok());
+                    let hash = fields
+                        .next()
+                        .filter(|s| any_seal_width || s.len() == 16)
+                        .and_then(|s| u64::from_str_radix(s, 16).ok());
                     match (declared, hash, fields.next()) {
                         (Some(n), Some(h), None) => {
                             if n != scan.entries.len() as u64 {
@@ -901,6 +918,14 @@ mod tests {
         }
 
         pub fn replay(wal_dir: &Path) -> Result<ReplayOutcome, ServeError> {
+            replay_as(wal_dir, false)
+        }
+
+        pub fn replay_any_seal_width(wal_dir: &Path) -> Result<ReplayOutcome, ServeError> {
+            replay_as(wal_dir, true)
+        }
+
+        fn replay_as(wal_dir: &Path, any_seal_width: bool) -> Result<ReplayOutcome, ServeError> {
             let indices = segment_indices(wal_dir)?;
             let mut out = ReplayOutcome::default();
             for (pos, &index) in indices.iter().enumerate() {
@@ -914,7 +939,7 @@ mod tests {
                 let path = segment_path(wal_dir, index);
                 let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
                 let is_last = pos + 1 == indices.len();
-                let scan = scan_segment(&text, index, out.next_seq, is_last);
+                let scan = scan_segment(&text, index, out.next_seq, is_last, any_seal_width);
                 if let Some((line, reason)) = scan.error {
                     if reason.starts_with("sequence gap") {
                         return Err(specialise(index, reason));
@@ -990,7 +1015,7 @@ mod tests {
                         } else {
                             expected_seq
                         };
-                        let scan = scan_segment(&text, index, start, is_last);
+                        let scan = scan_segment(&text, index, start, is_last, false);
                         row.entries = scan.entries.len() as u64;
                         row.first_seq = scan.entries.first().map(|e| e.seq);
                         row.last_seq = scan.entries.last().map(|e| e.seq);
@@ -1231,6 +1256,43 @@ mod tests {
         assert_eq!(
             fsck_wal(&dir).unwrap()[0].error.as_deref().map(|e| &e[..7]),
             Some("line 2:")
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The second documented difference: the replaced parsers took a
+    /// seal hash of any length, so a crash inside the 16 digits of a
+    /// footer left a line they read as a complete seal, and every
+    /// replay failed on its checksum. The scanner tolerates that line
+    /// as the torn tail of the last segment, and reports it in any
+    /// other segment.
+    #[test]
+    fn seal_torn_inside_its_hash_is_a_torn_tail_only_when_last() {
+        let dir = temp_dir("torn-seal");
+        write_entries(&dir, &["aa", "bb", "cc"], 2)
+            .rotate()
+            .unwrap();
+        let last = segment_path(&dir, 1);
+        let sealed = std::fs::read(&last).unwrap();
+        let hash_at = sealed.len() - 1 - SEAL_HASH_DIGITS;
+        assert!(sealed[..hash_at].ends_with(b"\nseal 1 "));
+        for digits in 1..SEAL_HASH_DIGITS {
+            std::fs::write(&last, &sealed[..hash_at + digits]).unwrap();
+            let old = oracle::replay_any_seal_width(&dir).unwrap_err();
+            assert!(
+                matches!(old, ServeError::Wal { segment: 1, line: 3, ref reason } if reason == "seal checksum mismatch"),
+                "{digits} digits: {old}"
+            );
+            let out = replay(&dir).unwrap();
+            assert_eq!(out, oracle::replay(&dir).unwrap(), "{digits} digits");
+            assert_eq!((out.next_seq, out.torn_tails), (3, 1), "{digits} digits");
+        }
+        // Once a later segment exists, the same line is damage.
+        std::fs::write(segment_path(&dir, 2), format!("{WAL_MAGIC} 2\n")).unwrap();
+        let err = replay(&dir).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Wal { segment: 1, line: 3, ref reason } if reason.starts_with("bad seal line")),
+            "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -93,3 +93,52 @@ fn torn_multibyte_tail_is_tolerated_and_repaired() {
     assert_eq!(repaired.entries, out.entries);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A crash inside the 16 hex digits of a seal footer leaves a line
+/// that is not a complete footer: the segment never got its seal, and
+/// the torn line was never acknowledged. At every such cut replay
+/// tolerates it and keeps every entry, the writer repairs it, and the
+/// next sealed segment replays clean.
+#[test]
+fn seal_torn_inside_its_hash_is_tolerated_and_repaired() {
+    let dir =
+        std::env::temp_dir().join(format!("towerlens-review-torn-seal-{}", std::process::id()));
+    let lines = ["a", "b"];
+    for digits in 0..16 {
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut w = WalWriter::open(&dir).unwrap();
+        for (seq, line) in lines.iter().enumerate() {
+            w.append(seq as u64, line).unwrap();
+        }
+        w.rotate().unwrap();
+        drop(w);
+        let path = segment_path(&dir, 0);
+        let sealed = std::fs::read(&path).unwrap();
+        let hash_at = sealed.len() - 17;
+        assert!(sealed[..hash_at].ends_with(b"\nseal 2 "));
+        std::fs::write(&path, &sealed[..hash_at + digits]).unwrap();
+
+        let torn = replay(&dir).unwrap_or_else(|e| panic!("{digits} digits: {e}"));
+        assert_eq!((torn.next_seq, torn.torn_tails), (2, 1), "{digits} digits");
+        let kept: Vec<&str> = torn.entries.iter().map(|e| e.line.as_str()).collect();
+        assert_eq!(kept, lines, "{digits} digits");
+
+        let mut w = WalWriter::open(&dir).unwrap();
+        assert_eq!(w.segment_index(), 1, "{digits} digits");
+        let seal_at = hash_at - "seal 2 ".len();
+        assert_eq!(std::fs::read(&path).unwrap(), &sealed[..seal_at]);
+        w.append(2, "c").unwrap();
+        assert!(w.rotate().unwrap());
+        drop(w);
+
+        let clean = replay(&dir).unwrap();
+        assert_eq!(
+            (clean.next_seq, clean.sealed_segments, clean.torn_tails),
+            (3, 1, 0),
+            "{digits} digits"
+        );
+        assert_eq!(clean.entries[..2], torn.entries[..], "{digits} digits");
+        assert_eq!(clean.entries[2].line, "c");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -249,6 +249,14 @@ verified=$(counter "$serve_tmp/rerun-metrics.json" serve.wal.entries_verified)
 grep -q '"serve.recovery.entries_applied":0[,}]' "$serve_tmp/rerun-metrics.json" \
     || { echo "serve rerun applied WAL entries its snapshot covers"; exit 1; }
 echo "serve rerun verified all $verified WAL entries and applied none"
+# Goertzel work, counted exactly: without --publish or --basis the only
+# passes are the drain's, one three-bin pass per kept tower for the line
+# amplitudes and one for the identifier's spectral table.
+kept=$(counter "$serve_tmp/rerun-metrics.json" pipeline.normalize.towers_kept)
+goertzel=$(counter "$serve_tmp/rerun-metrics.json" dsp.goertzel.evaluations)
+[ "$kept" -gt 0 ] && [ "$goertzel" -eq $((6 * kept)) ] \
+    || { echo "serve rerun made $goertzel Goertzel evaluations for $kept kept towers, expected 6 per tower"; exit 1; }
+echo "serve rerun made $goertzel Goertzel evaluations, 6 per kept tower"
 # Kill at every segment boundary (abort before each snapshot), then
 # restart, until a run reaches the drain.
 for attempt in $(seq 1 12); do
