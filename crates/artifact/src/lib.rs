@@ -36,7 +36,7 @@
 //!
 //! The byte layout and compatibility policy are specified in
 //! DESIGN.md §14; the overload and degraded-mode policy (admission
-//! budgets, virtual-cost deadlines, generation publishing) in §15.
+//! budgets, generation publishing) in §15.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,8 +59,8 @@ pub use format::{
 };
 pub use query::{
     parse_request, read_day_file, render_decompose, render_pattern, render_screen, render_topk,
-    request_cost, run_batch_with, run_one, run_one_with, BatchTally, QueryFault, QueryIndex,
-    QueryPolicy, Request, ScreenVerdict, DECOMPOSE_SOLVE_UNITS,
+    request_cost, run_batch_with, run_one, run_one_with, BatchTally, QueryIndex, QueryPolicy,
+    Request, ScreenVerdict, DECOMPOSE_SOLVE_UNITS,
 };
 pub use store::{
     generation_name, list_generations, parse_generation_name, read_current, resolve_latest,

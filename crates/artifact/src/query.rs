@@ -25,14 +25,12 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Duration;
 
 use towerlens_cluster::index::{SearchStats, SpatialIndex};
 use towerlens_cluster::source::TopK;
-use towerlens_obs::{Action, Failpoints, LazyCounter};
+use towerlens_obs::LazyCounter;
 use towerlens_opt::{simplex_least_squares, SimplexLsOptions, Solver};
-use towerlens_par::{par_map_indexed_scratch, resolve_threads};
+use towerlens_par::par_map_indexed_scratch;
 
 use crate::format::Snapshot;
 
@@ -43,8 +41,6 @@ static QUERY_TOPK: LazyCounter = LazyCounter::new("query.topk");
 static QUERY_SCREEN: LazyCounter = LazyCounter::new("query.screen");
 static QUERY_ERRORS: LazyCounter = LazyCounter::new("query.errors");
 static QUERY_SHED: LazyCounter = LazyCounter::new("query.shed_total");
-static QUERY_DEADLINE: LazyCounter = LazyCounter::new("query.deadline_exceeded_total");
-static QUERY_FAULT_RETRIES: LazyCounter = LazyCounter::new("query.fault_retries_total");
 static QUERY_TOPK_PRUNED: LazyCounter = LazyCounter::new("query.topk_pruned_total");
 
 /// Per-bin |z| above this marks an exceedance; any exceedance marks
@@ -148,16 +144,15 @@ pub const DECOMPOSE_SOLVE_UNITS: u64 = 16;
 /// units (towers scanned, profile bins compared, solver support
 /// enumerations). The unit is *not* wall-clock time: the same request
 /// against the same snapshot always costs the same number of units,
-/// so admission and deadline decisions are byte-identical at any
-/// `--threads`.
+/// so admission decisions are byte-identical at any `--threads`.
 ///
 /// * `pattern` — 1 (one hash lookup);
 /// * `decompose` — 1 for a stored study row, [`DECOMPOSE_SOLVE_UNITS`]
 ///   for a live solve;
 /// * `topk` — one unit per tower in the snapshot. This is a
 ///   deterministic *upper bound*: the pruned index descent usually
-///   touches far fewer towers, but admission and deadline decisions
-///   must not depend on data layout or query locality, so the charge
+///   touches far fewer towers, but admission decisions must not
+///   depend on data layout or query locality, so the charge
 ///   stays at the worst case (and existing shed behaviour is
 ///   unchanged);
 /// * `screen` — one unit per profile bin compared.
@@ -184,57 +179,9 @@ pub fn request_cost(index: &QueryIndex, request: &Request) -> u64 {
     }
 }
 
-/// A seeded fault plan for the query path, resolved once per batch
-/// from the failpoint registry ([`QueryFault::from_failpoints`]):
-/// `query.cost=mul(<k>)` multiplies every request's *consumed* cost
-/// (driving the deadline clock without changing the admission
-/// estimate); `query.chunk=err*<n>` makes the first `n` requests of
-/// every worker chunk fail transiently once, to be retried under the
-/// caller's [`QueryPolicy::retries`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryFault {
-    /// Consumed-cost multiplier (`query.cost=mul(<k>)`, `1` = off).
-    pub cost_multiplier: u64,
-    /// Injected transient failures at the head of every worker chunk
-    /// (`query.chunk=err*<n>`, `0` = off).
-    pub transient_per_chunk: u64,
-}
-
-impl Default for QueryFault {
-    fn default() -> QueryFault {
-        QueryFault {
-            cost_multiplier: 1,
-            transient_per_chunk: 0,
-        }
-    }
-}
-
-impl QueryFault {
-    /// The plan `fp` configures at `query.cost` and `query.chunk`;
-    /// `None` when it configures neither.
-    #[must_use]
-    pub fn from_failpoints(fp: &Failpoints) -> Option<QueryFault> {
-        match (fp.action(&["query.cost"]), fp.action(&["query.chunk"])) {
-            (None, None) => None,
-            (cost, chunk) => Some(QueryFault {
-                cost_multiplier: match cost {
-                    Some(Action::Mul(k)) => k,
-                    _ => 1,
-                },
-                transient_per_chunk: match chunk {
-                    Some(Action::Err(n)) => n,
-                    _ => 0,
-                },
-            }),
-        }
-    }
-}
-
-/// How a batch runs under pressure: worker count, admission budget,
-/// deadline clock, and the seeded fault plan with its retry budget.
-/// [`QueryPolicy::default`] is the fair-weather configuration every
-/// pre-existing entry point keeps: no budget, no deadline, no faults.
-#[derive(Clone, Default)]
+/// How a batch runs: worker count and admission budget.
+/// [`QueryPolicy::default`] admits everything on all cores.
+#[derive(Debug, Clone, Default)]
 pub struct QueryPolicy {
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
@@ -243,32 +190,6 @@ pub struct QueryPolicy {
     /// is done (`None` = admit everything). A request whose cost
     /// exactly equals the budget is admitted.
     pub request_budget: Option<u64>,
-    /// Deadline clock: a request whose *consumed* cost (estimate ×
-    /// fault cost-multiplier) exceeds this is answered with a typed
-    /// `deadline` error line (`None` = no deadline). Without a fault
-    /// plan consumed equals estimated, so a budget-admitted request
-    /// can only miss its deadline under injected cost inflation.
-    pub deadline_units: Option<u64>,
-    /// Transient-fault retries per request before giving up.
-    pub retries: u32,
-    /// Seeded fault plan (normally [`QueryFault::from_failpoints`]).
-    pub fault: Option<QueryFault>,
-    /// Backoff between fault retries — the CLI wires the engine
-    /// `RetryPolicy` delay schedule here; `None` retries immediately.
-    pub delay: Option<Arc<dyn Fn(u32) -> Duration + Send + Sync>>,
-}
-
-impl std::fmt::Debug for QueryPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryPolicy")
-            .field("threads", &self.threads)
-            .field("request_budget", &self.request_budget)
-            .field("deadline_units", &self.deadline_units)
-            .field("retries", &self.retries)
-            .field("fault", &self.fault)
-            .field("delay", &self.delay.as_ref().map(|_| "<fn>"))
-            .finish()
-    }
 }
 
 /// The memory-resident index over one snapshot.
@@ -565,23 +486,16 @@ pub struct BatchTally {
     /// Answered `screen` requests.
     pub screen: u64,
     /// Requests that produced an `error:` line (parse failures,
-    /// unknown towers, solver/IO failures, exhausted fault retries —
-    /// *not* shed or deadline-exceeded requests, which have their own
-    /// fields so `requests = pattern + decompose + topk + screen +
-    /// errors + shed + deadline_exceeded` always holds).
+    /// unknown towers, solver/IO failures — *not* shed requests, which
+    /// have their own field so that `requests = pattern + decompose +
+    /// topk + screen + errors + shed` always holds).
     pub errors: u64,
     /// Requests shed by the admission budget (`overloaded` lines).
     pub shed: u64,
-    /// Requests past the virtual-cost deadline (`deadline` lines).
-    pub deadline_exceeded: u64,
-    /// Injected transient faults ridden through via retry. Unlike
-    /// every other field this one depends on worker-chunk geometry,
-    /// so it is the only tally that may differ across `--threads`.
-    pub fault_retries: u64,
     /// Subtrees the spatial index pruned while answering `topk`
     /// requests. Pruning is a pure function of each request against
-    /// the snapshot, so — like every field except `fault_retries` —
-    /// this is thread-count invariant.
+    /// the snapshot, so — like every other field — this is
+    /// thread-count invariant.
     pub topk_pruned: u64,
 }
 
@@ -592,10 +506,8 @@ const SLOT_TOPK: usize = 3;
 const SLOT_SCREEN: usize = 4;
 const SLOT_ERRORS: usize = 5;
 const SLOT_SHED: usize = 6;
-const SLOT_DEADLINE: usize = 7;
-const SLOT_FAULT_RETRIES: usize = 8;
-const SLOT_TOPK_PRUNED: usize = 9;
-const SLOTS: usize = 10;
+const SLOT_TOPK_PRUNED: usize = 7;
+const SLOTS: usize = 8;
 
 /// Answers one parsed request, returning the rendered line and the
 /// subtree count the spatial index pruned (nonzero only for `topk`).
@@ -639,15 +551,12 @@ pub fn read_day_file(path: &Path) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// The full admission → deadline → fault → answer path for one
-/// request. `chunk_pos` is the request's position inside its worker's
-/// contiguous chunk — only the transient-fault injector looks at it,
-/// so every *decision* (shed, deadline, answer bytes) is independent
-/// of chunking and therefore of the thread count.
+/// The full admission → answer path for one request. Every decision
+/// (shed, answer bytes) depends only on the request and the snapshot,
+/// never on chunking, and therefore not on the thread count.
 fn answer_counted(
     index: &QueryIndex,
     scratch: &mut QueryScratch,
-    chunk_pos: usize,
     line: &str,
     policy: &QueryPolicy,
     tally: &mut [u64],
@@ -660,7 +569,6 @@ fn answer_counted(
             return Err(message);
         }
     };
-    let fault = policy.fault.unwrap_or_default();
     let cost = request_cost(index, &request);
     if let Some(budget) = policy.request_budget {
         if cost > budget {
@@ -668,27 +576,6 @@ fn answer_counted(
             return Err(format!(
                 "overloaded: request cost {cost} exceeds budget {budget}"
             ));
-        }
-    }
-    let consumed = cost.saturating_mul(fault.cost_multiplier.max(1));
-    if let Some(deadline) = policy.deadline_units {
-        if consumed > deadline {
-            tally[SLOT_DEADLINE] += 1;
-            return Err(format!(
-                "deadline: request consumed {consumed} units, deadline is {deadline}"
-            ));
-        }
-    }
-    if (chunk_pos as u64) < fault.transient_per_chunk {
-        // One injected transient failure; the first retry rides
-        // through, so the answer bytes match the fault-free run.
-        if policy.retries == 0 {
-            tally[SLOT_ERRORS] += 1;
-            return Err("transient query fault injected (no retries left)".to_string());
-        }
-        tally[SLOT_FAULT_RETRIES] += 1;
-        if let Some(delay) = &policy.delay {
-            std::thread::sleep(delay(1));
         }
     }
     let slot = match request {
@@ -718,14 +605,11 @@ fn publish(tally: &BatchTally) {
     QUERY_SCREEN.add(tally.screen);
     QUERY_ERRORS.add(tally.errors);
     QUERY_SHED.add(tally.shed);
-    QUERY_DEADLINE.add(tally.deadline_exceeded);
-    QUERY_FAULT_RETRIES.add(tally.fault_retries);
     QUERY_TOPK_PRUNED.add(tally.topk_pruned);
 }
 
-/// Answers one request with the default (fair-weather) policy,
-/// publishing its `query.*` counters. Used by the CLI's one-shot
-/// mode.
+/// Answers one request with the default policy, publishing its
+/// `query.*` counters. Used by the CLI's one-shot mode.
 ///
 /// # Errors
 /// The request's error message (also counted under `query.errors`).
@@ -733,11 +617,10 @@ pub fn run_one(index: &QueryIndex, line: &str) -> Result<String, String> {
     run_one_with(index, line, &QueryPolicy::default())
 }
 
-/// [`run_one`] under an explicit [`QueryPolicy`]. The request is
-/// treated as the head of a single-item chunk for fault injection.
+/// [`run_one`] under an explicit [`QueryPolicy`].
 ///
 /// # Errors
-/// The request's error, shed, or deadline message.
+/// The request's error or shed message.
 pub fn run_one_with(
     index: &QueryIndex,
     line: &str,
@@ -745,7 +628,7 @@ pub fn run_one_with(
 ) -> Result<String, String> {
     let mut slots = [0u64; SLOTS];
     let mut scratch = QueryScratch::default();
-    let outcome = answer_counted(index, &mut scratch, 0, line, policy, &mut slots);
+    let outcome = answer_counted(index, &mut scratch, line, policy, &mut slots);
     publish(&tally_of(&slots));
     outcome
 }
@@ -759,35 +642,23 @@ fn tally_of(slots: &[u64]) -> BatchTally {
         screen: slots[SLOT_SCREEN],
         errors: slots[SLOT_ERRORS],
         shed: slots[SLOT_SHED],
-        deadline_exceeded: slots[SLOT_DEADLINE],
-        fault_retries: slots[SLOT_FAULT_RETRIES],
         topk_pruned: slots[SLOT_TOPK_PRUNED],
     }
 }
 
 /// Answers a batch of request lines across `policy.threads` workers
-/// (`0` = all available cores) under the policy's admission budget,
-/// virtual-cost deadline, and seeded fault plan. Output `lines[i]`
-/// answers input `lines[i]` — failed requests yield
-/// `error: <message>` lines in place. Shed and deadline decisions
-/// depend only on each request's cost against the snapshot — never on
-/// chunking — so stdout and every tally except `fault_retries` are
-/// byte-identical at any thread count. The merged tally is published
-/// to the `query.*` counters exactly once.
+/// (`0` = all available cores) under the policy's admission budget.
+/// Output `lines[i]` answers input `lines[i]` — failed requests yield
+/// `error: <message>` lines in place. Shed decisions depend only on
+/// each request's cost against the snapshot — never on chunking — so
+/// stdout and every tally are byte-identical at any thread count. The
+/// merged tally is published to the `query.*` counters exactly once.
 #[must_use]
 pub fn run_batch_with(
     index: &QueryIndex,
     lines: &[String],
     policy: &QueryPolicy,
 ) -> (Vec<String>, BatchTally) {
-    // Mirror par_map_indexed_tally's chunk geometry so the fault
-    // injector can tell where each worker's chunk starts.
-    let workers = resolve_threads(policy.threads).min(lines.len().max(1));
-    let chunk = if workers <= 1 {
-        lines.len().max(1)
-    } else {
-        lines.len().div_ceil(workers)
-    };
     // Each worker owns one QueryScratch for its whole chunk, so
     // steady-state topk answering is allocation-free per request.
     let (out, slots) = par_map_indexed_scratch(
@@ -795,14 +666,7 @@ pub fn run_batch_with(
         policy.threads,
         SLOTS,
         QueryScratch::default,
-        |scratch, i, line, tally| match answer_counted(
-            index,
-            scratch,
-            i % chunk,
-            line,
-            policy,
-            tally,
-        ) {
+        |scratch, _, line, tally| match answer_counted(index, scratch, line, policy, tally) {
             Ok(answer) => answer,
             Err(message) => format!("error: {message}"),
         },
@@ -1006,7 +870,6 @@ mod tests {
         let policy = |threads| QueryPolicy {
             threads,
             request_budget: Some(3),
-            ..QueryPolicy::default()
         };
         let (seq, seq_tally) = run_batch_with(&index, &lines, &policy(1));
         for (i, line) in seq.iter().enumerate() {
@@ -1030,78 +893,12 @@ mod tests {
                 + seq_tally.screen
                 + seq_tally.errors
                 + seq_tally.shed
-                + seq_tally.deadline_exceeded
         );
         for threads in [2, 3, 8] {
             let (par, par_tally) = run_batch_with(&index, &lines, &policy(threads));
             assert_eq!(seq, par, "threads={threads}");
             assert_eq!(seq_tally, par_tally, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn cost_inflation_trips_the_deadline_but_not_admission() {
-        let index = QueryIndex::new(snapshot(6));
-        // topk costs 6: admitted under budget 10, but a 20× fault
-        // multiplier drives consumed cost to 120, past deadline 100.
-        let policy = QueryPolicy {
-            request_budget: Some(10),
-            deadline_units: Some(100),
-            fault: plan("query.cost=mul(20)"),
-            ..QueryPolicy::default()
-        };
-        let err = run_one_with(&index, "topk 0 2", &policy).unwrap_err();
-        assert_eq!(err, "deadline: request consumed 120 units, deadline is 100");
-        // pattern consumes 20 units: under the deadline, answered.
-        assert!(run_one_with(&index, "pattern 0", &policy)
-            .unwrap()
-            .starts_with("pattern 0 "));
-    }
-
-    #[test]
-    fn transient_faults_ride_through_on_retry_and_fail_typed_without() {
-        let index = QueryIndex::new(snapshot(8));
-        let lines: Vec<String> = (0..32)
-            .map(|i| format!("pattern {}", (i % 8) * 10))
-            .collect();
-        let fair = QueryPolicy {
-            threads: 2,
-            ..QueryPolicy::default()
-        };
-        let (clean, _) = run_batch_with(&index, &lines, &fair);
-        let faulted = QueryPolicy {
-            threads: 2,
-            retries: 2,
-            fault: plan("query.chunk=err*2"),
-            ..QueryPolicy::default()
-        };
-        let (got, tally) = run_batch_with(&index, &lines, &faulted);
-        assert_eq!(clean, got);
-        assert!(tally.fault_retries > 0);
-        assert_eq!(tally.errors, 0);
-        // Without retries the injected fault surfaces as a typed error.
-        let hopeless = QueryPolicy {
-            retries: 0,
-            fault: plan("query.chunk=err*1"),
-            ..QueryPolicy::default()
-        };
-        let err = run_one_with(&index, "pattern 0", &hopeless).unwrap_err();
-        assert!(err.contains("transient query fault injected"));
-    }
-
-    /// The query fault plan a failpoint spec resolves to.
-    fn plan(spec: &str) -> Option<QueryFault> {
-        QueryFault::from_failpoints(&Failpoints::parse(spec).unwrap())
-    }
-
-    #[test]
-    fn fault_plan_resolves_from_the_query_failpoints() {
-        let both = QueryFault {
-            cost_multiplier: 20,
-            transient_per_chunk: 3,
-        };
-        assert_eq!(plan("query.cost=mul(20);query.chunk=err*3"), Some(both));
-        assert_eq!(plan("checkpoint=abort@1"), None);
     }
 
     #[test]

@@ -88,8 +88,7 @@ usage:
       run the full in-process paper study through the stage engine
 
   towerlens-cli query   --snapshot PATH [--stdin] [--watch] [--threads N]
-                        [--request-budget N] [--deadline-units N]
-                        [--retries N] [--metrics PATH] [REQUEST...]
+                        [--request-budget N] [--metrics PATH] [REQUEST...]
       answer lookups from a versioned study artifact (written by
       `analyze --snapshot` / `study --snapshot`), held memory-resident:
         pattern <tower>            cluster id and canonical kind
@@ -104,10 +103,9 @@ usage:
       one request per line and answers in input order (bit-identical
       at any --threads), errors reported in place.
       --request-budget sheds requests whose virtual cost exceeds N
-      with a typed `overloaded` line; --deadline-units answers
-      requests whose consumed cost exceeds N with a typed `deadline`
-      line (cost is counted in towers scanned / bins compared /
-      solver support enumerations — deterministic, never wall-clock).
+      with a typed `overloaded` line (cost is counted in towers
+      scanned / bins compared / solver support enumerations —
+      deterministic, never wall-clock).
       --watch treats --snapshot as a generation-store directory
       (written by `serve --publish`): CURRENT is resolved with a
       last-good fallback and the control lines `reload` / `health`
@@ -119,7 +117,7 @@ usage:
                         [--publish DIR] [--metrics PATH]
       crash-safe streaming ingestion: append every source line to a
       checksummed WAL under DIR/wal before acknowledging it, keep each
-      tower's cleaned sessions across supervised shards, snapshot at
+      tower's cleaned sessions across shards, snapshot at
       every segment boundary (DIR/snap), and print the batch-identical
       drain report; killed runs resume from snapshot + WAL tail with
       byte-identical final output. --basis classifies the towers against
@@ -153,10 +151,10 @@ fault tolerance:
                         periodicity instead of dropping the tower
 
 supervision:
-  --retries N            retry transient failures (checkpoint I/O errors,
-                         stage errors marked transient) up to N times per
-                         stage with deterministic seeded backoff; default
-                         0 (fail on first error)
+  --retries N            retry checkpoint I/O errors up to N times per
+                         checkpoint probe or save with deterministic
+                         seeded backoff; default 0 for analyze and study
+                         (fail on first error), 2 for serve's snapshots
   --stage-timeout-ms MS  per-stage wall-time budget enforced by a
                          watchdog; an overrunning optional stage degrades,
                          a required one fails the run; default 0 (off)
@@ -562,8 +560,6 @@ pub fn run(argv: &[String]) -> i32 {
                 switch("watch"),
                 value("threads"),
                 value("request-budget"),
-                value("deadline-units"),
-                value("retries"),
                 value("metrics"),
             ];
             let (flags, positionals) = match args::parse_mixed("query", rest, DEFS) {
@@ -582,45 +578,23 @@ pub fn run(argv: &[String]) -> i32 {
                 Ok(t) => t as usize,
                 Err(e) => return usage_error(&e),
             };
-            // Budget/deadline are cost caps: 0 would shed everything,
-            // so it is rejected at flag parse like every other
-            // degenerate knob.
-            let limit_flag = |name: &str| -> Result<Option<u64>, String> {
-                let Some(raw) = flags.get(name) else {
-                    return Ok(None);
-                };
-                let v: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--{name} expects a number, got `{raw}`"))?;
-                if v == 0 {
-                    return Err(format!("--{name} must be at least 1 cost unit"));
-                }
-                Ok(Some(v))
+            // The budget is a cost cap: 0 would shed everything, so it
+            // is rejected at flag parse like every other degenerate knob.
+            let request_budget = match flags.get("request-budget") {
+                None => None,
+                Some(raw) => match raw.parse::<u64>() {
+                    Ok(0) => return usage_error("--request-budget must be at least 1 cost unit"),
+                    Ok(v) => Some(v),
+                    Err(_) => {
+                        return usage_error(&format!(
+                            "--request-budget expects a number, got `{raw}`"
+                        ))
+                    }
+                },
             };
-            let request_budget = match limit_flag("request-budget") {
-                Ok(v) => v,
-                Err(e) => return usage_error(&e),
-            };
-            let deadline_units = match limit_flag("deadline-units") {
-                Ok(v) => v,
-                Err(e) => return usage_error(&e),
-            };
-            let retries = match flags.num("retries", 0) {
-                Ok(r) => r as u32,
-                Err(e) => return usage_error(&e),
-            };
-            let fault =
-                towerlens_artifact::QueryFault::from_failpoints(towerlens_obs::failpoints());
-            let retry_policy = towerlens_core::engine::RetryPolicy::new(retries);
             let policy = towerlens_artifact::QueryPolicy {
                 threads,
                 request_budget,
-                deadline_units,
-                retries,
-                fault,
-                delay: Some(std::sync::Arc::new(move |attempt| {
-                    retry_policy.delay("query-batch", attempt)
-                })),
             };
             let watch = flags.has("watch");
             let stdin_mode = flags.has("stdin");
@@ -725,8 +699,8 @@ pub fn run(argv: &[String]) -> i32 {
                         towerlens_artifact::run_batch_with(&index, &lines, &policy);
                     print_lines(&answers);
                     // Batch mode reports per-line errors (including shed
-                    // and deadline lines) in place and exits 0 — a
-                    // screening pipeline keeps flowing.
+                    // lines) in place and exits 0 — a screening pipeline
+                    // keeps flowing.
                     dump_metrics(&flags).unwrap_or(0)
                 } else {
                     let line = positionals.join(" ");

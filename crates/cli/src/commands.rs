@@ -691,10 +691,10 @@ pub fn analyze_instrumented(
     analyze_instrumented_with(dir, options, resume, &Supervisor::default())
 }
 
-/// As [`analyze_instrumented`], under a [`Supervisor`]: transient
-/// stage and checkpoint-I/O failures retry with deterministic seeded
-/// backoff, and stages may carry a watchdog wall-time budget. This is
-/// what `analyze --retries N --stage-timeout-ms MS` runs.
+/// As [`analyze_instrumented`], under a [`Supervisor`]: checkpoint-I/O
+/// failures retry with deterministic seeded backoff, and stages may
+/// carry a watchdog wall-time budget. This is what `analyze --retries N
+/// --stage-timeout-ms MS` runs.
 ///
 /// # Errors
 /// As [`analyze_instrumented`], plus stage-timeout errors.
@@ -840,9 +840,9 @@ pub fn run_study(
     run_study_with(config, resume, &Supervisor::default())
 }
 
-/// As [`run_study`], under a [`Supervisor`] — retries, per-stage
-/// deadlines, and the circuit breaker on top of the resilient study
-/// path. This is what `study --retries N --stage-timeout-ms MS` runs.
+/// As [`run_study`], under a [`Supervisor`] — checkpoint I/O retries
+/// and per-stage deadlines on top of the resilient study path. This is
+/// what `study --retries N --stage-timeout-ms MS` runs.
 ///
 /// # Errors
 /// As [`run_study`], plus stage-timeout errors from required stages.

@@ -41,10 +41,22 @@ fn malformed_failpoints_fail_every_command_before_any_work() {
         ("chekpoint=abort@1", "study", 2, "unknown point"),
         ("checkpoint=explode", "study", 2, "unknown action"),
         ("garbage", "gen", 2, "expected `<point>=<action>`"),
-        ("shard.*=err*2;shard.one=err*2", "serve", 2, "unknown point"),
+        (
+            "wal.seal=abort@1;wal.sael=abort@1",
+            "serve",
+            2,
+            "unknown point",
+        ),
         ("publish.fsync=abort@1", "serve", 2, "unknown point"),
         ("stage.label=panic", "serve", 1, "no stage `label`"),
-        ("query.chunk=nonsense", "query", 2, "unknown action"),
+        ("publish.cur=nonsense", "query", 2, "unknown action"),
+        // Points whose only purpose was to inject failures that no
+        // production call returns are gone, and refused like any
+        // misspelling.
+        ("shard.0=err*1", "serve", 2, "unknown point"),
+        ("shard.*=err*2", "serve", 2, "unknown point"),
+        ("query.chunk=err*1", "query", 2, "unknown point"),
+        ("query.cost=mul(2)", "query", 2, "unknown point"),
         (
             "wal.seal=abort@1;wal.seal=abort@2",
             "doctor",

@@ -77,7 +77,6 @@ fn serve_stdout_is_deterministic_and_metrics_stable() {
         counter_value(&m1, "serve.snapshots"),
         counter_value(&m1, "serve.wal_segments")
     );
-    assert_eq!(counter_value(&m1, "serve.shed_total"), 0);
     // Without --publish or --basis the only Goertzel work is the
     // drain's: one three-bin pass per kept tower for the line
     // amplitudes and one for the identifier's spectral table.
@@ -138,53 +137,42 @@ fn kill_at_every_segment_boundary_replays_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A transient shard failure burst inside the retry budget is
-/// invisible in stdout; past the budget the shard quarantines and the
-/// daemon survives with the loss accounted in metrics.
+/// A snapshot save that fails with an I/O error is retried under
+/// `--retries`; past the budget the run fails, and the next start
+/// replays the acknowledged lines from the WAL. Either way the drained
+/// stdout is the clean run's.
 #[test]
-fn shard_failures_ride_through_or_quarantine() {
-    let dir = temp("shard-faults");
+fn snapshot_save_faults_ride_through_or_fail_the_run() {
+    let dir = temp("save-faults");
     let logs = gen_logs(&dir, 2000);
     let source = logs.to_str().unwrap();
+    let clean = run_ok(&serve_args(source, dir.join("clean").to_str().unwrap()));
+    let fault = [("TOWERLENS_FAILPOINTS", "checkpoint.save.serve-state=err*2")];
 
-    let clean_data = dir.join("clean");
-    let clean = run_ok(&serve_args(source, clean_data.to_str().unwrap()));
-
-    // Within budget: 2 injected failures per shard, 3 retries.
-    let data = dir.join("ride");
-    let metrics = dir.join("ride.json");
-    let mut args = serve_args(source, data.to_str().unwrap());
-    args.extend(["--retries", "3", "--metrics", metrics.to_str().unwrap()]);
-    let out = run_env(&args, &[("TOWERLENS_FAILPOINTS", "shard.*=err*2")]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let ride = dir.join("ride");
+    let mut args = serve_args(source, ride.to_str().unwrap());
+    args.extend(["--retries", "2"]);
+    let out = run_env(&args, &fault);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
     assert_eq!(
-        clean.stdout, out.stdout,
-        "ride-through must not change stdout"
+        out.stdout, clean.stdout,
+        "riding out save faults changed stdout"
     );
-    let m = read(&metrics);
-    assert!(counter_value(&m, "serve.shard_restarts") >= 6);
-    assert_eq!(counter_value(&m, "serve.shed_total"), 0);
-    assert_eq!(counter_value(&m, "serve.shards_quarantined"), 0);
 
-    // Past budget: zero retries, the poisoned shard sheds and trips
-    // its breaker; the daemon still drains successfully.
-    let data = dir.join("quarantine");
-    let metrics = dir.join("quarantine.json");
-    let mut args = serve_args(source, data.to_str().unwrap());
-    args.extend(["--retries", "0", "--metrics", metrics.to_str().unwrap()]);
-    let out = run_env(&args, &[("TOWERLENS_FAILPOINTS", "shard.0=err*9")]);
+    let failed = dir.join("failed");
+    let mut args = serve_args(source, failed.to_str().unwrap());
+    args.extend(["--retries", "1"]);
+    let out = run_env(&args, &fault);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "a failed run printed a report");
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("failpoint `checkpoint.save.serve-state=err*2` fired at hit 2"),
+        "{stderr}"
     );
-    let m = read(&metrics);
-    assert!(counter_value(&m, "serve.shed_total") > 0);
-    assert_eq!(counter_value(&m, "serve.shards_quarantined"), 1);
+    let resumed = run_ok(&serve_args(source, failed.to_str().unwrap()));
+    assert_eq!(resumed.stdout, clean.stdout, "restart after a failed save");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -257,8 +245,10 @@ fn serve_classifies_against_a_frozen_batch_basis() {
 
     let logs = ds.join("logs.tsv");
     let data = dir.join("data");
+    let metrics = dir.join("basis.json");
     let mut args = serve_args(logs.to_str().unwrap(), data.to_str().unwrap());
     args.extend(["--basis", basis.to_str().unwrap()]);
+    args.extend(["--metrics", metrics.to_str().unwrap()]);
     let out = run_ok(&args);
     let report = String::from_utf8_lossy(&out.stdout);
     let basis_line = report
@@ -279,6 +269,15 @@ fn serve_classifies_against_a_frozen_batch_basis() {
         .unwrap_or_else(|| panic!("no progress line: {stderr}"));
     let classes = |line: &str| line.split_once(" classes ").map(|(_, c)| c.to_string());
     assert_eq!(classes(progress), classes(basis_line), "{progress}");
+    // The counts read only the barriers' vectors: patterns are
+    // identified once, at the drain, exactly as without --basis.
+    let (plain, plain_metrics) = (dir.join("plain"), dir.join("plain.json"));
+    let mut args = serve_args(logs.to_str().unwrap(), plain.to_str().unwrap());
+    args.extend(["--metrics", plain_metrics.to_str().unwrap()]);
+    run_ok(&args);
+    let goertzel = |m: &std::path::Path| counter_value(&read(m), "dsp.goertzel.evaluations");
+    assert!(goertzel(&plain_metrics) > 0);
+    assert_eq!(goertzel(&metrics), goertzel(&plain_metrics));
 
     // A checkpoint is not a basis: serve refuses it, naming the file,
     // before it writes any durable state.

@@ -44,7 +44,7 @@ pub use study_stages::{
     decode_normalized, decode_patterns, encode_normalized, encode_patterns, study_fingerprint,
     study_graph, StudyArtifact,
 };
-pub use supervisor::{backoff_delay, BreakerPolicy, RetryPolicy, Supervisor, TRANSIENT_PREFIX};
+pub use supervisor::{backoff_delay, RetryPolicy, Supervisor};
 
 /// Errors surfaced by graph validation and execution.
 #[derive(Debug, Clone, PartialEq)]

@@ -67,17 +67,13 @@ pub struct StageReport {
     pub cards: Vec<Card>,
     /// The stage's own error, for [`StageStatus::Failed`] stages.
     pub error: Option<EngineError>,
-    /// How many execution attempts the stage consumed: 1 for a clean
-    /// run, +1 per supervised retry (compute, checkpoint probe, or
-    /// checkpoint save), 0 for stages that did no work (skipped /
-    /// pruned).
+    /// How many attempts the stage consumed: 1 for a clean run, +1
+    /// per supervised checkpoint I/O retry (probe or save), 0 for
+    /// stages that did no work (skipped / pruned).
     pub attempts: u32,
     /// Whether the watchdog declared this stage lost after it overran
     /// its supervised wall-time budget.
     pub timed_out: bool,
-    /// Whether the supervisor's circuit breaker opened on this stage
-    /// (an optional stage that kept flapping stopped retrying early).
-    pub breaker_opened: bool,
 }
 
 /// The full instrumentation record of one graph run.
@@ -151,9 +147,8 @@ impl RunReport {
     /// `core.engine.stage.<name>` timer observation per stage that did
     /// work (ran or cached), and a `core.engine.runs` counter plus
     /// `core.engine.total` timer per run. Supervision activity feeds
-    /// three more counters — `core.engine.stage_retries_total`,
-    /// `core.engine.stage_timeouts_total`, and
-    /// `core.engine.breaker_open_total` — which are registered (at
+    /// two more counters — `core.engine.stage_retries_total` and
+    /// `core.engine.stage_timeouts_total` — which are registered (at
     /// zero) even on quiet runs so metric dumps keep a stable key set.
     /// The engine runner calls this against the
     /// [`towerlens_obs::global`] registry for every run.
@@ -172,10 +167,6 @@ impl RunReport {
         registry
             .counter("core.engine.stage_timeouts_total")
             .add(timeouts);
-        let breakers = self.stages.iter().filter(|s| s.breaker_opened).count() as u64;
-        registry
-            .counter("core.engine.breaker_open_total")
-            .add(breakers);
         for s in &self.stages {
             match s.status {
                 StageStatus::Ran => registry.counter("core.engine.stages_ran").inc(),
@@ -275,9 +266,6 @@ impl RunReport {
             if s.timed_out {
                 out.push_str(",\"timed_out\":true");
             }
-            if s.breaker_opened {
-                out.push_str(",\"breaker_opened\":true");
-            }
             if let Some(error) = &s.error {
                 out.push_str(&format!(
                     ",\"error\":\"{}\"",
@@ -326,7 +314,6 @@ mod tests {
                     error: None,
                     attempts: 1,
                     timed_out: false,
-                    breaker_opened: false,
                 },
                 StageReport {
                     name: "cluster",
@@ -338,7 +325,6 @@ mod tests {
                     error: None,
                     attempts: 1,
                     timed_out: false,
-                    breaker_opened: false,
                 },
             ],
             total: Duration::from_millis(14),
@@ -363,7 +349,6 @@ mod tests {
             error: None,
             attempts: 0,
             timed_out: false,
-            breaker_opened: false,
         });
         r.warnings
             .push("checkpoint for stage `city` is unusable; recomputing".into());
@@ -371,7 +356,8 @@ mod tests {
     }
 
     /// A run that exercised the supervisor: a retried stage, a
-    /// watchdog timeout, and an opened circuit breaker.
+    /// watchdog timeout, and a stage that failed after two checkpoint
+    /// probe retries.
     fn supervised() -> RunReport {
         let mut r = sample();
         r.stages[1].attempts = 3;
@@ -388,7 +374,6 @@ mod tests {
             }),
             attempts: 1,
             timed_out: true,
-            breaker_opened: false,
         });
         r.stages.push(StageReport {
             name: "label",
@@ -399,11 +384,10 @@ mod tests {
             cards: Vec::new(),
             error: Some(EngineError::Stage {
                 stage: "label".to_string(),
-                message: "transient: flaky".to_string(),
+                message: "no data".to_string(),
             }),
             attempts: 3,
             timed_out: false,
-            breaker_opened: true,
         });
         r
     }
@@ -496,7 +480,6 @@ mod tests {
         for name in [
             "core.engine.stage_retries_total",
             "core.engine.stage_timeouts_total",
-            "core.engine.breaker_open_total",
         ] {
             assert!(quiet.counters.contains_key(name), "missing {name}");
             assert_eq!(quiet.counter(name), 0, "{name} nonzero on a quiet run");
@@ -511,12 +494,10 @@ mod tests {
         // cluster: 3 attempts = 2 retries; label: 3 attempts = 2 more.
         assert_eq!(snap.counter("core.engine.stage_retries_total"), 4);
         assert_eq!(snap.counter("core.engine.stage_timeouts_total"), 1);
-        assert_eq!(snap.counter("core.engine.breaker_open_total"), 1);
 
         let json = supervised().to_json();
         assert!(json.contains("\"attempts\":3"));
         assert!(json.contains("\"timed_out\":true"));
-        assert!(json.contains("\"breaker_opened\":true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
         let table = supervised().render_table();

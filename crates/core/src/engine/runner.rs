@@ -23,15 +23,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What one stage execution attempt chain produced: the final
-/// result plus the supervision bookkeeping the report needs.
+/// What one stage execution produced: its result plus the timing the
+/// report needs.
 struct StageRun<A> {
     index: usize,
     result: Result<StageOutput<A>, EngineError>,
     start: Duration,
     wall: Duration,
-    attempts: u32,
-    breaker_opened: bool,
 }
 
 /// Messages on the watchdog channel: a finished stage, or the
@@ -196,17 +194,15 @@ impl<A: Send + Sync> Graph<A> {
         self.run_with(store, &Supervisor::default())
     }
 
-    /// As [`Graph::run`], under a [`Supervisor`]: transient failures
-    /// (checkpoint I/O errors and stage errors raised via
-    /// [`StageContext::fail_transient`]) are retried up to the
-    /// supervisor's budget with deterministic seeded backoff; an
-    /// optional per-stage wall-time budget is enforced by a watchdog
-    /// monitor thread (an overrunning stage is declared lost with
+    /// As [`Graph::run`], under a [`Supervisor`]: checkpoint I/O
+    /// errors (probe and save) are retried up to the supervisor's
+    /// budget with deterministic seeded backoff, and an optional
+    /// per-stage wall-time budget is enforced by a watchdog monitor
+    /// thread (an overrunning stage is declared lost with
     /// [`EngineError::StageTimedOut`], which degrades optional stages
-    /// and fails the run for required ones); and a circuit breaker
-    /// stops retrying a flapping optional stage after N consecutive
-    /// failures. `Supervisor::default()` reproduces [`Graph::run`]
-    /// exactly.
+    /// and fails the run for required ones). Each stage runs once: a
+    /// stage's own error or panic is final. `Supervisor::default()`
+    /// reproduces [`Graph::run`] exactly.
     ///
     /// The watchdog bounds when a stage's result is *declared lost*,
     /// not the worker thread's lifetime: a truly hung stage still
@@ -341,7 +337,6 @@ impl<A: Send + Sync> Graph<A> {
                             error: None,
                             attempts: probe.attempts,
                             timed_out: false,
-                            breaker_opened: false,
                         },
                     );
                 } else if self.stages[index[name]]
@@ -362,7 +357,6 @@ impl<A: Send + Sync> Graph<A> {
                             error: None,
                             attempts: 0,
                             timed_out: false,
-                            breaker_opened: false,
                         },
                     );
                 } else if !demanded.contains(name) {
@@ -378,7 +372,6 @@ impl<A: Send + Sync> Graph<A> {
                             error: None,
                             attempts: 0,
                             timed_out: false,
-                            breaker_opened: false,
                         },
                     );
                 } else {
@@ -390,49 +383,28 @@ impl<A: Send + Sync> Graph<A> {
                 let stage = &self.stages[i];
                 let name = stage.name();
                 let stage_started = Instant::now();
-                let stage_offset = stage_started.duration_since(started);
-                let mut attempts: u32 = 0;
-                let mut breaker_opened = false;
-                let result = loop {
-                    attempts += 1;
-                    // Contain panics so one sick stage cannot take
-                    // down its wave siblings (or the process).
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        towerlens_obs::failpoints()
-                            .hit(&["stage", name])
-                            .map_err(|message| EngineError::Stage {
-                                stage: name.to_string(),
-                                message,
-                            })?;
-                        stage.run(&StageContext::new(name, artifacts))
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(EngineError::StagePanicked {
+                // Contain panics so one sick stage cannot take down its
+                // wave siblings (or the process).
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    towerlens_obs::failpoints()
+                        .hit(&["stage", name])
+                        .map_err(|message| EngineError::Stage {
                             stage: name.to_string(),
-                            message: panic_message(payload),
-                        })
-                    });
-                    match attempt {
-                        Err(e) if e.is_transient() && attempts <= supervisor.retry.retries => {
-                            // Circuit breaker: an optional stage that
-                            // keeps flapping stops burning its retry
-                            // budget — the graph degrades it instead.
-                            if stage.optional() && attempts >= supervisor.breaker.threshold {
-                                breaker_opened = true;
-                                break Err(e);
-                            }
-                            std::thread::sleep(supervisor.retry.delay(name, attempts - 1));
-                        }
-                        other => break other,
-                    }
-                };
+                            message,
+                        })?;
+                    stage.run(&StageContext::new(name, artifacts))
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(EngineError::StagePanicked {
+                        stage: name.to_string(),
+                        message: panic_message(payload),
+                    })
+                });
                 StageRun {
                     index: i,
                     result,
-                    start: stage_offset,
+                    start: stage_started.duration_since(started),
                     wall: stage_started.elapsed(),
-                    attempts,
-                    breaker_opened,
                 }
             };
             let mut results: Vec<StageRun<A>> = if let Some(budget) = supervisor.stage_timeout {
@@ -490,8 +462,6 @@ impl<A: Send + Sync> Graph<A> {
                                                 }),
                                                 start: wave_offset,
                                                 wall: budget,
-                                                attempts: 1,
-                                                breaker_opened: false,
                                             });
                                         }
                                     }
@@ -537,12 +507,10 @@ impl<A: Send + Sync> Graph<A> {
                     result,
                     start,
                     mut wall,
-                    mut attempts,
-                    breaker_opened,
                 } = run;
                 let stage = &self.stages[i];
                 let name = stage.name();
-                attempts += probe_retries.get(name).copied().unwrap_or(0);
+                let mut attempts = 1 + probe_retries.get(name).copied().unwrap_or(0);
                 let timed_out = matches!(result, Err(EngineError::StageTimedOut { .. }));
                 let output = match result {
                     Ok(output) => output,
@@ -565,7 +533,6 @@ impl<A: Send + Sync> Graph<A> {
                                 error: Some(e),
                                 attempts,
                                 timed_out,
-                                breaker_opened,
                             },
                         );
                         continue;
@@ -602,7 +569,6 @@ impl<A: Send + Sync> Graph<A> {
                         error: None,
                         attempts,
                         timed_out: false,
-                        breaker_opened: false,
                     },
                 );
                 artifacts.insert(name, output.artifact);
@@ -1042,44 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_to_success() {
-        let tries = Arc::new(AtomicUsize::new(0));
-        let t = Arc::clone(&tries);
-        let g = Graph::new().add_stage(TestStage::new("flaky", &[], move |ctx| {
-            if t.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err(ctx.fail_transient("blip"))
-            } else {
-                Ok(StageOutput::new(7))
-            }
-        }));
-        let mut outcome = g.run_with(None, &fast_supervisor(3, None)).unwrap();
-        assert_eq!(outcome.take("flaky").unwrap(), 7);
-        let report = outcome.report.stage("flaky").unwrap();
-        assert_eq!(report.status, StageStatus::Ran);
-        assert_eq!(report.attempts, 3);
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_surfaces_the_final_error() {
-        let tries = Arc::new(AtomicUsize::new(0));
-        let t = Arc::clone(&tries);
-        let g = Graph::new().add_stage(TestStage::new("flaky", &[], move |ctx| {
-            t.fetch_add(1, Ordering::SeqCst);
-            Err(ctx.fail_transient("still down"))
-        }));
-        match g.run_with(None, &fast_supervisor(2, None)) {
-            Err(EngineError::Stage { stage, message }) => {
-                assert_eq!(stage, "flaky");
-                assert!(message.contains("still down"));
-            }
-            other => panic!("expected stage failure, got {other:?}"),
-        }
-        // One initial try plus the full retry budget.
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
     fn permanent_errors_fail_fast_despite_retry_budget() {
         let tries = Arc::new(AtomicUsize::new(0));
         let t = Arc::clone(&tries);
@@ -1089,33 +1017,6 @@ mod tests {
         }));
         assert!(g.run_with(None, &fast_supervisor(5, None)).is_err());
         assert_eq!(tries.load(Ordering::SeqCst), 1, "permanent error retried");
-    }
-
-    #[test]
-    fn breaker_opens_on_flapping_optional_stage() {
-        let tries = Arc::new(AtomicUsize::new(0));
-        let t = Arc::clone(&tries);
-        let g = Graph::new()
-            .add_stage(
-                TestStage::new("flap", &[], move |ctx| {
-                    t.fetch_add(1, Ordering::SeqCst);
-                    Err(ctx.fail_transient("flap"))
-                })
-                .optional(),
-            )
-            .add_stage(TestStage::new("down", &["flap"], |ctx| {
-                Ok(StageOutput::new(*ctx.artifact("flap")?))
-            }));
-        // Budget of 10 retries, but the breaker (threshold 3) opens
-        // long before it is spent.
-        let outcome = g.run_with(None, &fast_supervisor(10, None)).unwrap();
-        let report = &outcome.report;
-        assert_eq!(report.with_status(StageStatus::Failed), vec!["flap"]);
-        assert_eq!(report.with_status(StageStatus::Pruned), vec!["down"]);
-        let flap = report.stage("flap").unwrap();
-        assert!(flap.breaker_opened);
-        assert_eq!(flap.attempts, 3);
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
     }
 
     #[test]

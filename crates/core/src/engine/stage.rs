@@ -96,18 +96,6 @@ impl<'a, A> StageContext<'a, A> {
             message: message.to_string(),
         }
     }
-
-    /// As [`StageContext::fail`], but marks the failure *transient*:
-    /// a supervised run ([`super::Supervisor`] with a retry budget)
-    /// will re-execute the stage instead of failing fast. Use for
-    /// failures that plausibly heal on retry — a flaky upstream read,
-    /// a momentarily unavailable resource — never for data errors.
-    pub fn fail_transient(&self, message: impl std::fmt::Display) -> EngineError {
-        EngineError::Stage {
-            stage: self.stage.to_string(),
-            message: format!("{}{message}", super::supervisor::TRANSIENT_PREFIX),
-        }
-    }
 }
 
 /// One unit of the pipeline: a named computation with declared

@@ -1,25 +1,22 @@
 //! Supervised stage execution: retry policies with deterministic
-//! backoff, watchdog deadlines, and a circuit breaker for flapping
-//! optional stages.
+//! backoff for checkpoint I/O, and watchdog deadlines.
 //!
 //! The paper's pipeline ran for a month on a Hadoop cluster (§2),
 //! where stragglers, transient I/O failures, and task restarts are
 //! the norm. This module is the engine's answer: a [`Supervisor`]
 //! bundles
 //!
-//! * a [`RetryPolicy`] — transient failures (checkpoint I/O errors
-//!   and stage errors marked via [`super::StageContext::fail_transient`])
-//!   are retried with seeded exponential backoff + jitter; permanent
-//!   failures fail fast. The backoff schedule is a pure function of
-//!   `(seed, stage, attempt)` — no wall-clock values — so supervised
-//!   runs stay bit-reproducible;
+//! * a [`RetryPolicy`] — checkpoint I/O errors (a probe, or a save
+//!   after the stage ran) are retried with seeded exponential backoff
+//!   and jitter. A stage's own failure is never retried: the stages
+//!   are deterministic, so a second attempt only repeats the first.
+//!   The backoff schedule is a pure function of `(seed, stage,
+//!   attempt)` — no wall-clock values — so supervised runs stay
+//!   bit-reproducible;
 //! * an optional per-stage wall-time budget enforced by a watchdog
 //!   monitor thread — an overrunning stage is declared lost with a
-//!   typed [`EngineError::StageTimedOut`] that flows through the
-//!   existing failed/pruned semantics;
-//! * a [`BreakerPolicy`] — an optional stage that keeps failing stops
-//!   retrying after N consecutive failures (the breaker *opens*) and
-//!   degrades immediately instead of burning its whole retry budget.
+//!   typed [`super::EngineError::StageTimedOut`] that flows through the
+//!   existing failed/pruned semantics.
 //!
 //! The `checkpoint.save.<stage>` / `checkpoint.load.<stage>`
 //! failpoints (`towerlens_obs::failpoint`) make checkpoint I/O fail
@@ -30,28 +27,7 @@ use std::time::Duration;
 
 use towerlens_trace::faults::SplitMix64;
 
-use super::checkpoint::{fnv1a64, CheckpointError};
-use super::EngineError;
-
-/// Marker prefix a stage puts on an error message to classify its own
-/// failure as transient (retryable). See
-/// [`super::StageContext::fail_transient`].
-pub const TRANSIENT_PREFIX: &str = "transient: ";
-
-impl EngineError {
-    /// Whether this failure is worth retrying: checkpoint I/O errors
-    /// (the disk may come back) and stage errors explicitly marked
-    /// transient by the stage itself. Panics, timeouts, scheduling
-    /// errors, and ordinary stage failures are permanent and fail
-    /// fast.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            EngineError::Checkpoint(CheckpointError::Io { .. }) => true,
-            EngineError::Stage { message, .. } => message.starts_with(TRANSIENT_PREFIX),
-            _ => false,
-        }
-    }
-}
+use super::checkpoint::fnv1a64;
 
 /// Per-stage retry with deterministic seeded exponential backoff.
 ///
@@ -135,22 +111,6 @@ pub fn backoff_delay(base: Duration, cap: Duration, seed: u64, attempt: u32) -> 
     Duration::from_nanos(nanos.min(u64::MAX as u128) as u64)
 }
 
-/// Circuit breaker for flapping optional stages: after `threshold`
-/// consecutive failed attempts, an optional stage stops retrying —
-/// the breaker *opens* — and the stage degrades (failed + dependents
-/// pruned) immediately.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Consecutive failures before the breaker opens (≥ 1).
-    pub threshold: u32,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy { threshold: 3 }
-    }
-}
-
 /// The full supervision configuration a [`super::Graph`] runs under.
 ///
 /// [`Supervisor::default`] — no retries, no deadline — reproduces the
@@ -158,24 +118,21 @@ impl Default for BreakerPolicy {
 /// [`super::Graph::run`] uses.
 #[derive(Debug, Clone, Default)]
 pub struct Supervisor {
-    /// Retry policy for transient stage and checkpoint failures.
+    /// Retry policy for checkpoint I/O failures.
     pub retry: RetryPolicy,
     /// Optional per-stage wall-time budget. When set, a watchdog
     /// monitor thread declares any stage still running past the
-    /// budget lost ([`EngineError::StageTimedOut`]).
+    /// budget lost ([`super::EngineError::StageTimedOut`]).
     pub stage_timeout: Option<Duration>,
-    /// Circuit breaker for optional stages.
-    pub breaker: BreakerPolicy,
 }
 
 impl Supervisor {
-    /// A supervisor with `retries` transient retries and an optional
-    /// stage deadline, under the default backoff and breaker.
+    /// A supervisor with `retries` checkpoint I/O retries and an
+    /// optional stage deadline, under the default backoff.
     pub fn new(retries: u32, stage_timeout: Option<Duration>) -> Self {
         Supervisor {
             retry: RetryPolicy::new(retries),
             stage_timeout,
-            breaker: BreakerPolicy::default(),
         }
     }
 }
@@ -217,34 +174,5 @@ mod tests {
         // Different stages get different jitter (same slot, so equal
         // only if the jitter draw collides — astronomically unlikely).
         assert_ne!(p.delay("cluster", 1), p.delay("vectorize", 1));
-    }
-
-    #[test]
-    fn transient_classification() {
-        let io = EngineError::Checkpoint(CheckpointError::Io {
-            path: "x".into(),
-            message: "disk hiccup".into(),
-        });
-        assert!(io.is_transient());
-        let marked = EngineError::Stage {
-            stage: "s".into(),
-            message: format!("{TRANSIENT_PREFIX}flaky upstream"),
-        };
-        assert!(marked.is_transient());
-        let plain = EngineError::Stage {
-            stage: "s".into(),
-            message: "bad data".into(),
-        };
-        assert!(!plain.is_transient());
-        let panicked = EngineError::StagePanicked {
-            stage: "s".into(),
-            message: "boom".into(),
-        };
-        assert!(!panicked.is_transient());
-        let timed_out = EngineError::StageTimedOut {
-            stage: "s".into(),
-            budget_ms: 10,
-        };
-        assert!(!timed_out.is_transient());
     }
 }

@@ -407,62 +407,36 @@ impl Study {
     ///
     /// # Errors
     /// As [`Study::run`], plus checkpoint I/O and corruption errors.
+    /// When an optional stage failed, its own error (the first in
+    /// stage order).
     pub fn run_instrumented(
         &self,
         store: Option<&CheckpointStore>,
     ) -> Result<(StudyReport, RunReport), CoreError> {
-        self.run_instrumented_with(store, &Supervisor::default())
-    }
-
-    /// As [`Study::run_instrumented`], under a [`Supervisor`]:
-    /// transient failures retry with deterministic backoff and stages
-    /// may carry a wall-time budget. `Supervisor::default()` is
-    /// exactly [`Study::run_instrumented`]. This is
-    /// [`Study::run_resilient_with`] that insists on every section.
-    ///
-    /// # Errors
-    /// As [`Study::run_instrumented`], plus stage-timeout errors from
-    /// the watchdog. When an optional stage failed, its own error (the
-    /// first in stage order).
-    pub fn run_instrumented_with(
-        &self,
-        store: Option<&CheckpointStore>,
-        supervisor: &Supervisor,
-    ) -> Result<(StudyReport, RunReport), CoreError> {
-        let (partial, report) = self.run_resilient_with(store, supervisor)?;
+        let (partial, report) = self.run_resilient_with(store, &Supervisor::default())?;
         match partial.into_full() {
             Some(study) => Ok((study, report)),
             None => Err(lost(&report, "report")),
         }
     }
 
-    /// Runs the pipeline fault-tolerantly: a panic in any stage, or a
-    /// failure in an optional one (labelling, time-domain, frequency,
-    /// decomposition), degrades the corresponding report section to
-    /// `None` instead of killing the run. The required spine (city →
-    /// synthesize → vectorize → cluster) must still succeed. The
+    /// Runs the pipeline fault-tolerantly under a [`Supervisor`]: a
+    /// panic in any stage, or a failure in an optional one (labelling,
+    /// time-domain, frequency, decomposition), degrades the
+    /// corresponding report section to `None` instead of killing the
+    /// run. The required spine (city → synthesize → vectorize →
+    /// cluster) must still succeed. The supervisor retries checkpoint
+    /// I/O errors and may give each stage a wall-time budget. The
     /// [`RunReport`] records which stages failed (with their rendered
-    /// errors) and which were pruned behind them.
+    /// errors) and which were pruned behind them. This is what the
+    /// CLI's `study` command runs.
     ///
     /// # Errors
-    /// Failures of required stages, scheduling errors, and checkpoint
-    /// I/O errors. Corrupt checkpoints are *not* errors here — they
-    /// fall back to recompute with a [`RunReport::warnings`] entry.
-    pub fn run_resilient(
-        &self,
-        store: Option<&CheckpointStore>,
-    ) -> Result<(PartialStudyReport, RunReport), CoreError> {
-        self.run_resilient_with(store, &Supervisor::default())
-    }
-
-    /// As [`Study::run_resilient`], under a [`Supervisor`] — the
-    /// degraded-but-alive path with retries, deadlines, and the
-    /// circuit breaker on top. This is what the CLI's `study` command
-    /// runs when `--retries` / `--stage-timeout-ms` are given.
-    ///
-    /// # Errors
-    /// As [`Study::run_resilient`]; a timed-out *required* stage still
-    /// fails the run.
+    /// Failures of required stages (a timed-out required stage
+    /// included), scheduling errors, and checkpoint I/O errors past
+    /// the retry budget. Corrupt checkpoints are *not* errors here —
+    /// they fall back to recompute with a [`RunReport::warnings`]
+    /// entry.
     pub fn run_resilient_with(
         &self,
         store: Option<&CheckpointStore>,
@@ -478,7 +452,7 @@ impl Study {
     }
 }
 
-/// What a [`Study::run_resilient`] run produced: the required spine
+/// What a [`Study::run_resilient_with`] run produced: the required spine
 /// plus whichever optional sections completed.
 #[derive(Debug)]
 pub struct PartialStudyReport {
@@ -723,7 +697,7 @@ fn lost(report: &RunReport, artifact: &str) -> CoreError {
 
 /// Assembles the partial report: the spine is required, the optional
 /// sections degrade to `None` when their stage failed or was pruned.
-/// This is the one assembler; [`Study::run_instrumented_with`] upgrades
+/// This is the one assembler; [`Study::run_instrumented`] upgrades
 /// its result with [`PartialStudyReport::into_full`].
 fn assemble_partial(
     config: &StudyConfig,
@@ -920,7 +894,9 @@ mod tests {
             "{err}"
         );
         assert_eq!(err.to_string(), format!("engine: {want}"));
-        let (partial, report) = study.run_resilient(None).unwrap();
+        let (partial, report) = study
+            .run_resilient_with(None, &Supervisor::default())
+            .unwrap();
         assert!(partial.geo.is_some() && partial.frequency.is_none());
         assert_eq!(report.with_status(StageStatus::Pruned), vec!["decompose"]);
         assert_eq!(
@@ -969,7 +945,9 @@ mod tests {
     #[test]
     fn resilient_run_on_a_healthy_study_is_complete_and_identical() {
         let study = Study::new(StudyConfig::tiny(7));
-        let (partial, report) = study.run_resilient(None).unwrap();
+        let (partial, report) = study
+            .run_resilient_with(None, &Supervisor::default())
+            .unwrap();
         assert!(!report.degraded());
         assert!(partial.is_complete());
         let full = partial.into_full().unwrap();

@@ -8,7 +8,6 @@
 //!         | sleep(<ms>)  sleep <ms> milliseconds at every hit
 //!         | err*<n>      fail the first <n> hits with an injected error
 //!         | abort@<n>    abort the process at the <n>-th hit
-//!         | mul(<k>)     multiply the site's cost by <k>
 //! ```
 //!
 //! `POINTS` declares every point and the actions it takes. A
@@ -17,12 +16,10 @@
 //! the variable and the entry: a chaos run with a misspelt failpoint
 //! must fail loudly, not pass having injected nothing.
 //!
-//! Each configured point counts its own hits, which `err*<n>` and
-//! `abort@<n>` count against. A site either *hits* its point
-//! ([`Failpoints::hit`]) or *resolves* it once into a plan it applies
-//! itself ([`Failpoints::action`]: a shard worker's failure burst, a
-//! query batch's fault plan). The registry registers no metrics, and
-//! with nothing configured a hit costs one load.
+//! Each configured point counts its own hits ([`Failpoints::hit`]),
+//! which `err*<n>` and `abort@<n>` count against. The registry
+//! registers no metrics, and with nothing configured a hit costs one
+//! load.
 //!
 //! [`failpoints`] is the process registry, parsed from the environment
 //! on first use; tests build isolated ones with [`Failpoints::parse`].
@@ -36,13 +33,13 @@ use std::time::Duration;
 const FAILPOINTS_ENV: &str = "TOWERLENS_FAILPOINTS";
 
 /// Every failpoint as `(point, actions, where it fires)`. `<stage>`
-/// stands for a stage of the graph being run, `<i|*>` for a shard
-/// index or every shard. The durable-replace protocol fires
+/// stands for a stage of the graph being run. The durable-replace
+/// protocol fires
 /// `<file>.tmp` after the temp file's fsync and `<file>` after the
 /// rename, for each of the five files it writes.
 #[rustfmt::skip]
 const POINTS: &[(&str, &str, &str)] = &[
-    ("stage.<stage>", "panic | sleep(<ms>)", "each attempt of the stage, before it runs"),
+    ("stage.<stage>", "panic | sleep(<ms>)", "before the stage runs"),
     ("checkpoint.save.<stage>", "err*<n>", "before the stage's checkpoint is written"),
     ("checkpoint.load.<stage>", "err*<n>", "before the stage's checkpoint is read"),
     ("checkpoint.tmp", "abort@<n>", "after a checkpoint's temp file is fsynced"),
@@ -56,14 +53,11 @@ const POINTS: &[(&str, &str, &str)] = &[
     ("wal.repair.tmp", "abort@<n>", "after a torn WAL segment's repair is fsynced"),
     ("wal.repair", "abort@<n>", "after a torn WAL segment is replaced"),
     ("wal.seal", "abort@<n>", "after a WAL segment is sealed, before its snapshot"),
-    ("shard.<i|*>", "err*<n>", "the first n record applies of the shard (each, for *)"),
-    ("query.cost", "mul(<k>)", "every query request's consumed cost"),
-    ("query.chunk", "err*<n>", "the first n requests of every query worker chunk"),
 ];
 
 /// What a failpoint does when its site reaches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
+enum Action {
     /// `panic`: panic at every hit.
     Panic,
     /// `sleep(<ms>)`: sleep this many milliseconds at every hit.
@@ -72,8 +66,6 @@ pub enum Action {
     Err(u64),
     /// `abort@<n>`: abort the process at the `n`-th hit.
     Abort(u64),
-    /// `mul(<k>)`: multiply the site's cost by `k`.
-    Mul(u64),
 }
 
 impl Action {
@@ -87,23 +79,20 @@ impl Action {
                     format!("bad argument in `{text}` (milliseconds, or a count of at least 1)")
                 })
         };
-        let call = |name: &str| {
-            let rest = text.strip_prefix(name)?.strip_prefix('(')?;
-            rest.strip_suffix(')')
-        };
         if text == "panic" {
             Ok(Action::Panic)
-        } else if let Some(ms) = call("sleep") {
+        } else if let Some(ms) = text
+            .strip_prefix("sleep(")
+            .and_then(|r| r.strip_suffix(')'))
+        {
             count(ms, 0).map(Action::Sleep)
         } else if let Some(n) = text.strip_prefix("err*") {
             count(n, 1).map(Action::Err)
         } else if let Some(n) = text.strip_prefix("abort@") {
             count(n, 1).map(Action::Abort)
-        } else if let Some(k) = call("mul") {
-            count(k, 1).map(Action::Mul)
         } else {
             Err(format!(
-                "unknown action `{text}` (expected panic, sleep(<ms>), err*<n>, abort@<n> or mul(<k>))"
+                "unknown action `{text}` (expected panic, sleep(<ms>), err*<n> or abort@<n>)"
             ))
         }
     }
@@ -115,7 +104,6 @@ impl Action {
             Action::Sleep(_) => "sleep(<ms>)",
             Action::Err(_) => "err*<n>",
             Action::Abort(_) => "abort@<n>",
-            Action::Mul(_) => "mul(<k>)",
         }
     }
 }
@@ -127,7 +115,6 @@ impl fmt::Display for Action {
             Action::Sleep(ms) => write!(f, "sleep({ms})"),
             Action::Err(n) => write!(f, "err*{n}"),
             Action::Abort(n) => write!(f, "abort@{n}"),
-            Action::Mul(k) => write!(f, "mul({k})"),
         }
     }
 }
@@ -136,14 +123,11 @@ impl fmt::Display for Action {
 /// `<stage>` argument when it takes one.
 fn lookup(point: &str) -> Option<(&'static str, Option<&str>)> {
     POINTS.iter().find_map(|&(name, actions, _)| {
-        let Some((prefix, arg)) = name.split_once('<') else {
+        let Some(prefix) = name.strip_suffix("<stage>") else {
             return (point == name).then_some((actions, None));
         };
-        let value = point.strip_prefix(prefix).filter(|v| !v.is_empty())?;
-        match arg {
-            "stage>" => Some((actions, Some(value))),
-            _ => (value == "*" || value.parse::<usize>().is_ok()).then_some((actions, None)),
-        }
+        let stage = point.strip_prefix(prefix).filter(|v| !v.is_empty())?;
+        Some((actions, Some(stage)))
     })
 }
 
@@ -263,17 +247,9 @@ impl Failpoints {
                 eprintln!("{} — aborting", fired());
                 std::process::abort();
             }
-            Action::Err(_) | Action::Abort(_) | Action::Mul(_) => {}
+            Action::Err(_) | Action::Abort(_) => {}
         }
         Ok(())
-    }
-
-    /// The action configured at the point named by `parts`, without
-    /// counting a hit — for sites that resolve a plan once.
-    #[must_use]
-    pub fn action(&self, parts: &[&str]) -> Option<Action> {
-        let entry = self.entries.iter().find(|e| is_point(&e.point, parts));
-        entry.map(|e| e.action)
     }
 
     /// Rejects an entry whose `<stage>` is not one of `stages`: a
@@ -333,7 +309,7 @@ mod tests {
     #[test]
     fn every_point_and_action_parses_and_renders_back() {
         let spec = "stage.label=sleep(6000);stage.cluster=panic;checkpoint.save.vectorize=err*2;\
-                    checkpoint=abort@3;shard.*=err*2;shard.0=err*9;query.cost=mul(20)";
+                    checkpoint=abort@3;wal.seal=abort@1;publish.cur=abort@2";
         let fp = Failpoints::parse(spec).unwrap();
         let rendered: Vec<String> = fp
             .entries
@@ -344,9 +320,9 @@ mod tests {
         assert!(Failpoints::parse(" ; wal.seal = abort@1 ;").is_ok());
         assert!(Failpoints::parse("").unwrap().entries.is_empty());
         for (point, actions, _) in POINTS {
-            let point = point.replace("<stage>", "s").replace("<i|*>", "1");
+            let point = point.replace("<stage>", "s");
             let action = actions.split(" | ").next().unwrap().replace("<ms>", "1");
-            let action = action.replace("<n>", "1").replace("<k>", "2");
+            let action = action.replace("<n>", "1");
             Failpoints::parse(&format!("{point}={action}")).unwrap();
         }
     }
@@ -363,7 +339,8 @@ mod tests {
             ("stage.=panic", "unknown point `stage.`"),
             ("chekpoint=abort@1", "unknown point `chekpoint`"),
             ("publish.fsync=abort@1", "unknown point"),
-            ("shard.x=err*2", "unknown point `shard.x`"),
+            ("shard.0=err*2", "unknown point `shard.0`"),
+            ("query.cost=mul(2)", "unknown point `query.cost`"),
             ("checkpoint.save=err*1", "unknown point"),
             ("checkpoint=explode", "unknown action `explode`"),
             ("checkpoint=", "unknown action ``"),
@@ -372,12 +349,12 @@ mod tests {
             ("stage.label=sleep(-1)", "bad argument"),
             ("checkpoint=abort@two", "bad argument in `abort@two`"),
             ("checkpoint=abort@0", "bad argument in `abort@0`"),
-            ("shard.*=err*0", "bad argument in `err*0`"),
+            ("checkpoint.save.b=err*0", "bad argument in `err*0`"),
             ("checkpoint.save.b=err*x", "bad argument"),
-            ("query.cost=mul(0)", "bad argument in `mul(0)`"),
+            ("checkpoint=mul(2)", "unknown action `mul(2)`"),
             ("stage.label=err*1", "takes panic | sleep(<ms>), not"),
             ("checkpoint=panic", "`checkpoint` takes abort@<n>"),
-            ("query.chunk=mul(2)", "takes err*<n>, not `mul(2)`"),
+            ("checkpoint.load.b=abort@1", "takes err*<n>, not `abort@1`"),
             ("wal.seal=abort@1;wal.seal=abort@2", "configured twice"),
             ("checkpoint=abort@1;publish.gen=x", "unknown action `x`"),
         ] {
@@ -417,16 +394,6 @@ mod tests {
         let payload = std::panic::catch_unwind(|| fp.hit(&["stage", "label"])).unwrap_err();
         let message = payload.downcast_ref::<String>().unwrap();
         assert_eq!(message, "failpoint `stage.label=panic` fired at hit 1");
-    }
-
-    #[test]
-    fn action_resolves_a_plan_without_counting_hits() {
-        let fp = Failpoints::parse("shard.*=err*2;query.cost=mul(20)").unwrap();
-        assert_eq!(fp.action(&["shard", "*"]), Some(Action::Err(2)));
-        assert_eq!(fp.action(&["shard", "0"]), None);
-        assert_eq!(fp.action(&["query.cost"]), Some(Action::Mul(20)));
-        assert_eq!(fp.action(&["query.chunk"]), None);
-        assert_eq!(fp.entries[0].hits.load(Ordering::SeqCst), 0);
     }
 
     #[test]

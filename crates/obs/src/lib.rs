@@ -47,7 +47,7 @@ pub mod failpoint;
 pub mod registry;
 
 pub use events::{spans_to_json, SpanEvent};
-pub use failpoint::{check_failpoints, failpoints, Action, FailpointError, Failpoints};
+pub use failpoint::{check_failpoints, failpoints, FailpointError, Failpoints};
 pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, LazyCounter, LazyHistogram, Registry,
     Snapshot, Timer, TimerSnapshot,

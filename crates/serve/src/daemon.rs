@@ -1,7 +1,6 @@
 //! The streaming ingestion daemon: WAL-ahead acknowledgement, sharded
-//! per-tower sessions with supervision, snapshot checkpoints at segment
-//! boundaries, and a drain report that byte-matches the batch
-//! pipeline.
+//! per-tower sessions, snapshot checkpoints at segment boundaries, and
+//! a drain report that byte-matches the batch pipeline.
 //!
 //! # Lifecycle
 //!
@@ -20,7 +19,8 @@
 //!    the segment, barriers the shards, and writes an fsync'd snapshot
 //!    of the complete durable state. When something reads it — a
 //!    `--publish` generation or the `--basis` counts on the progress
-//!    line — the barrier also runs one batch analysis of that state.
+//!    line — the barrier also vectorizes that state once; it identifies
+//!    the state's patterns only to publish them.
 //!    A restart therefore applies at most one segment's entries, but
 //!    it still verifies every entry of the ledger (checksums, seals,
 //!    gap-free numbering), so its cost grows with the stream: 0.2–0.3 µs
@@ -31,9 +31,9 @@
 //!    failing on a damaged covered segment.
 //! 4. **Drain.** At end of stream the daemon runs the *batch* analysis
 //!    (vectorizer → spectral lines → pattern identifier → optional
-//!    frozen-basis classification) over the final state, once, shared
-//!    with the final checkpoint, and prints one deterministic report to
-//!    stdout.
+//!    frozen-basis classification) over the final state, once, sharing
+//!    whatever the final checkpoint already computed, and prints one
+//!    deterministic report to stdout.
 //!
 //! # Determinism contract
 //!
@@ -49,31 +49,31 @@
 //!
 //! # Supervision
 //!
-//! Shard workers apply records under a deterministic seeded
-//! [`RetryPolicy`]; a record that keeps failing is shed (counted, never
-//! blocks the stream), and [`BreakerPolicy::threshold`] consecutive
-//! sheds quarantine the shard — subsequent records for it are shed
-//! deterministically instead of crashing the daemon. The
-//! `shard.<i|*>=err*<n>` failpoint injects `n` transient apply
-//! failures into one shard (or each) for chaos drills; `wal.seal` and
-//! `checkpoint` (`abort@<n>`) kill the daemon after the n-th segment
-//! seal and the n-th snapshot. Injected faults are a live-process
-//! phenomenon: WAL replay during recovery applies records directly
-//! (the ledger has already vouched for them).
+//! A shard applies each record exactly once: applying a record to a
+//! tower's sessions cannot fail, so there is nothing to retry, shed or
+//! quarantine, and every acknowledged record reaches the state. What
+//! can fail is I/O. A snapshot save that hits an I/O error is retried
+//! under a deterministic seeded [`RetryPolicy`] (`--retries`) before it
+//! fails the run; a WAL or source I/O error fails it at once. Either
+//! way the next start replays the WAL. The
+//! `checkpoint.save.serve-state=err*<n>` failpoint injects snapshot
+//! save errors; `wal.seal` and `checkpoint` (`abort@<n>`) kill the
+//! daemon after the n-th segment seal and the n-th snapshot.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::mpsc;
 
 use towerlens_artifact::{fnv1a64, Publisher};
-use towerlens_core::engine::{BreakerPolicy, CheckpointError, CheckpointStore, RetryPolicy};
+use towerlens_core::engine::{CheckpointError, CheckpointStore, RetryPolicy};
 use towerlens_core::error::CoreError;
 use towerlens_core::identifier::{IdentifiedPatterns, PatternIdentifier};
 use towerlens_core::study::snapshot_from_parts;
 use towerlens_dsp::goertzel::{goertzel_bins_sharded, record_evaluations};
 use towerlens_dsp::DspError;
-use towerlens_obs::{Action, LazyCounter};
+use towerlens_obs::LazyCounter;
 use towerlens_pipeline::vectorizer::{Vectorizer, VectorizerOptions, VectorizerOutput};
 use towerlens_pipeline::{principal_bins, FeatureSpace};
 use towerlens_trace::clean::clean_records;
@@ -94,10 +94,7 @@ static RECORDS_INGESTED: LazyCounter = LazyCounter::new("serve.records_ingested"
 static MALFORMED: LazyCounter = LazyCounter::new("serve.malformed");
 static WAL_SEGMENTS: LazyCounter = LazyCounter::new("serve.wal_segments");
 static SNAPSHOTS: LazyCounter = LazyCounter::new("serve.snapshots");
-static SHED_TOTAL: LazyCounter = LazyCounter::new("serve.shed_total");
-static SHARD_RESTARTS: LazyCounter = LazyCounter::new("serve.shard_restarts");
 static BACKPRESSURE_WAITS: LazyCounter = LazyCounter::new("serve.backpressure_waits");
-static SHARDS_QUARANTINED: LazyCounter = LazyCounter::new("serve.shards_quarantined");
 static GENERATIONS_PUBLISHED: LazyCounter = LazyCounter::new("serve.generations_published");
 static ENTRIES_APPLIED: LazyCounter = LazyCounter::new("serve.recovery.entries_applied");
 
@@ -116,7 +113,7 @@ pub struct ServeConfig {
     pub segment_records: u64,
     /// Bounded shard queue capacity.
     pub queue_cap: usize,
-    /// Retries per failing shard apply / snapshot save.
+    /// Retries per snapshot save that fails with an I/O error.
     pub retries: u32,
     /// Frozen batch basis (a versioned query artifact) to classify
     /// against, if any.
@@ -328,68 +325,18 @@ struct ShardView {
     towers: Vec<(u32, Vec<Session>)>,
     duplicates: u64,
     conflicts: u64,
-    shed: u64,
-    quarantined: bool,
 }
 
-fn run_shard(
-    index: usize,
-    rx: mpsc::Receiver<ShardMsg>,
-    mut towers: BTreeMap<u32, TowerState>,
-    retry: RetryPolicy,
-    breaker: BreakerPolicy,
-    mut fault_budget: u64,
-) {
-    let stage = format!("serve-shard-{index}");
+fn run_shard(rx: mpsc::Receiver<ShardMsg>, mut towers: BTreeMap<u32, TowerState>) {
     let mut duplicates = 0u64;
     let mut conflicts = 0u64;
-    let mut shed = 0u64;
-    let mut consecutive = 0u32;
-    let mut quarantined = false;
     for msg in rx {
         match msg {
             ShardMsg::Apply(seq, rec) => {
-                if quarantined {
-                    shed += 1;
-                    SHED_TOTAL.inc();
-                    continue;
-                }
-                let mut applied = None;
-                for attempt in 0..=retry.retries {
-                    if fault_budget > 0 {
-                        fault_budget -= 1;
-                        if attempt < retry.retries {
-                            SHARD_RESTARTS.inc();
-                            std::thread::sleep(retry.delay(&stage, attempt + 1));
-                        }
-                        continue;
-                    }
-                    applied = Some(towers.entry(rec.cell_id).or_default().apply(&rec, seq));
-                    break;
-                }
-                match applied {
-                    Some(ApplyOutcome::New) => consecutive = 0,
-                    Some(ApplyOutcome::Duplicate) => {
-                        duplicates += 1;
-                        consecutive = 0;
-                    }
-                    Some(ApplyOutcome::Conflict) => {
-                        conflicts += 1;
-                        consecutive = 0;
-                    }
-                    None => {
-                        shed += 1;
-                        SHED_TOTAL.inc();
-                        consecutive += 1;
-                        if consecutive >= breaker.threshold {
-                            quarantined = true;
-                            SHARDS_QUARANTINED.inc();
-                            eprintln!(
-                                "serve: shard {index} quarantined after {consecutive} \
-                                 consecutive failures (records now shed, daemon continues)"
-                            );
-                        }
-                    }
+                match towers.entry(rec.cell_id).or_default().apply(&rec, seq) {
+                    ApplyOutcome::New => {}
+                    ApplyOutcome::Duplicate => duplicates += 1,
+                    ApplyOutcome::Conflict => conflicts += 1,
                 }
             }
             ShardMsg::Sync(reply) => {
@@ -400,8 +347,6 @@ fn run_shard(
                         .collect(),
                     duplicates,
                     conflicts,
-                    shed,
-                    quarantined,
                 };
                 if reply.send(view).is_err() {
                     return; // ingest side is gone; shut down
@@ -435,11 +380,9 @@ fn recover(config: &ServeConfig, store: &CheckpointStore) -> Result<Recovered, S
     }
 
     // Verify the whole ledger and apply the entries past the snapshot's
-    // horizon. Covered entries are checked but never copied. Applied
-    // records go in directly — the ledger already acknowledged them,
-    // so supervision failpoints do not apply here. The walk enforces
-    // gap-free numbering from 0, so the first entry past the horizon
-    // carries it exactly.
+    // horizon. Covered entries are checked but never copied. The walk
+    // enforces gap-free numbering from 0, so the first entry past the
+    // horizon carries it exactly.
     let horizon = counts.next_seq;
     let mut applied = 0u64;
     let outcome = replay_with(&config.data_dir.join(WAL_DIR), |seq, line| {
@@ -511,8 +454,7 @@ fn save_snapshot(
 /// never truncated, snapshots are written atomically).
 pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     config.validate()?;
-    let failpoints = towerlens_obs::failpoints();
-    failpoints
+    towerlens_obs::failpoints()
         .check_stages(&[SNAPSHOT_STAGE])
         .map_err(|e| ServeError::Config(e.to_string()))?;
     let basis = config.frozen_basis()?;
@@ -533,22 +475,11 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
 
     // Spawn the shard workers over bounded queues.
     let retry = RetryPolicy::new(config.retries);
-    let breaker = BreakerPolicy::default();
     let mut senders = Vec::with_capacity(config.shards);
     let mut handles = Vec::with_capacity(config.shards);
-    for (i, map) in recovered.shard_maps.into_iter().enumerate() {
+    for map in recovered.shard_maps {
         let (tx, rx) = mpsc::sync_channel::<ShardMsg>(config.queue_cap);
-        // An exact `shard.<i>` entry wins over `shard.*`; either way
-        // the shard counts its own burst.
-        let exact = failpoints.action(&["shard", &i.to_string()]);
-        let budget = match exact.or(failpoints.action(&["shard", "*"])) {
-            Some(Action::Err(n)) => n,
-            _ => 0,
-        };
-        let (r, b) = (retry.clone(), breaker.clone());
-        handles.push(std::thread::spawn(move || {
-            run_shard(i, rx, map, r, b, budget)
-        }));
+        handles.push(std::thread::spawn(move || run_shard(rx, map)));
         senders.push(tx);
     }
 
@@ -569,21 +500,22 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
         Ok(views)
     };
 
-    // Saves a barrier's state (when `save`), then analyses it once if
+    // Saves a barrier's state (when `save`), then vectorizes it once if
     // something reads the analysis — the published generation or the
-    // `--basis` counts — and prints the progress line. Returns the
-    // analysis it made, for the drain to reuse.
+    // `--basis` counts — and prints the progress line. Only a publish
+    // identifies the state's patterns. Returns the analysis it made,
+    // for the drain to reuse.
     let mut checkpoint =
-        |state: &BarrierState, save: bool| -> Result<Option<Analysis>, ServeError> {
+        |state: &ServeSnapshot, save: bool| -> Result<Option<Analysis>, ServeError> {
             if save {
-                save_snapshot(&store, &state.snap, &retry)?;
+                save_snapshot(&store, state, &retry)?;
                 SNAPSHOTS.inc();
             }
             if publisher.is_none() && basis.is_none() {
                 progress_line(state, None);
                 return Ok(None);
             }
-            let analysis = Analysis::of_state(&state.snap, &window)?;
+            let analysis = Analysis::of_state(state, &window)?;
             if let Some(publisher) = publisher.as_mut() {
                 publish_generation(publisher, &analysis, &window, fingerprint)?;
             }
@@ -599,7 +531,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     let mut skipped = 0u64;
     let mut unflushed = 0u64;
     // This run's latest barrier and the analysis it made, if any.
-    let mut last: Option<(BarrierState, Option<Analysis>)> = None;
+    let mut last: Option<(ServeSnapshot, Option<Analysis>)> = None;
     for line in reader.lines() {
         let line = line.map_err(|e| io_err(&config.source, e))?;
         if line.is_empty() {
@@ -673,7 +605,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     if wal.rotate()? {
         WAL_SEGMENTS.inc();
     }
-    let last = last.filter(|(state, _)| state.snap.next_seq == counts.next_seq);
+    let last = last.filter(|(state, _)| state.next_seq == counts.next_seq);
     let (state, analysis) = match last {
         Some(done) => done,
         None => {
@@ -690,23 +622,15 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
 
     let analysis = match analysis {
         Some(analysis) => analysis,
-        None => Analysis::of_state(&state.snap, &window)?,
+        None => Analysis::of_state(&state, &window)?,
     };
-    report(&Counts::of(&state.snap), &analysis, &window, basis.as_ref())
-}
-
-/// The durable state as of a barrier, with the shards' supervision
-/// tallies for the progress line.
-struct BarrierState {
-    snap: ServeSnapshot,
-    shed: u64,
-    quarantined: usize,
+    report(&Counts::of(&state), &analysis, &window, basis.as_ref())
 }
 
 /// Moves the shards' copies into one snapshot: shards hold disjoint
 /// cells, each view in ascending cell id, so sorting the towers (not
 /// their sessions) orders the whole.
-fn assemble(views: Vec<ShardView>, counts: &Counts) -> BarrierState {
+fn assemble(views: Vec<ShardView>, counts: &Counts) -> ServeSnapshot {
     let mut snap = ServeSnapshot {
         next_seq: counts.next_seq,
         records: counts.records,
@@ -715,30 +639,21 @@ fn assemble(views: Vec<ShardView>, counts: &Counts) -> BarrierState {
         conflicts: counts.conflicts,
         towers: Vec::new(),
     };
-    let (mut shed, mut quarantined) = (0, 0);
     for view in views {
         snap.duplicates += view.duplicates;
         snap.conflicts += view.conflicts;
         snap.towers.extend(view.towers);
-        shed += view.shed;
-        quarantined += usize::from(view.quarantined);
     }
     snap.towers.sort_unstable_by_key(|(cell, _)| *cell);
-    BarrierState {
-        snap,
-        shed,
-        quarantined,
-    }
+    snap
 }
 
-fn progress_line(state: &BarrierState, classes: Option<&[usize]>) {
+fn progress_line(state: &ServeSnapshot, classes: Option<&[usize]>) {
     let mut msg = format!(
-        "serve: snapshot at seq {} ({} sessions, {} towers, {} shed, {} quarantined)",
-        state.snap.next_seq,
-        state.snap.kept(),
-        state.snap.towers.len(),
-        state.shed,
-        state.quarantined
+        "serve: snapshot at seq {} ({} sessions, {} towers)",
+        state.next_seq,
+        state.kept(),
+        state.towers.len()
     );
     if let Some(classes) = classes {
         msg.push_str(&format!(" classes {classes:?}"));
@@ -774,16 +689,20 @@ fn state_records(snap: &ServeSnapshot) -> Vec<LogRecord> {
 
 /// One batch analysis of a cleaned record list, the source of every
 /// number `serve` derives: a one-thread vectorize (bit-reproducible
-/// across machines) and pattern identification. A barrier's generation,
+/// across machines) and pattern identification, run on first need —
+/// the `--basis` counts read only the vectors. A barrier's generation,
 /// its `--basis` counts and the drain report all read the same one.
 struct Analysis {
     /// Sessions analysed.
     sessions: u64,
     /// Towers with at least one session.
     active_towers: usize,
-    /// The vectorizer's output and the identified patterns; `None`
-    /// without records.
-    run: Option<(VectorizerOutput, Result<IdentifiedPatterns, CoreError>)>,
+    /// The vectorizer's output and, once identified, its patterns;
+    /// `None` without records.
+    run: Option<(
+        VectorizerOutput,
+        OnceCell<Result<IdentifiedPatterns, CoreError>>,
+    )>,
 }
 
 impl Analysis {
@@ -804,11 +723,22 @@ impl Analysis {
             let vect = Vectorizer::new(*window, 1)
                 .run_with(records, n_towers, &VectorizerOptions::default())
                 .map_err(|e| ServeError::Analysis(e.to_string()))?;
-            let patterns =
-                PatternIdentifier::default().identify_in(&vect.normalized.vectors, Some(window));
-            analysis.run = Some((vect, patterns));
+            analysis.run = Some((vect, OnceCell::new()));
         }
         Ok(analysis)
+    }
+
+    /// The vectorizer's output and the identified patterns, identifying
+    /// them on the first call; `None` without records.
+    fn identified(
+        &self,
+        window: &TraceWindow,
+    ) -> Option<(&VectorizerOutput, &Result<IdentifiedPatterns, CoreError>)> {
+        let (vect, patterns) = self.run.as_ref()?;
+        let patterns = patterns.get_or_init(|| {
+            PatternIdentifier::default().identify_in(&vect.normalized.vectors, Some(window))
+        });
+        Some((vect, patterns))
     }
 
     fn of_state(snap: &ServeSnapshot, window: &TraceWindow) -> Result<Analysis, ServeError> {
@@ -837,7 +767,7 @@ fn query_snapshot_of(
     window: &TraceWindow,
     fingerprint: u64,
 ) -> Result<Option<towerlens_artifact::Snapshot>, ServeError> {
-    let Some((vect, patterns)) = &analysis.run else {
+    let Some((vect, patterns)) = analysis.identified(window) else {
         return Ok(None);
     };
     let patterns = match patterns {
@@ -926,7 +856,7 @@ fn report(
         pattern_note: None,
         basis_classes: None,
     };
-    match &analysis.run {
+    match analysis.identified(window) {
         None => report.pattern_note = Some("no records".to_string()),
         Some((vect, patterns)) => {
             report.vector_towers = vect.normalized.vectors.len();

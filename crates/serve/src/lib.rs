@@ -3,8 +3,8 @@
 //! Crash-safe streaming ingestion for the towerlens pipeline: the
 //! `towerlens serve` daemon tails a source of connection-log lines,
 //! acknowledges each by appending it to a checksummed segment-based
-//! write-ahead log, keeps each tower's cleaned sessions in supervised
-//! shard workers, and snapshots that durable state at every segment
+//! write-ahead log, keeps each tower's cleaned sessions in shard
+//! workers, and snapshots that durable state at every segment
 //! boundary. Every derived number — a published generation, the
 //! `--basis` class counts, the drain report — comes from one batch
 //! analysis (vectorize, spectral lines, pattern identification) of the

@@ -367,7 +367,7 @@ fi
     --snapshot "$press_tmp/study.artifact" > /dev/null
 for threads in 1 4; do
     ./target/release/towerlens-cli query --snapshot "$press_tmp/study.artifact" \
-        --stdin --threads "$threads" --request-budget 5 --deadline-units 500 \
+        --stdin --threads "$threads" --request-budget 5 \
         < "$query_tmp/requests.txt" > "$press_tmp/shed-t$threads.out" 2> /dev/null \
         || { echo "budget-limited query batch failed at --threads $threads"; exit 1; }
 done
