@@ -230,6 +230,12 @@ impl Enc {
         }
     }
 
+    /// Reserves room for exactly `additional` more bytes, so an
+    /// encoder that knows its size up front never regrows the buffer.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve_exact(additional);
+    }
+
     /// Writes raw bytes (no length prefix).
     pub fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
@@ -432,9 +438,9 @@ impl ContainerWriter {
         }
         let header_sum = fnv1a64(&buf[..header_len]);
         buf[header_len..header_len + 8].copy_from_slice(&header_sum.to_le_bytes());
-        // Callers hold the file while they write it or compare it
-        // (a publish reads the current generation beside it); growth
-        // left up to twice its size allocated.
+        // Callers hold the file while they write or compare it, and
+        // growth may have left up to twice its size allocated. A body
+        // encoded after an exact `Enc::reserve` leaves nothing to free.
         buf.shrink_to_fit();
         buf
     }

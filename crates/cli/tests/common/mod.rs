@@ -83,6 +83,13 @@ pub fn gen_logs(dir: &Path, lines: usize) -> PathBuf {
     path
 }
 
+/// The bytes of the generation a store's `CURRENT` names.
+pub fn current_bytes(store: &Path) -> Vec<u8> {
+    let name = read(&store.join("CURRENT"));
+    std::fs::read(store.join(name.trim()))
+        .unwrap_or_else(|e| panic!("read CURRENT target in {}: {e}", store.display()))
+}
+
 /// Checkpoint file names in a store directory, sorted.
 pub fn ckpt_files(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)

@@ -17,7 +17,7 @@ mod common;
 use std::path::Path;
 use std::process::{Command, Stdio};
 
-use common::{gen_logs, read, run_env, run_ok, temp, BIN};
+use common::{current_bytes, gen_logs, read, run_env, run_ok, temp, BIN};
 
 fn serve_args<'a>(source: &'a str, data: &'a str, publish: &'a str) -> Vec<&'a str> {
     vec![
@@ -35,13 +35,6 @@ fn serve_args<'a>(source: &'a str, data: &'a str, publish: &'a str) -> Vec<&'a s
         "--publish",
         publish,
     ]
-}
-
-/// The bytes of the generation `CURRENT` names.
-fn current_bytes(store: &Path) -> Vec<u8> {
-    let name = read(&store.join("CURRENT"));
-    std::fs::read(store.join(name.trim()))
-        .unwrap_or_else(|e| panic!("read CURRENT target in {}: {e}", store.display()))
 }
 
 /// Runs `query --watch --stdin` over the store and returns stdout.

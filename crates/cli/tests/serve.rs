@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{counter_value, gen_logs, read, run_env, run_ok, temp};
+use common::{counter_value, current_bytes, gen_logs, read, run_env, run_ok, temp};
 
 fn serve_args<'a>(source: &'a str, data: &'a str) -> Vec<&'a str> {
     vec![
@@ -67,8 +67,28 @@ fn serve_stdout_is_deterministic_and_metrics_stable() {
     args3.extend(["--metrics", m3.to_str().unwrap()]);
     assert_eq!(run_ok(&args3).stdout, out1.stdout);
 
-    let (m1, m2, m3) = (read(&m1), read(&m2), read(&m3));
+    // A stream shorter than one segment takes one snapshot, at its end.
+    let short = dir.join("short.tsv");
+    let head: String = read(&logs)
+        .lines()
+        .take(500)
+        .map(|l| l.to_owned() + "\n")
+        .collect();
+    std::fs::write(&short, head).unwrap();
+    let (d4, m4) = (dir.join("data4"), dir.join("m4.json"));
+    let mut args4 = serve_args(short.to_str().unwrap(), d4.to_str().unwrap());
+    args4.extend(["--metrics", m4.to_str().unwrap()]);
+    run_ok(&args4);
+
+    let (m1, m2, m3, m4) = (read(&m1), read(&m2), read(&m3), read(&m4));
     assert_eq!(scrub_metrics(&m1), scrub_metrics(&m2));
+    // `serve.snapshot.bytes` counts every snapshot file written: none
+    // on the rerun, whose snapshot already covers the stream, and on
+    // the short stream exactly the one file on disk.
+    assert!(counter_value(&m1, "serve.snapshot.bytes") > 0);
+    assert_eq!(counter_value(&m3, "serve.snapshot.bytes"), 0);
+    let snapshot = std::fs::metadata(d4.join("snap/serve-state.ckpt")).unwrap();
+    assert_eq!(counter_value(&m4, "serve.snapshot.bytes"), snapshot.len());
     assert_eq!(counter_value(&m1, "serve.records_ingested"), 3000);
     assert_eq!(counter_value(&m1, "serve.wal_segments"), 5);
     // The stream ends on a segment boundary, whose barrier already
@@ -173,6 +193,69 @@ fn snapshot_save_faults_ride_through_or_fail_the_run() {
     );
     let resumed = run_ok(&serve_args(source, failed.to_str().unwrap()));
     assert_eq!(resumed.stdout, clean.stdout, "restart after a failed save");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A barrier saves its snapshot beside the analysis and publish of the
+/// same state, so a save that fails past `--retries` fails the run only
+/// after its barrier's generation is published: a generation ahead of
+/// its snapshot. The restart replays the WAL and converges on the clean
+/// run's stdout and final generation bytes; with the budget to ride the
+/// faults out, the run publishes those bytes itself.
+#[test]
+fn snapshot_save_fault_while_its_barrier_publishes() {
+    let dir = temp("save-fault-publish");
+    let logs = gen_logs(&dir, 2000);
+    let source = logs.to_str().unwrap();
+    let paths = |name: &str| (dir.join(name), dir.join(format!("{name}-store")));
+    let fault = [("TOWERLENS_FAILPOINTS", "checkpoint.save.serve-state=err*2")];
+
+    let (clean_data, clean_store) = paths("clean");
+    let mut args = serve_args(source, clean_data.to_str().unwrap());
+    args.extend(["--publish", clean_store.to_str().unwrap()]);
+    let clean = run_ok(&args);
+    let clean_generation = current_bytes(&clean_store);
+
+    let (failed, failed_store) = paths("failed");
+    let mut args = serve_args(source, failed.to_str().unwrap());
+    args.extend(["--publish", failed_store.to_str().unwrap()]);
+    let mut faulted = args.clone();
+    faulted.extend(["--retries", "1"]);
+    let out = run_env(&faulted, &fault);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "a failed run printed a report");
+    assert!(
+        stderr.contains("failpoint `checkpoint.save.serve-state=err*2` fired at hit 2"),
+        "{stderr}"
+    );
+    assert!(
+        failed_store.join("CURRENT").exists() && !failed.join("snap/serve-state.ckpt").exists(),
+        "the failed barrier's generation is published, its snapshot is not:\n{stderr}"
+    );
+    let resumed = run_ok(&args);
+    assert_eq!(resumed.stdout, clean.stdout, "restart after a failed save");
+    assert_eq!(
+        current_bytes(&failed_store),
+        clean_generation,
+        "restart after a failed save"
+    );
+
+    let (ride, ride_store) = paths("ride");
+    let mut args = serve_args(source, ride.to_str().unwrap());
+    args.extend(["--publish", ride_store.to_str().unwrap(), "--retries", "2"]);
+    let out = run_env(&args, &fault);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout, clean.stdout, "riding out save faults");
+    assert_eq!(
+        current_bytes(&ride_store),
+        clean_generation,
+        "riding out save faults"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

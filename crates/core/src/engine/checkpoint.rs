@@ -218,7 +218,7 @@ impl CheckpointStore {
     /// file fsynced before the rename, directory fsynced best-effort
     /// after it, failpoints `checkpoint.tmp` / `checkpoint`), so a
     /// power loss cannot leave a complete-looking-but-unsynced
-    /// checkpoint behind.
+    /// checkpoint behind. Returns the length of the file written.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] on filesystem failure,
@@ -231,7 +231,7 @@ impl CheckpointStore {
         cards: &[Card],
         codec: &dyn StageCodec<A>,
         artifact: &A,
-    ) -> Result<(), CheckpointError> {
+    ) -> Result<u64, CheckpointError> {
         self.injected_fault("save", stage)?;
         let path = self.path_of(stage);
         let mut file = ContainerWriter::new(2);
@@ -251,13 +251,9 @@ impl CheckpointStore {
                     reason,
                 })
             })?;
-        replace_durably(
-            &path,
-            &file.finish(),
-            "checkpoint",
-            self.failpoints(),
-            io_err,
-        )
+        let bytes = file.finish();
+        replace_durably(&path, &bytes, "checkpoint", self.failpoints(), io_err)?;
+        Ok(bytes.len() as u64)
     }
 
     /// Loads a stage artifact, if a valid checkpoint with a matching
@@ -392,7 +388,9 @@ mod tests {
     fn roundtrip_is_bit_identical() {
         let store = temp_store("roundtrip", 7);
         let cards = vec![Card::new("values", 4)];
-        store.save("toy", &cards, &ToyCodec, &toy()).unwrap();
+        let written = store.save("toy", &cards, &ToyCodec, &toy()).unwrap();
+        let on_disk = std::fs::metadata(store.path_of("toy")).unwrap().len();
+        assert_eq!(written, on_disk, "save returns the length it wrote");
         let (loaded, loaded_cards) = store.load("toy", &ToyCodec).unwrap().unwrap();
         assert_eq!(loaded_cards, cards);
         assert_eq!(loaded.name, "probe");

@@ -543,7 +543,7 @@ impl<A: Send + Sync> Graph<A> {
                     let mut save_retries = 0u32;
                     loop {
                         match store.save(name, &output.cards, codec, &output.artifact) {
-                            Ok(()) => break,
+                            Ok(_) => break,
                             Err(e @ CheckpointError::Io { .. })
                                 if save_retries < supervisor.retry.retries =>
                             {

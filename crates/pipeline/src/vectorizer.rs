@@ -4,6 +4,10 @@
 //! record indices by shard; scoped worker threads then aggregate each
 //! shard independently (no shared mutable state, so no locks on the
 //! hot path and bit-identical output for any worker count).
+//! [`Vectorizer::run_towers`] takes records already grouped by tower and
+//! aggregates them on the calling thread, without a record list.
+
+use std::borrow::Cow;
 
 use towerlens_obs::{LazyCounter, LazyHistogram};
 use towerlens_trace::error::TraceError;
@@ -64,8 +68,9 @@ pub struct VectorizerOutput {
     pub normalized: NormalizedMatrix,
     /// Run statistics.
     pub report: VectorizerReport,
-    /// Records quarantined on the way in (empty for [`Vectorizer::run`],
-    /// which predates the policy and rejects bad records outright).
+    /// Records quarantined on the way in (empty for [`Vectorizer::run`]
+    /// and [`Vectorizer::run_towers`], which reject bad records
+    /// outright).
     pub quarantine: QuarantineReport,
 }
 
@@ -121,7 +126,8 @@ impl Vectorizer {
         n_towers: usize,
     ) -> Result<VectorizerOutput, TraceError> {
         let raw = self.aggregate(records, n_towers)?;
-        self.finish(raw, records, None, QuarantineReport::default())
+        let bytes = records.iter().map(|r| r.bytes);
+        self.finish(raw, bytes, None, QuarantineReport::default())
     }
 
     /// Like [`Vectorizer::run`], but fault-tolerant: records
@@ -141,32 +147,86 @@ impl Vectorizer {
         n_towers: usize,
         options: &VectorizerOptions,
     ) -> Result<VectorizerOutput, TraceError> {
+        let known = |r: &&LogRecord| (r.cell_id as usize) < n_towers;
         let mut quarantine = QuarantineReport {
             total: records.len(),
             ..QuarantineReport::default()
         };
-        let mut good: Vec<LogRecord> = Vec::with_capacity(records.len());
-        for r in records {
-            if (r.cell_id as usize) < n_towers {
-                good.push(r.clone());
-            } else {
-                quarantine.note(&TraceError::UnknownCell {
-                    cell_id: r.cell_id,
-                    count: n_towers,
-                });
-            }
+        for r in records.iter().filter(|r| !known(r)) {
+            quarantine.note(&TraceError::UnknownCell {
+                cell_id: r.cell_id,
+                count: n_towers,
+            });
         }
         options.policy.enforce(&quarantine)?;
+        // Copy records only to leave some out, and then only the kept.
+        let good: Cow<'_, [LogRecord]> = if quarantine.unknown_cell == 0 {
+            Cow::Borrowed(records)
+        } else {
+            records.iter().filter(known).cloned().collect()
+        };
         let raw = self.aggregate(&good, n_towers)?;
-        self.finish(raw, &good, options.impute.as_ref(), quarantine)
+        let bytes = good.iter().map(|r| r.bytes);
+        self.finish(raw, bytes, options.impute.as_ref(), quarantine)
     }
 
-    /// Shared back half of `run`/`run_with`: optional imputation, then
-    /// normalisation with provenance threading.
+    /// Runs both phases over each tower's sessions instead of a record
+    /// list: `towers` pairs a cell id with its sessions, and `span`
+    /// reads a session's `(start_s, end_s, bytes)`. A row sums its
+    /// tower's sessions in the order given and no other tower's, so
+    /// when each tower lists its sessions in the order a record list
+    /// visits them, the output is bit-identical to [`Vectorizer::run`]
+    /// over that list, counters included. Aggregation runs on the
+    /// calling thread and copies no session.
+    ///
+    /// # Errors
+    /// * [`TraceError::EmptyWindow`] for a degenerate window,
+    /// * [`TraceError::UnknownCell`] if a tower id ≥ `n_towers` has
+    ///   sessions,
+    /// * [`TraceError::Normalization`] as for [`Vectorizer::run`].
+    pub fn run_towers<S>(
+        &self,
+        towers: &[(u32, Vec<S>)],
+        n_towers: usize,
+        span: impl Fn(&S) -> (u64, u64, u64),
+    ) -> Result<VectorizerOutput, TraceError> {
+        self.check_window()?;
+        let unknown = towers
+            .iter()
+            .find(|(cell, sessions)| *cell as usize >= n_towers && !sessions.is_empty());
+        if let Some(&(cell_id, _)) = unknown {
+            return Err(TraceError::UnknownCell {
+                cell_id,
+                count: n_towers,
+            });
+        }
+        let mut raw = vec![vec![0.0f64; self.window.n_bins]; n_towers];
+        for (cell, sessions) in towers {
+            for session in sessions {
+                let (start_s, end_s, bytes) = span(session);
+                add_span(
+                    &self.window,
+                    &mut raw[*cell as usize],
+                    start_s,
+                    end_s,
+                    bytes,
+                );
+            }
+        }
+        let bytes = towers
+            .iter()
+            .flat_map(|(_, sessions)| sessions.iter().map(|s| span(s).2));
+        self.finish(raw, bytes, None, QuarantineReport::default())
+    }
+
+    /// Shared back half of every entry point: optional imputation,
+    /// normalisation with provenance threading, then the
+    /// `pipeline.vectorize.*` counters over each aggregated record's
+    /// byte count.
     fn finish(
         &self,
         mut raw: Vec<Vec<f64>>,
-        records: &[LogRecord],
+        record_bytes: impl Iterator<Item = u64>,
         impute: Option<&ImputeConfig>,
         quarantine: QuarantineReport,
     ) -> Result<VectorizerOutput, TraceError> {
@@ -189,17 +249,18 @@ impl Vectorizer {
             .iter()
             .filter(|row| row.iter().any(|&v| v > 0.0))
             .count();
-        let mut total_bytes = 0u64;
-        for r in records {
-            total_bytes += r.bytes;
-            RECORD_BYTES.observe(r.bytes);
+        let (mut records, mut total_bytes) = (0usize, 0u64);
+        for bytes in record_bytes {
+            records += 1;
+            total_bytes += bytes;
+            RECORD_BYTES.observe(bytes);
         }
-        RECORDS.add(records.len() as u64);
+        RECORDS.add(records as u64);
         BYTES.add(total_bytes);
         BINS_IMPUTED.add(imputation.bins_imputed as u64);
         TOWERS_AFFECTED.add(imputation.towers_affected as u64);
         let report = VectorizerReport {
-            records: records.len(),
+            records,
             bytes: total_bytes as f64,
             active_towers,
             dead_towers: normalized.dropped.len(),
@@ -222,9 +283,7 @@ impl Vectorizer {
         records: &[LogRecord],
         n_towers: usize,
     ) -> Result<Vec<Vec<f64>>, TraceError> {
-        if self.window.n_bins == 0 || self.window.bin_secs == 0 {
-            return Err(TraceError::EmptyWindow);
-        }
+        self.check_window()?;
         // Validate cell ids up front so workers can't fail mid-flight.
         for r in records {
             if r.cell_id as usize >= n_towers {
@@ -247,11 +306,13 @@ impl Vectorizer {
         let mut matrix = vec![vec![0.0f64; self.window.n_bins]; n_towers];
         if shards <= 1 {
             for r in records {
-                let row = &mut matrix[r.cell_id as usize];
-                self.window
-                    .for_each_overlap(r.start_s, r.end_s, |bin, frac| {
-                        row[bin] += r.bytes as f64 * frac;
-                    });
+                add_span(
+                    &self.window,
+                    &mut matrix[r.cell_id as usize],
+                    r.start_s,
+                    r.end_s,
+                    r.bytes,
+                );
             }
             return Ok(matrix);
         }
@@ -277,15 +338,26 @@ impl Vectorizer {
                     for &idx in bucket {
                         let r = &records[idx];
                         let row = &mut rows[r.cell_id as usize - base];
-                        window.for_each_overlap(r.start_s, r.end_s, |bin, frac| {
-                            row[bin] += r.bytes as f64 * frac;
-                        });
+                        add_span(window, row, r.start_s, r.end_s, r.bytes);
                     }
                 });
             }
         });
         Ok(matrix)
     }
+
+    fn check_window(&self) -> Result<(), TraceError> {
+        if self.window.n_bins == 0 || self.window.bin_secs == 0 {
+            return Err(TraceError::EmptyWindow);
+        }
+        Ok(())
+    }
+}
+
+/// Spreads one record's bytes over the bins of `row` it overlaps: the
+/// one accumulation step every entry point shares.
+fn add_span(window: &TraceWindow, row: &mut [f64], start_s: u64, end_s: u64, bytes: u64) {
+    window.for_each_overlap(start_s, end_s, |bin, frac| row[bin] += bytes as f64 * frac);
 }
 
 #[cfg(test)]
@@ -485,6 +557,31 @@ mod tests {
         assert_eq!(plain.raw, policed.raw);
         assert_eq!(plain.normalized, policed.normalized);
         assert!(policed.quarantine.is_clean());
+    }
+
+    #[test]
+    fn run_with_one_unknown_cell_equals_run_over_the_others() {
+        let w = TraceWindow::days(2);
+        let mut records = synth_records(1_000, 8, &w);
+        records[123].cell_id = 99;
+        let v = Vectorizer::new(w, 4);
+        let policed = v
+            .run_with(&records, 8, &VectorizerOptions::default())
+            .unwrap();
+        records.remove(123);
+        let plain = v.run(&records, 8).unwrap();
+        let bits = |rows: &[Vec<f64>]| -> Vec<u64> {
+            rows.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&policed.raw), bits(&plain.raw));
+        assert_eq!(
+            bits(&policed.normalized.vectors),
+            bits(&plain.normalized.vectors)
+        );
+        assert_eq!(policed.normalized.kept_ids, plain.normalized.kept_ids);
+        assert_eq!(policed.normalized.dropped, plain.normalized.dropped);
+        assert_eq!(policed.report, plain.report);
+        assert_eq!(policed.quarantine.unknown_cell, 1);
     }
 
     #[test]

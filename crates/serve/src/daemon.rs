@@ -17,10 +17,15 @@
 //!    backpressure wait before blocking.
 //! 3. **Checkpoint.** At every WAL segment boundary the daemon seals
 //!    the segment, barriers the shards, and writes an fsync'd snapshot
-//!    of the complete durable state. When something reads it — a
-//!    `--publish` generation or the `--basis` counts on the progress
-//!    line — the barrier also vectorizes that state once; it identifies
-//!    the state's patterns only to publish them.
+//!    of the complete durable state on a scoped thread. When something
+//!    reads the state's analysis — a `--publish` generation or the
+//!    `--basis` counts on the progress line — the ingest thread
+//!    vectorizes the same state meanwhile, tower by tower, and
+//!    publishes; it identifies the state's patterns only to publish
+//!    them. The stream resumes only once both are done, so a kill
+//!    leaves the WAL where a sequential barrier would, though it may
+//!    leave a generation ahead of its snapshot; a save error is
+//!    reported before an analysis error.
 //!    A restart therefore applies at most one segment's entries, but
 //!    it still verifies every entry of the ledger (checksums, seals,
 //!    gap-free numbering), so its cost grows with the stream: 0.2–0.3 µs
@@ -31,9 +36,11 @@
 //!    failing on a damaged covered segment.
 //! 4. **Drain.** At end of stream the daemon runs the *batch* analysis
 //!    (vectorizer → spectral lines → pattern identifier → optional
-//!    frozen-basis classification) over the final state, once, sharing
-//!    whatever the final checkpoint already computed, and prints one
-//!    deterministic report to stdout.
+//!    frozen-basis classification) over the final state, once, and
+//!    prints one deterministic report to stdout. The final barrier
+//!    vectorizes beside its save for the drain to read; when the last
+//!    segment barrier already covered the stream, the drain reuses
+//!    whatever that barrier computed.
 //!
 //! # Determinism contract
 //!
@@ -77,6 +84,7 @@ use towerlens_obs::LazyCounter;
 use towerlens_pipeline::vectorizer::{Vectorizer, VectorizerOptions, VectorizerOutput};
 use towerlens_pipeline::{principal_bins, FeatureSpace};
 use towerlens_trace::clean::clean_records;
+use towerlens_trace::error::TraceError;
 use towerlens_trace::record::LogRecord;
 use towerlens_trace::time::TraceWindow;
 
@@ -96,6 +104,7 @@ static WAL_SEGMENTS: LazyCounter = LazyCounter::new("serve.wal_segments");
 static SNAPSHOTS: LazyCounter = LazyCounter::new("serve.snapshots");
 static BACKPRESSURE_WAITS: LazyCounter = LazyCounter::new("serve.backpressure_waits");
 static GENERATIONS_PUBLISHED: LazyCounter = LazyCounter::new("serve.generations_published");
+static SNAPSHOT_BYTES: LazyCounter = LazyCounter::new("serve.snapshot.bytes");
 static ENTRIES_APPLIED: LazyCounter = LazyCounter::new("serve.recovery.entries_applied");
 
 /// Daemon configuration.
@@ -426,16 +435,16 @@ fn recover(config: &ServeConfig, store: &CheckpointStore) -> Result<Recovered, S
 
 /// Saves a snapshot with bounded retries over transient I/O failures
 /// (the `checkpoint.save.serve-state` failpoint injects these in
-/// drills).
+/// drills), returning the length of the file written.
 fn save_snapshot(
     store: &CheckpointStore,
     snap: &ServeSnapshot,
     retry: &RetryPolicy,
-) -> Result<(), ServeError> {
+) -> Result<u64, ServeError> {
     let mut attempt = 0u32;
     loop {
         match store.save(SNAPSHOT_STAGE, &[], &SnapshotCodec, snap) {
-            Ok(()) => return Ok(()),
+            Ok(bytes) => return Ok(bytes),
             Err(CheckpointError::Io { .. }) if attempt < retry.retries => {
                 attempt += 1;
                 std::thread::sleep(retry.delay("serve-snapshot", attempt));
@@ -500,28 +509,45 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
         Ok(views)
     };
 
-    // Saves a barrier's state (when `save`), then vectorizes it once if
-    // something reads the analysis — the published generation or the
-    // `--basis` counts — and prints the progress line. Only a publish
-    // identifies the state's patterns. Returns the analysis it made,
-    // for the drain to reuse.
+    // One barrier over `state`: when `save`, a scoped thread saves the
+    // snapshot while this thread analyses the same state, if the drain
+    // (`drain`), a published generation or the `--basis` counts read
+    // the analysis, and publishes it; only a publish identifies the
+    // state's patterns. Both finish before the stream resumes, and the
+    // save's error comes first. Prints the progress line and returns
+    // the analysis made, for the drain to reuse.
     let mut checkpoint =
-        |state: &ServeSnapshot, save: bool| -> Result<Option<Analysis>, ServeError> {
-            if save {
-                save_snapshot(&store, state, &retry)?;
+        |state: &ServeSnapshot, save: bool, drain: bool| -> Result<Option<Analysis>, ServeError> {
+            let analyse = drain || publisher.is_some() || basis.is_some();
+            let mut analysed = || -> Result<Option<Analysis>, ServeError> {
+                if !analyse {
+                    return Ok(None);
+                }
+                let analysis = Analysis::of_state(state, &window)?;
+                if let Some(publisher) = publisher.as_mut() {
+                    publish_generation(publisher, &analysis, &window, fingerprint)?;
+                }
+                Ok(Some(analysis))
+            };
+            let (saved, analysis) = std::thread::scope(|scope| {
+                let saving = save.then(|| scope.spawn(|| save_snapshot(&store, state, &retry)));
+                let analysis = analysed();
+                let saved =
+                    saving.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+                (saved, analysis)
+            });
+            if let Some(bytes) = saved.transpose()? {
                 SNAPSHOTS.inc();
+                SNAPSHOT_BYTES.add(bytes);
             }
-            if publisher.is_none() && basis.is_none() {
-                progress_line(state, None);
-                return Ok(None);
-            }
-            let analysis = Analysis::of_state(state, &window)?;
-            if let Some(publisher) = publisher.as_mut() {
-                publish_generation(publisher, &analysis, &window, fingerprint)?;
-            }
-            let classes = basis.as_ref().map(|b| analysis.classes(b)).transpose()?;
+            let analysis = analysis?;
+            let classes = analysis
+                .as_ref()
+                .zip(basis.as_ref())
+                .map(|(analysis, basis)| analysis.classes(basis))
+                .transpose()?;
             progress_line(state, classes.as_deref());
-            Ok(Some(analysis))
+            Ok(analysis)
         };
 
     // Stream the source, skipping the lines already acknowledged.
@@ -589,7 +615,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
             // Free the previous barrier's copy before taking the next.
             drop(last.take());
             let state = assemble(barrier(&senders)?, &counts);
-            let analysis = checkpoint(&state, true)?;
+            let analysis = checkpoint(&state, true, false)?;
             last = Some((state, analysis));
         }
     }
@@ -611,7 +637,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
         None => {
             let state = assemble(barrier(&senders)?, &counts);
             let save = recovered.snapshotted_seq != Some(counts.next_seq);
-            let analysis = checkpoint(&state, save)?;
+            let analysis = checkpoint(&state, save, true)?;
             (state, analysis)
         }
     };
@@ -661,33 +687,8 @@ fn progress_line(state: &ServeSnapshot, classes: Option<&[usize]>) {
     eprintln!("{msg}");
 }
 
-/// Rebuilds the cleaned record list from durable state: sessions
-/// sorted by `first_seq` reconstruct the batch cleaner's first-seen
-/// output order exactly — the same record list `clean_records` would
-/// produce over the full acknowledged stream, which is what makes
-/// serve-vs-batch byte-identity hold by construction rather than by
-/// tolerance.
-fn state_records(snap: &ServeSnapshot) -> Vec<LogRecord> {
-    let mut sessions: Vec<(u32, &Session)> = snap
-        .towers
-        .iter()
-        .flat_map(|(cell, s)| s.iter().map(move |s| (*cell, s)))
-        .collect();
-    sessions.sort_by_key(|(_, s)| s.first_seq);
-    sessions
-        .iter()
-        .map(|(cell, s)| LogRecord {
-            user_id: s.user_id,
-            start_s: s.start_s,
-            end_s: s.end_s,
-            cell_id: *cell,
-            address: String::new(),
-            bytes: s.bytes,
-        })
-        .collect()
-}
-
-/// One batch analysis of a cleaned record list, the source of every
+/// One batch analysis of the durable state (or, for
+/// [`batch_reference`], of a cleaned record list), the source of every
 /// number `serve` derives: a one-thread vectorize (bit-reproducible
 /// across machines) and pattern identification, run on first need —
 /// the `--basis` counts read only the vectors. A barrier's generation,
@@ -706,7 +707,10 @@ struct Analysis {
 }
 
 impl Analysis {
-    fn of(records: &[LogRecord], window: &TraceWindow) -> Result<Analysis, ServeError> {
+    /// The analysis of a cleaned record list in the batch cleaner's
+    /// output order, through [`Vectorizer::run_with`]: what
+    /// [`batch_reference`] reports from.
+    fn of_records(records: &[LogRecord], window: &TraceWindow) -> Result<Analysis, ServeError> {
         // The vectorizer's tower count: one row per cell id up to the
         // largest seen.
         let n_towers = records.iter().map(|r| r.cell_id as usize + 1).max();
@@ -714,18 +718,42 @@ impl Analysis {
         for r in records {
             active[r.cell_id as usize] = true;
         }
-        let mut analysis = Analysis {
-            sessions: records.len() as u64,
-            active_towers: active.iter().filter(|&&a| a).count(),
-            run: None,
-        };
-        if let Some(n_towers) = n_towers {
-            let vect = Vectorizer::new(*window, 1)
-                .run_with(records, n_towers, &VectorizerOptions::default())
-                .map_err(|e| ServeError::Analysis(e.to_string()))?;
-            analysis.run = Some((vect, OnceCell::new()));
-        }
-        Ok(analysis)
+        let vect = n_towers.map(|n| {
+            Vectorizer::new(*window, 1).run_with(records, n, &VectorizerOptions::default())
+        });
+        let active_towers = active.iter().filter(|&&a| a).count();
+        Analysis::new(records.len() as u64, active_towers, vect)
+    }
+
+    /// The analysis of a barrier's state, read tower by tower through
+    /// [`Vectorizer::run_towers`]. A tower's sessions are in first-seen
+    /// order, the order in which the batch cleaner's output visits
+    /// them, and a row sums only its own tower's sessions: every row,
+    /// and so every number derived from the rows, is bit-identical to
+    /// [`Analysis::of_records`] over the cleaned stream, and no record
+    /// list is built.
+    fn of_state(snap: &ServeSnapshot, window: &TraceWindow) -> Result<Analysis, ServeError> {
+        let active = || snap.towers.iter().filter(|(_, s)| !s.is_empty());
+        let vect = active().map(|(cell, _)| *cell as usize + 1).max().map(|n| {
+            Vectorizer::new(*window, 1)
+                .run_towers(&snap.towers, n, |s| (s.start_s, s.end_s, s.bytes))
+        });
+        Analysis::new(snap.kept(), active().count(), vect)
+    }
+
+    fn new(
+        sessions: u64,
+        active_towers: usize,
+        vect: Option<Result<VectorizerOutput, TraceError>>,
+    ) -> Result<Analysis, ServeError> {
+        let vect = vect
+            .transpose()
+            .map_err(|e| ServeError::Analysis(e.to_string()))?;
+        Ok(Analysis {
+            sessions,
+            active_towers,
+            run: vect.map(|vect| (vect, OnceCell::new())),
+        })
     }
 
     /// The vectorizer's output and the identified patterns, identifying
@@ -739,10 +767,6 @@ impl Analysis {
             PatternIdentifier::default().identify_in(&vect.normalized.vectors, Some(window))
         });
         Some((vect, patterns))
-    }
-
-    fn of_state(snap: &ServeSnapshot, window: &TraceWindow) -> Result<Analysis, ServeError> {
-        Analysis::of(&state_records(snap), window)
     }
 
     /// Kept towers per nearest frozen centroid.
@@ -940,7 +964,7 @@ pub fn batch_reference(config: &ServeConfig) -> Result<ServeReport, ServeError> 
     let (kept, clean) = clean_records(&records);
     counts.duplicates = clean.duplicates_removed as u64;
     counts.conflicts = clean.conflicts_resolved as u64;
-    let analysis = Analysis::of(&kept, &window)?;
+    let analysis = Analysis::of_records(&kept, &window)?;
     report(&counts, &analysis, &window, basis.as_ref())
 }
 

@@ -17,10 +17,10 @@
 //! Session semantics mirror [`towerlens_trace::clean::clean_records`]
 //! exactly: byte-identical duplicates are dropped, conflicting entries
 //! (same `(user, cell, start, end)`, different bytes) keep the larger
-//! byte count *in place*. Sorting all sessions by `first_seq` at drain
-//! therefore reconstructs the batch cleaner's output order, which is
-//! what lets the drain call the real batch pipeline and match it by
-//! construction.
+//! byte count *in place*. Each tower's sessions are therefore in the
+//! order in which the batch cleaner's output visits that tower, which
+//! is what lets the analysis vectorize the state tower by tower and
+//! match the batch pipeline by construction.
 
 use std::collections::HashMap;
 
@@ -81,6 +81,10 @@ pub struct SnapshotCodec;
 
 impl StageCodec<ServeSnapshot> for SnapshotCodec {
     fn encode(&self, snap: &ServeSnapshot, out: &mut Enc) -> Result<(), String> {
+        // Six counts, two fields per tower and five per session, 8 bytes
+        // each: the body's exact size, reserved before any write.
+        let fields = 6 + 2 * snap.towers.len() + 5 * snap.kept() as usize;
+        out.reserve(8 * fields);
         for count in [
             snap.next_seq,
             snap.records,
@@ -318,6 +322,9 @@ mod tests {
         let mut body = Enc::default();
         SnapshotCodec.encode(&snap, &mut body).unwrap();
         let bytes = body.into_bytes();
+        // The size `encode` reserves: six counts, two fields per tower
+        // and five per session.
+        assert_eq!(bytes.len(), 8 * (6 + 2 * 2 + 5 * 3));
         let mut d = Dec::new(&bytes, "body");
         assert_eq!(SnapshotCodec.decode(&mut d).unwrap(), snap);
         d.finish().unwrap();

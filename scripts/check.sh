@@ -313,12 +313,14 @@ if ./target/release/towerlens-cli doctor --dir "$query_tmp" > /dev/null; then
 fi
 echo "query batch bit-identical at --threads 1 and 4; corruption caught"
 
-echo "== serving-path fault matrix: publish kills, corrupt generation, shed determinism =="
+echo "== serving-path fault matrix: publish and snapshot kills, corrupt generation, shed determinism =="
 # The overload/degraded-mode contract (DESIGN.md §15), end to end:
-# kill the daemon inside the snapshot publish at each protocol point
-# with an escalating ordinal until a run drains, then demand the
-# converged store's CURRENT generation be byte-identical to the clean
-# run's; corrupt that generation and demand `query --watch` stays on
+# kill the daemon inside the generation publish, or inside the snapshot
+# save that runs beside it (DESIGN.md §13), at each protocol point with
+# an escalating ordinal until a run drains, then demand that some run
+# was killed, that the converged store's CURRENT generation be
+# byte-identical to the clean run's, and that the data directory fsck
+# clean; corrupt that generation and demand `query --watch` stays on
 # the last good one with degraded health; and shed a fixed slice of a
 # batch under --request-budget at two thread counts, demanding
 # byte-identical answers.
@@ -328,7 +330,7 @@ press_flags=(--source "$serve_tmp/stream.tsv" --days 7 --segment-records 500 --s
 ./target/release/towerlens-cli serve "${press_flags[@]}" \
     --data "$press_tmp/clean" --publish "$press_tmp/clean-store" > /dev/null 2>&1
 clean_gen="$press_tmp/clean-store/$(cat "$press_tmp/clean-store/CURRENT")"
-for stage in publish.gen.tmp publish.gen publish.cur.tmp; do
+for stage in publish.gen.tmp publish.gen publish.cur.tmp checkpoint.tmp checkpoint; do
     converged=0
     for nth in $(seq 1 12); do
         if TOWERLENS_FAILPOINTS="$stage=abort@$nth" ./target/release/towerlens-cli serve \
@@ -338,9 +340,12 @@ for stage in publish.gen.tmp publish.gen publish.cur.tmp; do
         fi
     done
     [ "$converged" -eq 1 ] || { echo "publish chaos ($stage) never drained"; exit 1; }
+    [ "$nth" -gt 1 ] || { echo "publish chaos ($stage): no run was killed"; exit 1; }
     chaos_gen="$press_tmp/$stage-store/$(cat "$press_tmp/$stage-store/CURRENT")"
     cmp "$clean_gen" "$chaos_gen" \
         || { echo "publish chaos ($stage): converged generation differs"; exit 1; }
+    ./target/release/towerlens-cli doctor --dir "$press_tmp/$stage" > /dev/null \
+        || { echo "publish chaos ($stage): doctor found damage in the data dir"; exit 1; }
 done
 ./target/release/towerlens-cli query --snapshot "$press_tmp/clean-store" --watch health \
     | grep -q "degraded=no" || { echo "clean store reports degraded health"; exit 1; }
@@ -375,7 +380,7 @@ cmp "$press_tmp/shed-t1.out" "$press_tmp/shed-t4.out" \
     || { echo "shed decisions differ between --threads 1 and --threads 4"; exit 1; }
 grep -q "error: overloaded:" "$press_tmp/shed-t1.out" \
     || { echo "budget 5 shed nothing — admission control inert"; exit 1; }
-echo "publish kill matrix converged byte-identically; corrupt generation quarantined; shedding deterministic"
+echo "publish and snapshot kill matrix converged byte-identically; corrupt generation quarantined; shedding deterministic"
 
 echo "== 100,000-point spatial index: leaf-evaluation budget =="
 # The k-d index at ten times the paper's tower count: a complete
