@@ -117,15 +117,16 @@ usage:
                         [--publish DIR] [--metrics PATH]
       crash-safe streaming ingestion: append every source line to a
       checksummed WAL under DIR/wal before acknowledging it, keep each
-      tower's cleaned sessions across shards, snapshot at
-      every segment boundary (DIR/snap), and print the batch-identical
-      drain report; killed runs resume from snapshot + WAL tail with
+      tower's cleaned sessions across shards, snapshot them once, at
+      the drain (DIR/snap), and print the batch-identical drain report;
+      killed runs resume from the last drain's snapshot + WAL tail with
       byte-identical final output. --basis classifies the towers against
       a frozen batch basis built over the same --days window: the
       versioned query artifact written by `analyze --snapshot` /
       `study --snapshot`. --publish additionally publishes a query
-      artifact at every snapshot boundary as DIR/gen-N.artifact plus an
-      atomic CURRENT pointer, for `query --watch` hot reload
+      artifact at every segment boundary and at the drain as
+      DIR/gen-N.artifact plus an atomic CURRENT pointer, for
+      `query --watch` hot reload
 
   towerlens-cli doctor  --dir DIR [--fingerprint HEX] [--json]
       fsck every checkpoint file in DIR (and DIR/snap), any WAL
@@ -154,7 +155,7 @@ supervision:
   --retries N            retry checkpoint I/O errors up to N times per
                          checkpoint probe or save with deterministic
                          seeded backoff; default 0 for analyze and study
-                         (fail on first error), 2 for serve's snapshots
+                         (fail on first error), 2 for serve's snapshot
   --stage-timeout-ms MS  per-stage wall-time budget enforced by a
                          watchdog; an overrunning optional stage degrades,
                          a required one fails the run; default 0 (off)

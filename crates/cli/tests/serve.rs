@@ -12,6 +12,9 @@
 mod common;
 
 use common::{counter_value, current_bytes, gen_logs, read, run_env, run_ok, temp};
+use towerlens_artifact::{ArtifactError, Dec, Enc};
+use towerlens_core::engine::{CheckpointStore, StageCodec};
+use towerlens_serve::{ServeConfig, SNAPSHOT_STAGE, SNAP_DIR, WAL_DIR};
 
 fn serve_args<'a>(source: &'a str, data: &'a str) -> Vec<&'a str> {
     vec![
@@ -27,6 +30,16 @@ fn serve_args<'a>(source: &'a str, data: &'a str) -> Vec<&'a str> {
         "--shards",
         "3",
     ]
+}
+
+/// Writes the first `lines` lines of `logs` to `to`, a stream prefix.
+fn write_head(logs: &std::path::Path, lines: usize, to: &std::path::Path) {
+    let head: String = read(logs)
+        .lines()
+        .take(lines)
+        .map(|l| l.to_owned() + "\n")
+        .collect();
+    std::fs::write(to, head).unwrap();
 }
 
 /// Scrubs the scheduling-sensitive counter from a metrics dump: how
@@ -67,14 +80,10 @@ fn serve_stdout_is_deterministic_and_metrics_stable() {
     args3.extend(["--metrics", m3.to_str().unwrap()]);
     assert_eq!(run_ok(&args3).stdout, out1.stdout);
 
-    // A stream shorter than one segment takes one snapshot, at its end.
+    // A stream shorter than one segment also takes its one snapshot at
+    // the drain.
     let short = dir.join("short.tsv");
-    let head: String = read(&logs)
-        .lines()
-        .take(500)
-        .map(|l| l.to_owned() + "\n")
-        .collect();
-    std::fs::write(&short, head).unwrap();
+    write_head(&logs, 500, &short);
     let (d4, m4) = (dir.join("data4"), dir.join("m4.json"));
     let mut args4 = serve_args(short.to_str().unwrap(), d4.to_str().unwrap());
     args4.extend(["--metrics", m4.to_str().unwrap()]);
@@ -82,21 +91,18 @@ fn serve_stdout_is_deterministic_and_metrics_stable() {
 
     let (m1, m2, m3, m4) = (read(&m1), read(&m2), read(&m3), read(&m4));
     assert_eq!(scrub_metrics(&m1), scrub_metrics(&m2));
-    // `serve.snapshot.bytes` counts every snapshot file written: none
-    // on the rerun, whose snapshot already covers the stream, and on
-    // the short stream exactly the one file on disk.
-    assert!(counter_value(&m1, "serve.snapshot.bytes") > 0);
-    assert_eq!(counter_value(&m3, "serve.snapshot.bytes"), 0);
-    let snapshot = std::fs::metadata(d4.join("snap/serve-state.ckpt")).unwrap();
-    assert_eq!(counter_value(&m4, "serve.snapshot.bytes"), snapshot.len());
     assert_eq!(counter_value(&m1, "serve.records_ingested"), 3000);
     assert_eq!(counter_value(&m1, "serve.wal_segments"), 5);
-    // The stream ends on a segment boundary, whose barrier already
-    // snapshotted the final state: no second snapshot of it.
-    assert_eq!(
-        counter_value(&m1, "serve.snapshots"),
-        counter_value(&m1, "serve.wal_segments")
-    );
+    // One snapshot per run, at the drain, whatever the segment count:
+    // `serve.snapshot.bytes` is exactly the file on disk. The rerun,
+    // whose snapshot already covers the stream, writes none.
+    for (m, data) in [(&m1, &d1), (&m4, &d4)] {
+        let snapshot = std::fs::metadata(data.join("snap/serve-state.ckpt")).unwrap();
+        assert_eq!(counter_value(m, "serve.snapshots"), 1, "{m}");
+        assert_eq!(counter_value(m, "serve.snapshot.bytes"), snapshot.len());
+    }
+    assert_eq!(counter_value(&m3, "serve.snapshots"), 0);
+    assert_eq!(counter_value(&m3, "serve.snapshot.bytes"), 0);
     // Without --publish or --basis the only Goertzel work is the
     // drain's: one three-bin pass per kept tower for the line
     // amplitudes and one for the identifier's spectral table.
@@ -113,9 +119,10 @@ fn serve_stdout_is_deterministic_and_metrics_stable() {
 }
 
 /// The tentpole chaos drill: kill the daemon at every segment
-/// boundary (both before and after the snapshot), restarting each
-/// time, until a run reaches the drain. The survivors' stdout must be
-/// byte-identical to an uninterrupted run over the same source.
+/// boundary, restarting each time, until a run reaches the drain — and,
+/// in the second mode, kill that run too, after its drain's snapshot is
+/// saved. The survivors' stdout must be byte-identical to an
+/// uninterrupted run over the same source.
 #[test]
 fn kill_at_every_segment_boundary_replays_byte_identically() {
     let dir = temp("chaos");
@@ -125,35 +132,137 @@ fn kill_at_every_segment_boundary_replays_byte_identically() {
     let clean_data = dir.join("clean");
     let clean = run_ok(&serve_args(source, clean_data.to_str().unwrap()));
 
-    for (mode, spec) in [("pre", "wal.seal=abort@1"), ("post", "checkpoint=abort@1")] {
+    // 3000 records / 600 per segment: each killed run seals exactly one
+    // segment before dying, five in all; in `drain` mode the run that
+    // seals none then dies after its drain's save.
+    for (mode, spec, kills) in [
+        ("seal", "wal.seal=abort@1", 5),
+        ("drain", "wal.seal=abort@1;checkpoint=abort@1", 6),
+    ] {
         let data = dir.join(format!("chaos-{mode}"));
         let args = serve_args(source, data.to_str().unwrap());
-        let mut final_stdout = Vec::new();
+        let mut survivor = None;
         let mut aborted = 0usize;
         for _run in 0..40 {
             let out = run_env(&args, &[("TOWERLENS_FAILPOINTS", spec)]);
             if out.status.success() {
-                final_stdout = out.stdout;
+                survivor = Some(out);
                 break;
             }
             aborted += 1;
         }
-        assert!(
-            !final_stdout.is_empty(),
-            "{mode}: chaos loop never reached the drain"
-        );
-        // 3000 records / 600 per segment: the killed runs each seal
-        // exactly one segment before dying, so the loop must abort
-        // several times before converging.
-        assert!(
-            aborted >= 4,
-            "{mode}: expected several aborted runs, got {aborted}"
-        );
+        let survivor = survivor.unwrap_or_else(|| panic!("{mode}: chaos loop never drained"));
+        assert_eq!(aborted, kills, "{mode}: aborted runs");
         assert_eq!(
-            clean.stdout, final_stdout,
+            clean.stdout, survivor.stdout,
             "{mode}: kill-and-resume must converge to the uninterrupted stdout"
         );
+        // A kill after the drain's save leaves nothing to apply: the
+        // survivor resumes from that snapshot and saves none.
+        if mode == "drain" {
+            let stderr = String::from_utf8_lossy(&survivor.stderr);
+            assert!(
+                stderr.contains("recovered seq 3000 (snapshot 3000, wal tail 0 entries"),
+                "{stderr}"
+            );
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery from the last drain's snapshot plus the WAL tail a kill left
+/// past it — the one path that applies entries on top of a snapshot,
+/// since segment boundaries take none. A run drains a prefix of the
+/// stream; a run over the whole stream seals one more segment and is
+/// killed; the restart loads the drain's snapshot, applies exactly that
+/// segment's entries and drains to the uninterrupted run's stdout.
+#[test]
+fn restart_applies_the_wal_tail_past_the_drain_snapshot() {
+    let dir = temp("drain-tail");
+    let logs = gen_logs(&dir, 3000);
+    let prefix = dir.join("prefix.tsv");
+    write_head(&logs, 1800, &prefix);
+    let (source, data) = (logs.to_str().unwrap(), dir.join("data"));
+    let clean = run_ok(&serve_args(source, dir.join("clean").to_str().unwrap()));
+
+    run_ok(&serve_args(
+        prefix.to_str().unwrap(),
+        data.to_str().unwrap(),
+    ));
+    let args = serve_args(source, data.to_str().unwrap());
+    let killed = run_env(&args, &[("TOWERLENS_FAILPOINTS", "wal.seal=abort@1")]);
+    assert!(!killed.status.success(), "the seal kill did not fire");
+
+    let metrics = dir.join("restart.json");
+    let mut restart = args.clone();
+    restart.extend(["--metrics", metrics.to_str().unwrap()]);
+    let out = run_ok(&restart);
+    assert_eq!(
+        counter_value(&read(&metrics), "serve.recovery.entries_applied"),
+        600
+    );
+    assert_eq!(out.stdout, clean.stdout, "restart from snapshot + WAL tail");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot body in the older session layout, which also stored each
+/// session's first sequence number (five 8-byte fields, not four): one
+/// tower holding one session.
+struct FiveFieldSessions;
+
+impl StageCodec<()> for FiveFieldSessions {
+    fn encode(&self, _: &(), out: &mut Enc) -> Result<(), String> {
+        // next_seq, records, malformed, duplicates, conflicts; one tower
+        // (cell 3) of one session: user, start, end, bytes, first seq.
+        for field in [1, 1, 0, 0, 0, 1, 3, 1, 7, 100, 700, 999, 0] {
+            out.u64(field);
+        }
+        Ok(())
+    }
+
+    fn decode(&self, _: &mut Dec<'_>) -> Result<(), ArtifactError> {
+        unreachable!("only written")
+    }
+}
+
+/// A snapshot in the older session layout fails the codec's exact-length
+/// check: `serve` refuses it as damaged, naming the file, before it
+/// acknowledges a line, and deleting `snap/` rebuilds the state from
+/// the WAL.
+#[test]
+fn serve_refuses_a_snapshot_in_the_older_session_layout() {
+    let dir = temp("old-snapshot");
+    let logs = gen_logs(&dir, 1500);
+    let prefix = dir.join("prefix.tsv");
+    write_head(&logs, 1200, &prefix);
+    let (source, data) = (logs.to_str().unwrap(), dir.join("data"));
+    let clean = run_ok(&serve_args(source, dir.join("clean").to_str().unwrap()));
+
+    run_ok(&serve_args(
+        prefix.to_str().unwrap(),
+        data.to_str().unwrap(),
+    ));
+    let fingerprint = ServeConfig {
+        days: 7,
+        ..ServeConfig::default()
+    }
+    .fingerprint();
+    CheckpointStore::open(data.join(SNAP_DIR), fingerprint)
+        .unwrap()
+        .save(SNAPSHOT_STAGE, &[], &FiveFieldSessions, &())
+        .unwrap();
+    let segments = || std::fs::read_dir(data.join(WAL_DIR)).unwrap().count();
+    let before = segments();
+
+    let args = serve_args(source, data.to_str().unwrap());
+    let refused = run_env(&args, &[]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(!refused.status.success(), "serve read an old snapshot");
+    assert!(stderr.contains("snap/serve-state.ckpt"), "{stderr}");
+    assert_eq!(segments(), before, "serve acknowledged lines: {stderr}");
+
+    std::fs::remove_dir_all(data.join(SNAP_DIR)).unwrap();
+    assert_eq!(run_ok(&args).stdout, clean.stdout, "rebuilt from the WAL");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -196,14 +305,14 @@ fn snapshot_save_faults_ride_through_or_fail_the_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A barrier saves its snapshot beside the analysis and publish of the
-/// same state, so a save that fails past `--retries` fails the run only
-/// after its barrier's generation is published: a generation ahead of
-/// its snapshot. The restart replays the WAL and converges on the clean
-/// run's stdout and final generation bytes; with the budget to ride the
-/// faults out, the run publishes those bytes itself.
+/// A run saves its one snapshot at the drain, before it analyses and
+/// publishes the final state, so a save that fails past `--retries`
+/// fails the run after the segment barriers' generations are published
+/// but before the final one. The restart replays the WAL and converges
+/// on the clean run's stdout and final generation bytes; with the
+/// budget to ride the faults out, the run publishes those bytes itself.
 #[test]
-fn snapshot_save_fault_while_its_barrier_publishes() {
+fn snapshot_save_fault_at_the_drain_of_a_publishing_run() {
     let dir = temp("save-fault-publish");
     let logs = gen_logs(&dir, 2000);
     let source = logs.to_str().unwrap();
@@ -231,7 +340,12 @@ fn snapshot_save_fault_while_its_barrier_publishes() {
     );
     assert!(
         failed_store.join("CURRENT").exists() && !failed.join("snap/serve-state.ckpt").exists(),
-        "the failed barrier's generation is published, its snapshot is not:\n{stderr}"
+        "the segment barriers' generations are published, the snapshot is not:\n{stderr}"
+    );
+    assert_ne!(
+        current_bytes(&failed_store),
+        clean_generation,
+        "the failed drain published its final state"
     );
     let resumed = run_ok(&args);
     assert_eq!(resumed.stdout, clean.stdout, "restart after a failed save");
@@ -343,13 +457,13 @@ fn serve_classifies_against_a_frozen_batch_basis() {
         "basis line: {basis_line}"
     );
     assert!(basis_line.contains("classes"), "basis line: {basis_line}");
-    // The last barrier's progress line classifies the same final state
+    // The last barrier's state line classifies the same final state
     // through the same analysis as the drain.
     let stderr = String::from_utf8_lossy(&out.stderr);
     let progress = stderr
         .lines()
-        .rfind(|l| l.starts_with("serve: snapshot at seq"))
-        .unwrap_or_else(|| panic!("no progress line: {stderr}"));
+        .rfind(|l| l.starts_with("serve: state at seq"))
+        .unwrap_or_else(|| panic!("no state line: {stderr}"));
     let classes = |line: &str| line.split_once(" classes ").map(|(_, c)| c.to_string());
     assert_eq!(classes(progress), classes(basis_line), "{progress}");
     // The counts read only the barriers' vectors: patterns are

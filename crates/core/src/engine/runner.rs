@@ -252,19 +252,9 @@ impl<A: Send + Sync> Graph<A> {
                 if let Some(codec) = s.codec() {
                     let probe_started = Instant::now();
                     let probe_offset = probe_started.duration_since(started);
-                    let mut retries = 0u32;
-                    let outcome = loop {
-                        match store.load(s.name(), codec) {
-                            Err(e @ CheckpointError::Io { .. })
-                                if retries < supervisor.retry.retries =>
-                            {
-                                drop(e);
-                                std::thread::sleep(supervisor.retry.delay(s.name(), retries));
-                                retries += 1;
-                            }
-                            other => break other,
-                        }
-                    };
+                    let (outcome, retries) = supervisor
+                        .retry
+                        .retry_io(s.name(), || store.load(s.name(), codec));
                     if retries > 0 {
                         probe_retries.insert(s.name(), retries);
                     }
@@ -540,21 +530,11 @@ impl<A: Send + Sync> Graph<A> {
                 };
                 if let (Some(store), Some(codec)) = (store, stage.codec()) {
                     let save_started = Instant::now();
-                    let mut save_retries = 0u32;
-                    loop {
-                        match store.save(name, &output.cards, codec, &output.artifact) {
-                            Ok(_) => break,
-                            Err(e @ CheckpointError::Io { .. })
-                                if save_retries < supervisor.retry.retries =>
-                            {
-                                drop(e);
-                                std::thread::sleep(supervisor.retry.delay(name, save_retries));
-                                save_retries += 1;
-                                attempts += 1;
-                            }
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
+                    let (saved, save_retries) = supervisor.retry.retry_io(name, || {
+                        store.save(name, &output.cards, codec, &output.artifact)
+                    });
+                    saved?;
+                    attempts += save_retries;
                     wall += save_started.elapsed();
                 }
                 reports.insert(

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use towerlens_trace::faults::SplitMix64;
 
-use super::checkpoint::fnv1a64;
+use super::checkpoint::{fnv1a64, CheckpointError};
 
 /// Per-stage retry with deterministic seeded exponential backoff.
 ///
@@ -81,6 +81,28 @@ impl RetryPolicy {
             self.seed ^ fnv1a64(stage.as_bytes()),
             attempt,
         )
+    }
+
+    /// Runs one checkpoint operation on `stage`, retrying it while it
+    /// fails with [`CheckpointError::Io`] and the budget lasts: retry
+    /// `n` (0-based) sleeps [`RetryPolicy::delay`]`(stage, n)` first.
+    /// Any other error is final at once. Returns the last result and
+    /// the retries taken.
+    pub fn retry_io<T>(
+        &self,
+        stage: &str,
+        mut op: impl FnMut() -> Result<T, CheckpointError>,
+    ) -> (Result<T, CheckpointError>, u32) {
+        let mut retries = 0;
+        loop {
+            match op() {
+                Err(CheckpointError::Io { .. }) if retries < self.retries => {
+                    std::thread::sleep(self.delay(stage, retries));
+                    retries += 1;
+                }
+                result => return (result, retries),
+            }
+        }
     }
 }
 
@@ -165,6 +187,49 @@ mod tests {
     fn backoff_first_retry_is_at_least_base() {
         let d = backoff_delay(Duration::from_millis(25), Duration::from_secs(1), 3, 0);
         assert!(d >= Duration::from_millis(25) && d < Duration::from_millis(50));
+    }
+
+    #[test]
+    fn retry_io_retries_only_io_errors_within_budget() {
+        let policy = RetryPolicy {
+            retries: 3,
+            base: Duration::ZERO,
+            ..RetryPolicy::none()
+        };
+        let io = || CheckpointError::Io {
+            path: "p.ckpt".into(),
+            message: "injected".into(),
+        };
+        // `fails` Io errors, then success: every op call is counted.
+        let run = |fails: u32| {
+            let mut calls = 0;
+            let (result, retries) = policy.retry_io("s", || {
+                calls += 1;
+                if calls <= fails {
+                    Err(io())
+                } else {
+                    Ok(calls)
+                }
+            });
+            (result, retries, calls)
+        };
+        for fails in 0..=3 {
+            assert_eq!(run(fails), (Ok(fails + 1), fails, fails + 1));
+        }
+        // One Io error past the budget is returned, after 3 retries.
+        assert_eq!(run(4), (Err(io()), 3, 4));
+        // Damage is final at once, whatever the budget.
+        let damaged = CheckpointError::Damaged {
+            path: "p.ckpt".into(),
+            stage: "s".into(),
+            error: towerlens_artifact::ArtifactError::BadMagic,
+        };
+        let mut calls = 0;
+        let (result, retries) = policy.retry_io("s", || -> Result<(), _> {
+            calls += 1;
+            Err(damaged.clone())
+        });
+        assert_eq!((result, retries, calls), (Err(damaged), 0, 1));
     }
 
     #[test]

@@ -43,7 +43,7 @@ const POINTS: &[(&str, &str, &str)] = &[
     ("checkpoint.save.<stage>", "err*<n>", "before the stage's checkpoint is written"),
     ("checkpoint.load.<stage>", "err*<n>", "before the stage's checkpoint is read"),
     ("checkpoint.tmp", "abort@<n>", "after a checkpoint's temp file is fsynced"),
-    ("checkpoint", "abort@<n>", "after a checkpoint replace (stages, serve snapshots)"),
+    ("checkpoint", "abort@<n>", "after a checkpoint replace (stages, serve's drain snapshot)"),
     ("artifact.tmp", "abort@<n>", "after a query artifact's temp file is fsynced"),
     ("artifact", "abort@<n>", "after a query artifact replace"),
     ("publish.gen.tmp", "abort@<n>", "after a generation's temp file is fsynced"),
@@ -52,7 +52,7 @@ const POINTS: &[(&str, &str, &str)] = &[
     ("publish.cur", "abort@<n>", "after CURRENT is replaced"),
     ("wal.repair.tmp", "abort@<n>", "after a torn WAL segment's repair is fsynced"),
     ("wal.repair", "abort@<n>", "after a torn WAL segment is replaced"),
-    ("wal.seal", "abort@<n>", "after a WAL segment is sealed, before its snapshot"),
+    ("wal.seal", "abort@<n>", "after a WAL segment is sealed"),
 ];
 
 /// What a failpoint does when its site reaches it.

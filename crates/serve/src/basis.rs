@@ -3,9 +3,9 @@
 //! The batch study (or `towerlens-cli analyze`) discovers the city's
 //! traffic patterns once, and `serve` assigns each tower of its
 //! durable state to the nearest of those **frozen centroids** in
-//! z-scored traffic space: at every snapshot barrier (the progress
-//! line's counts) and in the drain report, both over the same batch
-//! analysis of the state. The basis is the versioned query artifact
+//! z-scored traffic space: at every barrier (the state line's counts)
+//! and in the drain report, both over the same batch analysis of the
+//! state. The basis is the versioned query artifact
 //! the batch run writes with `--snapshot`, so a batch run and a
 //! streaming run literally share the artifact.
 

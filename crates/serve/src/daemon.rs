@@ -1,13 +1,19 @@
 //! The streaming ingestion daemon: WAL-ahead acknowledgement, sharded
-//! per-tower sessions, snapshot checkpoints at segment boundaries, and
-//! a drain report that byte-matches the batch pipeline.
+//! per-tower sessions, one snapshot checkpoint per run, written at the
+//! drain, and a drain report that byte-matches the batch pipeline.
 //!
 //! # Lifecycle
 //!
-//! 1. **Recover.** Load the latest snapshot (if any) from
-//!    `data_dir/snap`, verify the whole WAL (`data_dir/wal`), apply the
-//!    entries past the snapshot's sequence horizon, and hand each shard
-//!    its towers' sessions.
+//! 1. **Recover.** Load the snapshot, the state of the last drain (if
+//!    any), from `data_dir/snap`, verify the whole WAL
+//!    (`data_dir/wal`), apply the entries past the snapshot's sequence
+//!    horizon, and hand each shard its towers' sessions. After a drain
+//!    there is nothing to apply; after a kill, the entries acknowledged
+//!    since the last drain. Either way the entries applied are at most
+//!    the ledger that every start verifies anyway (checksums, seals,
+//!    gap-free numbering), so recovery grows with the stream: 0.2–0.3 µs
+//!    per verified entry with the single scanner of [`crate::wal`]
+//!    (94,773 entries, 2-vCPU Xeon VM).
 //! 2. **Stream.** Read the source line by line. Every non-empty line
 //!    is assigned the next global sequence number and appended to the
 //!    WAL *before* it is parsed or applied — the WAL is the
@@ -15,32 +21,21 @@
 //!    work. Parsed records are dispatched to shard workers
 //!    (`cell_id % shards`) over bounded queues; a full queue counts a
 //!    backpressure wait before blocking.
-//! 3. **Checkpoint.** At every WAL segment boundary the daemon seals
-//!    the segment, barriers the shards, and writes an fsync'd snapshot
-//!    of the complete durable state on a scoped thread. When something
-//!    reads the state's analysis — a `--publish` generation or the
-//!    `--basis` counts on the progress line — the ingest thread
-//!    vectorizes the same state meanwhile, tower by tower, and
-//!    publishes; it identifies the state's patterns only to publish
-//!    them. The stream resumes only once both are done, so a kill
-//!    leaves the WAL where a sequential barrier would, though it may
-//!    leave a generation ahead of its snapshot; a save error is
-//!    reported before an analysis error.
-//!    A restart therefore applies at most one segment's entries, but
-//!    it still verifies every entry of the ledger (checksums, seals,
-//!    gap-free numbering), so its cost grows with the stream: 0.2–0.3 µs
-//!    per entry with the single scanner of [`crate::wal`], against
-//!    0.6–1.0 µs when every entry was checksummed twice and copied
-//!    (94,773 entries, 2-vCPU Xeon VM). Bounding it by one segment
-//!    would need a durable replay horizon, and start-up would then stop
-//!    failing on a damaged covered segment.
-//! 4. **Drain.** At end of stream the daemon runs the *batch* analysis
+//! 3. **Segment boundaries.** At every WAL segment boundary the daemon
+//!    seals the segment and starts the next. Only when something reads
+//!    the state's analysis — a `--publish` generation or the `--basis`
+//!    counts on the state line — does it also barrier the shards,
+//!    vectorize the state tower by tower, publish (it identifies the
+//!    state's patterns only to publish them) and print the state line.
+//!    A plain run barriers its shards once, at the drain.
+//! 4. **Drain.** At end of stream the daemon seals the tail and
+//!    barriers the shards, reusing the last segment barrier's state and
+//!    analysis when that barrier covered the stream. It then writes the
+//!    run's one fsync'd snapshot of the durable state, unless the
+//!    snapshot on disk already covers it, and runs the *batch* analysis
 //!    (vectorizer → spectral lines → pattern identifier → optional
-//!    frozen-basis classification) over the final state, once, and
-//!    prints one deterministic report to stdout. The final barrier
-//!    vectorizes beside its save for the drain to read; when the last
-//!    segment barrier already covered the stream, the drain reuses
-//!    whatever that barrier computed.
+//!    frozen-basis classification) over the final state, once: it
+//!    publishes it and prints one deterministic report to stdout.
 //!
 //! # Determinism contract
 //!
@@ -64,8 +59,8 @@
 //! fails the run; a WAL or source I/O error fails it at once. Either
 //! way the next start replays the WAL. The
 //! `checkpoint.save.serve-state=err*<n>` failpoint injects snapshot
-//! save errors; `wal.seal` and `checkpoint` (`abort@<n>`) kill the
-//! daemon after the n-th segment seal and the n-th snapshot.
+//! save errors; `wal.seal=abort@<n>` kills the daemon after the n-th
+//! segment seal, and `checkpoint=abort@1` after the drain's snapshot.
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -74,7 +69,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 
 use towerlens_artifact::{fnv1a64, Publisher};
-use towerlens_core::engine::{CheckpointError, CheckpointStore, RetryPolicy};
+use towerlens_core::engine::{CheckpointStore, RetryPolicy};
 use towerlens_core::error::CoreError;
 use towerlens_core::identifier::{IdentifiedPatterns, PatternIdentifier};
 use towerlens_core::study::snapshot_from_parts;
@@ -118,7 +113,7 @@ pub struct ServeConfig {
     pub days: usize,
     /// Shard worker count (towers are sharded by `cell_id % shards`).
     pub shards: usize,
-    /// Records per WAL segment (= snapshot cadence).
+    /// Records per WAL segment (= publish and `--basis` cadence).
     pub segment_records: u64,
     /// Bounded shard queue capacity.
     pub queue_cap: usize,
@@ -129,13 +124,13 @@ pub struct ServeConfig {
     pub basis: Option<PathBuf>,
     /// WAL flush+fsync cadence in records (1 = every record).
     pub flush_every: u64,
-    /// Progress line to stderr every this many records (0 = only at
-    /// segment boundaries).
+    /// Progress line to stderr every this many records (0 = none; a
+    /// state line still marks each barrier).
     pub progress_every: u64,
     /// Generation-store directory to publish query artifacts into
     /// (`gen-N.artifact` + atomic `CURRENT` pointer) at every
-    /// snapshot boundary, for `towerlens query --watch` hot reload.
-    /// `None` = don't publish.
+    /// segment boundary and at the drain, for `towerlens query
+    /// --watch` hot reload. `None` = don't publish.
     pub publish: Option<PathBuf>,
 }
 
@@ -320,7 +315,7 @@ impl ServeReport {
 /// Messages into a shard worker.
 enum ShardMsg {
     /// Apply one acknowledged record.
-    Apply(u64, LogRecord),
+    Apply(LogRecord),
     /// Barrier: reply with a copy of the shard's state. Because the
     /// channel is ordered, the copy covers exactly the records
     /// dispatched before the barrier.
@@ -341,13 +336,11 @@ fn run_shard(rx: mpsc::Receiver<ShardMsg>, mut towers: BTreeMap<u32, TowerState>
     let mut conflicts = 0u64;
     for msg in rx {
         match msg {
-            ShardMsg::Apply(seq, rec) => {
-                match towers.entry(rec.cell_id).or_default().apply(&rec, seq) {
-                    ApplyOutcome::New => {}
-                    ApplyOutcome::Duplicate => duplicates += 1,
-                    ApplyOutcome::Conflict => conflicts += 1,
-                }
-            }
+            ShardMsg::Apply(rec) => match towers.entry(rec.cell_id).or_default().apply(&rec) {
+                ApplyOutcome::New => {}
+                ApplyOutcome::Duplicate => duplicates += 1,
+                ApplyOutcome::Conflict => conflicts += 1,
+            },
             ShardMsg::Sync(reply) => {
                 let view = ShardView {
                     towers: towers
@@ -369,8 +362,8 @@ fn run_shard(rx: mpsc::Receiver<ShardMsg>, mut towers: BTreeMap<u32, TowerState>
 struct Recovered {
     shard_maps: Vec<BTreeMap<u32, TowerState>>,
     counts: Counts,
-    /// `next_seq` already covered by the on-disk snapshot (used to
-    /// skip a redundant final snapshot on an already-converged rerun).
+    /// `next_seq` already covered by the on-disk snapshot: the drain
+    /// saves only a state past it.
     snapshotted_seq: Option<u64>,
 }
 
@@ -407,7 +400,7 @@ fn recover(config: &ServeConfig, store: &CheckpointStore) -> Result<Recovered, S
                 counts.records += 1;
                 let shard = rec.cell_id as usize % config.shards;
                 let tower = shard_maps[shard].entry(rec.cell_id).or_default();
-                match tower.apply(&rec, seq) {
+                match tower.apply(&rec) {
                     ApplyOutcome::New => {}
                     ApplyOutcome::Duplicate => counts.duplicates += 1,
                     ApplyOutcome::Conflict => counts.conflicts += 1,
@@ -431,27 +424,6 @@ fn recover(config: &ServeConfig, store: &CheckpointStore) -> Result<Recovered, S
         counts,
         snapshotted_seq,
     })
-}
-
-/// Saves a snapshot with bounded retries over transient I/O failures
-/// (the `checkpoint.save.serve-state` failpoint injects these in
-/// drills), returning the length of the file written.
-fn save_snapshot(
-    store: &CheckpointStore,
-    snap: &ServeSnapshot,
-    retry: &RetryPolicy,
-) -> Result<u64, ServeError> {
-    let mut attempt = 0u32;
-    loop {
-        match store.save(SNAPSHOT_STAGE, &[], &SnapshotCodec, snap) {
-            Ok(bytes) => return Ok(bytes),
-            Err(CheckpointError::Io { .. }) if attempt < retry.retries => {
-                attempt += 1;
-                std::thread::sleep(retry.delay("serve-snapshot", attempt));
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
 }
 
 /// Runs the daemon to end of source and returns the drain report.
@@ -483,7 +455,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     let resume_from = counts.next_seq;
 
     // Spawn the shard workers over bounded queues.
-    let retry = RetryPolicy::new(config.retries);
     let mut senders = Vec::with_capacity(config.shards);
     let mut handles = Vec::with_capacity(config.shards);
     for map in recovered.shard_maps {
@@ -509,46 +480,21 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
         Ok(views)
     };
 
-    // One barrier over `state`: when `save`, a scoped thread saves the
-    // snapshot while this thread analyses the same state, if the drain
-    // (`drain`), a published generation or the `--basis` counts read
-    // the analysis, and publishes it; only a publish identifies the
-    // state's patterns. Both finish before the stream resumes, and the
-    // save's error comes first. Prints the progress line and returns
-    // the analysis made, for the drain to reuse.
-    let mut checkpoint =
-        |state: &ServeSnapshot, save: bool, drain: bool| -> Result<Option<Analysis>, ServeError> {
-            let analyse = drain || publisher.is_some() || basis.is_some();
-            let mut analysed = || -> Result<Option<Analysis>, ServeError> {
-                if !analyse {
-                    return Ok(None);
-                }
-                let analysis = Analysis::of_state(state, &window)?;
-                if let Some(publisher) = publisher.as_mut() {
-                    publish_generation(publisher, &analysis, &window, fingerprint)?;
-                }
-                Ok(Some(analysis))
-            };
-            let (saved, analysis) = std::thread::scope(|scope| {
-                let saving = save.then(|| scope.spawn(|| save_snapshot(&store, state, &retry)));
-                let analysis = analysed();
-                let saved =
-                    saving.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-                (saved, analysis)
-            });
-            if let Some(bytes) = saved.transpose()? {
-                SNAPSHOTS.inc();
-                SNAPSHOT_BYTES.add(bytes);
-            }
-            let analysis = analysis?;
-            let classes = analysis
-                .as_ref()
-                .zip(basis.as_ref())
-                .map(|(analysis, basis)| analysis.classes(basis))
-                .transpose()?;
-            progress_line(state, classes.as_deref());
-            Ok(analysis)
-        };
+    // The analysis of one barrier's state: publishes it (only a publish
+    // identifies the state's patterns), prints the state line and
+    // returns the analysis for the drain to reuse. A segment boundary
+    // takes a barrier only when a generation or the `--basis` counts
+    // read its state.
+    let reads_state = publisher.is_some() || basis.is_some();
+    let mut analyse = |state: &ServeSnapshot| -> Result<Analysis, ServeError> {
+        let analysis = Analysis::of_state(state, &window)?;
+        if let Some(publisher) = publisher.as_mut() {
+            publish_generation(publisher, &analysis, &window, fingerprint)?;
+        }
+        let classes = basis.as_ref().map(|b| analysis.classes(b)).transpose()?;
+        state_line(state, classes.as_deref());
+        Ok(analysis)
+    };
 
     // Stream the source, skipping the lines already acknowledged.
     let mut wal = WalWriter::open(&config.data_dir.join(WAL_DIR))?;
@@ -556,8 +502,8 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
     let reader = std::io::BufReader::new(file);
     let mut skipped = 0u64;
     let mut unflushed = 0u64;
-    // This run's latest barrier and the analysis it made, if any.
-    let mut last: Option<(ServeSnapshot, Option<Analysis>)> = None;
+    // This run's latest segment barrier and its analysis, if any.
+    let mut last: Option<(ServeSnapshot, Analysis)> = None;
     for line in reader.lines() {
         let line = line.map_err(|e| io_err(&config.source, e))?;
         if line.is_empty() {
@@ -584,7 +530,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
                 counts.records += 1;
                 RECORDS_INGESTED.inc();
                 let shard = rec.cell_id as usize % config.shards;
-                match senders[shard].try_send(ShardMsg::Apply(seq, rec)) {
+                match senders[shard].try_send(ShardMsg::Apply(rec)) {
                     Ok(()) => {}
                     Err(mpsc::TrySendError::Full(msg)) => {
                         BACKPRESSURE_WAITS.inc();
@@ -612,43 +558,45 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
             if wal.rotate()? {
                 WAL_SEGMENTS.inc();
             }
-            // Free the previous barrier's copy before taking the next.
-            drop(last.take());
-            let state = assemble(barrier(&senders)?, &counts);
-            let analysis = checkpoint(&state, true, false)?;
-            last = Some((state, analysis));
+            if reads_state {
+                // Free the previous barrier's copy before taking the next.
+                drop(last.take());
+                let state = assemble(barrier(&senders)?, &counts);
+                let analysis = analyse(&state)?;
+                last = Some((state, analysis));
+            }
         }
     }
 
-    // End of stream: seal the tail. When this run's last barrier
-    // already covered every acknowledged line, its snapshot, generation
-    // and progress line stand. Otherwise checkpoint the final state,
-    // saving it only if the on-disk snapshot is behind; a resumed run
-    // with nothing new still publishes, so a generation lost to a kill
-    // between a snapshot and its publish converges (the publish is an
+    // End of stream: seal the tail and barrier, unless this run's last
+    // segment barrier already covered every acknowledged line (its
+    // analysis, generation and state line then stand). Save the run's
+    // one snapshot if the one on disk is behind, then analyse. A resumed
+    // run with nothing new still analyses and publishes, so a generation
+    // lost to a kill after the drain's save converges (the publish is an
     // idempotent no-op once `CURRENT` names these bytes).
     wal.sync()?;
     if wal.rotate()? {
         WAL_SEGMENTS.inc();
     }
-    let last = last.filter(|(state, _)| state.next_seq == counts.next_seq);
-    let (state, analysis) = match last {
-        Some(done) => done,
-        None => {
-            let state = assemble(barrier(&senders)?, &counts);
-            let save = recovered.snapshotted_seq != Some(counts.next_seq);
-            let analysis = checkpoint(&state, save, true)?;
-            (state, analysis)
-        }
+    let (state, analysis) = match last.filter(|(state, _)| state.next_seq == counts.next_seq) {
+        Some((state, analysis)) => (state, Some(analysis)),
+        None => (assemble(barrier(&senders)?, &counts), None),
     };
     drop(senders);
     for h in handles {
         let _ = h.join();
     }
-
+    if recovered.snapshotted_seq != Some(counts.next_seq) {
+        let (saved, _) = RetryPolicy::new(config.retries).retry_io(SNAPSHOT_STAGE, || {
+            store.save(SNAPSHOT_STAGE, &[], &SnapshotCodec, &state)
+        });
+        SNAPSHOT_BYTES.add(saved?);
+        SNAPSHOTS.inc();
+    }
     let analysis = match analysis {
         Some(analysis) => analysis,
-        None => Analysis::of_state(&state, &window)?,
+        None => analyse(&state)?,
     };
     report(&Counts::of(&state), &analysis, &window, basis.as_ref())
 }
@@ -674,9 +622,9 @@ fn assemble(views: Vec<ShardView>, counts: &Counts) -> ServeSnapshot {
     snap
 }
 
-fn progress_line(state: &ServeSnapshot, classes: Option<&[usize]>) {
+fn state_line(state: &ServeSnapshot, classes: Option<&[usize]>) {
     let mut msg = format!(
-        "serve: snapshot at seq {} ({} sessions, {} towers)",
+        "serve: state at seq {} ({} sessions, {} towers)",
         state.next_seq,
         state.kept(),
         state.towers.len()

@@ -4,8 +4,8 @@
 //! `towerlens serve` daemon tails a source of connection-log lines,
 //! acknowledges each by appending it to a checksummed segment-based
 //! write-ahead log, keeps each tower's cleaned sessions in shard
-//! workers, and snapshots that durable state at every segment
-//! boundary. Every derived number — a published generation, the
+//! workers, and snapshots that durable state once per run, at the
+//! drain. Every derived number — a published generation, the
 //! `--basis` class counts, the drain report — comes from one batch
 //! analysis (vectorize, spectral lines, pattern identification) of the
 //! durable state, made at most once per barrier and at end of stream.

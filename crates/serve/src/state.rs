@@ -5,9 +5,8 @@
 //! byte the daemon prints to stdout is a pure function of the durable
 //! state**, and the durable state is a pure function of the
 //! acknowledged record stream. Durable state is deliberately minimal —
-//! per-tower *sessions* (the cleaned connection logs, each carrying
-//! the sequence number under which its key was first seen) plus a
-//! handful of integer counters — and it is all a shard holds. Every
+//! per-tower *sessions* (the cleaned connection logs) plus a handful
+//! of integer counters — and it is all a shard holds. Every
 //! derived number (binned traffic, z-scored vectors, spectral lines,
 //! patterns, basis classes) comes from one batch analysis of that
 //! state, never from a floating-point copy amended record by record,
@@ -42,10 +41,6 @@ pub struct Session {
     pub end_s: u64,
     /// Bytes transferred (conflicts resolved to the maximum).
     pub bytes: u64,
-    /// The global sequence number under which this session key was
-    /// first acknowledged — the key's rank in the cleaner's
-    /// first-seen output order.
-    pub first_seq: u64,
 }
 
 /// The durable state: what a snapshot persists and a restart resumes
@@ -81,9 +76,9 @@ pub struct SnapshotCodec;
 
 impl StageCodec<ServeSnapshot> for SnapshotCodec {
     fn encode(&self, snap: &ServeSnapshot, out: &mut Enc) -> Result<(), String> {
-        // Six counts, two fields per tower and five per session, 8 bytes
+        // Six counts, two fields per tower and four per session, 8 bytes
         // each: the body's exact size, reserved before any write.
-        let fields = 6 + 2 * snap.towers.len() + 5 * snap.kept() as usize;
+        let fields = 6 + 2 * snap.towers.len() + 4 * snap.kept() as usize;
         out.reserve(8 * fields);
         for count in [
             snap.next_seq,
@@ -99,7 +94,7 @@ impl StageCodec<ServeSnapshot> for SnapshotCodec {
             out.u64(u64::from(*cell));
             out.usize(sessions.len());
             for s in sessions {
-                for field in [s.user_id, s.start_s, s.end_s, s.bytes, s.first_seq] {
+                for field in [s.user_id, s.start_s, s.end_s, s.bytes] {
                     out.u64(field);
                 }
             }
@@ -121,7 +116,7 @@ impl StageCodec<ServeSnapshot> for SnapshotCodec {
         for _ in 0..n_towers {
             let cell = d.u64()?;
             let cell = u32::try_from(cell).map_err(|_| d.corrupt(format!("cell id {cell}")))?;
-            let n_sessions = d.count(40)?;
+            let n_sessions = d.count(32)?;
             let mut sessions = Vec::with_capacity(n_sessions);
             for _ in 0..n_sessions {
                 sessions.push(Session {
@@ -129,7 +124,6 @@ impl StageCodec<ServeSnapshot> for SnapshotCodec {
                     start_s: d.u64()?,
                     end_s: d.u64()?,
                     bytes: d.u64()?,
-                    first_seq: d.u64()?,
                 });
             }
             snap.towers.push((cell, sessions));
@@ -174,9 +168,8 @@ impl TowerState {
     }
 
     /// Applies one acknowledged record under the batch cleaner's
-    /// semantics. `seq` is the record's global sequence number; it is
-    /// recorded only for a new session key.
-    pub fn apply(&mut self, r: &LogRecord, seq: u64) -> ApplyOutcome {
+    /// semantics.
+    pub fn apply(&mut self, r: &LogRecord) -> ApplyOutcome {
         let key = (r.user_id, r.start_s, r.end_s);
         match self.index.entry(key) {
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -186,7 +179,6 @@ impl TowerState {
                     start_s: r.start_s,
                     end_s: r.end_s,
                     bytes: r.bytes,
-                    first_seq: seq,
                 });
                 ApplyOutcome::New
             }
@@ -234,8 +226,8 @@ mod tests {
         let mut tower = TowerState::default();
         let mut dup = 0;
         let mut conf = 0;
-        for (seq, r) in records.iter().enumerate() {
-            match tower.apply(r, seq as u64) {
+        for r in &records {
+            match tower.apply(r) {
                 ApplyOutcome::New => {}
                 ApplyOutcome::Duplicate => dup += 1,
                 ApplyOutcome::Conflict => conf += 1,
@@ -267,12 +259,12 @@ mod tests {
             rec(3, 600, 7),
         ];
         let mut live = TowerState::default();
-        for (seq, r) in records[..3].iter().enumerate() {
-            live.apply(r, seq as u64);
+        for r in &records[..3] {
+            live.apply(r);
         }
         let mut restored = TowerState::from_sessions(live.sessions().to_vec());
-        for (seq, r) in records.iter().enumerate().skip(3) {
-            assert_eq!(live.apply(r, seq as u64), restored.apply(r, seq as u64));
+        for r in &records[3..] {
+            assert_eq!(live.apply(r), restored.apply(r));
         }
         assert_eq!(live.sessions(), restored.sessions());
         assert_eq!(live.sessions().len(), 3);
@@ -295,7 +287,6 @@ mod tests {
                         start_s: 100,
                         end_s: 700,
                         bytes: 999,
-                        first_seq: 0,
                     }],
                 ),
                 (
@@ -306,14 +297,12 @@ mod tests {
                             start_s: 0,
                             end_s: 600,
                             bytes: 1,
-                            first_seq: 3,
                         },
                         Session {
                             user_id: 2,
                             start_s: 0,
                             end_s: 1200,
                             bytes: 2,
-                            first_seq: 9,
                         },
                     ],
                 ),
@@ -323,8 +312,8 @@ mod tests {
         SnapshotCodec.encode(&snap, &mut body).unwrap();
         let bytes = body.into_bytes();
         // The size `encode` reserves: six counts, two fields per tower
-        // and five per session.
-        assert_eq!(bytes.len(), 8 * (6 + 2 * 2 + 5 * 3));
+        // and four per session.
+        assert_eq!(bytes.len(), 8 * (6 + 2 * 2 + 4 * 3));
         let mut d = Dec::new(&bytes, "body");
         assert_eq!(SnapshotCodec.decode(&mut d).unwrap(), snap);
         d.finish().unwrap();

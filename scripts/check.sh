@@ -222,18 +222,26 @@ echo "paper query batch answered 40,000 requests; $pruned topk subtrees pruned (
 echo "== serve smoke: streaming replay vs batch, kill-and-restart chaos =="
 # The streaming contract, end to end through the real binary: a
 # recorded stream drained by `serve` must render stdout byte-identical
-# to a rerun over the same durable state (WAL + snapshots), and a
-# daemon killed at every WAL segment boundary must converge to the
-# same bytes with zero record loss. The serve test suite additionally
-# asserts serve == batch_reference at the library level.
+# to a rerun over the same durable state (WAL + the drain's snapshot),
+# and a daemon killed at every WAL segment boundary must converge to
+# the same bytes with zero record loss. The serve test suite
+# additionally asserts serve == batch_reference at the library level.
 serve_tmp="$(mktemp -d)"
 trap 'rm -rf "$serve_tmp" "$thr_tmp"' EXIT
 ./target/release/towerlens-cli gen --out "$serve_tmp/ds" \
     --seed 7 --towers 20 --agents 60 --days 7 > /dev/null
 head -2500 "$serve_tmp/ds/logs.tsv" > "$serve_tmp/stream.tsv"
 serve_flags=(--source "$serve_tmp/stream.tsv" --days 7 --segment-records 500 --shards 3)
-./target/release/towerlens-cli serve "${serve_flags[@]}" \
-    --data "$serve_tmp/clean" > "$serve_tmp/serve-clean.out" 2> /dev/null
+./target/release/towerlens-cli serve "${serve_flags[@]}" --data "$serve_tmp/clean" \
+    --metrics "$serve_tmp/clean-metrics.json" > "$serve_tmp/serve-clean.out" 2> /dev/null
+# One snapshot per run, written at the drain: the run's snapshot bytes
+# are exactly the one file on disk, however many segments it sealed.
+snapshots=$(counter "$serve_tmp/clean-metrics.json" serve.snapshots)
+snapshot_bytes=$(counter "$serve_tmp/clean-metrics.json" serve.snapshot.bytes)
+snapshot_file=$(wc -c < "$serve_tmp/clean/snap/serve-state.ckpt")
+[ "$snapshots" -eq 1 ] && [ "$snapshot_bytes" -eq "$snapshot_file" ] \
+    || { echo "serve wrote $snapshots snapshots, $snapshot_bytes bytes, for a $snapshot_file-byte state; expected one"; exit 1; }
+echo "serve wrote one snapshot of $snapshot_bytes bytes, at the drain"
 # Recovery work, counted exactly: a rerun over the drained directory
 # verifies every WAL entry once (one per non-empty stream line),
 # applies none (the snapshot covers them all), and prints the drained
@@ -257,7 +265,7 @@ goertzel=$(counter "$serve_tmp/rerun-metrics.json" dsp.goertzel.evaluations)
 [ "$kept" -gt 0 ] && [ "$goertzel" -eq $((6 * kept)) ] \
     || { echo "serve rerun made $goertzel Goertzel evaluations for $kept kept towers, expected 6 per tower"; exit 1; }
 echo "serve rerun made $goertzel Goertzel evaluations, 6 per kept tower"
-# Kill at every segment boundary (abort before each snapshot), then
+# Kill at every segment boundary (abort after each segment seal), then
 # restart, until a run reaches the drain.
 for attempt in $(seq 1 12); do
     if TOWERLENS_FAILPOINTS='wal.seal=abort@1' ./target/release/towerlens-cli serve \
@@ -315,12 +323,14 @@ echo "query batch bit-identical at --threads 1 and 4; corruption caught"
 
 echo "== serving-path fault matrix: publish and snapshot kills, corrupt generation, shed determinism =="
 # The overload/degraded-mode contract (DESIGN.md §15), end to end:
-# kill the daemon inside the generation publish, or inside the snapshot
-# save that runs beside it (DESIGN.md §13), at each protocol point with
-# an escalating ordinal until a run drains, then demand that some run
-# was killed, that the converged store's CURRENT generation be
+# kill the daemon inside the generation publish, or inside the drain's
+# snapshot save (DESIGN.md §13), at each protocol point with an
+# escalating ordinal until a run drains, then demand that some run was
+# killed, that the converged store's CURRENT generation be
 # byte-identical to the clean run's, and that the data directory fsck
-# clean; corrupt that generation and demand `query --watch` stays on
+# clean. The checkpoint.tmp and checkpoint stages kill the first run at
+# its drain's save, the run's only one; the second resumes and drains.
+# Corrupt that generation and demand `query --watch` stays on
 # the last good one with degraded health; and shed a fixed slice of a
 # batch under --request-budget at two thread counts, demanding
 # byte-identical answers.
