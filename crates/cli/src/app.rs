@@ -10,18 +10,17 @@
 //! out are trustworthy, but incomplete), 2 usage error.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use crate::args::{self, switch, value, FlagDef, Flags, Parsed, ParsedMixed};
 use crate::commands::{
-    analyze_instrumented_with, artifact_detail, artifact_health, checkpoint_detail,
-    checkpoint_health, doctor_artifacts, doctor_checkpoints, doctor_exit, doctor_json,
-    doctor_pointer, doctor_summary, generate_dataset, run_study_with, study_config, wal_detail,
-    wal_health, AnalyzeOptions, DoctorVerdict, GenOptions, Health,
+    analyze, artifact_detail, artifact_health, checkpoint_detail, checkpoint_health,
+    doctor_artifacts, doctor_checkpoints, doctor_exit, doctor_json, doctor_pointer, doctor_summary,
+    generate_dataset, run_study_with, study_config, wal_detail, wal_health, AnalyzeOptions,
+    DoctorVerdict, GenOptions, Health,
 };
 use towerlens_artifact::{QueryIndex, SectionStatus};
 use towerlens_core::engine::CheckpointError;
-use towerlens_core::{RunReport, Study, Supervisor};
+use towerlens_core::{RunReport, Study};
 use towerlens_pipeline::FeatureSpace;
 
 /// The one stdout writer: every `print!` and `println!` in this module
@@ -73,7 +72,7 @@ usage:
                         [--max-bad-fraction F] [--impute]
                         [--feature-space raw|spectral|auto]
                         [--snapshot PATH]
-                        [--resume DIR] [--retries N] [--stage-timeout-ms MS]
+                        [--resume DIR] [--retries N]
                         [--timings] [--json]
                         [--metrics PATH] [--trace-events PATH]
       parse, clean, vectorize, cluster, and label a dataset directory
@@ -82,7 +81,7 @@ usage:
                         [--threads N]
                         [--feature-space raw|spectral|auto]
                         [--snapshot PATH]
-                        [--resume DIR] [--retries N] [--stage-timeout-ms MS]
+                        [--resume DIR] [--retries N]
                         [--timings] [--json]
                         [--metrics PATH] [--trace-events PATH]
       run the full in-process paper study through the stage engine
@@ -152,13 +151,12 @@ fault tolerance:
                         periodicity instead of dropping the tower
 
 supervision:
-  --retries N            retry checkpoint I/O errors up to N times per
-                         checkpoint probe or save with deterministic
-                         seeded backoff; default 0 for analyze and study
-                         (fail on first error), 2 for serve's snapshot
-  --stage-timeout-ms MS  per-stage wall-time budget enforced by a
-                         watchdog; an overrunning optional stage degrades,
-                         a required one fails the run; default 0 (off)
+  --retries N    retry checkpoint I/O errors up to N times per checkpoint
+                 probe or save, waiting 25 ms before the first retry and
+                 doubling up to 1 s; default 0 for analyze and study
+                 (fail on first error), 2 for serve's snapshot. A stage
+                 runs once and no stage has a deadline: kill a stuck run
+                 and rerun it with --resume
 
 common flags:
   --feature-space S  representation the cluster stage sees: `raw`
@@ -193,18 +191,11 @@ fn usage_error(message: &str) -> i32 {
     2
 }
 
-/// Builds the stage supervisor from the shared `--retries` /
-/// `--stage-timeout-ms` flags (0 = off, for both — the default
-/// supervisor reproduces the unsupervised engine exactly).
-fn supervisor_from(flags: &Flags) -> Result<Supervisor, String> {
-    let retries = flags.num("retries", 0)?;
-    let retries =
-        u32::try_from(retries).map_err(|_| format!("--retries {retries} is too large"))?;
-    let timeout_ms = flags.num("stage-timeout-ms", 0)?;
-    Ok(Supervisor::new(
-        retries,
-        (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-    ))
+/// Parses the shared `--retries` flag: checkpoint I/O retries per
+/// probe or save (0 = the first I/O error is final).
+fn retries_from(flags: &Flags, default: u32) -> Result<u32, String> {
+    let retries = flags.num("retries", u64::from(default))?;
+    u32::try_from(retries).map_err(|_| format!("--retries {retries} is too large"))
 }
 
 /// Parses a subcommand's flags; prints help or a one-line error.
@@ -374,7 +365,6 @@ pub fn run(argv: &[String]) -> i32 {
                 value("snapshot"),
                 value("resume"),
                 value("retries"),
-                value("stage-timeout-ms"),
                 switch("timings"),
                 switch("json"),
                 value("metrics"),
@@ -405,16 +395,11 @@ pub fn run(argv: &[String]) -> i32 {
                 Err(e) => return usage_error(&e),
             };
             let resume = flags.get("resume").map(PathBuf::from);
-            let supervisor = match supervisor_from(&flags) {
-                Ok(s) => s,
+            let retries = match retries_from(&flags, 0) {
+                Ok(r) => r,
                 Err(e) => return usage_error(&e),
             };
-            match analyze_instrumented_with(
-                &PathBuf::from(&dir),
-                &options,
-                resume.as_deref(),
-                &supervisor,
-            ) {
+            match analyze(&PathBuf::from(&dir), &options, resume.as_deref(), retries) {
                 Ok((s, report)) => {
                     if !flags.has("json") {
                         println!(
@@ -456,7 +441,6 @@ pub fn run(argv: &[String]) -> i32 {
                 value("snapshot"),
                 value("resume"),
                 value("retries"),
-                value("stage-timeout-ms"),
                 switch("timings"),
                 switch("json"),
                 value("metrics"),
@@ -485,8 +469,8 @@ pub fn run(argv: &[String]) -> i32 {
             };
             config.identifier.feature_space = feature_space;
             let resume = flags.get("resume").map(PathBuf::from);
-            let supervisor = match supervisor_from(&flags) {
-                Ok(s) => s,
+            let retries = match retries_from(&flags, 0) {
+                Ok(r) => r,
                 Err(e) => return usage_error(&e),
             };
             // The artifact's fingerprint is the checkpoint fingerprint
@@ -494,7 +478,7 @@ pub fn run(argv: &[String]) -> i32 {
             // `serve --basis` pin queries to the run that wrote them.
             let fingerprint = Study::new(config.clone()).checkpoint_fingerprint();
             let snapshot_path = flags.get("snapshot").map(PathBuf::from);
-            match run_study_with(config, resume.as_deref(), &supervisor) {
+            match run_study_with(config, resume.as_deref(), retries) {
                 Ok((report, run_report)) => {
                     if !flags.has("json") {
                         println!(
@@ -739,7 +723,6 @@ pub fn run(argv: &[String]) -> i32 {
             };
             let parsed = (|| -> Result<towerlens_serve::ServeConfig, String> {
                 let defaults = towerlens_serve::ServeConfig::default();
-                let retries = flags.num("retries", u64::from(defaults.retries))?;
                 Ok(towerlens_serve::ServeConfig {
                     source: PathBuf::from(flags.require("serve", "source")?),
                     data_dir: PathBuf::from(flags.require("serve", "data")?),
@@ -747,8 +730,7 @@ pub fn run(argv: &[String]) -> i32 {
                     shards: flags.num("shards", defaults.shards as u64)? as usize,
                     segment_records: flags.num("segment-records", defaults.segment_records)?,
                     queue_cap: flags.num("queue-cap", defaults.queue_cap as u64)? as usize,
-                    retries: u32::try_from(retries)
-                        .map_err(|_| format!("--retries {retries} is too large"))?,
+                    retries: retries_from(&flags, defaults.retries)?,
                     basis: flags.get("basis").map(PathBuf::from),
                     flush_every: flags.num("flush-every", defaults.flush_every)?,
                     progress_every: flags.num("progress-every", defaults.progress_every)?,

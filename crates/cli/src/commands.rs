@@ -29,7 +29,7 @@ use towerlens_cluster::dendrogram::Clustering;
 use towerlens_core::engine::{
     decode_normalized, decode_patterns, encode_normalized, encode_patterns, fsck_checkpoint,
     CheckpointError, CheckpointStore, EngineError, Graph, RunReport, Stage, StageCodec,
-    StageContext, StageHeader, StageOutput, Supervisor,
+    StageContext, StageHeader, StageOutput,
 };
 use towerlens_core::freq::representative_towers;
 use towerlens_core::identifier::{IdentifiedPatterns, IdentifierConfig, PatternIdentifier};
@@ -37,6 +37,7 @@ use towerlens_core::labeling::{cluster_of_kind, label_clusters_parts, GeoLabels}
 use towerlens_core::study::snapshot_from_parts;
 use towerlens_core::{PartialStudyReport, Study, StudyConfig};
 use towerlens_mobility::agents::{AgentConfig, AgentPopulation};
+use towerlens_obs::events::json_escape;
 use towerlens_pipeline::feature::FeatureSpace;
 use towerlens_pipeline::impute::ImputeConfig;
 use towerlens_pipeline::normalize::NormalizedMatrix;
@@ -666,43 +667,21 @@ pub fn analyze_fingerprint(dir: &Path, options: &AnalyzeOptions) -> std::io::Res
 }
 
 /// Analyzes a dataset directory: parse → clean → vectorize → cluster
-/// → label; scores against `truth.tsv` when present.
+/// → label; scores against `truth.tsv` when present. Returns the
+/// summary with the per-stage [`RunReport`]. With `resume`, the
+/// vectorize and cluster stages are persisted to (and reloaded from)
+/// that checkpoint directory, and a checkpoint probe or save that
+/// fails with an I/O error is retried up to `retries` times. This is
+/// what `analyze` runs.
 ///
 /// # Errors
-/// I/O, parse, and analysis failures.
+/// I/O, parse, and analysis failures (a failed required stage's own
+/// error), plus checkpoint I/O errors past the retry budget.
 pub fn analyze(
     dir: &Path,
     options: &AnalyzeOptions,
-) -> Result<AnalyzeSummary, Box<dyn std::error::Error>> {
-    Ok(analyze_instrumented(dir, options, None)?.0)
-}
-
-/// As [`analyze`], but also returns the per-stage [`RunReport`] and,
-/// with `resume`, persists/reloads the vectorize and cluster stages
-/// in that checkpoint directory.
-///
-/// # Errors
-/// As [`analyze`], plus checkpoint I/O and corruption errors.
-pub fn analyze_instrumented(
-    dir: &Path,
-    options: &AnalyzeOptions,
     resume: Option<&Path>,
-) -> Result<(AnalyzeSummary, RunReport), Box<dyn std::error::Error>> {
-    analyze_instrumented_with(dir, options, resume, &Supervisor::default())
-}
-
-/// As [`analyze_instrumented`], under a [`Supervisor`]: checkpoint-I/O
-/// failures retry with deterministic seeded backoff, and stages may
-/// carry a watchdog wall-time budget. This is what `analyze --retries N
-/// --stage-timeout-ms MS` runs.
-///
-/// # Errors
-/// As [`analyze_instrumented`], plus stage-timeout errors.
-pub fn analyze_instrumented_with(
-    dir: &Path,
-    options: &AnalyzeOptions,
-    resume: Option<&Path>,
-    supervisor: &Supervisor,
+    retries: u32,
 ) -> Result<(AnalyzeSummary, RunReport), Box<dyn std::error::Error>> {
     let store = match resume {
         Some(ckpt_dir) => Some(CheckpointStore::open(
@@ -711,7 +690,7 @@ pub fn analyze_instrumented_with(
         )?),
         None => None,
     };
-    let mut outcome = analyze_graph(dir, options).run_with(store.as_ref(), supervisor)?;
+    let mut outcome = analyze_graph(dir, options).run(store.as_ref(), retries)?;
     let CliArtifact::Vectors {
         normalized,
         parsed,
@@ -837,26 +816,27 @@ pub fn run_study(
     config: StudyConfig,
     resume: Option<&Path>,
 ) -> Result<(PartialStudyReport, RunReport), Box<dyn std::error::Error>> {
-    run_study_with(config, resume, &Supervisor::default())
+    run_study_with(config, resume, 0)
 }
 
-/// As [`run_study`], under a [`Supervisor`] — checkpoint I/O retries
-/// and per-stage deadlines on top of the resilient study path. This is
-/// what `study --retries N --stage-timeout-ms MS` runs.
+/// As [`run_study`], retrying each checkpoint probe and save that
+/// fails with an I/O error up to `retries` times. This is what
+/// `study --retries N` runs.
 ///
 /// # Errors
-/// As [`run_study`], plus stage-timeout errors from required stages.
+/// As [`run_study`]; checkpoint I/O failures only past the retry
+/// budget.
 pub fn run_study_with(
     config: StudyConfig,
     resume: Option<&Path>,
-    supervisor: &Supervisor,
+    retries: u32,
 ) -> Result<(PartialStudyReport, RunReport), Box<dyn std::error::Error>> {
     let study = Study::new(config);
     let store = match resume {
         Some(dir) => Some(CheckpointStore::open(dir, study.checkpoint_fingerprint())?),
         None => None,
     };
-    Ok(study.run_resilient_with(store.as_ref(), supervisor)?)
+    Ok(study.run_resilient_with(store.as_ref(), retries)?)
 }
 
 /// One `doctor` verdict: the checkpoint's file name and its fsck
@@ -1112,21 +1092,6 @@ pub fn doctor_summary(healths: &[Health]) -> String {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the verdict table as a stable JSON document for scripting:
 /// `{"dir": ..., "targets": [...], "summary": {...}}`, targets in
 /// inspection order.
@@ -1158,13 +1123,6 @@ pub fn doctor_json(dir: &Path, verdicts: &[DoctorVerdict]) -> String {
     out
 }
 
-/// Convenience for tests: generate then analyze in one temp dir.
-#[doc(hidden)]
-pub fn roundtrip_in(dir: &Path) -> Result<AnalyzeSummary, Box<dyn std::error::Error>> {
-    generate_dataset(dir, &GenOptions::default())?;
-    analyze(dir, &AnalyzeOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1185,13 +1143,15 @@ mod tests {
         for f in ["logs.tsv", "towers.tsv", "pois.tsv", "truth.tsv"] {
             assert!(dir.join(f).exists(), "{f} missing");
         }
-        let summary = analyze(
+        let (summary, _) = analyze(
             &dir,
             &AnalyzeOptions {
                 days: 7,
                 threads: 2,
                 ..AnalyzeOptions::default()
             },
+            None,
+            0,
         )
         .expect("analyze");
         assert_eq!(summary.records, written);
@@ -1210,7 +1170,7 @@ mod tests {
     fn analyze_missing_dir_errors() {
         let dir = std::env::temp_dir().join("towerlens-cli-missing");
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(analyze(&dir, &AnalyzeOptions::default()).is_err());
+        assert!(analyze(&dir, &AnalyzeOptions::default(), None, 0).is_err());
     }
 
     #[test]
@@ -1234,12 +1194,10 @@ mod tests {
             threads: 2,
             ..AnalyzeOptions::default()
         };
-        let (fresh, first) =
-            analyze_instrumented(&dir, &options, Some(&ckpt)).expect("first analyze");
+        let (fresh, first) = analyze(&dir, &options, Some(&ckpt), 0).expect("first analyze");
         assert_eq!(first.with_status(StageStatus::Cached), Vec::<&str>::new());
 
-        let (resumed, second) =
-            analyze_instrumented(&dir, &options, Some(&ckpt)).expect("second analyze");
+        let (resumed, second) = analyze(&dir, &options, Some(&ckpt), 0).expect("second analyze");
         assert_eq!(
             second.with_status(StageStatus::Cached),
             vec!["vectorize", "cluster"]

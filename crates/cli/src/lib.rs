@@ -24,6 +24,6 @@ pub mod commands;
 pub mod files;
 
 pub use commands::{
-    analyze, analyze_instrumented, doctor_checkpoints, generate_dataset, run_study, study_config,
-    AnalyzeOptions, AnalyzeSummary, GenOptions,
+    analyze, doctor_checkpoints, generate_dataset, run_study, study_config, AnalyzeOptions,
+    AnalyzeSummary, GenOptions,
 };

@@ -1,6 +1,6 @@
 //! Crash-recovery chaos harness, driven through the real binary.
 //!
-//! Three failure regimes the paper's month-long Hadoop runs (§2) make
+//! Failure regimes the paper's month-long Hadoop runs (§2) make
 //! routine, each injected via a seeded failpoint and asserted against
 //! the recovery contract:
 //!
@@ -16,9 +16,12 @@
 //!   bit-identical output and a nonzero retry counter; over budget,
 //!   the run fails with a typed checkpoint error instead of
 //!   corrupting anything.
-//! * **Stragglers** (`stage.<stage>=sleep(ms)`): an optional stage that
-//!   blows its `--stage-timeout-ms` budget is declared lost by the
-//!   watchdog and degrades the run (exit 1) instead of hanging it.
+//! * **A dead required stage** (`stage.<stage>=panic`): `analyze` and
+//!   `study` fail naming the stage and its panic.
+//!
+//! A straggler has no in-process remedy: a thread cannot be stopped,
+//! so a stuck run is killed and resumed, which is the first regime,
+//! and no flag sets a stage deadline.
 //!
 //! Every failpoint is an entry of `TOWERLENS_FAILPOINTS`. Subprocesses,
 //! not library calls: the kill failpoint aborts the whole process, and
@@ -26,7 +29,7 @@
 
 mod common;
 
-use common::{ckpt_files, counter_value, read, run_env, run_ok, span_status, temp};
+use common::{ckpt_files, counter_value, read, run_env, run_ok, temp};
 
 fn study_args<'a>(ckpt: &'a str, metrics: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
     let mut args = vec![
@@ -212,50 +215,69 @@ fn transient_io_faults_ride_through_under_the_retry_budget() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An optional stage that overruns its `--stage-timeout-ms` budget is
-/// declared lost by the watchdog: the run degrades (exit 1) with the
-/// timeout accounted in the span log and the metrics registry.
+/// A required stage that panics fails the run with that stage's own
+/// error, under `analyze` as under `study`, not with the artifact the
+/// dead stage left missing.
 #[test]
-fn watchdog_deadline_degrades_an_overrunning_optional_stage() {
-    let dir = temp("deadline");
-    let metrics = dir.join("metrics.json");
-    let events = dir.join("events.json");
-    let out = run_env(
-        &[
-            "study",
-            "--scale",
-            "tiny",
-            "--seed",
-            "42",
-            "--stage-timeout-ms",
-            "2000",
-            "--metrics",
-            metrics.to_str().unwrap(),
-            "--trace-events",
-            events.to_str().unwrap(),
-        ],
-        &[("TOWERLENS_FAILPOINTS", "stage.label=sleep(6000)")],
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "a lost optional stage must degrade the run, got: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("degraded"), "not announced: {stderr}");
+fn a_failed_required_stage_is_named_by_analyze_and_study() {
+    let dir = temp("required");
+    let data = dir.join("data");
+    let data_s = data.to_str().unwrap();
+    run_ok(&[
+        "gen", "--out", data_s, "--seed", "4", "--towers", "40", "--agents", "200", "--days", "7",
+    ]);
+    let panic = [("TOWERLENS_FAILPOINTS", "stage.cluster=panic")];
+    let named = "stage `cluster` panicked: failpoint `stage.cluster=panic` fired at hit 1";
+    for (args, says) in [
+        (
+            vec!["analyze", "--dir", data_s, "--days", "7"],
+            format!("analyze failed: {named}"),
+        ),
+        (
+            vec!["study", "--scale", "tiny", "--seed", "42"],
+            format!("study failed: engine: {named}"),
+        ),
+    ] {
+        let out = run_env(&args, &panic);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
+        assert!(stderr.contains(&says), "{}: {stderr}", args[0]);
+        assert!(out.stdout.is_empty(), "{}: printed a result", args[0]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let log = read(&events);
-    assert_eq!(span_status(&log, "label"), "failed");
-    let table = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        table.contains("2000 ms budget"),
-        "timeout not rendered in the status table: {table}"
-    );
-    let m = read(&metrics);
-    assert_eq!(counter_value(&m, "core.engine.stage_timeouts_total"), 1);
-    // The spine was unaffected: the study still produced its numbers.
-    assert_eq!(counter_value(&m, "core.engine.stages_failed"), 1);
+/// No flag sets a stage deadline: `--stage-timeout-ms` is refused as
+/// unknown before any work, by `study` and `analyze` alike.
+#[test]
+fn stage_timeout_flag_is_an_unknown_flag() {
+    let dir = temp("deadline");
+    let (data, ckpt) = (dir.join("data"), dir.join("ckpt"));
+    let (data_s, ckpt_s) = (data.to_str().unwrap(), ckpt.to_str().unwrap());
+    for args in [
+        vec!["study", "--resume", ckpt_s, "--stage-timeout-ms", "1"],
+        vec![
+            "analyze",
+            "--dir",
+            data_s,
+            "--resume",
+            ckpt_s,
+            "--stage-timeout-ms",
+            "1",
+        ],
+    ] {
+        let command = args[0];
+        let out = run_env(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "unknown flag `--stage-timeout-ms` for `{command}`"
+            )),
+            "{command}: {stderr}"
+        );
+        assert!(!ckpt.exists(), "{command} did work before refusing");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

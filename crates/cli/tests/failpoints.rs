@@ -28,7 +28,7 @@ fn malformed_failpoints_fail_every_command_before_any_work() {
     // entry of the spec)
     let rows = [
         // Misspellings that used to run to exit 0 and inject nothing.
-        ("stage.label=sleep(6s)", "study", 2, "bad argument"),
+        ("stage.label=sleep(6s)", "study", 2, "unknown action"),
         ("stage.lable=panic", "study", 1, "no stage `lable`"),
         ("checkpoint=abort@two", "study", 2, "bad argument"),
         (
@@ -57,6 +57,14 @@ fn malformed_failpoints_fail_every_command_before_any_work() {
         ("shard.*=err*2", "serve", 2, "unknown point"),
         ("query.chunk=err*1", "query", 2, "unknown point"),
         ("query.cost=mul(2)", "query", 2, "unknown point"),
+        // No action stalls a stage: nothing in the process bounds a
+        // stage's wall time, so a stall would test nothing.
+        (
+            "stage.label=sleep(1)",
+            "study",
+            2,
+            "unknown action `sleep(1)`",
+        ),
         (
             "wal.seal=abort@1;wal.seal=abort@2",
             "doctor",
@@ -69,15 +77,7 @@ fn malformed_failpoints_fail_every_command_before_any_work() {
         let (out_dir, missing) = (work.join("out"), work.join("missing.tsv"));
         let (w, m) = (out_dir.to_str().unwrap(), missing.to_str().unwrap());
         let args: Vec<&str> = match command {
-            "study" => vec![
-                "study",
-                "--seed",
-                "42",
-                "--resume",
-                w,
-                "--stage-timeout-ms",
-                "1500",
-            ],
+            "study" => vec!["study", "--seed", "42", "--resume", w],
             "gen" => vec!["gen", "--out", w, "--seed", "4", "--towers", "20"],
             "serve" => vec!["serve", "--source", m, "--data", w, "--publish", w],
             "query" => vec!["query", "--snapshot", m, "pattern", "0"],

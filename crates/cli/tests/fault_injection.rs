@@ -12,8 +12,8 @@
 use std::path::{Path, PathBuf};
 
 use towerlens_cli::commands::{
-    analyze_instrumented, doctor_checkpoints, generate_dataset, run_study, study_config,
-    AnalyzeOptions, GenOptions,
+    analyze, doctor_checkpoints, generate_dataset, run_study, study_config, AnalyzeOptions,
+    GenOptions,
 };
 use towerlens_core::{RunReport, StageStatus};
 use towerlens_trace::faults::FaultInjector;
@@ -84,7 +84,7 @@ fn garbage_under_threshold_is_quarantined_with_accurate_counts() {
     let total_lines = text.lines().filter(|l| !l.is_empty()).count();
 
     let (summary, report) =
-        analyze_instrumented(&dir, &options(0.10, false), None).expect("analyze survives garbage");
+        analyze(&dir, &options(0.10, false), None, 0).expect("analyze survives garbage");
 
     // The quarantine ledger balances: every line is either a parsed
     // record or a categorised quarantined one, and at least every
@@ -108,7 +108,7 @@ fn garbage_over_threshold_fails_closed() {
     assert!(skewed > records.len() / 3);
     std::fs::write(dir.join("logs.tsv"), to_lines(&records)).expect("write faulty logs");
 
-    let Err(err) = analyze_instrumented(&dir, &options(0.05, false), None) else {
+    let Err(err) = analyze(&dir, &options(0.05, false), None, 0) else {
         panic!("a feed this broken must fail closed");
     };
     let rendered = err.to_string();
@@ -143,10 +143,10 @@ fn tower_blackout_is_imputed_when_asked() {
     // Without imputation the run completes (robustness), with it the
     // outage is detected and repaired from the daily periodicity.
     let (plain, plain_report) =
-        analyze_instrumented(&dir, &options(0.05, false), None).expect("blackout without impute");
+        analyze(&dir, &options(0.05, false), None, 0).expect("blackout without impute");
     assert_eq!(card(&plain_report, "vectorize", "imputed"), 0);
     let (imputed, report) =
-        analyze_instrumented(&dir, &options(0.05, true), None).expect("blackout with impute");
+        analyze(&dir, &options(0.05, true), None, 0).expect("blackout with impute");
     assert!(card(&report, "vectorize", "imputed") > 0);
     assert!(imputed.k >= 2 && plain.k >= 2);
     let _ = std::fs::remove_dir_all(&dir);
@@ -164,8 +164,7 @@ fn drops_duplicates_and_spikes_do_not_break_the_analysis() {
     assert!(dropped > 0 && added > 0 && spiked > 0);
     std::fs::write(dir.join("logs.tsv"), to_lines(&records)).expect("write faulty logs");
 
-    let (summary, report) =
-        analyze_instrumented(&dir, &options(0.05, false), None).expect("perturbed feed");
+    let (summary, report) = analyze(&dir, &options(0.05, false), None, 0).expect("perturbed feed");
     assert_eq!(summary.records, records.len());
     assert!(summary.k >= 2, "k = {}", summary.k);
     assert!(!report.degraded());

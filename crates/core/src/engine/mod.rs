@@ -21,7 +21,9 @@
 //! recomputing — the stage is reported [`StageStatus::Cached`].
 //! Upstream stages whose artifacts are then no longer demanded by any
 //! stage that actually has to run are not executed at all and are
-//! reported [`StageStatus::Skipped`].
+//! reported [`StageStatus::Skipped`]. A checkpoint probe or save that
+//! fails with an I/O error is retried up to the run's budget
+//! ([`retry_io`]).
 //!
 //! A checkpoint is a file in the workspace's one durable container
 //! (the query artifact's: checksummed sections that tile the file);
@@ -44,7 +46,7 @@ pub use study_stages::{
     decode_normalized, decode_patterns, encode_normalized, encode_patterns, study_fingerprint,
     study_graph, StudyArtifact,
 };
-pub use supervisor::{backoff_delay, RetryPolicy, Supervisor};
+pub use supervisor::retry_io;
 
 /// Errors surfaced by graph validation and execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,14 +91,6 @@ pub enum EngineError {
         /// The rendered panic payload.
         message: String,
     },
-    /// A stage overran its supervised wall-time budget and was
-    /// declared lost by the watchdog.
-    StageTimedOut {
-        /// The overrunning stage.
-        stage: String,
-        /// The budget it blew, in milliseconds.
-        budget_ms: u64,
-    },
     /// A checkpoint could not be read or written.
     Checkpoint(CheckpointError),
     /// A failpoint names a stage the graph does not have.
@@ -126,12 +120,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::StagePanicked { stage, message } => {
                 write!(f, "stage `{stage}` panicked: {message}")
-            }
-            EngineError::StageTimedOut { stage, budget_ms } => {
-                write!(
-                    f,
-                    "stage `{stage}` exceeded its {budget_ms} ms budget and was declared lost"
-                )
             }
             EngineError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             EngineError::Failpoint(e) => write!(f, "{e}"),

@@ -2,6 +2,7 @@
 
 use std::time::Duration;
 
+use towerlens_obs::events::json_escape;
 use towerlens_obs::SpanEvent;
 
 use super::stage::Card;
@@ -68,12 +69,9 @@ pub struct StageReport {
     /// The stage's own error, for [`StageStatus::Failed`] stages.
     pub error: Option<EngineError>,
     /// How many attempts the stage consumed: 1 for a clean run, +1
-    /// per supervised checkpoint I/O retry (probe or save), 0 for
-    /// stages that did no work (skipped / pruned).
+    /// per checkpoint I/O retry (probe or save), 0 for stages that did
+    /// no work (skipped / pruned).
     pub attempts: u32,
-    /// Whether the watchdog declared this stage lost after it overran
-    /// its supervised wall-time budget.
-    pub timed_out: bool,
 }
 
 /// The full instrumentation record of one graph run.
@@ -146,9 +144,8 @@ impl RunReport {
     /// `core.engine.stages_<status>` counter increment per stage, one
     /// `core.engine.stage.<name>` timer observation per stage that did
     /// work (ran or cached), and a `core.engine.runs` counter plus
-    /// `core.engine.total` timer per run. Supervision activity feeds
-    /// two more counters — `core.engine.stage_retries_total` and
-    /// `core.engine.stage_timeouts_total` — which are registered (at
+    /// `core.engine.total` timer per run. Checkpoint I/O retries feed
+    /// `core.engine.stage_retries_total`, which is registered (at
     /// zero) even on quiet runs so metric dumps keep a stable key set.
     /// The engine runner calls this against the
     /// [`towerlens_obs::global`] registry for every run.
@@ -163,10 +160,6 @@ impl RunReport {
         registry
             .counter("core.engine.stage_retries_total")
             .add(retries);
-        let timeouts = self.stages.iter().filter(|s| s.timed_out).count() as u64;
-        registry
-            .counter("core.engine.stage_timeouts_total")
-            .add(timeouts);
         for s in &self.stages {
             match s.status {
                 StageStatus::Ran => registry.counter("core.engine.stages_ran").inc(),
@@ -236,8 +229,8 @@ impl RunReport {
         out
     }
 
-    /// The report as a JSON object (hand-rolled; stage names and card
-    /// labels are plain ASCII identifiers).
+    /// The report as a JSON object (hand-rolled; every string goes
+    /// through the workspace's one escaper, the span log's).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"total_ms\":");
         out.push_str(&format!(
@@ -263,9 +256,6 @@ impl RunReport {
                 out.push_str(&format!("\"{}\":{}", json_escape(&c.label), c.value));
             }
             out.push('}');
-            if s.timed_out {
-                out.push_str(",\"timed_out\":true");
-            }
             if let Some(error) = &s.error {
                 out.push_str(&format!(
                     ",\"error\":\"{}\"",
@@ -286,17 +276,6 @@ impl RunReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,7 +292,6 @@ mod tests {
                     cards: vec![Card::new("towers", 120)],
                     error: None,
                     attempts: 1,
-                    timed_out: false,
                 },
                 StageReport {
                     name: "cluster",
@@ -324,7 +302,6 @@ mod tests {
                     cards: vec![Card::new("k", 5), Card::new("vectors", 118)],
                     error: None,
                     attempts: 1,
-                    timed_out: false,
                 },
             ],
             total: Duration::from_millis(14),
@@ -348,33 +325,17 @@ mod tests {
             cards: Vec::new(),
             error: None,
             attempts: 0,
-            timed_out: false,
         });
         r.warnings
             .push("checkpoint for stage `city` is unusable; recomputing".into());
         r
     }
 
-    /// A run that exercised the supervisor: a retried stage, a
-    /// watchdog timeout, and a stage that failed after two checkpoint
-    /// probe retries.
+    /// A run with checkpoint I/O retries: a retried stage, and a stage
+    /// that failed after two checkpoint probe retries.
     fn supervised() -> RunReport {
         let mut r = sample();
         r.stages[1].attempts = 3;
-        r.stages.push(StageReport {
-            name: "frequency",
-            wave: 2,
-            status: StageStatus::Failed,
-            start: Duration::from_millis(13),
-            wall: Duration::from_millis(2_000),
-            cards: Vec::new(),
-            error: Some(EngineError::StageTimedOut {
-                stage: "frequency".to_string(),
-                budget_ms: 2_000,
-            }),
-            attempts: 1,
-            timed_out: true,
-        });
         r.stages.push(StageReport {
             name: "label",
             wave: 2,
@@ -387,7 +348,6 @@ mod tests {
                 message: "no data".to_string(),
             }),
             attempts: 3,
-            timed_out: false,
         });
         r
     }
@@ -424,9 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
+    fn json_escapes_an_error_as_the_span_log_does() {
+        let mut r = degraded();
+        r.stages[1].error = Some(EngineError::Stage {
+            stage: "cluster".to_string(),
+            message: "line one\nline \"two\"".to_string(),
+        });
+        let json = r.to_json();
+        assert!(
+            json.contains("\"error\":\"stage `cluster` failed: line one\\nline \\\"two\\\"\""),
+            "{json}"
+        );
+        assert!(!json.contains("\\u000a"), "{json}");
     }
 
     #[test]
@@ -477,13 +446,9 @@ mod tests {
         let registry = towerlens_obs::Registry::new();
         sample().feed_registry(&registry);
         let quiet = registry.snapshot();
-        for name in [
-            "core.engine.stage_retries_total",
-            "core.engine.stage_timeouts_total",
-        ] {
-            assert!(quiet.counters.contains_key(name), "missing {name}");
-            assert_eq!(quiet.counter(name), 0, "{name} nonzero on a quiet run");
-        }
+        let name = "core.engine.stage_retries_total";
+        assert!(quiet.counters.contains_key(name), "missing {name}");
+        assert_eq!(quiet.counter(name), 0, "{name} nonzero on a quiet run");
     }
 
     #[test]
@@ -493,11 +458,9 @@ mod tests {
         let snap = registry.snapshot();
         // cluster: 3 attempts = 2 retries; label: 3 attempts = 2 more.
         assert_eq!(snap.counter("core.engine.stage_retries_total"), 4);
-        assert_eq!(snap.counter("core.engine.stage_timeouts_total"), 1);
 
         let json = supervised().to_json();
         assert!(json.contains("\"attempts\":3"));
-        assert!(json.contains("\"timed_out\":true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
         let table = supervised().render_table();

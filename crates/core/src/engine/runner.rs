@@ -1,14 +1,21 @@
 //! Graph validation, wave scheduling, and execution.
+//!
+//! [`Graph::run`] is the engine's one entry point. A wave's single
+//! runnable stage runs inline on the caller's thread, several run on
+//! scoped threads, and the wave commits once all of them returned.
+//! Nothing inside the process bounds a stage's wall time: a thread
+//! cannot be stopped, so a straggler is the process supervisor's to
+//! kill, and `--resume` picks the run up from its checkpoints. What
+//! the runner does retry is checkpoint I/O ([`retry_io`]).
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use super::checkpoint::{CheckpointError, CheckpointStore};
 use super::report::{RunReport, StageReport, StageStatus};
 use super::stage::{Card, Stage, StageContext, StageOutput};
-use super::supervisor::Supervisor;
+use super::supervisor::retry_io;
 use super::EngineError;
 
 /// Renders a panic payload — the common `&str`/`String` cases; other
@@ -30,13 +37,6 @@ struct StageRun<A> {
     result: Result<StageOutput<A>, EngineError>,
     start: Duration,
     wall: Duration,
-}
-
-/// Messages on the watchdog channel: a finished stage, or the
-/// monitor thread declaring the wave's deadline blown.
-enum WatchMsg<A> {
-    Done(StageRun<A>),
-    Expired,
 }
 
 /// A checkpoint probe hit, with the retry count it took to get it.
@@ -70,15 +70,20 @@ impl<A> RunOutcome<A> {
     /// Removes and returns a stage's artifact.
     ///
     /// # Errors
-    /// [`EngineError::MissingArtifact`] when the stage produced none
-    /// (skipped) or it was already taken.
+    /// When the stage produced none: the first failed stage's own
+    /// error, which a failed or pruned stage always has behind it;
+    /// [`EngineError::MissingArtifact`] when no stage failed (the
+    /// stage was skipped, or its artifact already taken).
     pub fn take(&mut self, name: &str) -> Result<A, EngineError> {
-        self.artifacts
-            .remove(name)
-            .ok_or_else(|| EngineError::MissingArtifact {
-                stage: "<outcome>".to_string(),
-                dep: name.to_string(),
-            })
+        self.artifacts.remove(name).ok_or_else(|| {
+            self.report
+                .first_error()
+                .cloned()
+                .unwrap_or_else(|| EngineError::MissingArtifact {
+                    stage: "<outcome>".to_string(),
+                    dep: name.to_string(),
+                })
+        })
     }
 }
 
@@ -163,7 +168,10 @@ impl<A: Send + Sync> Graph<A> {
         Ok(waves)
     }
 
-    /// Runs the graph.
+    /// Runs the graph, retrying each checkpoint probe and save that
+    /// fails with [`CheckpointError::Io`] up to `retries` times
+    /// ([`retry_io`]). Each stage runs once: a stage's own error or
+    /// panic is final.
     ///
     /// Without a store, every stage executes ([`StageStatus::Ran`]).
     /// With a store, checkpointable stages whose artifact reloads
@@ -177,7 +185,7 @@ impl<A: Send + Sync> Graph<A> {
     /// checksum mismatch, malformed) is *not* fatal: the stage
     /// recomputes (overwriting the bad file on save) and the run
     /// carries a warning in [`RunReport::warnings`]. Only checkpoint
-    /// I/O errors abort.
+    /// I/O errors past the retry budget abort.
     ///
     /// Stage failures are contained where the graph can survive them:
     /// a panic in any stage, or an error from a [`Stage::optional`]
@@ -187,43 +195,20 @@ impl<A: Send + Sync> Graph<A> {
     /// already cached), and lets the rest of the run complete. An
     /// error from a non-optional stage still fails the run.
     ///
-    /// # Errors
-    /// Scheduling errors, checkpoint I/O errors, and the first failing
-    /// non-optional stage's error.
-    pub fn run(&self, store: Option<&CheckpointStore>) -> Result<RunOutcome<A>, EngineError> {
-        self.run_with(store, &Supervisor::default())
-    }
-
-    /// As [`Graph::run`], under a [`Supervisor`]: checkpoint I/O
-    /// errors (probe and save) are retried up to the supervisor's
-    /// budget with deterministic seeded backoff, and an optional
-    /// per-stage wall-time budget is enforced by a watchdog monitor
-    /// thread (an overrunning stage is declared lost with
-    /// [`EngineError::StageTimedOut`], which degrades optional stages
-    /// and fails the run for required ones). Each stage runs once: a
-    /// stage's own error or panic is final. `Supervisor::default()`
-    /// reproduces [`Graph::run`] exactly.
-    ///
-    /// The watchdog bounds when a stage's result is *declared lost*,
-    /// not the worker thread's lifetime: a truly hung stage still
-    /// holds its scoped thread until it returns (killing threads is
-    /// unsound); process-level supervision is the chaos harness's
-    /// job.
-    ///
     /// Before the first stage starts, the failpoints the run fires on
     /// (the process registry's `stage.<stage>`, and the store's
     /// `checkpoint.{save,load}.<stage>`) must name stages of this
     /// graph: a misspelt stage would otherwise inject nothing.
     ///
     /// # Errors
-    /// As [`Graph::run`], plus [`EngineError::StageTimedOut`] for a
-    /// required stage that blew its budget and
+    /// Scheduling errors, checkpoint I/O errors past the retry budget,
+    /// the first failing non-optional stage's error, and
     /// [`EngineError::Failpoint`] for a failpoint naming an unknown
     /// stage.
-    pub fn run_with(
+    pub fn run(
         &self,
         store: Option<&CheckpointStore>,
-        supervisor: &Supervisor,
+        retries: u32,
     ) -> Result<RunOutcome<A>, EngineError> {
         let started = Instant::now();
         let waves = self.waves()?;
@@ -243,8 +228,7 @@ impl<A: Send + Sync> Graph<A> {
         // Probe checkpoints up front: demand pruning needs the full
         // hit set before the first wave starts. A damaged file is a
         // cache miss with a warning, not a dead run; a transient I/O
-        // error retries under the supervisor's budget before
-        // aborting.
+        // error retries under the budget before aborting.
         let mut cached: HashMap<&'static str, CachedProbe<A>> = HashMap::new();
         let mut probe_retries: HashMap<&'static str, u32> = HashMap::new();
         if let Some(store) = store {
@@ -252,11 +236,9 @@ impl<A: Send + Sync> Graph<A> {
                 if let Some(codec) = s.codec() {
                     let probe_started = Instant::now();
                     let probe_offset = probe_started.duration_since(started);
-                    let (outcome, retries) = supervisor
-                        .retry
-                        .retry_io(s.name(), || store.load(s.name(), codec));
-                    if retries > 0 {
-                        probe_retries.insert(s.name(), retries);
+                    let (outcome, taken) = retry_io(retries, || store.load(s.name(), codec));
+                    if taken > 0 {
+                        probe_retries.insert(s.name(), taken);
                     }
                     match outcome {
                         Ok(Some((artifact, cards))) => {
@@ -267,7 +249,7 @@ impl<A: Send + Sync> Graph<A> {
                                     cards,
                                     start: probe_offset,
                                     wall: probe_started.elapsed(),
-                                    attempts: retries + 1,
+                                    attempts: taken + 1,
                                 },
                             );
                         }
@@ -326,7 +308,6 @@ impl<A: Send + Sync> Graph<A> {
                             cards: probe.cards,
                             error: None,
                             attempts: probe.attempts,
-                            timed_out: false,
                         },
                     );
                 } else if self.stages[index[name]]
@@ -346,7 +327,6 @@ impl<A: Send + Sync> Graph<A> {
                             cards: Vec::new(),
                             error: None,
                             attempts: 0,
-                            timed_out: false,
                         },
                     );
                 } else if !demanded.contains(name) {
@@ -361,7 +341,6 @@ impl<A: Send + Sync> Graph<A> {
                             cards: Vec::new(),
                             error: None,
                             attempts: 0,
-                            timed_out: false,
                         },
                     );
                 } else {
@@ -397,80 +376,12 @@ impl<A: Send + Sync> Graph<A> {
                     wall: stage_started.elapsed(),
                 }
             };
-            let mut results: Vec<StageRun<A>> = if let Some(budget) = supervisor.stage_timeout {
-                if to_run.is_empty() {
-                    Vec::new()
-                } else {
-                    // Watchdog path: workers report completions over a
-                    // channel; a monitor thread injects `Expired` when
-                    // the wave's per-stage budget lapses, and every
-                    // still-unfinished stage is declared lost. Late
-                    // results are discarded (the scope still joins the
-                    // stragglers before the wave commits).
-                    let shared = &artifacts;
-                    let run_one = &run_one;
-                    std::thread::scope(|scope| {
-                        let (tx, rx) = mpsc::channel::<WatchMsg<A>>();
-                        for &i in &to_run {
-                            let tx = tx.clone();
-                            scope.spawn(move || {
-                                let _ = tx.send(WatchMsg::Done(run_one(i, shared)));
-                            });
-                        }
-                        let finished = Arc::new((Mutex::new(false), Condvar::new()));
-                        {
-                            let finished = Arc::clone(&finished);
-                            let tx = tx.clone();
-                            scope.spawn(move || {
-                                let (flag, bell) = &*finished;
-                                let guard = flag.lock().unwrap();
-                                let (_guard, timeout) = bell
-                                    .wait_timeout_while(guard, budget, |done| !*done)
-                                    .unwrap();
-                                if timeout.timed_out() {
-                                    let _ = tx.send(WatchMsg::Expired);
-                                }
-                            });
-                        }
-                        drop(tx);
-                        let mut results: Vec<StageRun<A>> = Vec::new();
-                        let mut seen: HashSet<usize> = HashSet::new();
-                        while seen.len() < to_run.len() {
-                            match rx.recv() {
-                                Ok(WatchMsg::Done(run)) => {
-                                    seen.insert(run.index);
-                                    results.push(run);
-                                }
-                                Ok(WatchMsg::Expired) => {
-                                    for &i in &to_run {
-                                        if !seen.contains(&i) {
-                                            results.push(StageRun {
-                                                index: i,
-                                                result: Err(EngineError::StageTimedOut {
-                                                    stage: self.stages[i].name().to_string(),
-                                                    budget_ms: budget.as_millis() as u64,
-                                                }),
-                                                start: wave_offset,
-                                                wall: budget,
-                                            });
-                                        }
-                                    }
-                                    break;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        // Release the monitor thread before the scope
-                        // joins it.
-                        let (flag, bell) = &*finished;
-                        *flag.lock().unwrap() = true;
-                        bell.notify_all();
-                        results
-                    })
-                }
-            } else if to_run.len() <= 1 {
-                // A single runnable stage executes inline: no
-                // thread spawn on the (common) sequential spine.
+            // A single runnable stage executes inline: no thread spawn
+            // on the (common) sequential spine. Several run on scoped
+            // threads, joined in registration order, so the wave
+            // commits in that order whatever order they finish in and
+            // the first-error semantics stay deterministic.
+            let results: Vec<StageRun<A>> = if to_run.len() <= 1 {
                 to_run.iter().map(|&i| run_one(i, &artifacts)).collect()
             } else {
                 let shared = &artifacts;
@@ -486,10 +397,6 @@ impl<A: Send + Sync> Graph<A> {
                         .collect()
                 })
             };
-            // Commit in registration order whatever order the wave's
-            // threads finished in, so the first-error semantics stay
-            // deterministic.
-            results.sort_by_key(|r| r.index);
 
             for run in results {
                 let StageRun {
@@ -501,7 +408,6 @@ impl<A: Send + Sync> Graph<A> {
                 let stage = &self.stages[i];
                 let name = stage.name();
                 let mut attempts = 1 + probe_retries.get(name).copied().unwrap_or(0);
-                let timed_out = matches!(result, Err(EngineError::StageTimedOut { .. }));
                 let output = match result {
                     Ok(output) => output,
                     Err(e) => {
@@ -522,7 +428,6 @@ impl<A: Send + Sync> Graph<A> {
                                 cards: Vec::new(),
                                 error: Some(e),
                                 attempts,
-                                timed_out,
                             },
                         );
                         continue;
@@ -530,7 +435,7 @@ impl<A: Send + Sync> Graph<A> {
                 };
                 if let (Some(store), Some(codec)) = (store, stage.codec()) {
                     let save_started = Instant::now();
-                    let (saved, save_retries) = supervisor.retry.retry_io(name, || {
+                    let (saved, save_retries) = retry_io(retries, || {
                         store.save(name, &output.cards, codec, &output.artifact)
                     });
                     saved?;
@@ -548,7 +453,6 @@ impl<A: Send + Sync> Graph<A> {
                         cards: output.cards,
                         error: None,
                         attempts,
-                        timed_out: false,
                     },
                 );
                 artifacts.insert(name, output.artifact);
@@ -706,7 +610,7 @@ mod tests {
             .add_stage(TestStage::new("b", &["a"], |ctx| {
                 Ok(StageOutput::new(ctx.artifact("a")? * 2).with_card("doubled", 1))
             }));
-        let mut outcome = g.run(None).unwrap();
+        let mut outcome = g.run(None, 0).unwrap();
         assert_eq!(outcome.take("b").unwrap(), 40);
         let report = outcome.report;
         assert_eq!(report.with_status(StageStatus::Ran).len(), 2);
@@ -720,7 +624,7 @@ mod tests {
             unreachable!()
         }));
         assert!(matches!(
-            g.run(None),
+            g.run(None, 0),
             Err(EngineError::MissingArtifact { stage, dep }) if stage == "lone" && dep == "nothing"
         ));
     }
@@ -734,7 +638,7 @@ mod tests {
                 &["ok"],
                 |ctx| Err(ctx.fail("kaput")),
             ));
-        match g.run(None) {
+        match g.run(None, 0) {
             Err(EngineError::Stage { stage, message }) => {
                 assert_eq!(stage, "boom");
                 assert_eq!(message, "kaput");
@@ -774,7 +678,7 @@ mod tests {
             .add_stage(constant("src", &[], 0))
             .add_stage(stage("left", "right"))
             .add_stage(stage("right", "left"));
-        let mut outcome = g.run(None).unwrap();
+        let mut outcome = g.run(None, 0).unwrap();
         assert_eq!(
             outcome.take("left").unwrap(),
             1,
@@ -824,14 +728,14 @@ mod tests {
         let store = temp_store("resume");
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
 
-        let mut first = counted_chain(&counts).run(Some(&store)).unwrap();
+        let mut first = counted_chain(&counts).run(Some(&store), 0).unwrap();
         assert_eq!(first.take("c").unwrap(), 60);
         assert_eq!(
             first.report.with_status(StageStatus::Ran),
             vec!["a", "b", "c"]
         );
 
-        let mut second = counted_chain(&counts).run(Some(&store)).unwrap();
+        let mut second = counted_chain(&counts).run(Some(&store), 0).unwrap();
         assert_eq!(
             second.take("c").unwrap(),
             60,
@@ -851,7 +755,7 @@ mod tests {
     fn corrupt_checkpoint_falls_back_to_recompute() {
         let store = temp_store("corrupt");
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-        counted_chain(&counts).run(Some(&store)).unwrap();
+        counted_chain(&counts).run(Some(&store), 0).unwrap();
         let path = store.path_of("b");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[0] ^= 0x20; // "TLARTFCT" -> "tLARTFCT"
@@ -860,7 +764,7 @@ mod tests {
         // The damaged file is a warning and a recompute, not a dead
         // run — and the recompute overwrites it, so a third run caches
         // cleanly again.
-        let mut second = counted_chain(&counts).run(Some(&store)).unwrap();
+        let mut second = counted_chain(&counts).run(Some(&store), 0).unwrap();
         assert_eq!(second.take("c").unwrap(), 60);
         let report = &second.report;
         assert_eq!(report.with_status(StageStatus::Ran), vec!["a", "b", "c"]);
@@ -870,7 +774,7 @@ mod tests {
             report.warnings
         );
 
-        let mut third = counted_chain(&counts).run(Some(&store)).unwrap();
+        let mut third = counted_chain(&counts).run(Some(&store), 0).unwrap();
         assert_eq!(third.take("c").unwrap(), 60);
         assert!(third.report.warnings.is_empty());
         assert_eq!(third.report.with_status(StageStatus::Cached), vec!["b"]);
@@ -900,9 +804,9 @@ mod tests {
         for (tag, hurt) in damage {
             let store = temp_store(&format!("damage-{tag}"));
             let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-            counted_chain(&counts).run(Some(&store)).unwrap();
+            counted_chain(&counts).run(Some(&store), 0).unwrap();
             hurt(&store.path_of("b"));
-            let mut again = counted_chain(&counts).run(Some(&store)).unwrap();
+            let mut again = counted_chain(&counts).run(Some(&store), 0).unwrap();
             assert_eq!(again.take("c").unwrap(), 60, "{tag}: wrong result");
             assert!(!again.report.warnings.is_empty(), "{tag}: no warning");
             assert_eq!(
@@ -924,7 +828,7 @@ mod tests {
             .add_stage(TestStage::new("d", &["a"], |ctx| {
                 Ok(StageOutput::new(ctx.artifact("a")? + 10))
             }));
-        let mut outcome = g.run(None).unwrap();
+        let mut outcome = g.run(None, 0).unwrap();
         let report = &outcome.report;
         assert!(report.degraded());
         assert_eq!(report.with_status(StageStatus::Failed), vec!["b"]);
@@ -936,10 +840,14 @@ mod tests {
             "{err}"
         );
         // Sibling work survived the panic; the dead branch yields no
-        // artifact.
+        // artifact, and asking for one gets the panic that killed it.
         assert_eq!(outcome.take("d").unwrap(), 11);
-        assert!(outcome.take("b").is_err());
-        assert!(outcome.take("c").is_err());
+        for dead in ["b", "c"] {
+            assert!(
+                matches!(outcome.take(dead), Err(EngineError::StagePanicked { stage, .. }) if stage == "b"),
+                "{dead}"
+            );
+        }
     }
 
     #[test]
@@ -953,7 +861,7 @@ mod tests {
             .add_stage(TestStage::new("d", &["c"], |ctx| {
                 Ok(StageOutput::new(*ctx.artifact("c")?))
             }));
-        let outcome = g.run(None).unwrap();
+        let outcome = g.run(None, 0).unwrap();
         let report = &outcome.report;
         assert_eq!(report.with_status(StageStatus::Failed), vec!["b"]);
         // Pruning is transitive: d never had a chance either.
@@ -972,20 +880,12 @@ mod tests {
     #[test]
     fn run_without_store_never_touches_disk_state() {
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-        counted_chain(&counts).run(None).unwrap();
-        counted_chain(&counts).run(None).unwrap();
+        counted_chain(&counts).run(None, 0).unwrap();
+        counted_chain(&counts).run(None, 0).unwrap();
         assert_eq!(counts[1].load(Ordering::SeqCst), 2);
     }
 
     use towerlens_obs::Failpoints;
-
-    /// A supervisor whose backoff unit is tiny, so retry tests spend
-    /// microseconds sleeping instead of the production 25 ms base.
-    fn fast_supervisor(retries: u32, stage_timeout: Option<Duration>) -> Supervisor {
-        let mut sup = Supervisor::new(retries, stage_timeout);
-        sup.retry.base = Duration::from_micros(50);
-        sup
-    }
 
     #[test]
     fn permanent_errors_fail_fast_despite_retry_budget() {
@@ -995,70 +895,8 @@ mod tests {
             t.fetch_add(1, Ordering::SeqCst);
             Err(ctx.fail("bad data"))
         }));
-        assert!(g.run_with(None, &fast_supervisor(5, None)).is_err());
+        assert!(g.run(None, 5).is_err());
         assert_eq!(tries.load(Ordering::SeqCst), 1, "permanent error retried");
-    }
-
-    #[test]
-    fn watchdog_declares_overrunning_optional_stage_lost() {
-        let g = Graph::new()
-            .add_stage(constant("a", &[], 1))
-            .add_stage(
-                TestStage::new("slow", &["a"], |_| {
-                    std::thread::sleep(Duration::from_millis(400));
-                    Ok(StageOutput::new(9))
-                })
-                .optional(),
-            )
-            .add_stage(TestStage::new("behind", &["slow"], |ctx| {
-                Ok(StageOutput::new(*ctx.artifact("slow")?))
-            }))
-            .add_stage(TestStage::new("sibling", &["a"], |ctx| {
-                Ok(StageOutput::new(ctx.artifact("a")? + 1))
-            }));
-        let sup = Supervisor::new(0, Some(Duration::from_millis(40)));
-        let mut outcome = g.run_with(None, &sup).unwrap();
-        let report = &outcome.report;
-        assert_eq!(report.with_status(StageStatus::Failed), vec!["slow"]);
-        assert_eq!(report.with_status(StageStatus::Pruned), vec!["behind"]);
-        let slow = report.stage("slow").unwrap();
-        assert!(slow.timed_out);
-        let err = slow.error.as_ref().unwrap().to_string();
-        assert!(err.contains("40 ms budget"), "{err}");
-        // The sibling's result committed; the straggler's was
-        // discarded even though its thread eventually finished.
-        assert_eq!(outcome.take("sibling").unwrap(), 2);
-        assert!(outcome.take("slow").is_err());
-    }
-
-    #[test]
-    fn required_stage_timeout_fails_the_run() {
-        let g = Graph::new().add_stage(TestStage::new("slow", &[], |_| {
-            std::thread::sleep(Duration::from_millis(300));
-            Ok(StageOutput::new(1))
-        }));
-        let sup = Supervisor::new(0, Some(Duration::from_millis(30)));
-        match g.run_with(None, &sup) {
-            Err(EngineError::StageTimedOut { stage, budget_ms }) => {
-                assert_eq!(stage, "slow");
-                assert_eq!(budget_ms, 30);
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fast_stages_run_unbothered_under_a_deadline() {
-        let store = temp_store("deadline-quiet");
-        let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-        let sup = Supervisor::new(1, Some(Duration::from_secs(30)));
-        let mut outcome = counted_chain(&counts).run_with(Some(&store), &sup).unwrap();
-        assert_eq!(outcome.take("c").unwrap(), 60);
-        assert_eq!(
-            outcome.report.with_status(StageStatus::Ran),
-            vec!["a", "b", "c"]
-        );
-        assert!(outcome.report.stages.iter().all(|s| !s.timed_out));
     }
 
     #[test]
@@ -1066,15 +904,13 @@ mod tests {
         let store = temp_store("io-retry")
             .with_failpoints(Failpoints::parse("checkpoint.save.b=err*2").unwrap());
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-        let mut outcome = counted_chain(&counts)
-            .run_with(Some(&store), &fast_supervisor(2, None))
-            .unwrap();
+        let mut outcome = counted_chain(&counts).run(Some(&store), 2).unwrap();
         assert_eq!(outcome.take("c").unwrap(), 60);
         let b = outcome.report.stage("b").unwrap();
         assert_eq!(b.status, StageStatus::Ran);
         assert_eq!(b.attempts, 3, "1 compute + 2 save retries");
         // The checkpoint landed after the burst: a fresh run caches it.
-        let second = counted_chain(&counts).run(Some(&store)).unwrap();
+        let second = counted_chain(&counts).run(Some(&store), 0).unwrap();
         assert_eq!(second.report.with_status(StageStatus::Cached), vec!["b"]);
     }
 
@@ -1083,9 +919,7 @@ mod tests {
         let store = temp_store("io-abort")
             .with_failpoints(Failpoints::parse("checkpoint.save.b=err*3").unwrap());
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-        let err = counted_chain(&counts)
-            .run_with(Some(&store), &fast_supervisor(2, None))
-            .unwrap_err();
+        let err = counted_chain(&counts).run(Some(&store), 2).unwrap_err();
         assert!(
             matches!(err, EngineError::Checkpoint(CheckpointError::Io { .. })),
             "{err:?}"
@@ -1096,26 +930,12 @@ mod tests {
     fn injected_load_faults_retry_during_probe() {
         let store = temp_store("probe-retry");
         let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-        counted_chain(&counts).run(Some(&store)).unwrap();
+        counted_chain(&counts).run(Some(&store), 0).unwrap();
         let store = store.with_failpoints(Failpoints::parse("checkpoint.load.b=err*1").unwrap());
-        let mut again = counted_chain(&counts)
-            .run_with(Some(&store), &fast_supervisor(2, None))
-            .unwrap();
+        let mut again = counted_chain(&counts).run(Some(&store), 2).unwrap();
         assert_eq!(again.take("c").unwrap(), 60);
         let b = again.report.stage("b").unwrap();
         assert_eq!(b.status, StageStatus::Cached);
         assert_eq!(b.attempts, 2, "one probe retry before the hit");
-    }
-
-    #[test]
-    fn default_supervisor_reproduces_plain_run() {
-        let store = temp_store("sup-default");
-        let counts: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
-        let mut via_run = counted_chain(&counts).run(Some(&store)).unwrap();
-        let mut via_sup = counted_chain(&counts)
-            .run_with(Some(&store), &Supervisor::default())
-            .unwrap();
-        assert_eq!(via_run.take("c").unwrap(), via_sup.take("c").unwrap());
-        assert_eq!(via_sup.report.with_status(StageStatus::Cached), vec!["b"]);
     }
 }

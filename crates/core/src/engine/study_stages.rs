@@ -870,7 +870,7 @@ mod tests {
     /// rejected before anything is sized by them.
     #[test]
     fn study_codecs_survive_arbitrary_bodies() {
-        let outcome = study_graph(&StudyConfig::tiny(11)).run(None).unwrap();
+        let outcome = study_graph(&StudyConfig::tiny(11)).run(None, 0).unwrap();
         let codecs: [(&str, &dyn StageCodec<StudyArtifact>); 4] = [
             ("city", &CityCodec),
             ("synthesize", &RawCodec),
@@ -915,7 +915,7 @@ mod tests {
     #[test]
     fn study_codecs_roundtrip_bit_identically() {
         let config = StudyConfig::tiny(11);
-        let outcome = study_graph(&config).run(None).unwrap();
+        let outcome = study_graph(&config).run(None, 0).unwrap();
         let store = temp_store("roundtrip");
 
         // city

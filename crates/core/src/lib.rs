@@ -46,8 +46,7 @@ pub mod study;
 pub mod timedomain;
 
 pub use engine::{
-    CheckpointError, CheckpointStore, EngineError, RetryPolicy, RunReport, StageReport,
-    StageStatus, Supervisor,
+    CheckpointError, CheckpointStore, EngineError, RunReport, StageReport, StageStatus,
 };
 pub use error::CoreError;
 pub use identifier::{IdentifiedPatterns, IdentifierConfig, PatternIdentifier};

@@ -12,8 +12,6 @@
 //! [`RunReport`] and, given a [`CheckpointStore`], persists the
 //! expensive front of the pipeline so a later run resumes from disk.
 
-use std::collections::HashMap;
-
 use towerlens_artifact::Fnv1a;
 use towerlens_city::city::City;
 use towerlens_city::config::CityConfig;
@@ -25,7 +23,7 @@ use towerlens_trace::time::TraceWindow;
 use crate::decompose::Decomposition;
 use crate::engine::{
     study_fingerprint, study_graph, CheckpointStore, EngineError, RunOutcome, RunReport,
-    StudyArtifact, Supervisor,
+    StudyArtifact,
 };
 use crate::error::CoreError;
 use crate::freq::{ClusterFeatureStats, TowerFeatures};
@@ -413,42 +411,42 @@ impl Study {
         &self,
         store: Option<&CheckpointStore>,
     ) -> Result<(StudyReport, RunReport), CoreError> {
-        let (partial, report) = self.run_resilient_with(store, &Supervisor::default())?;
+        let (partial, report) = self.run_resilient_with(store, 0)?;
         match partial.into_full() {
             Some(study) => Ok((study, report)),
-            None => Err(lost(&report, "report")),
+            None => Err(CoreError::Engine(
+                report
+                    .first_error()
+                    .cloned()
+                    .expect("a section is lost only behind a failed stage"),
+            )),
         }
     }
 
-    /// Runs the pipeline fault-tolerantly under a [`Supervisor`]: a
-    /// panic in any stage, or a failure in an optional one (labelling,
-    /// time-domain, frequency, decomposition), degrades the
-    /// corresponding report section to `None` instead of killing the
-    /// run. The required spine (city → synthesize → vectorize →
-    /// cluster) must still succeed. The supervisor retries checkpoint
-    /// I/O errors and may give each stage a wall-time budget. The
-    /// [`RunReport`] records which stages failed (with their rendered
-    /// errors) and which were pruned behind them. This is what the
-    /// CLI's `study` command runs.
+    /// Runs the pipeline fault-tolerantly: a panic in any stage, or a
+    /// failure in an optional one (labelling, time-domain, frequency,
+    /// decomposition), degrades the corresponding report section to
+    /// `None` instead of killing the run. The required spine (city →
+    /// synthesize → vectorize → cluster) must still succeed. A
+    /// checkpoint probe or save that fails with an I/O error is
+    /// retried up to `retries` times. The [`RunReport`] records which
+    /// stages failed (with their rendered errors) and which were
+    /// pruned behind them. This is what the CLI's `study` command
+    /// runs.
     ///
     /// # Errors
-    /// Failures of required stages (a timed-out required stage
-    /// included), scheduling errors, and checkpoint I/O errors past
-    /// the retry budget. Corrupt checkpoints are *not* errors here —
-    /// they fall back to recompute with a [`RunReport::warnings`]
-    /// entry.
+    /// Failures of required stages, scheduling errors, and checkpoint
+    /// I/O errors past the retry budget. Corrupt checkpoints are *not*
+    /// errors here — they fall back to recompute with a
+    /// [`RunReport::warnings`] entry.
     pub fn run_resilient_with(
         &self,
         store: Option<&CheckpointStore>,
-        supervisor: &Supervisor,
+        retries: u32,
     ) -> Result<(PartialStudyReport, RunReport), CoreError> {
-        let graph = study_graph(&self.config);
-        let RunOutcome {
-            mut artifacts,
-            report,
-        } = graph.run_with(store, supervisor)?;
-        let partial = assemble_partial(&self.config, &mut artifacts, &report)?;
-        Ok((partial, report))
+        let mut outcome = study_graph(&self.config).run(store, retries)?;
+        let partial = assemble_partial(&self.config, &mut outcome)?;
+        Ok((partial, outcome.report))
     }
 }
 
@@ -684,27 +682,15 @@ fn type_mismatch(name: &'static str) -> CoreError {
     })
 }
 
-/// The error for an artifact a run could not deliver: the first failed
-/// stage's own error, which names the stage (a missing artifact always
-/// has one behind it), else the artifact itself.
-fn lost(report: &RunReport, artifact: &str) -> CoreError {
-    let error = report.first_error().cloned();
-    CoreError::Engine(error.unwrap_or_else(|| EngineError::MissingArtifact {
-        stage: "<assemble>".to_string(),
-        dep: artifact.to_string(),
-    }))
-}
-
 /// Assembles the partial report: the spine is required, the optional
 /// sections degrade to `None` when their stage failed or was pruned.
 /// This is the one assembler; [`Study::run_instrumented`] upgrades
 /// its result with [`PartialStudyReport::into_full`].
 fn assemble_partial(
     config: &StudyConfig,
-    artifacts: &mut HashMap<&'static str, StudyArtifact>,
-    report: &RunReport,
+    outcome: &mut RunOutcome<StudyArtifact>,
 ) -> Result<PartialStudyReport, CoreError> {
-    let mut take = |name: &'static str| artifacts.remove(name).ok_or_else(|| lost(report, name));
+    let mut take = |name: &'static str| outcome.take(name).map_err(CoreError::Engine);
     let StudyArtifact::City(city) = take("city")? else {
         return Err(type_mismatch("city"));
     };
@@ -894,9 +880,7 @@ mod tests {
             "{err}"
         );
         assert_eq!(err.to_string(), format!("engine: {want}"));
-        let (partial, report) = study
-            .run_resilient_with(None, &Supervisor::default())
-            .unwrap();
+        let (partial, report) = study.run_resilient_with(None, 0).unwrap();
         assert!(partial.geo.is_some() && partial.frequency.is_none());
         assert_eq!(report.with_status(StageStatus::Pruned), vec!["decompose"]);
         assert_eq!(
@@ -945,9 +929,7 @@ mod tests {
     #[test]
     fn resilient_run_on_a_healthy_study_is_complete_and_identical() {
         let study = Study::new(StudyConfig::tiny(7));
-        let (partial, report) = study
-            .run_resilient_with(None, &Supervisor::default())
-            .unwrap();
+        let (partial, report) = study.run_resilient_with(None, 0).unwrap();
         assert!(!report.degraded());
         assert!(partial.is_complete());
         let full = partial.into_full().unwrap();

@@ -5,12 +5,11 @@
 //! TOWERLENS_FAILPOINTS='<point>=<action>[;<point>=<action>…]'
 //!
 //! action := panic        panic at every hit
-//!         | sleep(<ms>)  sleep <ms> milliseconds at every hit
 //!         | err*<n>      fail the first <n> hits with an injected error
 //!         | abort@<n>    abort the process at the <n>-th hit
 //! ```
 //!
-//! `POINTS` declares every point and the actions it takes. A
+//! `POINTS` declares every point and the action it takes. A
 //! malformed entry, an unknown point, an action the point does not
 //! take, or a point configured twice is a [`FailpointError`] naming
 //! the variable and the entry: a chaos run with a misspelt failpoint
@@ -27,19 +26,18 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// The environment variable the process registry is read from.
 const FAILPOINTS_ENV: &str = "TOWERLENS_FAILPOINTS";
 
-/// Every failpoint as `(point, actions, where it fires)`. `<stage>`
+/// Every failpoint as `(point, action, where it fires)`. `<stage>`
 /// stands for a stage of the graph being run. The durable-replace
 /// protocol fires
 /// `<file>.tmp` after the temp file's fsync and `<file>` after the
 /// rename, for each of the five files it writes.
 #[rustfmt::skip]
 const POINTS: &[(&str, &str, &str)] = &[
-    ("stage.<stage>", "panic | sleep(<ms>)", "before the stage runs"),
+    ("stage.<stage>", "panic", "before the stage runs"),
     ("checkpoint.save.<stage>", "err*<n>", "before the stage's checkpoint is written"),
     ("checkpoint.load.<stage>", "err*<n>", "before the stage's checkpoint is read"),
     ("checkpoint.tmp", "abort@<n>", "after a checkpoint's temp file is fsynced"),
@@ -60,8 +58,6 @@ const POINTS: &[(&str, &str, &str)] = &[
 enum Action {
     /// `panic`: panic at every hit.
     Panic,
-    /// `sleep(<ms>)`: sleep this many milliseconds at every hit.
-    Sleep(u64),
     /// `err*<n>`: the first `n` hits fail with an injected error.
     Err(u64),
     /// `abort@<n>`: abort the process at the `n`-th hit.
@@ -70,29 +66,22 @@ enum Action {
 
 impl Action {
     fn parse(text: &str) -> Result<Action, String> {
-        let count = |digits: &str, min: u64| {
+        let count = |digits: &str| {
             digits
                 .parse::<u64>()
                 .ok()
-                .filter(|&n| n >= min)
-                .ok_or_else(|| {
-                    format!("bad argument in `{text}` (milliseconds, or a count of at least 1)")
-                })
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| format!("bad argument in `{text}` (a count of at least 1)"))
         };
         if text == "panic" {
             Ok(Action::Panic)
-        } else if let Some(ms) = text
-            .strip_prefix("sleep(")
-            .and_then(|r| r.strip_suffix(')'))
-        {
-            count(ms, 0).map(Action::Sleep)
         } else if let Some(n) = text.strip_prefix("err*") {
-            count(n, 1).map(Action::Err)
+            count(n).map(Action::Err)
         } else if let Some(n) = text.strip_prefix("abort@") {
-            count(n, 1).map(Action::Abort)
+            count(n).map(Action::Abort)
         } else {
             Err(format!(
-                "unknown action `{text}` (expected panic, sleep(<ms>), err*<n> or abort@<n>)"
+                "unknown action `{text}` (expected panic, err*<n> or abort@<n>)"
             ))
         }
     }
@@ -101,7 +90,6 @@ impl Action {
     fn form(self) -> &'static str {
         match self {
             Action::Panic => "panic",
-            Action::Sleep(_) => "sleep(<ms>)",
             Action::Err(_) => "err*<n>",
             Action::Abort(_) => "abort@<n>",
         }
@@ -112,22 +100,21 @@ impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Action::Panic => write!(f, "panic"),
-            Action::Sleep(ms) => write!(f, "sleep({ms})"),
             Action::Err(n) => write!(f, "err*{n}"),
             Action::Abort(n) => write!(f, "abort@{n}"),
         }
     }
 }
 
-/// The [`POINTS`] row naming `point`: its actions, and the point's
+/// The [`POINTS`] row naming `point`: its action, and the point's
 /// `<stage>` argument when it takes one.
 fn lookup(point: &str) -> Option<(&'static str, Option<&str>)> {
-    POINTS.iter().find_map(|&(name, actions, _)| {
+    POINTS.iter().find_map(|&(name, takes, _)| {
         let Some(prefix) = name.strip_suffix("<stage>") else {
-            return (point == name).then_some((actions, None));
+            return (point == name).then_some((takes, None));
         };
         let stage = point.strip_prefix(prefix).filter(|v| !v.is_empty())?;
-        Some((actions, Some(stage)))
+        Some((takes, Some(stage)))
     })
 }
 
@@ -189,10 +176,10 @@ impl Failpoints {
                 .split_once('=')
                 .ok_or_else(|| fail("expected `<point>=<action>`".into()))?;
             let (point, action) = (point.trim(), action.trim());
-            let (actions, stage) = lookup(point).ok_or_else(|| {
+            let (takes, stage) = lookup(point).ok_or_else(|| {
                 let table: Vec<String> = POINTS
                     .iter()
-                    .map(|(point, actions, fires)| format!("  {point:<24} {actions:<20} {fires}"))
+                    .map(|(point, takes, fires)| format!("  {point:<24} {takes:<12} {fires}"))
                     .collect();
                 fail(format!(
                     "unknown point `{point}`; the points are:\n{}",
@@ -200,9 +187,9 @@ impl Failpoints {
                 ))
             })?;
             let action = Action::parse(action).map_err(fail)?;
-            if !actions.split(" | ").any(|a| a == action.form()) {
+            if action.form() != takes {
                 return Err(fail(format!(
-                    "point `{point}` takes {actions}, not `{action}`"
+                    "point `{point}` takes {takes}, not `{action}`"
                 )));
             }
             if entries.iter().any(|e| e.point == point) {
@@ -219,8 +206,8 @@ impl Failpoints {
     }
 
     /// Counts a hit on the point named by `parts` joined with `.` and
-    /// acts on it: `panic` panics, `sleep` sleeps, `abort@<n>` aborts
-    /// the process at the n-th hit. Unconfigured points do nothing.
+    /// acts on it: `panic` panics, `abort@<n>` aborts the process at
+    /// the n-th hit. Unconfigured points do nothing.
     ///
     /// # Errors
     /// For an `err*<n>` point within its first `n` hits, the message
@@ -241,7 +228,6 @@ impl Failpoints {
         };
         match entry.action {
             Action::Panic => panic!("{}", fired()),
-            Action::Sleep(ms) => std::thread::sleep(Duration::from_millis(ms)),
             Action::Err(n) if hit <= n => return Err(fired()),
             Action::Abort(n) if hit == n => {
                 eprintln!("{} — aborting", fired());
@@ -308,7 +294,7 @@ mod tests {
 
     #[test]
     fn every_point_and_action_parses_and_renders_back() {
-        let spec = "stage.label=sleep(6000);stage.cluster=panic;checkpoint.save.vectorize=err*2;\
+        let spec = "stage.cluster=panic;checkpoint.save.vectorize=err*2;\
                     checkpoint=abort@3;wal.seal=abort@1;publish.cur=abort@2";
         let fp = Failpoints::parse(spec).unwrap();
         let rendered: Vec<String> = fp
@@ -319,10 +305,9 @@ mod tests {
         assert_eq!(rendered.join(";"), spec);
         assert!(Failpoints::parse(" ; wal.seal = abort@1 ;").is_ok());
         assert!(Failpoints::parse("").unwrap().entries.is_empty());
-        for (point, actions, _) in POINTS {
+        for (point, takes, _) in POINTS {
             let point = point.replace("<stage>", "s");
-            let action = actions.split(" | ").next().unwrap().replace("<ms>", "1");
-            let action = action.replace("<n>", "1");
+            let action = takes.replace("<n>", "1");
             Failpoints::parse(&format!("{point}={action}")).unwrap();
         }
     }
@@ -345,14 +330,14 @@ mod tests {
             ("checkpoint=explode", "unknown action `explode`"),
             ("checkpoint=", "unknown action ``"),
             ("stage.label=sleep", "unknown action `sleep`"),
-            ("stage.label=sleep(6s)", "bad argument in `sleep(6s)`"),
-            ("stage.label=sleep(-1)", "bad argument"),
+            ("stage.label=sleep(1)", "unknown action `sleep(1)`"),
+            ("stage.label=sleep(6s)", "unknown action `sleep(6s)`"),
             ("checkpoint=abort@two", "bad argument in `abort@two`"),
             ("checkpoint=abort@0", "bad argument in `abort@0`"),
             ("checkpoint.save.b=err*0", "bad argument in `err*0`"),
             ("checkpoint.save.b=err*x", "bad argument"),
             ("checkpoint=mul(2)", "unknown action `mul(2)`"),
-            ("stage.label=err*1", "takes panic | sleep(<ms>), not"),
+            ("stage.label=err*1", "takes panic, not"),
             ("checkpoint=panic", "`checkpoint` takes abort@<n>"),
             ("checkpoint.load.b=abort@1", "takes err*<n>, not `abort@1`"),
             ("wal.seal=abort@1;wal.seal=abort@2", "configured twice"),

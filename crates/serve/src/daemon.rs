@@ -55,8 +55,9 @@
 //! tower's sessions cannot fail, so there is nothing to retry, shed or
 //! quarantine, and every acknowledged record reaches the state. What
 //! can fail is I/O. A snapshot save that hits an I/O error is retried
-//! under a deterministic seeded [`RetryPolicy`] (`--retries`) before it
-//! fails the run; a WAL or source I/O error fails it at once. Either
+//! up to `--retries` times under the stage engine's backoff
+//! ([`retry_io`]) before it fails the run; a WAL or source I/O error
+//! fails it at once. Either
 //! way the next start replays the WAL. The
 //! `checkpoint.save.serve-state=err*<n>` failpoint injects snapshot
 //! save errors; `wal.seal=abort@<n>` kills the daemon after the n-th
@@ -69,7 +70,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 
 use towerlens_artifact::{fnv1a64, Publisher};
-use towerlens_core::engine::{CheckpointStore, RetryPolicy};
+use towerlens_core::engine::{retry_io, CheckpointStore};
 use towerlens_core::error::CoreError;
 use towerlens_core::identifier::{IdentifiedPatterns, PatternIdentifier};
 use towerlens_core::study::snapshot_from_parts;
@@ -588,7 +589,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
         let _ = h.join();
     }
     if recovered.snapshotted_seq != Some(counts.next_seq) {
-        let (saved, _) = RetryPolicy::new(config.retries).retry_io(SNAPSHOT_STAGE, || {
+        let (saved, _) = retry_io(config.retries, || {
             store.save(SNAPSHOT_STAGE, &[], &SnapshotCodec, &state)
         });
         SNAPSHOT_BYTES.add(saved?);

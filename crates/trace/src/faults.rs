@@ -20,11 +20,10 @@ use std::path::Path;
 
 use crate::record::LogRecord;
 
-/// SplitMix64: a tiny, high-quality, allocation-free generator. It is
-/// the workspace's shared seeded RNG — the fault injector here, and
-/// the engine supervisor's backoff jitter, both draw from it — so
-/// deterministic behaviour is defined by this one implementation, not
-/// by whichever `rand` shim the workspace carries.
+/// SplitMix64: a tiny, high-quality, allocation-free generator. The
+/// fault injector here draws from it, so its deterministic behaviour
+/// is defined by this one implementation, not by whichever `rand`
+/// shim the workspace carries.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);
 

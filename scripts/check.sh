@@ -29,11 +29,10 @@ echo "== fault injection (pinned seeds) =="
 # the full pipeline, plus panic containment in its own process.
 cargo test -q -p towerlens-cli --test fault_injection --test panic_isolation
 
-echo "== chaos: crash/resume, transient I/O, watchdog =="
+echo "== chaos: crash/resume, transient I/O =="
 # The supervision contract: kill the process at every checkpoint
-# save and resume bit-identically, ride out injected checkpoint I/O
-# faults under the --retries budget, and degrade (not hang) on a
-# stage that blows its --stage-timeout-ms deadline.
+# save and resume bit-identically, and ride out injected checkpoint
+# I/O faults under the --retries budget.
 cargo test -q -p towerlens-cli --test chaos
 
 echo "== thread-count determinism: --threads 1 vs --threads 4 =="
