@@ -125,7 +125,10 @@ usage:
       `study --snapshot`. --publish additionally publishes a query
       artifact at every segment boundary and at the drain as
       DIR/gen-N.artifact plus an atomic CURRENT pointer, for
-      `query --watch` hot reload
+      `query --watch` hot reload. Each WAL fsync (every --flush-every
+      lines, default 64) hands every shard the records it acknowledged
+      as one message; --queue-cap (default 1024) bounds the records a
+      slow shard can have queued, though never below one fsync's worth
 
   towerlens-cli doctor  --dir DIR [--fingerprint HEX] [--json]
       fsck every checkpoint file in DIR (and DIR/snap), any WAL

@@ -373,6 +373,199 @@ fn snapshot_save_fault_at_the_drain_of_a_publishing_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A source line that is not UTF-8 is acknowledged as its lossy
+/// decoding, which counts as malformed: the run drains, a restart after
+/// a kill replays that text from the WAL and prints the uninterrupted
+/// run's stdout, a rerun over the drained directory prints it again,
+/// and the batch reference reads the same text.
+#[test]
+fn a_line_that_is_not_utf8_is_acknowledged_as_malformed() {
+    let dir = temp("not-utf8");
+    let logs = gen_logs(&dir, 600);
+    let text = read(&logs);
+    let lines: Vec<&str> = text.lines().collect();
+    let mut bytes = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if i == 300 {
+            bytes.extend_from_slice(b"bad\xff\xfeline\n");
+        }
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    }
+    let source = dir.join("source.tsv");
+    std::fs::write(&source, bytes).unwrap();
+    let malformed = |stdout: &[u8]| {
+        let report = String::from_utf8_lossy(stdout).into_owned();
+        let line = report.lines().find(|l| l.starts_with("malformed"));
+        line.map(str::to_owned)
+            .unwrap_or_else(|| panic!("no malformed line: {report}"))
+    };
+
+    let data = dir.join("data");
+    let args = serve_args(source.to_str().unwrap(), data.to_str().unwrap());
+    let out = run_ok(&args);
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("source lines   601"), "{report}");
+    let good = run_ok(&serve_args(
+        logs.to_str().unwrap(),
+        dir.join("good").to_str().unwrap(),
+    ));
+    let count = |line: String| {
+        line.split_whitespace()
+            .last()
+            .unwrap()
+            .parse::<u64>()
+            .unwrap()
+    };
+    assert_eq!(
+        count(malformed(&out.stdout)),
+        count(malformed(&good.stdout)) + 1
+    );
+    assert_eq!(
+        run_ok(&args).stdout,
+        out.stdout,
+        "rerun over the drained directory"
+    );
+
+    // Segment 0 holds the first 600 lines, the undecodable one among
+    // them: the restart replays it from the WAL.
+    let killed = dir.join("killed");
+    let args = serve_args(source.to_str().unwrap(), killed.to_str().unwrap());
+    let kill = run_env(&args, &[("TOWERLENS_FAILPOINTS", "wal.seal=abort@1")]);
+    assert!(!kill.status.success(), "the seal kill did not fire");
+    assert_eq!(run_ok(&args).stdout, out.stdout, "restart after a kill");
+
+    let config = ServeConfig {
+        source: source.clone(),
+        days: 7,
+        shards: 3,
+        segment_records: 600,
+        ..ServeConfig::default()
+    };
+    let batch = towerlens_serve::batch_reference(&config).unwrap().render();
+    assert_eq!(batch.as_bytes(), &out.stdout[..], "batch reference");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Which shard applies a record, how many records one WAL sync hands
+/// over and how deep the queues are is scheduling: over the shard
+/// count, the `--flush-every` cadence and the `--queue-cap` depth,
+/// with or without `--basis`, stdout and every generation are
+/// byte-identical, and the analysis thread publishes and reports the
+/// barriers in stream order.
+#[test]
+fn scheduling_moves_no_output_byte() {
+    let dir = temp("scheduling");
+    let logs = gen_logs(&dir, 1000);
+    let basis = dir.join("basis.artifact");
+    run_ok(&[
+        "analyze",
+        "--dir",
+        dir.join("ds").to_str().unwrap(),
+        "--days",
+        "7",
+        "--feature-space",
+        "raw",
+        "--snapshot",
+        basis.to_str().unwrap(),
+    ]);
+    // Every file of a generation store, by name.
+    let store_files = |store: &std::path::Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(store)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    // The numbers that stderr lines starting with `prefix` carry.
+    let numbers = |stderr: &str, prefix: &str| -> Vec<u64> {
+        stderr
+            .lines()
+            .filter_map(|l| l.strip_prefix(prefix))
+            .map(|rest| rest.split(' ').next().unwrap().parse().unwrap())
+            .collect()
+    };
+    let ascending = |seen: &[u64]| seen.windows(2).all(|w| w[0] < w[1]);
+
+    let mut stdouts: [Option<Vec<u8>>; 2] = [None, None];
+    let mut generations = None;
+    let mut run = 0;
+    for shards in ["1", "3"] {
+        for flush_every in ["1", "16"] {
+            for queue_cap in [Some("1"), None] {
+                for with_basis in [false, true] {
+                    run += 1;
+                    let (data, store) = (
+                        dir.join(format!("data{run}")),
+                        dir.join(format!("store{run}")),
+                    );
+                    let mut args = vec![
+                        "serve",
+                        "--source",
+                        logs.to_str().unwrap(),
+                        "--data",
+                        data.to_str().unwrap(),
+                        "--days",
+                        "7",
+                        "--segment-records",
+                        "100",
+                        "--publish",
+                        store.to_str().unwrap(),
+                        "--shards",
+                        shards,
+                        "--flush-every",
+                        flush_every,
+                    ];
+                    if let Some(cap) = queue_cap {
+                        args.extend(["--queue-cap", cap]);
+                    }
+                    if with_basis {
+                        args.extend(["--basis", basis.to_str().unwrap()]);
+                    }
+                    let out = run_ok(&args);
+                    let what = format!("{args:?}");
+                    let stdout = &mut stdouts[usize::from(with_basis)];
+                    match stdout {
+                        None => *stdout = Some(out.stdout.clone()),
+                        Some(first) => assert_eq!(first, &out.stdout, "stdout of {what}"),
+                    }
+                    let files = store_files(&store);
+                    assert!(files.iter().any(|(name, _)| name == "CURRENT"), "{what}");
+                    match &generations {
+                        None => generations = Some(files),
+                        Some(first) => assert!(first == &files, "generations of {what}"),
+                    }
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    let published = numbers(&stderr, "serve: published generation ");
+                    let states = numbers(&stderr, "serve: state at seq ");
+                    assert_eq!(published.len(), 10, "{what}: {stderr}");
+                    assert_eq!(states.len(), 10, "{what}: {stderr}");
+                    assert!(
+                        ascending(&published) && ascending(&states),
+                        "{what}: {stderr}"
+                    );
+                }
+            }
+        }
+    }
+    // `--basis` adds its line to the report and changes nothing else.
+    let [Some(plain), Some(classified)] = stdouts else {
+        unreachable!("both groups ran")
+    };
+    let without_basis: String = String::from_utf8_lossy(&classified)
+        .lines()
+        .filter(|l| !l.starts_with("basis"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(String::from_utf8_lossy(&plain), without_basis);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn doctor_fscks_wal_and_snapshots_and_flags_corruption() {
     let dir = temp("doctor");

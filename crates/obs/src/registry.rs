@@ -115,6 +115,30 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Records every observation of `values`, as many [`observe`]
+    /// calls would: the cells are tallied locally, and each is added
+    /// to the histogram once.
+    ///
+    /// [`observe`]: Histogram::observe
+    pub fn observe_all(&self, values: impl IntoIterator<Item = u64>) {
+        // Indexed like `partition_point`: underflow, buckets, overflow.
+        let mut cells = vec![0u64; self.edges.len() + 1];
+        let (mut count, mut sum) = (0u64, 0u64);
+        for v in values {
+            cells[self.edges.partition_point(|&e| e <= v)] += 1;
+            count += 1;
+            sum = sum.wrapping_add(v);
+        }
+        let last = cells.len() - 1;
+        self.underflow.fetch_add(cells[0], Ordering::Relaxed);
+        for (bucket, &n) in self.buckets.iter().zip(&cells[1..last]) {
+            bucket.fetch_add(n, Ordering::Relaxed);
+        }
+        self.overflow.fetch_add(cells[last], Ordering::Relaxed);
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+    }
+
     /// The bucket boundaries.
     pub fn edges(&self) -> &[u64] {
         &self.edges
@@ -505,12 +529,16 @@ impl LazyHistogram {
         }
     }
 
-    /// Records one observation into the global histogram.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        self.cell
-            .get_or_init(|| global().histogram(self.name, self.edges))
-            .observe(v);
+    /// Records every observation of `values` into the global histogram
+    /// through [`Histogram::observe_all`], registering it only once
+    /// there is something to record.
+    pub fn observe_all(&self, values: impl IntoIterator<Item = u64>) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_some() {
+            self.cell
+                .get_or_init(|| global().histogram(self.name, self.edges))
+                .observe_all(values);
+        }
     }
 }
 
@@ -549,6 +577,19 @@ mod tests {
         assert_eq!(s.buckets, vec![2, 1]);
         assert_eq!(s.overflow, 2);
         assert_eq!(s.count, 7);
+    }
+
+    #[test]
+    fn observe_all_matches_one_observe_per_value() {
+        let values = [0, 9, 10, 99, 100, 999, 1_000, u64::MAX / 4, u64::MAX];
+        for edges in [&[10, 100, 1_000][..], &[50]] {
+            let (one, all) = (Histogram::new(edges), Histogram::new(edges));
+            values.iter().for_each(|&v| one.observe(v));
+            all.observe_all(values);
+            assert_eq!(one.snapshot(), all.snapshot(), "{edges:?}");
+            all.observe_all([]);
+            assert_eq!(one.snapshot(), all.snapshot(), "{edges:?}");
+        }
     }
 
     #[test]

@@ -250,11 +250,10 @@ impl Vectorizer {
             .filter(|row| row.iter().any(|&v| v > 0.0))
             .count();
         let (mut records, mut total_bytes) = (0usize, 0u64);
-        for bytes in record_bytes {
+        RECORD_BYTES.observe_all(record_bytes.inspect(|&bytes| {
             records += 1;
             total_bytes += bytes;
-            RECORD_BYTES.observe(bytes);
-        }
+        }));
         RECORDS.add(records as u64);
         BYTES.add(total_bytes);
         BINS_IMPUTED.add(imputation.bins_imputed as u64);

@@ -14,28 +14,35 @@
 //!    gap-free numbering), so recovery grows with the stream: 0.2–0.3 µs
 //!    per verified entry with the single scanner of [`crate::wal`]
 //!    (94,773 entries, 2-vCPU Xeon VM).
-//! 2. **Stream.** Read the source line by line. Every non-empty line
+//! 2. **Stream.** Read the source line by line as bytes, decoding each
+//!    line once with `String::from_utf8_lossy`. Every non-empty line
 //!    is assigned the next global sequence number and appended to the
 //!    WAL *before* it is parsed or applied — the WAL is the
 //!    acknowledgement ledger, so a crash can lose only unacknowledged
-//!    work. Parsed records are dispatched to shard workers
-//!    (`cell_id % shards`) over bounded queues; a full queue counts a
+//!    work. A parsed record waits for the WAL fsync that acknowledges
+//!    it (every `--flush-every` lines, and at each seal); each fsync
+//!    hands every shard worker (`cell_id % shards`) its records as one
+//!    message over a bounded queue, and a full queue counts a
 //!    backpressure wait before blocking.
 //! 3. **Segment boundaries.** At every WAL segment boundary the daemon
 //!    seals the segment and starts the next. Only when something reads
 //!    the state's analysis — a `--publish` generation or the `--basis`
-//!    counts on the state line — does it also barrier the shards,
-//!    vectorize the state tower by tower, publish (it identifies the
-//!    state's patterns only to publish them) and print the state line.
-//!    A plain run barriers its shards once, at the drain.
-//! 4. **Drain.** At end of stream the daemon seals the tail and
-//!    barriers the shards, reusing the last segment barrier's state and
-//!    analysis when that barrier covered the stream. It then writes the
-//!    run's one fsync'd snapshot of the durable state, unless the
-//!    snapshot on disk already covers it, and runs the *batch* analysis
-//!    (vectorizer → spectral lines → pattern identifier → optional
-//!    frozen-basis classification) over the final state, once: it
-//!    publishes it and prints one deterministic report to stdout.
+//!    counts on the state line — does it also barrier the shards and
+//!    hand the state to the analysis thread, which vectorizes it tower
+//!    by tower, publishes (it identifies the state's patterns only to
+//!    publish them) and prints the state line while the stream goes
+//!    on. At most one analysis is in flight: the next boundary and the
+//!    drain wait for it before they seal, and its error fails the run
+//!    there. A plain run barriers its shards once, at the drain.
+//! 4. **Drain.** At end of stream the daemon waits for the running
+//!    analysis, seals the tail and barriers the shards, reusing the
+//!    last segment barrier's state and analysis when that barrier
+//!    covered the stream. It then writes the run's one fsync'd
+//!    snapshot of the durable state, unless the snapshot on disk
+//!    already covers it, and runs the *batch* analysis (vectorizer →
+//!    spectral lines → pattern identifier → optional frozen-basis
+//!    classification) over the final state, once: it publishes it and
+//!    prints one deterministic report to stdout.
 //!
 //! # Determinism contract
 //!
@@ -57,17 +64,21 @@
 //! can fail is I/O. A snapshot save that hits an I/O error is retried
 //! up to `--retries` times under the stage engine's backoff
 //! ([`retry_io`]) before it fails the run; a WAL or source I/O error
-//! fails it at once. Either
-//! way the next start replays the WAL. The
+//! fails it at once, and a barrier's analysis or publish error when
+//! the analysis thread is next joined. Either way the next start
+//! replays the WAL. The
 //! `checkpoint.save.serve-state=err*<n>` failpoint injects snapshot
 //! save errors; `wal.seal=abort@<n>` kills the daemon after the n-th
 //! segment seal, and `checkpoint=abort@1` after the drain's snapshot.
 
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::io::BufRead;
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
+use std::thread::ScopedJoinHandle;
 
 use towerlens_artifact::{fnv1a64, Publisher};
 use towerlens_core::engine::{retry_io, CheckpointStore};
@@ -116,14 +127,19 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Records per WAL segment (= publish and `--basis` cadence).
     pub segment_records: u64,
-    /// Bounded shard queue capacity.
+    /// Bounds the records a slow shard can have queued. A shard's
+    /// queue holds `max(1, queue_cap / flush_every)` messages, each one
+    /// WAL sync's records for that shard (at most `flush_every`), so at
+    /// most `max(queue_cap, flush_every)` records.
     pub queue_cap: usize,
     /// Retries per snapshot save that fails with an I/O error.
     pub retries: u32,
     /// Frozen batch basis (a versioned query artifact) to classify
     /// against, if any.
     pub basis: Option<PathBuf>,
-    /// WAL flush+fsync cadence in records (1 = every record).
+    /// WAL flush+fsync cadence in records (1 = every record). Each
+    /// fsync hands every shard the records it acknowledged, as one
+    /// message, so a shard applies a record only once it is durable.
     pub flush_every: u64,
     /// Progress line to stderr every this many records (0 = none; a
     /// state line still marks each barrier).
@@ -315,8 +331,9 @@ impl ServeReport {
 
 /// Messages into a shard worker.
 enum ShardMsg {
-    /// Apply one acknowledged record.
-    Apply(LogRecord),
+    /// Apply the shard's records that one WAL sync acknowledged, in
+    /// stream order.
+    Apply(Vec<LogRecord>),
     /// Barrier: reply with a copy of the shard's state. Because the
     /// channel is ordered, the copy covers exactly the records
     /// dispatched before the barrier.
@@ -337,11 +354,15 @@ fn run_shard(rx: mpsc::Receiver<ShardMsg>, mut towers: BTreeMap<u32, TowerState>
     let mut conflicts = 0u64;
     for msg in rx {
         match msg {
-            ShardMsg::Apply(rec) => match towers.entry(rec.cell_id).or_default().apply(&rec) {
-                ApplyOutcome::New => {}
-                ApplyOutcome::Duplicate => duplicates += 1,
-                ApplyOutcome::Conflict => conflicts += 1,
-            },
+            ShardMsg::Apply(records) => {
+                for rec in &records {
+                    match towers.entry(rec.cell_id).or_default().apply(rec) {
+                        ApplyOutcome::New => {}
+                        ApplyOutcome::Duplicate => duplicates += 1,
+                        ApplyOutcome::Conflict => conflicts += 1,
+                    }
+                }
+            }
             ShardMsg::Sync(reply) => {
                 let view = ShardView {
                     towers: towers
@@ -355,6 +376,96 @@ fn run_shard(rx: mpsc::Receiver<ShardMsg>, mut towers: BTreeMap<u32, TowerState>
                     return; // ingest side is gone; shut down
                 }
             }
+        }
+    }
+}
+
+/// The shard workers, and each shard's parsed records that no WAL sync
+/// has acknowledged yet.
+struct Shards {
+    senders: Vec<mpsc::SyncSender<ShardMsg>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    pending: Vec<Vec<LogRecord>>,
+}
+
+impl Shards {
+    /// Spawns one worker per recovered shard map. A message carries at
+    /// most `flush_every` records, so a queue of
+    /// `queue_cap / flush_every` messages (at least one) bounds what a
+    /// slow shard can have queued.
+    fn spawn(maps: Vec<BTreeMap<u32, TowerState>>, config: &ServeConfig) -> Shards {
+        let depth = (config.queue_cap as u64 / config.flush_every).max(1) as usize;
+        let (mut senders, mut handles) = (Vec::new(), Vec::new());
+        for map in maps {
+            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(depth);
+            handles.push(std::thread::spawn(move || run_shard(rx, map)));
+            senders.push(tx);
+        }
+        let pending = vec![Vec::new(); senders.len()];
+        Shards {
+            senders,
+            handles,
+            pending,
+        }
+    }
+
+    /// Holds a parsed record for its shard until the WAL sync that
+    /// acknowledges it.
+    fn push(&mut self, rec: LogRecord) {
+        let shard = rec.cell_id as usize % self.pending.len();
+        self.pending[shard].push(rec);
+    }
+
+    /// Fsyncs the WAL, then hands each shard the records that fsync
+    /// acknowledged as one message; a full queue counts a backpressure
+    /// wait before blocking.
+    fn sync(&mut self, wal: &mut WalWriter) -> Result<(), ServeError> {
+        wal.sync()?;
+        for (shard, (tx, records)) in self.senders.iter().zip(&mut self.pending).enumerate() {
+            if records.is_empty() {
+                continue;
+            }
+            let down = || ServeError::Analysis(format!("shard {shard} worker is down"));
+            match tx.try_send(ShardMsg::Apply(std::mem::take(records))) {
+                Ok(()) => {}
+                Err(mpsc::TrySendError::Full(msg)) => {
+                    BACKPRESSURE_WAITS.inc();
+                    tx.send(msg).map_err(|_| down())?;
+                }
+                Err(mpsc::TrySendError::Disconnected(_)) => return Err(down()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Copies every shard's state, as of the last sync, into one
+    /// snapshot.
+    fn barrier(&self, counts: &Counts) -> Result<ServeSnapshot, ServeError> {
+        debug_assert!(
+            self.pending.iter().all(Vec::is_empty),
+            "a barrier follows a sync"
+        );
+        let mut replies = Vec::with_capacity(self.senders.len());
+        for (i, s) in self.senders.iter().enumerate() {
+            let (tx, rx) = mpsc::channel();
+            s.send(ShardMsg::Sync(tx))
+                .map_err(|_| ServeError::Analysis(format!("shard {i} worker is down")))?;
+            replies.push(rx);
+        }
+        let mut views = Vec::with_capacity(self.senders.len());
+        for (i, rx) in replies.into_iter().enumerate() {
+            views.push(rx.recv().map_err(|_| {
+                ServeError::Analysis(format!("shard {i} worker died before the barrier"))
+            })?);
+        }
+        Ok(assemble(views, counts))
+    }
+
+    /// Stops the workers.
+    fn close(self) {
+        drop(self.senders);
+        for h in self.handles {
+            let _ = h.join();
         }
     }
 }
@@ -440,166 +551,214 @@ pub fn serve(config: &ServeConfig) -> Result<ServeReport, ServeError> {
         .check_stages(&[SNAPSHOT_STAGE])
         .map_err(|e| ServeError::Config(e.to_string()))?;
     let basis = config.frozen_basis()?;
-    let mut publisher = match &config.publish {
+    let publisher = match &config.publish {
         Some(dir) => Some(
             Publisher::open(dir, None)
                 .map_err(|e| ServeError::Analysis(format!("artifact publish: {e}")))?,
         ),
         None => None,
     };
-    let fingerprint = config.fingerprint();
     let window = config.window();
+    let analyst = Analyst {
+        publisher,
+        basis: basis.as_ref(),
+        window,
+        fingerprint: config.fingerprint(),
+    };
+    // A segment boundary takes a barrier only when a generation or the
+    // `--basis` counts read its state.
+    let reads_state = analyst.publisher.is_some() || analyst.basis.is_some();
 
     let store = CheckpointStore::open(config.data_dir.join(SNAP_DIR), config.fingerprint())?;
     let recovered = recover(config, &store)?;
     let mut counts = recovered.counts;
     let resume_from = counts.next_seq;
-
-    // Spawn the shard workers over bounded queues.
-    let mut senders = Vec::with_capacity(config.shards);
-    let mut handles = Vec::with_capacity(config.shards);
-    for map in recovered.shard_maps {
-        let (tx, rx) = mpsc::sync_channel::<ShardMsg>(config.queue_cap);
-        handles.push(std::thread::spawn(move || run_shard(rx, map)));
-        senders.push(tx);
-    }
-
-    let barrier = |senders: &[mpsc::SyncSender<ShardMsg>]| -> Result<Vec<ShardView>, ServeError> {
-        let mut replies = Vec::with_capacity(senders.len());
-        for (i, s) in senders.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            s.send(ShardMsg::Sync(tx))
-                .map_err(|_| ServeError::Analysis(format!("shard {i} worker is down")))?;
-            replies.push(rx);
-        }
-        let mut views = Vec::with_capacity(senders.len());
-        for (i, rx) in replies.into_iter().enumerate() {
-            views.push(rx.recv().map_err(|_| {
-                ServeError::Analysis(format!("shard {i} worker died before the barrier"))
-            })?);
-        }
-        Ok(views)
-    };
-
-    // The analysis of one barrier's state: publishes it (only a publish
-    // identifies the state's patterns), prints the state line and
-    // returns the analysis for the drain to reuse. A segment boundary
-    // takes a barrier only when a generation or the `--basis` counts
-    // read its state.
-    let reads_state = publisher.is_some() || basis.is_some();
-    let mut analyse = |state: &ServeSnapshot| -> Result<Analysis, ServeError> {
-        let analysis = Analysis::of_state(state, &window)?;
-        if let Some(publisher) = publisher.as_mut() {
-            publish_generation(publisher, &analysis, &window, fingerprint)?;
-        }
-        let classes = basis.as_ref().map(|b| analysis.classes(b)).transpose()?;
-        state_line(state, classes.as_deref());
-        Ok(analysis)
-    };
+    let mut shards = Shards::spawn(recovered.shard_maps, config);
 
     // Stream the source, skipping the lines already acknowledged.
     let mut wal = WalWriter::open(&config.data_dir.join(WAL_DIR))?;
-    let file = std::fs::File::open(&config.source).map_err(|e| io_err(&config.source, e))?;
-    let reader = std::io::BufReader::new(file);
+    let mut lines = SourceLines::open(&config.source)?;
     let mut skipped = 0u64;
     let mut unflushed = 0u64;
-    // This run's latest segment barrier and its analysis, if any.
-    let mut last: Option<(ServeSnapshot, Analysis)> = None;
-    for line in reader.lines() {
-        let line = line.map_err(|e| io_err(&config.source, e))?;
-        if line.is_empty() {
-            continue;
-        }
-        if skipped < resume_from {
-            skipped += 1;
-            continue;
-        }
-        let seq = counts.next_seq;
-        wal.append(seq, &line)?;
-        counts.next_seq += 1;
-        unflushed += 1;
-        if unflushed >= config.flush_every {
-            wal.sync()?;
-            unflushed = 0;
-        }
-        match LogRecord::parse_line(&line, seq as usize + 1) {
-            Err(_) => {
-                counts.malformed += 1;
-                MALFORMED.inc();
+    std::thread::scope(|scope| {
+        let mut analysing = Analysing::Idle(analyst);
+        while let Some(line) = lines.next_line()? {
+            if line.is_empty() {
+                continue;
             }
-            Ok(rec) => {
-                counts.records += 1;
-                RECORDS_INGESTED.inc();
-                let shard = rec.cell_id as usize % config.shards;
-                match senders[shard].try_send(ShardMsg::Apply(rec)) {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(msg)) => {
-                        BACKPRESSURE_WAITS.inc();
-                        senders[shard].send(msg).map_err(|_| {
-                            ServeError::Analysis(format!("shard {shard} worker is down"))
-                        })?;
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => {
-                        return Err(ServeError::Analysis(format!(
-                            "shard {shard} worker is down"
-                        )));
-                    }
+            if skipped < resume_from {
+                skipped += 1;
+                continue;
+            }
+            let seq = counts.next_seq;
+            wal.append(seq, &line)?;
+            counts.next_seq += 1;
+            match LogRecord::parse_line(&line, seq as usize + 1) {
+                Err(_) => {
+                    counts.malformed += 1;
+                    MALFORMED.inc();
+                }
+                Ok(rec) => {
+                    counts.records += 1;
+                    RECORDS_INGESTED.inc();
+                    shards.push(rec);
                 }
             }
-        }
-        if config.progress_every > 0 && counts.next_seq.is_multiple_of(config.progress_every) {
-            eprintln!(
-                "serve: seq {} ({} records, {} malformed)",
-                counts.next_seq, counts.records, counts.malformed
-            );
-        }
-        if wal.entries_in_segment() >= config.segment_records {
-            wal.sync()?;
-            unflushed = 0;
-            if wal.rotate()? {
-                WAL_SEGMENTS.inc();
+            unflushed += 1;
+            if unflushed >= config.flush_every {
+                shards.sync(&mut wal)?;
+                unflushed = 0;
             }
-            if reads_state {
-                // Free the previous barrier's copy before taking the next.
-                drop(last.take());
-                let state = assemble(barrier(&senders)?, &counts);
-                let analysis = analyse(&state)?;
-                last = Some((state, analysis));
+            if config.progress_every > 0 && counts.next_seq.is_multiple_of(config.progress_every) {
+                eprintln!(
+                    "serve: seq {} ({} records, {} malformed)",
+                    counts.next_seq, counts.records, counts.malformed
+                );
+            }
+            if wal.entries_in_segment() >= config.segment_records {
+                // Join the running analysis before this segment seals;
+                // its barrier's copy is freed before the next is taken.
+                let (mut analyst, _) = analysing.join()?;
+                shards.sync(&mut wal)?;
+                unflushed = 0;
+                if wal.rotate()? {
+                    WAL_SEGMENTS.inc();
+                }
+                analysing = if reads_state {
+                    let state = shards.barrier(&counts)?;
+                    Analysing::Running(scope.spawn(move || {
+                        let analysis = analyst.analyse(&state);
+                        (analyst, state, analysis)
+                    }))
+                } else {
+                    Analysing::Idle(analyst)
+                };
             }
         }
+
+        // End of stream: join the running analysis, seal the tail and
+        // barrier, unless this run's last segment barrier already covered
+        // every acknowledged line (its analysis, generation and state
+        // line then stand). Save the run's one snapshot if the one on
+        // disk is behind, then analyse. A resumed run with nothing new
+        // still analyses and publishes, so a generation lost to a kill
+        // after the drain's save converges (the publish is an idempotent
+        // no-op once `CURRENT` names these bytes).
+        let (mut analyst, last) = analysing.join()?;
+        shards.sync(&mut wal)?;
+        if wal.rotate()? {
+            WAL_SEGMENTS.inc();
+        }
+        let (state, analysis) = match last.filter(|(state, _)| state.next_seq == counts.next_seq) {
+            Some((state, analysis)) => (state, Some(analysis)),
+            None => (shards.barrier(&counts)?, None),
+        };
+        shards.close();
+        if recovered.snapshotted_seq != Some(counts.next_seq) {
+            let (saved, _) = retry_io(config.retries, || {
+                store.save(SNAPSHOT_STAGE, &[], &SnapshotCodec, &state)
+            });
+            SNAPSHOT_BYTES.add(saved?);
+            SNAPSHOTS.inc();
+        }
+        let analysis = match analysis {
+            Some(analysis) => analysis,
+            None => analyst.analyse(&state)?,
+        };
+        report(&Counts::of(&state), &analysis, &window, basis.as_ref())
+    })
+}
+
+/// The source's lines as `serve` acknowledges them and
+/// [`batch_reference`] reads them: split at `\n` (dropping a `\r`
+/// before it, as [`BufRead::lines`] does) and decoded once with
+/// [`String::from_utf8_lossy`]. A line that is not UTF-8 is thus
+/// acknowledged, replayed and parsed as one text, and counts as
+/// malformed unless that text parses.
+struct SourceLines<'a> {
+    path: &'a Path,
+    reader: BufReader<File>,
+    buf: Vec<u8>,
+}
+
+impl<'a> SourceLines<'a> {
+    fn open(path: &'a Path) -> Result<SourceLines<'a>, ServeError> {
+        let file = File::open(path).map_err(|e| io_err(path, e))?;
+        Ok(SourceLines {
+            path,
+            reader: BufReader::new(file),
+            buf: Vec::new(),
+        })
     }
 
-    // End of stream: seal the tail and barrier, unless this run's last
-    // segment barrier already covered every acknowledged line (its
-    // analysis, generation and state line then stand). Save the run's
-    // one snapshot if the one on disk is behind, then analyse. A resumed
-    // run with nothing new still analyses and publishes, so a generation
-    // lost to a kill after the drain's save converges (the publish is an
-    // idempotent no-op once `CURRENT` names these bytes).
-    wal.sync()?;
-    if wal.rotate()? {
-        WAL_SEGMENTS.inc();
+    /// The next line, or `None` at end of source.
+    fn next_line(&mut self) -> Result<Option<Cow<'_, str>>, ServeError> {
+        self.buf.clear();
+        let read = self.reader.read_until(b'\n', &mut self.buf);
+        if read.map_err(|e| io_err(self.path, e))? == 0 {
+            return Ok(None);
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        }
+        Ok(Some(String::from_utf8_lossy(&self.buf)))
     }
-    let (state, analysis) = match last.filter(|(state, _)| state.next_seq == counts.next_seq) {
-        Some((state, analysis)) => (state, Some(analysis)),
-        None => (assemble(barrier(&senders)?, &counts), None),
-    };
-    drop(senders);
-    for h in handles {
-        let _ = h.join();
+}
+
+/// What analyses a barrier's state: the generation store it publishes
+/// to and the frozen basis its state line classifies against.
+struct Analyst<'a> {
+    publisher: Option<Publisher>,
+    basis: Option<&'a Basis>,
+    window: TraceWindow,
+    fingerprint: u64,
+}
+
+impl Analyst<'_> {
+    /// The analysis of one barrier's state: publishes it (only a publish
+    /// identifies the state's patterns), prints the state line and
+    /// returns the analysis for the drain to reuse.
+    fn analyse(&mut self, state: &ServeSnapshot) -> Result<Analysis, ServeError> {
+        let analysis = Analysis::of_state(state, &self.window)?;
+        if let Some(publisher) = self.publisher.as_mut() {
+            publish_generation(publisher, &analysis, &self.window, self.fingerprint)?;
+        }
+        let classes = self.basis.map(|b| analysis.classes(b)).transpose()?;
+        state_line(state, classes.as_deref());
+        Ok(analysis)
     }
-    if recovered.snapshotted_seq != Some(counts.next_seq) {
-        let (saved, _) = retry_io(config.retries, || {
-            store.save(SNAPSHOT_STAGE, &[], &SnapshotCodec, &state)
-        });
-        SNAPSHOT_BYTES.add(saved?);
-        SNAPSHOTS.inc();
+}
+
+/// A barrier's analysis and result, owned by the analysis thread while
+/// it runs.
+type Analysed<'a> = (Analyst<'a>, ServeSnapshot, Result<Analysis, ServeError>);
+
+/// The segment barriers' analyst: idle, or running on the analysis
+/// thread, which hands it back when joined. One value, so at most one
+/// analysis is ever in flight.
+enum Analysing<'scope, 'a> {
+    Idle(Analyst<'a>),
+    Running(ScopedJoinHandle<'scope, Analysed<'a>>),
+}
+
+impl<'a> Analysing<'_, 'a> {
+    /// Waits for a running analysis and returns the analyst with the
+    /// barrier's state and analysis: its error fails the run here, and
+    /// its panic propagates.
+    fn join(self) -> Result<(Analyst<'a>, Option<(ServeSnapshot, Analysis)>), ServeError> {
+        match self {
+            Analysing::Idle(analyst) => Ok((analyst, None)),
+            Analysing::Running(thread) => {
+                let (analyst, state, analysis) = thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                Ok((analyst, Some((state, analysis?))))
+            }
+        }
     }
-    let analysis = match analysis {
-        Some(analysis) => analysis,
-        None => analyse(&state)?,
-    };
-    report(&Counts::of(&state), &analysis, &window, basis.as_ref())
 }
 
 /// Moves the shards' copies into one snapshot: shards hold disjoint
@@ -893,16 +1052,16 @@ pub fn batch_reference(config: &ServeConfig) -> Result<ServeReport, ServeError> 
     config.validate()?;
     let window = config.window();
     let basis = config.frozen_basis()?;
-    let text = std::fs::read_to_string(&config.source).map_err(|e| io_err(&config.source, e))?;
+    let mut lines = SourceLines::open(&config.source)?;
     let mut counts = Counts::default();
     let mut records = Vec::new();
-    for line in text.lines() {
+    while let Some(line) = lines.next_line()? {
         if line.is_empty() {
             continue;
         }
         let seq = counts.next_seq;
         counts.next_seq += 1;
-        match LogRecord::parse_line(line, seq as usize + 1) {
+        match LogRecord::parse_line(&line, seq as usize + 1) {
             Err(_) => counts.malformed += 1,
             Ok(rec) => {
                 counts.records += 1;

@@ -337,7 +337,20 @@ press_tmp="$(mktemp -d)"
 trap 'rm -rf "$press_tmp" "$query_tmp" "$serve_tmp" "$thr_tmp"' EXIT
 press_flags=(--source "$serve_tmp/stream.tsv" --days 7 --segment-records 500 --shards 3)
 ./target/release/towerlens-cli serve "${press_flags[@]}" \
-    --data "$press_tmp/clean" --publish "$press_tmp/clean-store" > /dev/null 2>&1
+    --data "$press_tmp/clean" --publish "$press_tmp/clean-store" \
+    --metrics "$press_tmp/clean-metrics.json" > /dev/null 2>&1
+# Barrier analysis, counted exactly: the stream's five segment barriers
+# publish five generations (the drain reuses the last, which covers the
+# stream), vectorize 7,411 sessions and, with the drain's report, make
+# 177 Goertzel evaluations. A barrier analysed twice or dropped, or a
+# drain that analyses the state again, moves them.
+for gate in serve.generations_published=5 pipeline.vectorize.records=7411 \
+    dsp.goertzel.evaluations=177; do
+    got=$(counter "$press_tmp/clean-metrics.json" "${gate%=*}")
+    [ "$got" -eq "${gate#*=}" ] \
+        || { echo "publishing serve counted ${gate%=*} = $got, expected ${gate#*=}"; exit 1; }
+done
+echo "publishing serve analysed each of its five barriers once"
 clean_gen="$press_tmp/clean-store/$(cat "$press_tmp/clean-store/CURRENT")"
 for stage in publish.gen.tmp publish.gen publish.cur.tmp checkpoint.tmp checkpoint; do
     converged=0
